@@ -18,6 +18,7 @@
 //! runner pins the items it requires via equality bounds.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
@@ -57,6 +58,65 @@ impl StreamReport {
     /// Look up one stage's stats by name.
     pub fn stage(&self, name: &str) -> Option<&StreamStage> {
         self.stages.iter().find(|s| s.name == name)
+    }
+
+    /// Sum of the stage wall-clocks; never more than `total_wall`.
+    pub fn stage_sum(&self) -> Duration {
+        self.stages.iter().map(|s| s.wall).sum()
+    }
+
+    /// The report as a text table: one row per stage, then the totals.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "{:<24} {:>12} {:>10} {:>16}\n",
+            "stage", "wall ms", "shards", "peak entries"
+        );
+        for s in &self.stages {
+            let _ = writeln!(
+                out,
+                "{:<24} {:>12.3} {:>10} {:>16}",
+                s.name,
+                s.wall.as_secs_f64() * 1e3,
+                s.shards,
+                s.peak_resident_entries,
+            );
+        }
+        let budget = self.budget.map_or("none".into(), |b| b.to_string());
+        let _ = writeln!(
+            out,
+            "total wall {:.3} s (stage sum {:.3} s), run peak {} entries (budget {budget})",
+            self.total_wall.as_secs_f64(),
+            self.stage_sum().as_secs_f64(),
+            self.peak_resident_entries,
+        );
+        out
+    }
+
+    /// The report as one strict-JSON object: `stages` (each with `name`,
+    /// `wall_s`, `shards`, `peak_resident_entries`), `total_wall_s`,
+    /// `peak_resident_entries` and `budget` (`null` when unbudgeted). Stage
+    /// names are static identifiers, so they need no escaping.
+    pub fn to_json(&self) -> String {
+        let stages: Vec<String> = self
+            .stages
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"name\":\"{}\",\"wall_s\":{},\"shards\":{},\"peak_resident_entries\":{}}}",
+                    s.name,
+                    s.wall.as_secs_f64(),
+                    s.shards,
+                    s.peak_resident_entries,
+                )
+            })
+            .collect();
+        let budget = self.budget.map_or("null".into(), |b| b.to_string());
+        format!(
+            "{{\"stages\":[{}],\"total_wall_s\":{},\"peak_resident_entries\":{},\"budget\":{budget}}}",
+            stages.join(","),
+            self.total_wall.as_secs_f64(),
+            self.peak_resident_entries,
+        )
     }
 }
 
@@ -239,5 +299,17 @@ mod tests {
         };
         assert!(report.stage("ingest").is_some());
         assert!(report.stage("missing").is_none());
+        assert_eq!(
+            report.to_json(),
+            "{\"stages\":[{\"name\":\"ingest\",\"wall_s\":0.001,\"shards\":4,\
+             \"peak_resident_entries\":7}],\"total_wall_s\":0.001,\
+             \"peak_resident_entries\":7,\"budget\":null}"
+        );
+        let table = report.render();
+        assert!(
+            table.lines().nth(1).unwrap().starts_with("ingest"),
+            "{table}"
+        );
+        assert!(table.contains("budget none"), "{table}");
     }
 }

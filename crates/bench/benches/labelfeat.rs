@@ -5,7 +5,7 @@
 //! overhead is the honest number).
 //!
 //! Alongside wall-clock, the bench reports rows/s throughput and the staged
-//! engine's per-stage wall-clock for both execution modes as metrics.
+//! engine's per-stage wall-clock and residency as metrics.
 //!
 //! Regenerate the committed report with (from the workspace root; the path
 //! must be absolute because cargo runs the bench binary with `crates/bench`
@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use redsus_core::features::{build_features_with, FeatureConfig, FeatureMode};
 use redsus_core::labels::{LabelMode, LabelingOptions};
-use redsus_core::pipeline::{AnalysisContext, PipelineEngine, PipelineStage};
+use redsus_core::pipeline::{AnalysisContext, PipelineEngine};
 use std::hint::black_box;
 use std::time::Instant;
 use synth::{SynthConfig, SynthUs};
@@ -104,39 +104,21 @@ fn bench_preset(c: &mut Criterion, label: &str, world: &SynthUs) {
     );
 
     // The staged engine's own view: per-stage wall-clock of the two dataset
-    // stages under both execution modes.
-    for engine in [PipelineEngine::sequential(), PipelineEngine::parallel()] {
-        let run = engine.run_to_dataset(world, &options, &config);
-        let tag = match engine.mode() {
-            redsus_core::pipeline::ExecutionMode::Sequential => "sequential",
-            redsus_core::pipeline::ExecutionMode::Parallel => "parallel",
-        };
-        for stage in [
-            PipelineStage::LabelConstruction,
-            PipelineStage::FeatureEngineering,
-        ] {
+    // stages, and every stage's metered residency.
+    let run = PipelineEngine.run_to_dataset(world, &options, &config);
+    for stage in &run.report.stages {
+        if matches!(stage.name, "label_construction" | "feature_engineering") {
             report_metric(
-                format!("stage_{label}/{}_{tag}_ms", stage.name()),
-                run.report.wall_for(stage).unwrap().as_secs_f64() * 1e3,
+                format!("stage_{label}/{}_ms", stage.name),
+                stage.wall.as_secs_f64() * 1e3,
                 "ms",
             );
         }
-        // Residency is schedule-invariant; record it once per preset.
-        if engine.mode() == redsus_core::pipeline::ExecutionMode::Sequential {
-            for stage in PipelineStage::ALL {
-                let (entries, bytes) = run.report.residency_for(stage).unwrap();
-                report_metric(
-                    format!("stage_{label}/{}_peak_resident", stage.name()),
-                    entries as f64,
-                    "entries",
-                );
-                report_metric(
-                    format!("stage_{label}/{}_approx_resident", stage.name()),
-                    bytes as f64,
-                    "bytes",
-                );
-            }
-        }
+        report_metric(
+            format!("stage_{label}/{}_peak_resident", stage.name),
+            stage.peak_resident_entries as f64,
+            "entries",
+        );
     }
 }
 

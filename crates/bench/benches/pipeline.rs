@@ -7,7 +7,7 @@ use redsus_bench::{bench_config, micro_config};
 use redsus_core::features::{build_features, FeatureConfig};
 use redsus_core::labels::LabelingOptions;
 use redsus_core::model::{default_params, run_holdout, HoldoutStrategy};
-use redsus_core::pipeline::{AnalysisContext, PipelineEngine};
+use redsus_core::pipeline::AnalysisContext;
 use std::hint::black_box;
 use synth::SynthUs;
 
@@ -20,16 +20,10 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| black_box(SynthUs::generate(&micro_config(7))))
     });
 
-    // The remaining stages run over a shared, larger world. `prepare_context`
-    // is the default (parallel) engine; the `_sequential` variant pins the
-    // single-threaded baseline so the committed BENCH_baseline.json records
-    // the parallel-vs-sequential speedup.
+    // The remaining stages run over a shared, larger world.
     let world = SynthUs::generate(&bench_config(5));
     group.bench_function("prepare_context", |b| {
         b.iter(|| black_box(AnalysisContext::prepare(&world)))
-    });
-    group.bench_function("prepare_context_sequential", |b| {
-        b.iter(|| black_box(PipelineEngine::sequential().run(&world).context))
     });
 
     let ctx = AnalysisContext::prepare(&world);

@@ -28,10 +28,10 @@ pub const HOLDOUT_STATES: [&str; 6] = ["NE", "GA", "OK", "MO", "IN", "SC"];
 pub struct ExperimentSuite {
     pub world: SynthUs,
     /// Per-stage/per-shard report of the sharded world generation.
-    pub synth_report: synth::SynthReport,
+    pub synth_report: bdc::StreamReport,
     /// Per-stage report of the full eight-stage pipeline run (preparation
     /// plus label construction and feature engineering).
-    pub pipeline_report: crate::pipeline::PipelineReport,
+    pub pipeline_report: bdc::StreamReport,
     pub ctx: AnalysisContext,
     pub matrix: FeatureMatrix,
     pub observation_holdout: crate::model::HoldoutOutcome,
@@ -50,7 +50,7 @@ pub struct StreamingSuite<W = synth::StreamWorld> {
 
 impl ExperimentSuite {
     /// Generate the world and run the shared pipeline stages through the
-    /// staged engine (all eight stages, default parallel schedule).
+    /// staged engine (all eight stages).
     pub fn prepare(config: &SynthConfig) -> Self {
         let (world, synth_report) = SynthUs::generate_with(config, synth::GenMode::default())
             .unwrap_or_else(|msg| panic!("invalid SynthConfig: {msg}"));
@@ -58,7 +58,7 @@ impl ExperimentSuite {
             context: ctx,
             matrix,
             report: pipeline_report,
-        } = crate::pipeline::PipelineEngine::default().run_to_dataset(
+        } = crate::pipeline::PipelineEngine.run_to_dataset(
             &world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),

@@ -29,10 +29,7 @@ pub mod streaming;
 pub use features::{FeatureConfig, FeatureMatrix, FeatureMode};
 pub use labels::{Label, LabelMode, LabelSource, LabelingOptions, Observation};
 pub use model::{EvaluationResult, HoldoutStrategy};
-pub use pipeline::{
-    AnalysisContext, DatasetRun, ExecutionMode, PipelineEngine, PipelineReport, PipelineRun,
-    PipelineStage, StageTiming,
-};
+pub use pipeline::{AnalysisContext, DatasetRun, PipelineEngine, PipelineRun};
 pub use streaming::{
     run_streaming_to_dataset, run_streaming_to_dataset_with, run_synth_streaming_to_dataset,
     run_synth_streaming_to_dataset_with, StreamableSource, StreamingDatasetRun,

@@ -3,189 +3,51 @@
 //! runnable stages with recorded wall-clock timings.
 //!
 //! The data-preparation half of the paper (§4.1–4.3) decomposes into six
-//! stages with a small dependency graph, and the dataset half (§4.3 labels,
-//! §5.1 features) adds two more that consume the prepared context:
+//! stages, and the dataset half (§4.3 labels, §5.1 features) adds two more
+//! that consume the prepared context. [`PipelineEngine`] runs them on the
+//! calling thread in canonical order:
 //!
 //! ```text
-//! AsnMatching ──────────────► MlabAttribution ─┐
-//! OoklaReprojection ────────► CoverageScoring ─┼─► AnalysisContext
-//! MethodologyCollection ──┬────────────────────┘
-//! ReleaseDiff ────────────┘
-//!
-//! AnalysisContext ─► LabelConstruction ─► FeatureEngineering
+//! asn_matching → ookla_reprojection → coverage_scoring → mlab_attribution
+//!   → methodology_collection → release_diff        (the AnalysisContext)
+//!   → label_construction → feature_engineering     (the FeatureMatrix)
 //! ```
 //!
-//! The chains share no intermediate data, so [`PipelineEngine`] runs
-//! them concurrently by default (scoped threads; no external runtime). Every
-//! stage is a pure function of its inputs, which makes parallel execution
-//! produce *identical* results to sequential execution — a property asserted
-//! by the `parallel_matches_sequential` test below via
-//! [`AnalysisContext::canonical_fingerprint`].
+//! Parallelism lives inside the stages (shard fan-out under the default
+//! [`DiffMode`]), never between them. Every stage is a pure function of its
+//! inputs and every mode is bit-identical, so the assembled context and
+//! matrix are the same under any worker count. The engine reports and meters
+//! its stages exactly as the streaming runner does: one [`StreamReport`] row
+//! per stage, closed by [`end_stage`] on a [`ResidencyMeter`] that holds each
+//! stage's retained output.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use asnmap::{MatchReport, ProviderAsnMatcher};
+use bdc::source::end_stage;
 use bdc::stream::DEFAULT_DIFF_CHUNK;
-use bdc::{Asn, DiffChain, DiffMode, ProviderId};
+use bdc::{Asn, DiffChain, DiffMode, ProviderId, ResidencyMeter, StreamReport, StreamStage};
 use hexgrid::{HexCell, NBM_RESOLUTION};
-use obs::{Telemetry, TraceValue, DEFAULT_WALL_BUCKETS};
+use obs::Telemetry;
 use speedtest::{
-    attribute_mlab_tests, coverage_scores, CoverageScore, OoklaHexAggregate, ProviderHexTests,
+    coverage_scores, CoverageScore, MlabAttributor, OoklaHexAggregate, ProviderHexTests,
 };
-use synth::{GenMode, SynthConfig, SynthReport, SynthUs};
+use synth::SynthUs;
 
-use crate::features::{build_features_with, FeatureConfig, FeatureMatrix};
-use crate::labels::{build_labels_with, LabelInputs, LabelMode, LabelingOptions, Observation};
+use crate::features::{build_features_with, FeatureConfig, FeatureMatrix, OBSERVATION_CHUNK};
+use crate::labels::{
+    build_labels_with, LabelInputs, LabelMode, LabelingOptions, Observation, COVERAGE_CHUNK,
+};
+use crate::streaming::observe_stream_report;
 
-/// The named stages of the preparation pipeline, in canonical (sequential)
-/// execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PipelineStage {
-    /// Provider→ASN matching: FRN registrations joined against WHOIS.
-    AsnMatching,
-    /// Ookla open-data tiles re-projected onto resolution-8 hexes.
-    OoklaReprojection,
-    /// Per-hex service coverage scores (devices per BSL), sorted descending.
-    CoverageScoring,
-    /// MLab tests attributed to providers and localised to claimed hexes.
-    MlabAttribution,
-    /// Each provider's filing methodology text, collected for embedding.
-    MethodologyCollection,
-    /// Successive NBM releases stream-diffed into cumulative removal
-    /// evidence (§4.1.3's non-archived changes).
-    ReleaseDiff,
-    /// Labelled observations built from challenges, map changes and
-    /// likely-served candidates (§4.3), sharded per provider / per coverage
-    /// chunk.
-    LabelConstruction,
-    /// Observations vectorised into the Table 4 feature matrix (§5.1),
-    /// sharded per fixed observation chunk.
-    FeatureEngineering,
-}
-
-impl PipelineStage {
-    /// All stages in canonical order: the six preparation stages followed by
-    /// the two dataset stages.
-    pub const ALL: [PipelineStage; 8] = [
-        PipelineStage::AsnMatching,
-        PipelineStage::OoklaReprojection,
-        PipelineStage::CoverageScoring,
-        PipelineStage::MlabAttribution,
-        PipelineStage::MethodologyCollection,
-        PipelineStage::ReleaseDiff,
-        PipelineStage::LabelConstruction,
-        PipelineStage::FeatureEngineering,
-    ];
-
-    /// The preparation stages [`PipelineEngine::run`] executes — everything
-    /// that has to exist before labels and features can be built. The two
-    /// dataset stages additionally need labelling/feature options, so they
-    /// run in [`PipelineEngine::run_to_dataset`].
-    pub const PREPARATION: [PipelineStage; 6] = [
-        PipelineStage::AsnMatching,
-        PipelineStage::OoklaReprojection,
-        PipelineStage::CoverageScoring,
-        PipelineStage::MlabAttribution,
-        PipelineStage::MethodologyCollection,
-        PipelineStage::ReleaseDiff,
-    ];
-
-    /// Stable snake_case name, used in reports and benchmarks.
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineStage::AsnMatching => "asn_matching",
-            PipelineStage::OoklaReprojection => "ookla_reprojection",
-            PipelineStage::CoverageScoring => "coverage_scoring",
-            PipelineStage::MlabAttribution => "mlab_attribution",
-            PipelineStage::MethodologyCollection => "methodology_collection",
-            PipelineStage::ReleaseDiff => "release_diff",
-            PipelineStage::LabelConstruction => "label_construction",
-            PipelineStage::FeatureEngineering => "feature_engineering",
-        }
-    }
-}
-
-/// How the engine schedules independent stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Run every stage on the calling thread in canonical order.
-    Sequential,
-    /// Run the three independent stage chains on scoped threads (default).
-    #[default]
-    Parallel,
-}
-
-/// Wall-clock timing and peak working-set residency of one executed stage.
-#[derive(Debug, Clone, Copy)]
-pub struct StageTiming {
-    pub stage: PipelineStage,
-    pub wall: Duration,
-    /// Peak entries resident in the stage's working set. The materialised
-    /// engine reports each stage's retained output size (its world-sized
-    /// inputs are already resident and shared, so the output is what the
-    /// stage *adds*); the streaming runner reports the metered high-water
-    /// mark instead, which also covers transient shards.
-    pub peak_resident_entries: usize,
-    /// Approximate bytes behind `peak_resident_entries` (element-size
-    /// estimate; heap-owning elements such as strings are approximated).
-    pub approx_resident_bytes: usize,
-}
-
-/// Execution report: which mode ran, per-stage wall-clock, and the end-to-end
-/// wall-clock (which is less than the stage sum under parallel execution).
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// The mode the engine was configured with.
-    pub mode: ExecutionMode,
-    /// The schedule that actually ran: `Parallel` degrades to `Sequential`
-    /// on single-core hosts, and timing comparisons are only meaningful
-    /// against what executed.
-    pub executed: ExecutionMode,
-    /// One entry per stage, in canonical stage order.
-    pub timings: Vec<StageTiming>,
-    pub total_wall: Duration,
-}
-
-impl PipelineReport {
-    /// Wall-clock of a specific stage, if it ran.
-    pub fn wall_for(&self, stage: PipelineStage) -> Option<Duration> {
-        self.timings
-            .iter()
-            .find(|t| t.stage == stage)
-            .map(|t| t.wall)
-    }
-
-    /// Sum of all stage wall-clocks (the sequential-equivalent work).
-    pub fn stage_sum(&self) -> Duration {
-        self.timings.iter().map(|t| t.wall).sum()
-    }
-
-    /// Peak working-set residency of a specific stage, if it ran:
-    /// `(entries, approximate bytes)`.
-    pub fn residency_for(&self, stage: PipelineStage) -> Option<(usize, usize)> {
-        self.timings
-            .iter()
-            .find(|t| t.stage == stage)
-            .map(|t| (t.peak_resident_entries, t.approx_resident_bytes))
-    }
-
-    /// Largest per-stage peak residency (entries) across all executed stages.
-    pub fn peak_resident_entries(&self) -> usize {
-        self.timings
-            .iter()
-            .map(|t| t.peak_resident_entries)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// A finished pipeline run: the prepared context plus its execution report.
+/// A finished pipeline run: the prepared context plus the report of its six
+/// preparation stages.
 #[derive(Debug)]
 pub struct PipelineRun {
     pub context: AnalysisContext,
-    pub report: PipelineReport,
+    pub report: StreamReport,
 }
 
 /// A full dataset-construction run: the prepared context, the labelled
@@ -196,68 +58,17 @@ pub struct PipelineRun {
 pub struct DatasetRun {
     pub context: AnalysisContext,
     pub matrix: FeatureMatrix,
-    pub report: PipelineReport,
+    pub report: StreamReport,
 }
 
-/// A world generated and prepared in one call: the world, the generator's
-/// execution report, and the pipeline run over it — end-to-end observability
-/// of both halves (generation shards and preparation stages).
-#[derive(Debug)]
-pub struct GeneratedRun {
-    pub world: SynthUs,
-    /// Per-stage/per-shard timing report of the sharded world generator.
-    pub synth_report: SynthReport,
-    pub run: PipelineRun,
-}
-
-/// The staged, parallel-by-default execution engine for the preparation half
-/// of the pipeline.
+/// The materialised execution engine: the eight `stage_*` functions called
+/// in canonical order over a resident [`SynthUs`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineEngine {
-    mode: ExecutionMode,
-}
+pub struct PipelineEngine;
 
 impl PipelineEngine {
-    /// Engine with an explicit execution mode.
-    pub fn new(mode: ExecutionMode) -> Self {
-        Self { mode }
-    }
-
-    /// Engine running stages sequentially on the calling thread.
-    pub fn sequential() -> Self {
-        Self::new(ExecutionMode::Sequential)
-    }
-
-    /// Engine running independent stage chains concurrently (the default).
-    pub fn parallel() -> Self {
-        Self::new(ExecutionMode::Parallel)
-    }
-
-    /// The configured execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Generate a world with the engine's execution mode (sharded synth
-    /// generation) and run the preparation stages over it, returning
-    /// the world together with both execution reports. Returns `Err` with
-    /// the validation message when the configuration is invalid.
-    pub fn generate_and_run(&self, config: &SynthConfig) -> Result<GeneratedRun, String> {
-        let gen_mode = match self.mode {
-            ExecutionMode::Sequential => GenMode::Sequential,
-            ExecutionMode::Parallel => GenMode::Parallel,
-        };
-        let (world, synth_report) = SynthUs::generate_with(config, gen_mode)?;
-        let run = self.run(&world);
-        Ok(GeneratedRun {
-            world,
-            synth_report,
-            run,
-        })
-    }
-
     /// Run the six preparation stages over a world and return the prepared
-    /// context with its timing report. [`PipelineEngine::run_to_dataset`]
+    /// context with its stage report. [`PipelineEngine::run_to_dataset`]
     /// additionally runs the two dataset stages.
     ///
     /// Records stage telemetry into the process-wide registry
@@ -267,68 +78,22 @@ impl PipelineEngine {
         self.run_with(world, &Telemetry::global())
     }
 
-    /// [`PipelineEngine::run`] with an explicit telemetry handle: per-stage
-    /// wall-clock histograms, residency gauges and trace events are recorded
-    /// after the stages complete. Recording is pure observation — a run with
+    /// [`PipelineEngine::run`] with an explicit telemetry handle: the report
+    /// lands in the streaming runner's `stream_*` series once the stages
+    /// complete. Recording is pure observation — a run with
     /// [`Telemetry::disabled`] produces a bit-identical context.
     pub fn run_with(&self, world: &SynthUs, telemetry: &Telemetry) -> PipelineRun {
-        let run = self.run_inner(world);
-        observe_pipeline_report(telemetry, &run.report);
-        telemetry
-            .counter("pipeline_runs_total", "Preparation pipeline runs.", &[])
-            .inc();
-        run
-    }
-
-    /// The untelemetered engine body: schedule the six preparation stages.
-    ///
-    /// `Parallel` mode degrades to the sequential schedule on single-core
-    /// hosts, where spawning chain threads is pure overhead; both schedules
-    /// produce identical contexts, so this is purely a scheduling decision.
-    fn run_inner(&self, world: &SynthUs) -> PipelineRun {
-        let start = Instant::now();
-        let multicore = std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false);
-        let executed = match self.mode {
-            ExecutionMode::Parallel if multicore => ExecutionMode::Parallel,
-            _ => ExecutionMode::Sequential,
-        };
-        let (context, mut timings) = match executed {
-            ExecutionMode::Parallel => run_parallel(world),
-            ExecutionMode::Sequential => run_sequential(world),
-        };
-        timings.sort_by_key(|t| t.stage);
-        fill_residency(&mut timings, &context);
+        let mut ledger = Ledger::new();
+        let context = run_preparation(world, &mut ledger);
         PipelineRun {
             context,
-            report: PipelineReport {
-                mode: self.mode,
-                executed,
-                timings,
-                total_wall: start.elapsed(),
-            },
+            report: ledger.finish(telemetry),
         }
     }
 
-    /// The shard-fan-out mode the dataset stages run under: the engine's
-    /// execution mode mapped onto the workspace's shared scheduling enum.
-    fn stage_mode(&self) -> LabelMode {
-        match self.mode {
-            ExecutionMode::Sequential => LabelMode::Sequential,
-            ExecutionMode::Parallel => LabelMode::Parallel,
-        }
-    }
-
-    /// Run all eight stages over a world: the six preparation stages (via
-    /// [`PipelineEngine::run`]), then `label_construction` and
-    /// `feature_engineering` with the given options, all folded into a
-    /// single [`PipelineReport`].
-    ///
-    /// The two dataset stages depend on the prepared context, so they run
-    /// after it; their parallelism is internal (per-provider /
-    /// per-coverage-chunk / per-observation-chunk shards under the shared
-    /// worker-invariance contract), which keeps every schedule bit-identical.
+    /// Run all eight stages over a world: the six preparation stages, then
+    /// `label_construction` and `feature_engineering` with the given options,
+    /// all in a single [`StreamReport`].
     pub fn run_to_dataset(
         &self,
         world: &SynthUs,
@@ -339,8 +104,7 @@ impl PipelineEngine {
     }
 
     /// [`PipelineEngine::run_to_dataset`] with an explicit telemetry handle
-    /// (see [`PipelineEngine::run_with`]); the report covering all eight
-    /// stages is recorded once, after the run.
+    /// (see [`PipelineEngine::run_with`]).
     pub fn run_to_dataset_with(
         &self,
         world: &SynthUs,
@@ -348,173 +112,114 @@ impl PipelineEngine {
         features: &FeatureConfig,
         telemetry: &Telemetry,
     ) -> DatasetRun {
-        let start = Instant::now();
-        let PipelineRun {
-            context,
-            report: prep,
-        } = self.run_inner(world);
-        let mode = self.stage_mode();
-        let (observations, mut t_labels) = timed(PipelineStage::LabelConstruction, || {
-            stage_label_construction(world, &context, options, mode)
-        });
-        t_labels.peak_resident_entries = observations.len();
-        t_labels.approx_resident_bytes = observations.len() * std::mem::size_of::<Observation>();
-        let (matrix, mut t_features) = timed(PipelineStage::FeatureEngineering, || {
-            stage_feature_engineering(world, &context, &observations, features, mode)
-        });
+        let mode = DiffMode::default();
+        let mut ledger = Ledger::new();
+        let context = run_preparation(world, &mut ledger);
+
+        let t = Instant::now();
+        let observations = stage_label_construction(world, &context, options, mode);
+        let shards = world.providers.len() + context.coverage.len().div_ceil(COVERAGE_CHUNK);
+        ledger.close("label_construction", t, shards, observations.len());
+
+        let t = Instant::now();
+        let matrix = stage_feature_engineering(world, &context, &observations, features, mode);
         let values = matrix.dataset.n_rows() * matrix.dataset.feature_names().len();
-        t_features.peak_resident_entries = values;
-        t_features.approx_resident_bytes = values * std::mem::size_of::<f64>();
-        let mut timings = prep.timings;
-        timings.push(t_labels);
-        timings.push(t_features);
-        let report = PipelineReport {
-            mode: self.mode,
-            executed: prep.executed,
-            timings,
-            total_wall: start.elapsed(),
-        };
-        observe_pipeline_report(telemetry, &report);
-        telemetry
-            .counter(
-                "pipeline_dataset_runs_total",
-                "Full eight-stage dataset-construction runs.",
-                &[],
-            )
-            .inc();
+        let shards = observations.len().div_ceil(OBSERVATION_CHUNK).max(1);
+        ledger.close("feature_engineering", t, shards, values);
+
         DatasetRun {
             context,
             matrix,
-            report,
+            report: ledger.finish(telemetry),
         }
     }
 }
 
-/// Record a finished run's per-stage timings and residency into `telemetry`:
-/// one `pipeline_stage_wall_seconds{stage}` histogram observation, the
-/// residency gauges, and a `stage` trace event per executed stage, plus the
-/// end-to-end wall gauge. A single branch when telemetry is disabled.
-fn observe_pipeline_report(telemetry: &Telemetry, report: &PipelineReport) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    for t in &report.timings {
-        let stage = t.stage.name();
-        telemetry
-            .histogram(
-                "pipeline_stage_wall_seconds",
-                "Wall-clock of one executed pipeline stage.",
-                &DEFAULT_WALL_BUCKETS,
-                &[("stage", stage)],
-            )
-            .observe_duration(t.wall);
-        telemetry
-            .gauge(
-                "pipeline_stage_peak_resident_entries",
-                "Peak entries resident during the stage's most recent run.",
-                &[("stage", stage)],
-            )
-            .set(t.peak_resident_entries as f64);
-        telemetry
-            .gauge(
-                "pipeline_stage_resident_bytes",
-                "Approximate bytes behind the stage's peak residency.",
-                &[("stage", stage)],
-            )
-            .set(t.approx_resident_bytes as f64);
-        telemetry.emit(
-            "stage",
-            stage,
-            &[
-                ("wall_seconds", TraceValue::F64(t.wall.as_secs_f64())),
-                (
-                    "peak_resident_entries",
-                    TraceValue::U64(t.peak_resident_entries as u64),
-                ),
-                (
-                    "resident_bytes",
-                    TraceValue::U64(t.approx_resident_bytes as u64),
-                ),
-            ],
-        );
-    }
-    telemetry
-        .gauge(
-            "pipeline_total_wall_seconds",
-            "End-to-end wall-clock of the most recent pipeline run.",
-            &[],
-        )
-        .set(report.total_wall.as_secs_f64());
+/// The engine's stage bookkeeping: one unbudgeted meter and the stage rows
+/// closed on it.
+struct Ledger {
+    started: Instant,
+    meter: ResidencyMeter,
+    stages: Vec<StreamStage>,
 }
 
-/// Time one stage's body. Residency is filled in afterwards, once the
-/// stage's retained output exists to be measured ([`fill_residency`]).
-fn timed<T>(stage: PipelineStage, f: impl FnOnce() -> T) -> (T, StageTiming) {
-    let start = Instant::now();
-    let out = f();
-    (
-        out,
-        StageTiming {
-            stage,
-            wall: start.elapsed(),
-            peak_resident_entries: 0,
-            approx_resident_bytes: 0,
-        },
-    )
-}
+impl Ledger {
+    fn new() -> Self {
+        Self {
+            started: Instant::now(),
+            meter: ResidencyMeter::new(),
+            stages: Vec::new(),
+        }
+    }
 
-/// Fill each preparation stage's peak residency from the context it built.
-///
-/// On the materialised path every stage reads the shared, already-resident
-/// world, so the honest per-stage figure is the size of what the stage
-/// retains: its output. The one exception is `release_diff`, whose streaming
-/// engine meters its own transient chunk residency — that high-water mark is
-/// reported directly.
-fn fill_residency(timings: &mut [StageTiming], ctx: &AnalysisContext) {
-    use std::mem::size_of;
-    for t in timings.iter_mut() {
-        let (entries, bytes) = match t.stage {
-            PipelineStage::AsnMatching => {
-                let pairs: usize = ctx.provider_asns.values().map(|a| a.len()).sum();
-                let entries = ctx.provider_asns.len() + pairs;
-                (entries, entries * size_of::<(ProviderId, Asn)>())
-            }
-            PipelineStage::OoklaReprojection => {
-                let n = ctx.ookla_by_hex.len();
-                (
-                    n,
-                    n * (size_of::<HexCell>() + size_of::<OoklaHexAggregate>()),
-                )
-            }
-            PipelineStage::CoverageScoring => {
-                let n = ctx.coverage.len();
-                (n, n * size_of::<CoverageScore>())
-            }
-            PipelineStage::MlabAttribution => {
-                let n = ctx.mlab_evidence.len();
-                (n, n * size_of::<(ProviderId, HexCell, f64)>())
-            }
-            PipelineStage::MethodologyCollection => {
-                let n = ctx.methodologies.len();
-                let text: usize = ctx.methodologies.values().map(|s| s.len()).sum();
-                (n, n * size_of::<(ProviderId, String)>() + text)
-            }
-            PipelineStage::ReleaseDiff => {
-                let n = ctx.diff_chain.peak_resident_entries();
-                (n, n * size_of::<bdc::ClaimEntry>())
-            }
-            // Dataset stages are filled by `run_to_dataset` directly.
-            PipelineStage::LabelConstruction | PipelineStage::FeatureEngineering => continue,
+    /// Close a stage that retains `retained` entries of output. The world
+    /// the stages read is already resident and shared, so the output is what
+    /// a stage adds.
+    fn close(&mut self, name: &'static str, started: Instant, shards: usize, retained: usize) {
+        self.meter.acquire(retained);
+        end_stage(&mut self.stages, &self.meter, None, name, started, shards)
+            .expect("an unbudgeted stage cannot exceed its budget");
+    }
+
+    fn finish(self, telemetry: &Telemetry) -> StreamReport {
+        let report = StreamReport {
+            stages: self.stages,
+            total_wall: self.started.elapsed(),
+            peak_resident_entries: self.meter.peak(),
+            budget: None,
         };
-        t.peak_resident_entries = entries;
-        t.approx_resident_bytes = bytes;
+        observe_stream_report(telemetry, &report);
+        report
+    }
+}
+
+/// The six preparation stages in canonical order, each closed on `ledger`.
+fn run_preparation(world: &SynthUs, ledger: &mut Ledger) -> AnalysisContext {
+    let mode = DiffMode::default();
+
+    let t = Instant::now();
+    let (match_report, provider_asns) = stage_asn_matching(world);
+    let pairs: usize = provider_asns.values().map(|a| a.len()).sum();
+    ledger.close("asn_matching", t, 1, provider_asns.len() + pairs);
+
+    let t = Instant::now();
+    let ookla_by_hex = stage_ookla_reprojection(world);
+    ledger.close("ookla_reprojection", t, 1, ookla_by_hex.len());
+
+    let t = Instant::now();
+    let coverage = stage_coverage_scoring(world, &ookla_by_hex);
+    ledger.close("coverage_scoring", t, 1, coverage.len());
+
+    let t = Instant::now();
+    let mlab_evidence = stage_mlab_attribution(world, &provider_asns);
+    ledger.close("mlab_attribution", t, 1, mlab_evidence.len());
+
+    let t = Instant::now();
+    let methodologies = stage_methodology_collection(world);
+    ledger.close("methodology_collection", t, 1, methodologies.len());
+
+    // The diff chain meters its own transient chunks; its high-water mark is
+    // what the stage holds.
+    let t = Instant::now();
+    let diff_chain = stage_release_diff(world, mode);
+    let pairs = diff_chain.pair_reports().len();
+    ledger.close("release_diff", t, pairs, diff_chain.peak_resident_entries());
+
+    AnalysisContext {
+        match_report,
+        provider_asns,
+        ookla_by_hex,
+        coverage,
+        mlab_evidence,
+        methodologies,
+        diff_chain,
     }
 }
 
 // ---------------------------------------------------------------------------
 // The stages. Each is a pure, independently runnable function of its inputs.
 
-/// [`PipelineStage::AsnMatching`]: run the four matching methods and lift the
+/// `asn_matching`: run the four matching methods and lift the
 /// result into typed ids.
 pub fn stage_asn_matching(world: &SynthUs) -> (MatchReport, BTreeMap<ProviderId, BTreeSet<Asn>>) {
     let matcher = ProviderAsnMatcher::new(world.registrations.clone());
@@ -532,13 +237,13 @@ pub fn stage_asn_matching(world: &SynthUs) -> (MatchReport, BTreeMap<ProviderId,
     (match_report, provider_asns)
 }
 
-/// [`PipelineStage::OoklaReprojection`]: re-project Ookla quadkey tiles onto
+/// `ookla_reprojection`: re-project Ookla quadkey tiles onto
 /// resolution-8 hexes.
 pub fn stage_ookla_reprojection(world: &SynthUs) -> HashMap<HexCell, OoklaHexAggregate> {
     world.ookla.aggregate_to_hexes(NBM_RESOLUTION)
 }
 
-/// [`PipelineStage::CoverageScoring`]: per-hex devices-per-BSL coverage
+/// `coverage_scoring`: per-hex devices-per-BSL coverage
 /// scores, sorted descending.
 pub fn stage_coverage_scoring(
     world: &SynthUs,
@@ -547,7 +252,7 @@ pub fn stage_coverage_scoring(
     coverage_scores(ookla_by_hex, &world.fabric)
 }
 
-/// [`PipelineStage::MlabAttribution`]: attribute MLab tests to providers via
+/// `mlab_attribution`: attribute MLab tests to providers via
 /// the ASN mapping and localise them within each claimed footprint.
 pub fn stage_mlab_attribution(
     world: &SynthUs,
@@ -557,10 +262,12 @@ pub fn stage_mlab_attribution(
         .keys()
         .map(|p| (*p, world.initial_release().hexes_claimed_by(*p)))
         .collect();
-    attribute_mlab_tests(&world.mlab, provider_asns, &claimed_hexes, NBM_RESOLUTION)
+    let mut attributor = MlabAttributor::new(provider_asns, &claimed_hexes, NBM_RESOLUTION);
+    attributor.add_tests(world.mlab.tests());
+    attributor.finish()
 }
 
-/// [`PipelineStage::MethodologyCollection`]: each provider's filing
+/// `methodology_collection`: each provider's filing
 /// methodology text.
 pub fn stage_methodology_collection(world: &SynthUs) -> BTreeMap<ProviderId, String> {
     world
@@ -570,7 +277,7 @@ pub fn stage_methodology_collection(world: &SynthUs) -> BTreeMap<ProviderId, Str
         .collect()
 }
 
-/// [`PipelineStage::ReleaseDiff`]: walk every consecutive release pair
+/// `release_diff`: walk every consecutive release pair
 /// through the streaming diff engine, folding the changes into cumulative
 /// removal evidence. The stage streams the timeline from the world's
 /// [`ReleaseEmitter`](synth::ReleaseEmitter) — one sorted copy of the
@@ -582,10 +289,9 @@ pub fn stage_methodology_collection(world: &SynthUs) -> BTreeMap<ProviderId, Str
 /// ([`DiffChain::pair_reports`]).
 ///
 /// `mode` shards the per-provider merge across scoped workers; every mode
-/// produces bit-identical evidence (the `GenMode` contract), so parallel and
-/// sequential pipeline schedules keep fingerprinting identically. The
-/// emitted evidence is itself pinned equal to diffing the materialised
-/// releases (`tests/streaming_diff.rs`).
+/// produces bit-identical evidence (the `GenMode` contract). The emitted
+/// evidence is itself pinned equal to diffing the materialised releases
+/// (`tests/streaming_diff.rs`).
 pub fn stage_release_diff(world: &SynthUs, mode: DiffMode) -> DiffChain {
     let emitter = world.release_emitter();
     let mut chain = DiffChain::new(world.initial_release().version);
@@ -600,7 +306,7 @@ pub fn stage_release_diff(world: &SynthUs, mode: DiffMode) -> DiffChain {
     chain
 }
 
-/// [`PipelineStage::LabelConstruction`]: build the labelled observation set
+/// `label_construction`: build the labelled observation set
 /// (§4.3) from the prepared context. Challenge and map-change labels shard
 /// per provider, likely-served candidates per fixed coverage chunk, and the
 /// balancing fold runs serially — every `mode` is bit-identical (the
@@ -614,7 +320,7 @@ pub fn stage_label_construction(
     ctx.build_labels_with(world, options, mode)
 }
 
-/// [`PipelineStage::FeatureEngineering`]: vectorise labelled observations
+/// `feature_engineering`: vectorise labelled observations
 /// into the Table 4 feature matrix (§5.1). Per-provider embeddings
 /// precompute in parallel and rows shard per fixed observation chunk; every
 /// `mode` is bit-identical.
@@ -626,102 +332,6 @@ pub fn stage_feature_engineering(
     mode: LabelMode,
 ) -> FeatureMatrix {
     build_features_with(world, ctx, observations, config, mode)
-}
-
-fn run_sequential(world: &SynthUs) -> (AnalysisContext, Vec<StageTiming>) {
-    let ((match_report, provider_asns), t_asn) =
-        timed(PipelineStage::AsnMatching, || stage_asn_matching(world));
-    let (ookla_by_hex, t_ookla) = timed(PipelineStage::OoklaReprojection, || {
-        stage_ookla_reprojection(world)
-    });
-    let (coverage, t_cov) = timed(PipelineStage::CoverageScoring, || {
-        stage_coverage_scoring(world, &ookla_by_hex)
-    });
-    let (mlab_evidence, t_mlab) = timed(PipelineStage::MlabAttribution, || {
-        stage_mlab_attribution(world, &provider_asns)
-    });
-    let (methodologies, t_meth) = timed(PipelineStage::MethodologyCollection, || {
-        stage_methodology_collection(world)
-    });
-    let (diff_chain, t_diff) = timed(PipelineStage::ReleaseDiff, || {
-        stage_release_diff(world, DiffMode::Sequential)
-    });
-    (
-        AnalysisContext {
-            match_report,
-            provider_asns,
-            ookla_by_hex,
-            coverage,
-            mlab_evidence,
-            methodologies,
-            diff_chain,
-        },
-        vec![t_asn, t_ookla, t_cov, t_mlab, t_meth, t_diff],
-    )
-}
-
-fn run_parallel(world: &SynthUs) -> (AnalysisContext, Vec<StageTiming>) {
-    // Four independent chains:
-    //   A: AsnMatching → MlabAttribution   (heaviest)
-    //   B: OoklaReprojection → CoverageScoring
-    //   C: ReleaseDiff                     (streamed; shards internally)
-    //   D: MethodologyCollection           (trivial)
-    // Chains only read the (shared) world; each stage body is identical to
-    // the sequential path — the streaming diff is bit-identical for any
-    // worker count — so the assembled context is identical too.
-    std::thread::scope(|scope| {
-        let chain_a = scope.spawn(|| {
-            let ((match_report, provider_asns), t_asn) =
-                timed(PipelineStage::AsnMatching, || stage_asn_matching(world));
-            let (mlab_evidence, t_mlab) = timed(PipelineStage::MlabAttribution, || {
-                stage_mlab_attribution(world, &provider_asns)
-            });
-            (match_report, provider_asns, mlab_evidence, [t_asn, t_mlab])
-        });
-        let chain_b = scope.spawn(|| {
-            let (ookla_by_hex, t_ookla) = timed(PipelineStage::OoklaReprojection, || {
-                stage_ookla_reprojection(world)
-            });
-            let (coverage, t_cov) = timed(PipelineStage::CoverageScoring, || {
-                stage_coverage_scoring(world, &ookla_by_hex)
-            });
-            (ookla_by_hex, coverage, [t_ookla, t_cov])
-        });
-        let chain_c = scope.spawn(|| {
-            timed(PipelineStage::ReleaseDiff, || {
-                stage_release_diff(world, DiffMode::Parallel)
-            })
-        });
-        // The trivial chain runs inline on the calling thread.
-        let (methodologies, t_meth) = timed(PipelineStage::MethodologyCollection, || {
-            stage_methodology_collection(world)
-        });
-
-        let (match_report, provider_asns, mlab_evidence, ta) =
-            chain_a.join().expect("ASN/MLab pipeline chain panicked");
-        let (ookla_by_hex, coverage, tb) = chain_b
-            .join()
-            .expect("Ookla/coverage pipeline chain panicked");
-        let (diff_chain, t_diff) = chain_c.join().expect("release-diff chain panicked");
-
-        let mut timings = Vec::with_capacity(PipelineStage::ALL.len());
-        timings.extend(ta);
-        timings.extend(tb);
-        timings.push(t_meth);
-        timings.push(t_diff);
-        (
-            AnalysisContext {
-                match_report,
-                provider_asns,
-                ookla_by_hex,
-                coverage,
-                mlab_evidence,
-                methodologies,
-                diff_chain,
-            },
-            timings,
-        )
-    })
 }
 
 /// Intermediate products of the pipeline that are shared by labelling, feature
@@ -750,9 +360,9 @@ pub struct AnalysisContext {
 
 impl AnalysisContext {
     /// Run the data-preparation half of the pipeline (§4.1–4.3) over a world
-    /// with the default (parallel) engine.
+    /// with the engine.
     pub fn prepare(world: &SynthUs) -> Self {
-        PipelineEngine::default().run(world).context
+        PipelineEngine.run(world).context
     }
 
     /// Build labelled observations for a world with the given options, under
@@ -792,7 +402,7 @@ impl AnalysisContext {
     }
 
     /// An order-independent digest of every field, for asserting that two
-    /// contexts are identical (e.g. parallel vs sequential execution).
+    /// contexts are identical (e.g. under different worker counts).
     ///
     /// Hash-map contents are folded in sorted order and floats are hashed by
     /// their exact bit patterns, so two contexts fingerprint equal iff every
@@ -911,60 +521,37 @@ mod tests {
     }
 
     #[test]
-    fn engine_records_timings_for_every_stage() {
+    fn engine_reports_every_stage_in_canonical_order() {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
-        for engine in [PipelineEngine::sequential(), PipelineEngine::parallel()] {
-            let run = engine.run(&world);
-            assert_eq!(run.report.mode, engine.mode());
-            // `executed` reflects the schedule that actually ran: Sequential
-            // always executes sequentially; Parallel only executes the
-            // threaded schedule on multicore hosts.
-            let multicore = std::thread::available_parallelism()
-                .map(|n| n.get() > 1)
-                .unwrap_or(false);
-            match engine.mode() {
-                ExecutionMode::Sequential => {
-                    assert_eq!(run.report.executed, ExecutionMode::Sequential)
-                }
-                ExecutionMode::Parallel => assert_eq!(
-                    run.report.executed == ExecutionMode::Parallel,
-                    multicore,
-                    "executed schedule must track core availability"
-                ),
-            }
-            assert_eq!(run.report.timings.len(), PipelineStage::PREPARATION.len());
-            for (timing, expected) in run.report.timings.iter().zip(PipelineStage::PREPARATION) {
-                assert_eq!(timing.stage, expected, "timings not in canonical order");
-            }
-            for stage in PipelineStage::PREPARATION {
-                assert!(
-                    run.report.wall_for(stage).is_some(),
-                    "{} missing",
-                    stage.name()
-                );
-            }
-            // Every preparation stage reports a non-trivial working set on
-            // a tiny world, and bytes track entries.
-            for t in &run.report.timings {
-                assert!(
-                    t.peak_resident_entries > 0,
-                    "{} reports an empty working set",
-                    t.stage.name()
-                );
-                assert!(t.approx_resident_bytes >= t.peak_resident_entries);
-            }
-            assert!(run.report.peak_resident_entries() > 0);
-            assert!(run
-                .report
-                .residency_for(PipelineStage::CoverageScoring)
-                .is_some());
-            // Total wall-clock is bounded by the sum of the stage timings
-            // (parallel overlap can only shrink it) and is non-trivial.
+        let run = PipelineEngine.run(&world);
+        let names: Vec<&str> = run.report.stages.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "asn_matching",
+                "ookla_reprojection",
+                "coverage_scoring",
+                "mlab_attribution",
+                "methodology_collection",
+                "release_diff",
+            ]
+        );
+        // Each stage's output stays resident, so the metered peaks climb
+        // stage by stage and the run peak is the last stage's.
+        for pair in run.report.stages.windows(2) {
             assert!(
-                run.report.total_wall >= run.report.wall_for(PipelineStage::AsnMatching).unwrap()
+                pair[1].peak_resident_entries > pair[0].peak_resident_entries,
+                "{} adds no resident entries",
+                pair[1].name
             );
-            assert!(run.report.stage_sum() > Duration::ZERO);
         }
+        assert!(run.report.stages[0].peak_resident_entries > 0);
+        assert_eq!(
+            run.report.peak_resident_entries,
+            run.report.stages[5].peak_resident_entries
+        );
+        assert_eq!(run.report.budget, None);
+        assert!(run.report.stage_sum() <= run.report.total_wall);
     }
 
     #[test]
@@ -972,110 +559,55 @@ mod tests {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
         let registry = std::sync::Arc::new(obs::MetricsRegistry::new());
         let telemetry = Telemetry::with_metrics(std::sync::Arc::clone(&registry));
-        let observed = PipelineEngine::sequential().run_with(&world, &telemetry);
-        let silent = PipelineEngine::sequential().run_with(&world, &Telemetry::disabled());
+        let observed = PipelineEngine.run_with(&world, &telemetry);
+        let silent = PipelineEngine.run_with(&world, &Telemetry::disabled());
         assert_eq!(
             observed.context.canonical_fingerprint(),
             silent.context.canonical_fingerprint(),
             "telemetry must be pure observation"
         );
-        assert_eq!(registry.counter("pipeline_runs_total", "", &[]).value(), 1);
         let text = registry.encode_prometheus();
-        for stage in PipelineStage::PREPARATION {
+        for stage in &observed.report.stages {
             assert!(
                 text.contains(&format!(
-                    "pipeline_stage_wall_seconds_count{{stage=\"{}\"}} 1",
-                    stage.name()
+                    "stream_stage_wall_seconds_count{{stage=\"{}\"}} 1",
+                    stage.name
                 )),
                 "stage {} missing from scrape:\n{text}",
-                stage.name()
+                stage.name
             );
         }
-        // The dataset entry point folds all eight stages into the same registry.
-        let _ = PipelineEngine::sequential().run_to_dataset_with(
+        // The dataset entry point lands all eight stages in the same series.
+        let _ = PipelineEngine.run_to_dataset_with(
             &world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),
             &telemetry,
         );
-        assert_eq!(
-            registry
-                .counter("pipeline_dataset_runs_total", "", &[])
-                .value(),
-            1
-        );
         let text = registry.encode_prometheus();
         assert!(
-            text.contains("pipeline_stage_wall_seconds_count{stage=\"feature_engineering\"} 1"),
+            text.contains("stream_stage_wall_seconds_count{stage=\"feature_engineering\"} 1"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let world = SynthUs::generate(&SynthConfig::tiny(9));
-        // Call the schedules directly (not `run`, which may degrade Parallel
-        // to the sequential schedule on single-core hosts) so the threaded
-        // path is exercised on any machine.
-        let (seq, _) = run_sequential(&world);
-        let (par, _) = run_parallel(&world);
-        assert_eq!(
-            seq.canonical_fingerprint(),
-            par.canonical_fingerprint(),
-            "parallel execution must produce bit-identical results"
+        assert!(
+            text.contains("stream_stage_wall_seconds_count{stage=\"asn_matching\"} 2"),
+            "{text}"
         );
-        // Fingerprints are not vacuous: a different seed fingerprints differently.
-        let other = AnalysisContext::prepare(&SynthUs::generate(&SynthConfig::tiny(10)));
-        assert_ne!(seq.canonical_fingerprint(), other.canonical_fingerprint());
-    }
-
-    #[test]
-    fn generate_and_run_reports_both_halves() {
-        let engine = PipelineEngine::sequential();
-        let full = engine
-            .generate_and_run(&SynthConfig::tiny(9))
-            .expect("valid config");
-        // The generation report covers every synth stage; the pipeline
-        // report covers every preparation stage.
-        assert_eq!(
-            full.synth_report.timings.len(),
-            synth::SynthStage::ALL.len()
-        );
-        assert_eq!(full.synth_report.executed, synth::GenMode::Sequential);
-        assert_eq!(
-            full.run.report.timings.len(),
-            PipelineStage::PREPARATION.len()
-        );
-        // The world the engine generated matches a direct generation with
-        // the same config, and the prepared context matches a direct run.
-        let direct = SynthUs::generate(&SynthConfig::tiny(9));
-        assert_eq!(
-            full.world.canonical_fingerprint(),
-            direct.canonical_fingerprint()
-        );
-        assert_eq!(
-            full.run.context.canonical_fingerprint(),
-            AnalysisContext::prepare(&direct).canonical_fingerprint()
-        );
-        // Invalid configs surface the validation message instead of panicking.
-        let mut bad = SynthConfig::tiny(9);
-        bad.n_providers = 0;
-        let err = engine.generate_and_run(&bad).unwrap_err();
-        assert_eq!(err, "n_providers must be positive");
+        assert!(!text.contains("pipeline_"), "{text}");
     }
 
     #[test]
     fn stages_are_independently_runnable() {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
-        // Chain B alone.
+        // Ookla re-projection feeds coverage scoring.
         let ookla = stage_ookla_reprojection(&world);
         let coverage = stage_coverage_scoring(&world, &ookla);
         assert!(!coverage.is_empty());
-        // Chain A alone.
+        // ASN matching feeds MLab attribution.
         let (_, provider_asns) = stage_asn_matching(&world);
         let evidence = stage_mlab_attribution(&world, &provider_asns);
         assert!(!evidence.is_empty());
-        // Chain C alone: the streaming release diff, under every schedule —
+        // The streaming release diff, under every schedule —
         // the worker count must never change the evidence.
         let seq = stage_release_diff(&world, DiffMode::Sequential);
         assert!(seq.removal_count() > 0, "no removal evidence in tiny world");
@@ -1088,7 +620,7 @@ mod tests {
                 "release diff evidence differs under {mode:?}"
             );
         }
-        // Chain D alone.
+        // Methodology collection needs nothing else.
         assert!(!stage_methodology_collection(&world).is_empty());
     }
 

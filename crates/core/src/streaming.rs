@@ -31,8 +31,8 @@
 //!
 //! On the synth path the output is bit-identical to the materialised path:
 //! the Ookla drain applies record contributions in the exact record order of
-//! the materialised dataset, the MLab drain feeds the incremental attributor
-//! in provider order (pinned `≡` batch in `speedtest`), and labels/features
+//! the materialised dataset, the MLab drain feeds the same `MlabAttributor`
+//! the materialised stage uses, in provider order, and labels/features
 //! run over the source's `FabricView` — asserted end-to-end by
 //! `tests/streaming_world.rs` against the golden label and dataset
 //! fingerprints. `tests/real_ingest.rs` pins the same worker-invariance
@@ -234,7 +234,7 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     end_stage(&mut stages, meter, budget, "coverage_scoring", t, 1)?;
 
     // mlab_attribution — the source's test stream folded into the
-    // incremental attributor in shard order (pinned ≡ batch).
+    // attributor in shard order.
     let t = Instant::now();
     let claimed_hexes: BTreeMap<ProviderId, BTreeSet<HexCell>> = provider_asns
         .keys()
@@ -323,11 +323,14 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
         feature_shards,
     )?;
 
-    let mut all_stages = source.source_report().stages.clone();
+    // The source half ran before this runner started; its wall-clock is part
+    // of the run, as its stages are part of the table.
+    let source_report = source.source_report();
+    let mut all_stages = source_report.stages.clone();
     all_stages.append(&mut stages);
     let report = StreamReport {
         stages: all_stages,
-        total_wall: started.elapsed(),
+        total_wall: source_report.total_wall + started.elapsed(),
         peak_resident_entries: meter.peak(),
         budget,
     };
@@ -346,10 +349,11 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     })
 }
 
-/// Record a finished streaming run's report: per-stage wall histograms,
-/// peak-residency and shard-count gauges, the run-wide peak/budget gauges,
-/// one `stage` trace event per stage and a closing `run_end` event.
-fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
+/// Record a finished run's report — streamed or materialised — as
+/// per-stage wall histograms, peak-residency and shard-count gauges, the
+/// run-wide peak/budget gauges, one `stage` trace event per stage and a
+/// closing `run_end` event.
+pub(crate) fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
     if !telemetry.is_enabled() {
         return;
     }
@@ -357,7 +361,7 @@ fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
         telemetry
             .histogram(
                 "stream_stage_wall_seconds",
-                "Wall-clock of one streaming-run stage (source and runner halves).",
+                "Wall-clock of one pipeline-run stage (source and runner halves).",
                 &DEFAULT_WALL_BUCKETS,
                 &[("stage", stage.name)],
             )
@@ -392,7 +396,7 @@ fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
     telemetry
         .gauge(
             "stream_run_peak_resident_entries",
-            "Run-wide peak resident entries of the most recent streaming run.",
+            "Run-wide peak resident entries of the most recent pipeline run.",
             &[],
         )
         .set(report.peak_resident_entries as f64);
@@ -400,7 +404,7 @@ fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
         telemetry
             .gauge(
                 "stream_budget_entries",
-                "Configured resident-entry budget of the most recent streaming run.",
+                "Configured resident-entry budget of the most recent pipeline run.",
                 &[],
             )
             .set(budget as f64);
@@ -408,7 +412,7 @@ fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
     telemetry
         .gauge(
             "stream_total_wall_seconds",
-            "End-to-end wall-clock of the most recent streaming run.",
+            "End-to-end wall-clock of the most recent pipeline run, source half included.",
             &[],
         )
         .set(report.total_wall.as_secs_f64());
@@ -547,7 +551,7 @@ mod tests {
 
         let config = SynthConfig::tiny(92);
         let world = synth::SynthUs::generate(&config);
-        let materialised = PipelineEngine::sequential().run_to_dataset(
+        let materialised = PipelineEngine.run_to_dataset(
             &world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),

@@ -8,11 +8,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use bdc::{Asn, ProviderId};
+use bdc::{map_shards, Asn, DiffMode, ProviderId};
 use hexgrid::{HexCell, Resolution};
 use serde::{Deserialize, Serialize};
 
-use crate::mlab::MlabDataset;
+use crate::mlab::MlabTest;
 
 /// Per-provider, per-hex MLab evidence: how many usable tests could have been
 /// run from each hex of the provider's claimed footprint.
@@ -82,18 +82,18 @@ pub fn candidate_hexes(
         .collect()
 }
 
-/// Tests-per-run below which the parallel path is not worth the thread-spawn
-/// overhead. Both paths produce bit-identical results (see module tests).
+/// Usable, mapped tests per block below which fanning the block's geometry
+/// across workers is not worth the thread-spawn overhead. Both paths fold
+/// identically (see module tests).
 const PARALLEL_MIN_TESTS: usize = 512;
 
-/// Tests per block in the threaded path: candidate-hex vectors are only ever
-/// materialised for one block at a time, bounding peak memory at
-/// `O(TEST_BLOCK × hexes-per-radius)` regardless of dataset size.
+/// Tests per block: candidate-hex vectors are only ever materialised for one
+/// block at a time, bounding peak memory at `O(TEST_BLOCK × hexes-per-radius)`
+/// regardless of dataset size.
 const TEST_BLOCK: usize = 4096;
 
 /// Fold one test's surviving candidate hexes into a provider's counts: the
-/// single accumulation step shared by the streaming and threaded paths (so
-/// the two cannot drift apart and break their bit-identical contract).
+/// single accumulation step every count goes through.
 fn accumulate_test(
     provider: ProviderId,
     footprint: &BTreeSet<HexCell>,
@@ -113,24 +113,34 @@ fn accumulate_test(
     }
 }
 
-/// Incremental MLab attribution for streaming pipelines: tests are fed in
-/// dataset order, batch by batch, and accumulate into the same per-(provider,
-/// hex) counts the batch [`attribute_mlab_tests`] produces. Because every
-/// count accumulates in ascending test order through the shared
-/// [`accumulate_test`] step, feeding the full dataset through any batch split
-/// is bit-identical to the batch path — the contract the national-scale
-/// streaming world relies on when it drains per-provider test shards without
-/// ever materialising the dataset.
+/// Attribute MLab tests to providers and localise them to hexes (§4.2.2).
+///
+/// * `provider_asns` — the provider→ASN mapping from the `asnmap` matcher.
+/// * `claimed_hexes` — each provider's claimed footprint in the NBM.
+///
+/// A test whose ASN maps to several providers contributes to each of them (the
+/// paper notes shared ASNs are usually corporate siblings or wholesale
+/// transit). Tests are split evenly across the candidate hexes that survive
+/// the footprint intersection so that each test contributes one unit of mass.
+///
+/// Tests are fed in dataset order, batch by batch: the materialised pipeline
+/// feeds the whole dataset at once, the streaming runner one shard at a time.
+/// Within a batch, each block of [`TEST_BLOCK`] tests computes its candidate
+/// hexes (pure geometry) across scoped workers when it holds enough usable
+/// mapped tests, then folds them serially in test order. Every count
+/// therefore accumulates in ascending test order, so any batch split and any
+/// worker count is bit-identical.
 pub struct MlabAttributor<'a> {
     asn_to_providers: BTreeMap<Asn, Vec<ProviderId>>,
     claimed_hexes: &'a BTreeMap<ProviderId, BTreeSet<HexCell>>,
     res: Resolution,
+    workers: usize,
     counts: HashMap<(ProviderId, HexCell), f64>,
 }
 
 impl<'a> MlabAttributor<'a> {
     /// Set up an attributor over a provider→ASN mapping and per-provider
-    /// claimed footprints (the same inputs as [`attribute_mlab_tests`]).
+    /// claimed footprints.
     pub fn new(
         provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
         claimed_hexes: &'a BTreeMap<ProviderId, BTreeSet<HexCell>>,
@@ -146,31 +156,43 @@ impl<'a> MlabAttributor<'a> {
             asn_to_providers,
             claimed_hexes,
             res,
+            workers: DiffMode::Parallel.worker_count(),
             counts: HashMap::new(),
         }
     }
 
-    /// Fold one test in: unusable or unmapped tests are skipped exactly as
-    /// the batch path skips them.
-    pub fn add_test(&mut self, test: &crate::mlab::MlabTest) {
-        if !test.usable() {
-            return;
-        }
-        let Some(providers) = self.asn_to_providers.get(&test.asn) else {
-            return;
-        };
-        let candidates = candidate_hexes(&test.geo_center, test.accuracy_radius_km, self.res);
-        for provider in providers {
-            if let Some(footprint) = self.claimed_hexes.get(provider) {
-                accumulate_test(*provider, footprint, &candidates, &mut self.counts);
-            }
-        }
+    /// Force the geometry worker count, so tests exercise every schedule on
+    /// any host.
+    #[cfg(test)]
+    fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
     }
 
-    /// Fold a batch of tests in, in order.
-    pub fn add_tests(&mut self, tests: &[crate::mlab::MlabTest]) {
-        for test in tests {
-            self.add_test(test);
+    /// Fold a batch of tests in, in order. Unusable tests and tests whose
+    /// ASN maps to no provider are skipped.
+    pub fn add_tests(&mut self, tests: &[MlabTest]) {
+        for block in tests.chunks(TEST_BLOCK) {
+            let mapped: Vec<(&MlabTest, &[ProviderId])> = block
+                .iter()
+                .filter(|t| t.usable())
+                .filter_map(|t| Some((t, self.asn_to_providers.get(&t.asn)?.as_slice())))
+                .collect();
+            let workers = if mapped.len() >= PARALLEL_MIN_TESTS {
+                self.workers
+            } else {
+                1
+            };
+            let candidates = map_shards(workers, &mapped, |_, (t, _)| {
+                candidate_hexes(&t.geo_center, t.accuracy_radius_km, self.res)
+            });
+            for ((_, providers), candidates) in mapped.iter().zip(&candidates) {
+                for provider in *providers {
+                    if let Some(footprint) = self.claimed_hexes.get(provider) {
+                        accumulate_test(*provider, footprint, candidates, &mut self.counts);
+                    }
+                }
+            }
         }
     }
 
@@ -182,153 +204,10 @@ impl<'a> MlabAttributor<'a> {
     }
 }
 
-/// Attribute every usable MLab test to providers and localise it to hexes.
-///
-/// * `provider_asns` — the provider→ASN mapping from the `asnmap` matcher.
-/// * `claimed_hexes` — each provider's claimed footprint in the NBM.
-///
-/// A test whose ASN maps to several providers contributes to each of them (the
-/// paper notes shared ASNs are usually corporate siblings or wholesale
-/// transit). Tests are split evenly across the candidate hexes that survive
-/// the footprint intersection so that each test contributes one unit of mass.
-///
-/// For large inputs the two hot phases — per-test candidate-hex geometry and
-/// per-provider footprint intersection/accumulation — run on scoped threads,
-/// streaming tests through in bounded blocks so candidate geometry for only
-/// one block is ever held in memory. Each (provider, hex) count is
-/// accumulated by exactly one worker in ascending test order, so the result
-/// is bit-identical to the sequential path regardless of thread scheduling.
-pub fn attribute_mlab_tests(
-    mlab: &MlabDataset,
-    provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
-    claimed_hexes: &BTreeMap<ProviderId, BTreeSet<HexCell>>,
-    res: Resolution,
-) -> ProviderHexTests {
-    attribute_mlab_tests_with_threads(mlab, provider_asns, claimed_hexes, res, None)
-}
-
-/// Implementation with an explicit thread override (`None` = auto: threads
-/// only for large inputs on multicore hosts). Tests force a thread count to
-/// exercise the parallel path on any machine.
-fn attribute_mlab_tests_with_threads(
-    mlab: &MlabDataset,
-    provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
-    claimed_hexes: &BTreeMap<ProviderId, BTreeSet<HexCell>>,
-    res: Resolution,
-    force_threads: Option<usize>,
-) -> ProviderHexTests {
-    // Invert the provider→ASN map for lookup by test ASN.
-    let mut asn_to_providers: BTreeMap<Asn, Vec<ProviderId>> = BTreeMap::new();
-    for (provider, asns) in provider_asns {
-        for asn in asns {
-            asn_to_providers.entry(*asn).or_default().push(*provider);
-        }
-    }
-
-    // Keep only tests whose ASN maps to at least one provider; everything
-    // downstream is indexed by position in this vector.
-    let tests: Vec<&crate::mlab::MlabTest> = mlab
-        .usable_tests()
-        .filter(|t| asn_to_providers.contains_key(&t.asn))
-        .collect();
-
-    let n_threads = force_threads.unwrap_or_else(|| {
-        if tests.len() >= PARALLEL_MIN_TESTS {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            1
-        }
-    });
-
-    // Single-threaded: stream one test's candidate hexes at a time (O(1 test)
-    // peak memory). Per (provider, hex) the accumulation order is ascending
-    // test index — the same as the threaded path, so results are
-    // bit-identical.
-    if n_threads <= 1 {
-        let mut out = ProviderHexTests::default();
-        for test in &tests {
-            let candidates = candidate_hexes(&test.geo_center, test.accuracy_radius_km, res);
-            for provider in &asn_to_providers[&test.asn] {
-                if let Some(footprint) = claimed_hexes.get(provider) {
-                    accumulate_test(*provider, footprint, &candidates, &mut out.counts);
-                }
-            }
-        }
-        return out;
-    }
-
-    // Threaded path. Each (provider, hex) key is owned by exactly one worker
-    // (providers are assigned to workers round-robin), and tests stream
-    // through in blocks of TEST_BLOCK in ascending order, so every count
-    // accumulates in ascending test order — bit-identical to the streaming
-    // path — while candidate hexes are only materialised one block at a time.
-    let owner: HashMap<ProviderId, usize> = provider_asns
-        .keys()
-        .enumerate()
-        .map(|(i, p)| (*p, i % n_threads))
-        .collect();
-    let mut worker_counts: Vec<HashMap<(ProviderId, HexCell), f64>> =
-        (0..n_threads).map(|_| HashMap::new()).collect();
-
-    for block in tests.chunks(TEST_BLOCK) {
-        // Phase 1: candidate hexes for this block — pure geometry, parallel
-        // over sub-chunks, reassembled in test order.
-        let chunk_size = block.len().div_ceil(n_threads).max(1);
-        let candidates: Vec<Vec<HexCell>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = block
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|t| candidate_hexes(&t.geo_center, t.accuracy_radius_km, res))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("candidate-hex worker panicked"))
-                .collect()
-        });
-
-        // Phase 2: every worker scans the block but only accumulates the
-        // providers it owns.
-        std::thread::scope(|scope| {
-            for (worker_id, counts) in worker_counts.iter_mut().enumerate() {
-                let candidates = &candidates;
-                let asn_to_providers = &asn_to_providers;
-                let owner = &owner;
-                scope.spawn(move || {
-                    for (i, test) in block.iter().enumerate() {
-                        for provider in &asn_to_providers[&test.asn] {
-                            if owner[provider] != worker_id {
-                                continue;
-                            }
-                            if let Some(footprint) = claimed_hexes.get(provider) {
-                                accumulate_test(*provider, footprint, &candidates[i], counts);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    let mut out = ProviderHexTests::default();
-    for counts in worker_counts {
-        out.counts.extend(counts);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlab::MlabTest;
+    use crate::mlab::MlabDataset;
     use bdc::DayStamp;
     use geoprim::LatLng;
     use hexgrid::NBM_RESOLUTION;
@@ -366,6 +245,16 @@ mod tests {
         assert_eq!(cells, vec![HexCell::containing(&center(), NBM_RESOLUTION)]);
     }
 
+    fn attribute(
+        mlab: &MlabDataset,
+        provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
+        claimed_hexes: &BTreeMap<ProviderId, BTreeSet<HexCell>>,
+    ) -> ProviderHexTests {
+        let mut attributor = MlabAttributor::new(provider_asns, claimed_hexes, NBM_RESOLUTION);
+        attributor.add_tests(mlab.tests());
+        attributor.finish()
+    }
+
     fn maps(
         provider: u32,
         asn: u32,
@@ -388,7 +277,7 @@ mod tests {
             .collect();
         let (pa, ch) = maps(1, 64500, footprint.clone());
         let mlab = MlabDataset::new(vec![test_at(64500, center(), 5.0)]);
-        let attributed = attribute_mlab_tests(&mlab, &pa, &ch, NBM_RESOLUTION);
+        let attributed = attribute(&mlab, &pa, &ch);
         assert!(!attributed.is_empty());
         // Every attributed hex is inside the claimed footprint.
         for hex in attributed.hexes_for(ProviderId(1)) {
@@ -408,7 +297,7 @@ mod tests {
             test_at(64500, center(), 50.0), // radius too large
             test_at(99999, center(), 5.0),  // unmapped ASN
         ]);
-        let attributed = attribute_mlab_tests(&mlab, &pa, &ch, NBM_RESOLUTION);
+        let attributed = attribute(&mlab, &pa, &ch);
         assert!(attributed.is_empty());
         assert_eq!(
             attributed.count(
@@ -428,7 +317,7 @@ mod tests {
             .collect();
         let (pa, ch) = maps(1, 64500, footprint);
         let mlab = MlabDataset::new(vec![test_at(64500, center(), 5.0)]);
-        let attributed = attribute_mlab_tests(&mlab, &pa, &ch, NBM_RESOLUTION);
+        let attributed = attribute(&mlab, &pa, &ch);
         assert!(attributed.is_empty());
     }
 
@@ -472,133 +361,76 @@ mod tests {
         out
     }
 
-    /// Above `PARALLEL_MIN_TESTS` the threaded path engages; its output must
-    /// be bit-identical to the sequential reference algorithm.
+    /// Every batch split and every forced worker count — across the
+    /// parallel-block threshold and the block size — reproduces the
+    /// reference bit for bit, with unusable and unmapped tests in the mix.
     #[test]
-    fn parallel_path_matches_sequential_reference() {
+    fn attributor_matches_reference_under_every_split_and_worker_count() {
+        // A seeded SplitMix64 stream of uniforms in [0, 1).
+        let mut state = 0x4D1ABu64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
         let mut pa: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
         let mut ch: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
-        let mut tests = Vec::new();
-        // Six providers on three shared ASNs, footprints at staggered offsets,
-        // ~200 tests per ASN with varying radii => > PARALLEL_MIN_TESTS tests.
+        // Six providers on three shared ASNs, footprints at staggered offsets;
+        // provider 5 has an ASN but no claimed footprint.
         for p in 0..6u32 {
-            let asn = 64500 + p % 3;
-            let c = LatLng::new(37.0 + p as f64 * 0.05, -80.4 - p as f64 * 0.03);
-            pa.insert(ProviderId(p), BTreeSet::from([Asn(asn)]));
-            ch.insert(
-                ProviderId(p),
-                candidate_hexes(&c, 4.0, NBM_RESOLUTION)
-                    .into_iter()
-                    .collect(),
-            );
-        }
-        for i in 0..(super::PARALLEL_MIN_TESTS + 100) {
-            let asn = 64500 + (i as u32) % 3;
-            let c = LatLng::new(37.0 + (i % 7) as f64 * 0.04, -80.4 - (i % 5) as f64 * 0.025);
-            tests.push(test_at(asn, c, 1.0 + (i % 9) as f64));
-        }
-        let mlab = MlabDataset::new(tests);
-        assert!(mlab.usable_tests().count() >= super::PARALLEL_MIN_TESTS);
-
-        let reference = attribute_reference(&mlab, &pa, &ch, NBM_RESOLUTION);
-        assert!(!reference.is_empty());
-        // The public auto path, plus forced thread counts so the scoped-thread
-        // code runs even on single-core hosts.
-        let auto = attribute_mlab_tests(&mlab, &pa, &ch, NBM_RESOLUTION);
-        let forced = [1, 2, 4, 7].map(|n| {
-            super::attribute_mlab_tests_with_threads(&mlab, &pa, &ch, NBM_RESOLUTION, Some(n))
-        });
-        for fast in forced.iter().chain([&auto]) {
-            assert_eq!(fast.len(), reference.len());
-            for (p, hex, count) in reference.iter() {
-                assert_eq!(
-                    fast.count(p, hex).to_bits(),
-                    count.to_bits(),
-                    "count mismatch for provider {p:?} hex {hex:?}"
+            pa.insert(ProviderId(p), BTreeSet::from([Asn(64500 + p % 3)]));
+            if p < 5 {
+                let c = LatLng::new(37.0 + p as f64 * 0.05, -80.4 - p as f64 * 0.03);
+                ch.insert(
+                    ProviderId(p),
+                    candidate_hexes(&c, 4.0, NBM_RESOLUTION)
+                        .into_iter()
+                        .collect(),
                 );
             }
         }
-    }
-
-    /// Workloads spanning several `TEST_BLOCK`s must accumulate identically
-    /// to the streaming reference across block boundaries.
-    #[test]
-    fn threaded_blocks_accumulate_across_boundaries() {
-        let mut pa: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
-        let mut ch: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
-        for p in 0..3u32 {
-            let c = LatLng::new(37.0 + p as f64 * 0.02, -80.4);
-            pa.insert(ProviderId(p), BTreeSet::from([Asn(64500 + p)]));
-            ch.insert(
-                ProviderId(p),
-                candidate_hexes(&c, 3.0, NBM_RESOLUTION)
-                    .into_iter()
-                    .collect(),
-            );
-        }
-        let n = 2 * super::TEST_BLOCK + 123;
+        let n = 2 * TEST_BLOCK + 1000;
         let tests: Vec<MlabTest> = (0..n)
-            .map(|i| {
-                let c = LatLng::new(37.0 + (i % 5) as f64 * 0.01, -80.4 - (i % 3) as f64 * 0.01);
-                test_at(64500 + (i as u32) % 3, c, 1.0)
-            })
-            .collect();
-        let mlab = MlabDataset::new(tests);
-        let threaded =
-            super::attribute_mlab_tests_with_threads(&mlab, &pa, &ch, NBM_RESOLUTION, Some(3));
-        let reference = attribute_reference(&mlab, &pa, &ch, NBM_RESOLUTION);
-        assert!(!threaded.is_empty());
-        assert_eq!(threaded.len(), reference.len());
-        for (p, hex, count) in reference.iter() {
-            assert_eq!(threaded.count(p, hex).to_bits(), count.to_bits());
-        }
-    }
-
-    /// The incremental attributor fed in dataset order — under any batch
-    /// split — must reproduce the batch path bit for bit.
-    #[test]
-    fn incremental_attributor_matches_batch_path() {
-        let mut pa: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
-        let mut ch: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
-        for p in 0..5u32 {
-            let asn = 64500 + p % 2;
-            let c = LatLng::new(37.0 + p as f64 * 0.04, -80.4 - p as f64 * 0.02);
-            pa.insert(ProviderId(p), BTreeSet::from([Asn(asn)]));
-            ch.insert(
-                ProviderId(p),
-                candidate_hexes(&c, 4.0, NBM_RESOLUTION)
-                    .into_iter()
-                    .collect(),
-            );
-        }
-        let tests: Vec<MlabTest> = (0..700)
-            .map(|i| {
-                let c = LatLng::new(37.0 + (i % 6) as f64 * 0.03, -80.4 - (i % 4) as f64 * 0.02);
-                // Interleave an unusable test to exercise the filter.
-                let radius = if i % 50 == 0 {
-                    100.0
+            .map(|_| {
+                // ASN 64503 maps to no provider.
+                let asn = 64500 + (uniform() * 4.0) as u32;
+                let c = LatLng::new(37.0 + uniform() * 0.25, -80.55 + uniform() * 0.2);
+                // A tail above the 20 km usability filter.
+                let radius = if uniform() < 0.95 {
+                    0.3 + uniform() * 2.7
                 } else {
-                    1.0 + (i % 7) as f64
+                    25.0 + uniform() * 15.0
                 };
-                test_at(64500 + (i as u32) % 2, c, radius)
+                test_at(asn, c, radius)
             })
             .collect();
         let mlab = MlabDataset::new(tests.clone());
-        let batch = attribute_mlab_tests(&mlab, &pa, &ch, NBM_RESOLUTION);
-        assert!(!batch.is_empty());
-        for split in [1usize, 7, 128, 4096] {
-            let mut inc = MlabAttributor::new(&pa, &ch, NBM_RESOLUTION);
-            for chunk in tests.chunks(split) {
-                inc.add_tests(chunk);
-            }
-            let streamed = inc.finish();
-            assert_eq!(streamed.len(), batch.len(), "split {split}");
-            for (p, hex, count) in batch.iter() {
+        let reference = attribute_reference(&mlab, &pa, &ch, NBM_RESOLUTION);
+        assert!(!reference.is_empty());
+        assert!(mlab.usable_tests().count() < n, "no unusable tests drawn");
+
+        for split in [1, 7, 511, 512, TEST_BLOCK, 2 * TEST_BLOCK + 123, n] {
+            for workers in [1, 2, 3] {
+                let mut attributor =
+                    MlabAttributor::new(&pa, &ch, NBM_RESOLUTION).with_workers(workers);
+                for batch in tests.chunks(split) {
+                    attributor.add_tests(batch);
+                }
+                let got = attributor.finish();
                 assert_eq!(
-                    streamed.count(p, hex).to_bits(),
-                    count.to_bits(),
-                    "split {split}: provider {p:?} hex {hex:?}"
+                    got.len(),
+                    reference.len(),
+                    "split {split}, {workers} workers"
                 );
+                for (p, hex, count) in reference.iter() {
+                    assert_eq!(
+                        got.count(p, hex).to_bits(),
+                        count.to_bits(),
+                        "split {split}, {workers} workers: provider {p:?} hex {hex:?}"
+                    );
+                }
             }
         }
     }
@@ -615,7 +447,7 @@ mod tests {
         ch.insert(ProviderId(1), footprint.clone());
         ch.insert(ProviderId(2), footprint);
         let mlab = MlabDataset::new(vec![test_at(64500, center(), 5.0)]);
-        let attributed = attribute_mlab_tests(&mlab, &pa, &ch, NBM_RESOLUTION);
+        let attributed = attribute(&mlab, &pa, &ch);
         assert!(attributed.total_for(ProviderId(1)) > 0.0);
         assert!(attributed.total_for(ProviderId(2)) > 0.0);
     }

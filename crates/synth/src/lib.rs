@@ -25,7 +25,7 @@
 //! Everything is derived deterministically from a single seed in
 //! [`SynthConfig`]; [`SynthUs::generate`] returns the full world, and
 //! [`SynthUs::generate_with`] additionally selects the execution schedule
-//! ([`GenMode`]) and returns a [`SynthReport`] of per-stage timings.
+//! ([`GenMode`]) and returns a [`StreamReport`] of per-stage timings.
 //!
 //! Generation is *sharded*: every random quantity is drawn from an
 //! independent stream keyed by `(seed, stage, shard)` ([`shard`]), so shards
@@ -49,7 +49,7 @@ pub mod world;
 pub use config::SynthConfig;
 pub use providers_gen::{ProviderProfile, ReportingStyle};
 pub use release_stream::{EmittedRelease, EmitterStream, ReleaseEmitter, RemovalSchedule};
-pub use shard::{GenMode, SynthReport, SynthStage, SynthStageTiming};
+pub use shard::{GenMode, SynthStage};
 pub use speedtest_gen::{MlabEmitter, OoklaEmitter};
 pub use states::{StateInfo, STATES};
 pub use stream_world::{HexTable, StreamReport, StreamStage, StreamWorld};

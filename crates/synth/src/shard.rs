@@ -19,10 +19,6 @@
 //! * [`map_shards`] fans a shard list across scoped workers and reassembles
 //!   the results in shard order, degrading to a plain sequential map when
 //!   only one worker is available.
-//! * [`SynthReport`] records what actually ran: per-stage wall-clock and
-//!   shard counts, worker count, and the executed schedule.
-
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -237,55 +233,6 @@ pub use bdc::stream::DiffMode as GenMode;
 /// through the same function), re-exported here as the generator's
 /// historical home.
 pub use bdc::stream::map_shards;
-
-/// Wall-clock timing and shard count of one executed generation stage.
-#[derive(Debug, Clone, Copy)]
-pub struct SynthStageTiming {
-    pub stage: SynthStage,
-    pub wall: Duration,
-    /// How many shards the stage fanned out (1 for unsharded stages).
-    pub shards: usize,
-}
-
-/// Execution report of one world generation: which mode was requested, what
-/// actually ran, and per-stage wall-clock/shard counts in canonical order.
-#[derive(Debug, Clone)]
-pub struct SynthReport {
-    /// The mode the generator was configured with.
-    pub mode: GenMode,
-    /// The schedule that actually ran: `Parallel` degrades to `Sequential`
-    /// on single-core hosts; a multi-worker run reports `Threads(n)` with
-    /// the resolved worker count.
-    pub executed: GenMode,
-    /// Resolved number of shard workers.
-    pub workers: usize,
-    /// One entry per stage, in canonical stage order.
-    pub timings: Vec<SynthStageTiming>,
-    pub total_wall: Duration,
-}
-
-impl SynthReport {
-    /// Wall-clock of a specific stage, if it ran.
-    pub fn wall_for(&self, stage: SynthStage) -> Option<Duration> {
-        self.timings
-            .iter()
-            .find(|t| t.stage == stage)
-            .map(|t| t.wall)
-    }
-
-    /// Shard count of a specific stage, if it ran.
-    pub fn shards_for(&self, stage: SynthStage) -> Option<usize> {
-        self.timings
-            .iter()
-            .find(|t| t.stage == stage)
-            .map(|t| t.shards)
-    }
-
-    /// Sum of all stage wall-clocks (the sequential-equivalent work).
-    pub fn stage_sum(&self) -> Duration {
-        self.timings.iter().map(|t| t.wall).sum()
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@ use std::time::Instant;
 use asnmap::{FrnRegistration, SiblingGroups, WhoisDb};
 use bdc::{
     Asn, Challenge, Fabric, Filing, LocationId, NbmRelease, Provider, ProviderId, ProviderRegistry,
-    Technology,
+    StreamReport, StreamStage, Technology,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabDataset, OoklaDataset};
@@ -28,7 +28,7 @@ use crate::config::SynthConfig;
 use crate::fabric_gen::{generate_fabric, generate_towns, Town};
 use crate::providers_gen::{compute_all_claims, generate_providers, ClaimTruth, ProviderProfile};
 use crate::registration_gen::generate_registrations;
-use crate::shard::{GenMode, SynthReport, SynthStage, SynthStageTiming};
+use crate::shard::{GenMode, SynthStage};
 use crate::speedtest_gen::{generate_mlab, generate_ookla, hex_observation_truth, served_hex_sets};
 use crate::states::{state_by_code, STATES};
 
@@ -85,18 +85,23 @@ pub struct SynthUs {
     pub jcc: Option<JccScenario>,
 }
 
-/// Time one stage's body, recording its shard count alongside the wall-clock.
-fn timed<T>(stage: SynthStage, shards: usize, f: impl FnOnce() -> T) -> (T, SynthStageTiming) {
+/// Time one generation stage's body into `stages` as a report row with its
+/// shard count. Generation is not metered, so the row reports 0 entries.
+fn timed<T>(
+    stages: &mut Vec<StreamStage>,
+    stage: SynthStage,
+    shards: usize,
+    f: impl FnOnce() -> T,
+) -> T {
     let start = Instant::now();
     let out = f();
-    (
-        out,
-        SynthStageTiming {
-            stage,
-            wall: start.elapsed(),
-            shards: shards.max(1),
-        },
-    )
+    stages.push(StreamStage {
+        name: stage.name(),
+        wall: start.elapsed(),
+        shards: shards.max(1),
+        peak_resident_entries: 0,
+    });
+    out
 }
 
 impl SynthUs {
@@ -117,9 +122,10 @@ impl SynthUs {
     }
 
     /// Generate the full world under an explicit schedule, returning the
-    /// world together with its [`SynthReport`] (per-stage wall-clock and
-    /// shard counts). Returns `Err` with the validation message when the
-    /// configuration is invalid.
+    /// world together with its [`StreamReport`]: one row per [`SynthStage`]
+    /// with wall-clock and shard count (generation is not metered, so every
+    /// row reports 0 entries). Returns `Err` with the validation message when
+    /// the configuration is invalid.
     ///
     /// The generated world depends only on `config`: every [`GenMode`]
     /// produces a bit-identical world (see
@@ -128,91 +134,82 @@ impl SynthUs {
     pub fn generate_with(
         config: &SynthConfig,
         mode: GenMode,
-    ) -> Result<(Self, SynthReport), String> {
+    ) -> Result<(Self, StreamReport), String> {
         config.validate()?;
         let start = Instant::now();
         let workers = mode.worker_count();
-        let executed = if workers <= 1 {
-            GenMode::Sequential
-        } else {
-            GenMode::Threads(workers)
-        };
-        let mut timings: Vec<SynthStageTiming> = Vec::with_capacity(SynthStage::ALL.len());
+        let mut stages: Vec<StreamStage> = Vec::with_capacity(SynthStage::ALL.len());
 
-        let (towns, t) = timed(SynthStage::Towns, STATES.len(), || {
+        let towns = timed(&mut stages, SynthStage::Towns, STATES.len(), || {
             generate_towns(config, workers)
         });
-        timings.push(t);
-
-        let (fabric, t) = timed(SynthStage::Fabric, towns.len(), || {
+        let fabric = timed(&mut stages, SynthStage::Fabric, towns.len(), || {
             generate_fabric(config, &towns, workers)
         });
-        timings.push(t);
-
-        let (profiles, t) = timed(SynthStage::Providers, config.n_providers, || {
-            generate_providers(config, &towns, workers)
-        });
-        timings.push(t);
-
-        let (claims, t): (BTreeMap<ProviderId, Vec<ClaimTruth>>, _) =
-            timed(SynthStage::Claims, profiles.len(), || {
+        let profiles = timed(
+            &mut stages,
+            SynthStage::Providers,
+            config.n_providers,
+            || generate_providers(config, &towns, workers),
+        );
+        let claims: BTreeMap<ProviderId, Vec<ClaimTruth>> =
+            timed(&mut stages, SynthStage::Claims, profiles.len(), || {
                 compute_all_claims(&profiles, &towns, &fabric, config, workers)
             });
-        timings.push(t);
-
-        let (filings, t) = timed(SynthStage::Filings, 1, || build_filings(&profiles, &claims));
-        timings.push(t);
-
-        let (challenges, t) = timed(SynthStage::Challenges, claims.len(), || {
+        let filings = timed(&mut stages, SynthStage::Filings, 1, || {
+            build_filings(&profiles, &claims)
+        });
+        let challenges = timed(&mut stages, SynthStage::Challenges, claims.len(), || {
             generate_challenges(config, &fabric, &claims, workers)
         });
-        timings.push(t);
-
-        let (later_challenges, t) = timed(
+        let later_challenges = timed(
+            &mut stages,
             SynthStage::LaterChallenges,
             later_wave_shard_count(challenges.len()),
             || generate_later_challenges(config, &challenges, workers),
         );
-        timings.push(t);
 
         let challenged_keys: BTreeSet<_> = challenges
             .iter()
             .map(|c| (c.provider, c.location, c.technology))
             .collect();
-        let (corrections, t) = timed(SynthStage::Corrections, claims.len(), || {
+        let corrections = timed(&mut stages, SynthStage::Corrections, claims.len(), || {
             generate_corrections(config, &claims, &challenged_keys, workers)
         });
-        timings.push(t);
-
-        let (releases, t) = timed(SynthStage::Releases, config.n_minor_releases + 1, || {
-            build_releases(
-                config,
-                &filings,
-                &fabric,
-                &challenges,
-                &corrections,
-                workers,
-            )
-        });
-        timings.push(t);
+        let releases = timed(
+            &mut stages,
+            SynthStage::Releases,
+            config.n_minor_releases + 1,
+            || {
+                build_releases(
+                    config,
+                    &filings,
+                    &fabric,
+                    &challenges,
+                    &corrections,
+                    workers,
+                )
+            },
+        );
 
         let claims_count: BTreeMap<ProviderId, usize> = filings
             .iter()
             .map(|f| (f.provider, f.claimed_location_count()))
             .collect();
-        let (registration_data, t) = timed(SynthStage::Registrations, profiles.len(), || {
-            generate_registrations(config, &profiles, &claims_count, workers)
-        });
-        timings.push(t);
+        let registration_data = timed(
+            &mut stages,
+            SynthStage::Registrations,
+            profiles.len(),
+            || generate_registrations(config, &profiles, &claims_count, workers),
+        );
 
         let (served_hexes, served_by_provider) = served_hex_sets(&fabric, &claims);
         let occupied_hexes = fabric.hexes().count();
-        let (ookla, t) = timed(SynthStage::Ookla, occupied_hexes, || {
+        let ookla = timed(&mut stages, SynthStage::Ookla, occupied_hexes, || {
             generate_ookla(config, &fabric, &served_hexes, workers)
         });
-        timings.push(t);
-
-        let (mlab, t) = timed(
+        let mlab = timed(
+            &mut stages,
             SynthStage::Mlab,
             registration_data.true_provider_asns.len(),
             || {
@@ -224,9 +221,8 @@ impl SynthUs {
                 )
             },
         );
-        timings.push(t);
 
-        let (world, t) = timed(SynthStage::GroundTruth, 1, || {
+        let world = timed(&mut stages, SynthStage::GroundTruth, 1, || {
             let ground_truth = hex_observation_truth(&fabric, &claims);
             let jcc = profiles.iter().find(|p| p.jcc_like).map(|p| {
                 let provider = p.provider.id;
@@ -279,14 +275,11 @@ impl SynthUs {
                 jcc,
             }
         });
-        timings.push(t);
-
-        let report = SynthReport {
-            mode,
-            executed,
-            workers,
-            timings,
+        let report = StreamReport {
+            stages,
             total_wall: start.elapsed(),
+            peak_resident_entries: 0,
+            budget: None,
         };
         Ok((world, report))
     }
@@ -618,33 +611,29 @@ mod tests {
     fn generate_with_reports_every_stage() {
         let (w, report) =
             SynthUs::generate_with(&SynthConfig::tiny(55), GenMode::Sequential).unwrap();
-        assert_eq!(report.mode, GenMode::Sequential);
-        assert_eq!(report.executed, GenMode::Sequential);
-        assert_eq!(report.workers, 1);
-        assert_eq!(report.timings.len(), SynthStage::ALL.len());
-        for (timing, expected) in report.timings.iter().zip(SynthStage::ALL) {
-            assert_eq!(timing.stage, expected, "timings not in canonical order");
-            assert!(timing.shards >= 1);
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        let expected: Vec<&str> = SynthStage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names, expected, "stages not in canonical order");
+        for stage in &report.stages {
+            assert!(stage.shards >= 1);
+            assert_eq!(stage.peak_resident_entries, 0, "generation is not metered");
         }
         assert_eq!(
-            report.shards_for(SynthStage::Providers),
+            report.stage("providers").map(|s| s.shards),
             Some(w.config.n_providers)
         );
         assert_eq!(
-            report.shards_for(SynthStage::Releases),
+            report.stage("releases").map(|s| s.shards),
             Some(w.config.n_minor_releases + 1)
         );
-        assert!(report.total_wall >= report.wall_for(SynthStage::Fabric).unwrap());
-        assert!(report.stage_sum() <= report.total_wall * 2);
+        assert!(report.stage_sum() <= report.total_wall);
     }
 
     #[test]
-    fn forced_thread_counts_report_threads_and_match_sequential() {
+    fn forced_thread_counts_match_sequential() {
         let (seq, _) = SynthUs::generate_with(&SynthConfig::tiny(55), GenMode::Sequential).unwrap();
-        let (forced, report) =
+        let (forced, _) =
             SynthUs::generate_with(&SynthConfig::tiny(55), GenMode::Threads(3)).unwrap();
-        assert_eq!(report.executed, GenMode::Threads(3));
-        assert_eq!(report.workers, 3);
         assert_eq!(
             seq.canonical_fingerprint(),
             forced.canonical_fingerprint(),

@@ -10,7 +10,7 @@
 
 use red_is_sus::bdc::stream::{DiffMode, ShardableRelease, DEFAULT_DIFF_CHUNK};
 use red_is_sus::bdc::DiffChain;
-use red_is_sus::core::pipeline::{PipelineEngine, PipelineStage};
+use red_is_sus::core::pipeline::PipelineEngine;
 use red_is_sus::synth::{SynthConfig, SynthUs};
 
 fn main() {
@@ -71,14 +71,14 @@ fn main() {
 
     // The same chain runs inside the pipeline engine as the release_diff
     // stage, feeding label construction incrementally.
-    let run = PipelineEngine::parallel().run(&world);
+    let run = PipelineEngine.run(&world);
     let wall = run
         .report
-        .wall_for(PipelineStage::ReleaseDiff)
-        .expect("release_diff stage always runs");
+        .stage("release_diff")
+        .expect("release_diff stage always runs")
+        .wall;
     println!(
-        "\npipeline: release_diff stage took {wall:.2?} ({:?} schedule), evidence = {} removals",
-        run.report.executed,
+        "\npipeline: release_diff stage took {wall:.2?}, evidence = {} removals",
         run.context.diff_chain.removal_count(),
     );
     let labels = run.context.build_labels(&world, &Default::default());

@@ -99,61 +99,24 @@ fn main() {
     }
 
     if json {
-        let mut doc = format!(
-            "{{\"config\":{{\"scale_divisor\":{scale},\"seed\":{seed},\"bsls\":{},\"providers\":{},\"budget\":{}}},\"stages\":[",
+        // The report's own keys (`stages`, `total_wall_s`, ...) stay
+        // top-level keys of the document.
+        let report = run.report.to_json();
+        println!(
+            "{{\"config\":{{\"scale_divisor\":{scale},\"seed\":{seed},\"bsls\":{},\"providers\":{},\"budget\":{}}},\
+             {},\"dataset\":{{\"rows\":{},\"features\":{}}},\"metrics\":{}}}",
             config.n_bsls,
             config.n_providers,
             config
                 .max_resident_entries
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".into()),
-        );
-        for (i, stage) in run.report.stages.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
-            }
-            let _ = write!(
-                doc,
-                "{{\"name\":\"{}\",\"wall_s\":{},\"shards\":{},\"peak_resident_entries\":{}}}",
-                stage.name,
-                stage.wall.as_secs_f64(),
-                stage.shards,
-                stage.peak_resident_entries,
-            );
-        }
-        let _ = write!(
-            doc,
-            "],\"total_wall_s\":{},\"peak_resident_entries\":{},\"dataset\":{{\"rows\":{},\"features\":{}}},\"metrics\":{}}}",
-            run.report.total_wall.as_secs_f64(),
-            run.report.peak_resident_entries,
+                .map_or("null".into(), |b| b.to_string()),
+            &report[1..report.len() - 1],
             run.matrix.dataset.n_rows(),
             run.matrix.dataset.n_features(),
             registry.snapshot_json(),
         );
-        println!("{doc}");
     } else {
-        println!(
-            "{:<22} {:>12} {:>10} {:>16}",
-            "stage", "wall ms", "shards", "peak entries"
-        );
-        for stage in &run.report.stages {
-            println!(
-                "{:<22} {:>12.1} {:>10} {:>16}",
-                stage.name,
-                stage.wall.as_secs_f64() * 1e3,
-                stage.shards,
-                stage.peak_resident_entries,
-            );
-        }
-        println!(
-            "\ntotal wall {:.2} s, run peak {} entries (budget {})",
-            run.report.total_wall.as_secs_f64(),
-            run.report.peak_resident_entries,
-            run.report
-                .budget
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "none".into()),
-        );
+        print!("{}", run.report.render());
         println!(
             "dataset: {} observations x {} features",
             run.matrix.dataset.n_rows(),

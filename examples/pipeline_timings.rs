@@ -1,21 +1,20 @@
-//! Print the staged pipeline engine's per-stage wall-clock report in both
-//! execution modes over a bench-scale world — all eight stages, from
-//! provider→ASN matching through label construction and feature engineering.
+//! Print the staged pipeline engine's per-stage wall-clock and residency
+//! report over a bench-scale world — all eight stages, from provider→ASN
+//! matching through label construction and feature engineering.
 //!
 //! ```sh
 //! cargo run --release --example pipeline_timings [seed] [--json]
 //! ```
 //!
 //! `--json` replaces the table with one machine-readable JSON document on
-//! stdout: both execution modes' stage reports plus the metrics-registry
-//! snapshot each run recorded.
+//! stdout: the stage report plus the metrics-registry snapshot the run
+//! recorded.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use red_is_sus::core::features::FeatureConfig;
 use red_is_sus::core::labels::LabelingOptions;
-use red_is_sus::core::pipeline::{PipelineEngine, PipelineStage};
+use red_is_sus::core::pipeline::PipelineEngine;
 use red_is_sus::obs::{MetricsRegistry, Telemetry};
 use red_is_sus::synth::{SynthConfig, SynthUs};
 
@@ -35,97 +34,37 @@ fn main() {
         }
     }
     let world = SynthUs::generate(&SynthConfig::tiny(seed));
-    if !json {
+    let registry = Arc::new(MetricsRegistry::new());
+    let run = PipelineEngine.run_to_dataset_with(
+        &world,
+        &LabelingOptions::default(),
+        &FeatureConfig::default(),
+        &Telemetry::with_metrics(Arc::clone(&registry)),
+    );
+    if json {
         println!(
-            "world: {} BSLs, {} providers, {} MLab tests (seed {seed})\n",
+            "{{\"world\":{{\"seed\":{seed},\"bsls\":{},\"providers\":{},\"mlab_tests\":{}}},\
+             \"report\":{},\"dataset\":{{\"rows\":{},\"features\":{}}},\"metrics\":{}}}",
             world.fabric.len(),
             world.providers.len(),
             world.mlab.len(),
+            run.report.to_json(),
+            run.matrix.dataset.n_rows(),
+            run.matrix.dataset.n_features(),
+            registry.snapshot_json(),
         );
+        return;
     }
-
-    let mut doc = format!(
-        "{{\"world\":{{\"seed\":{seed},\"bsls\":{},\"providers\":{},\"mlab_tests\":{}}},\"runs\":[",
+    println!(
+        "world: {} BSLs, {} providers, {} MLab tests (seed {seed})\n",
         world.fabric.len(),
         world.providers.len(),
         world.mlab.len(),
     );
-    for (i, engine) in [PipelineEngine::sequential(), PipelineEngine::parallel()]
-        .iter()
-        .enumerate()
-    {
-        // Each mode records into its own registry so the JSON report keeps
-        // the two runs' metrics apart.
-        let registry = Arc::new(MetricsRegistry::new());
-        let run = engine.run_to_dataset_with(
-            &world,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            &Telemetry::with_metrics(Arc::clone(&registry)),
-        );
-        if json {
-            if i > 0 {
-                doc.push(',');
-            }
-            let _ = write!(doc, "{{\"mode\":\"{:?}\",\"stages\":[", engine.mode());
-            for (j, stage) in PipelineStage::ALL.iter().enumerate() {
-                let wall = run.report.wall_for(*stage).unwrap();
-                let (entries, bytes) = run.report.residency_for(*stage).unwrap();
-                if j > 0 {
-                    doc.push(',');
-                }
-                let _ = write!(
-                    doc,
-                    "{{\"name\":\"{}\",\"wall_s\":{},\"peak_resident_entries\":{entries},\"resident_bytes\":{bytes}}}",
-                    stage.name(),
-                    wall.as_secs_f64(),
-                );
-            }
-            let _ = write!(
-                doc,
-                "],\"total_wall_s\":{},\"dataset\":{{\"rows\":{},\"features\":{}}},\"metrics\":{}}}",
-                run.report.total_wall.as_secs_f64(),
-                run.matrix.dataset.n_rows(),
-                run.matrix.dataset.n_features(),
-                registry.snapshot_json(),
-            );
-            continue;
-        }
-        println!(
-            "{:?} execution (executed schedule: {:?}):",
-            engine.mode(),
-            run.report.executed
-        );
-        println!(
-            "  {:<24} {:>10} {:>14} {:>12}",
-            "stage", "wall ms", "peak entries", "~bytes"
-        );
-        for stage in PipelineStage::ALL {
-            let wall = run.report.wall_for(stage).unwrap();
-            let (entries, bytes) = run.report.residency_for(stage).unwrap();
-            println!(
-                "  {:<24} {:>10.3} {:>14} {:>12}",
-                stage.name(),
-                wall.as_secs_f64() * 1e3,
-                entries,
-                bytes,
-            );
-        }
-        println!(
-            "  {:<24} {:>10.3} ms (stage sum {:.3} ms, peak stage residency {} entries)",
-            "total wall",
-            run.report.total_wall.as_secs_f64() * 1e3,
-            run.report.stage_sum().as_secs_f64() * 1e3,
-            run.report.peak_resident_entries(),
-        );
-        println!(
-            "  dataset: {} observations x {} features\n",
-            run.matrix.dataset.n_rows(),
-            run.matrix.dataset.n_features(),
-        );
-    }
-    if json {
-        doc.push_str("]}");
-        println!("{doc}");
-    }
+    print!("{}", run.report.render());
+    println!(
+        "dataset: {} observations x {} features",
+        run.matrix.dataset.n_rows(),
+        run.matrix.dataset.n_features(),
+    );
 }

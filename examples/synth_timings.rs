@@ -1,11 +1,11 @@
 //! Print the sharded world generator's per-stage wall-clock and shard-count
-//! report under the sequential, parallel and forced-thread schedules.
+//! report, plus the world's canonical fingerprint.
 //!
 //! ```sh
 //! cargo run --release --example synth_timings [tiny|experiment|large] [seed]
 //! ```
 
-use red_is_sus::synth::{GenMode, SynthConfig, SynthStage, SynthUs};
+use red_is_sus::synth::{GenMode, SynthConfig, SynthUs};
 
 fn main() {
     let preset = std::env::args().nth(1).unwrap_or_else(|| "tiny".into());
@@ -19,46 +19,13 @@ fn main() {
         _ => SynthConfig::tiny(seed),
     };
     println!(
-        "preset {preset} (seed {seed}): {} BSLs, {} providers\n",
-        config.n_bsls, config.n_providers
+        "preset {preset} (seed {seed}): {} BSLs, {} providers, {} shard workers\n",
+        config.n_bsls,
+        config.n_providers,
+        GenMode::default().worker_count(),
     );
-
-    let mut fingerprint = None;
-    for mode in [GenMode::Sequential, GenMode::Parallel, GenMode::Threads(2)] {
-        let (world, report) = SynthUs::generate_with(&config, mode).expect("valid preset");
-        println!(
-            "{mode:?} generation (executed: {:?}, {} worker{}):",
-            report.executed,
-            report.workers,
-            if report.workers == 1 { "" } else { "s" },
-        );
-        for stage in SynthStage::ALL {
-            println!(
-                "  {:<18} {:>10.3} ms  ({} shard{})",
-                stage.name(),
-                report.wall_for(stage).unwrap().as_secs_f64() * 1e3,
-                report.shards_for(stage).unwrap(),
-                if report.shards_for(stage) == Some(1) {
-                    ""
-                } else {
-                    "s"
-                },
-            );
-        }
-        println!(
-            "  {:<18} {:>10.3} ms (stage sum {:.3} ms)",
-            "total wall",
-            report.total_wall.as_secs_f64() * 1e3,
-            report.stage_sum().as_secs_f64() * 1e3,
-        );
-        let fp = world.canonical_fingerprint();
-        println!("  fingerprint        {fp:#018x}\n");
-        match fingerprint {
-            None => fingerprint = Some(fp),
-            Some(expected) => {
-                assert_eq!(fp, expected, "schedules must generate bit-identical worlds")
-            }
-        }
-    }
-    println!("all schedules bit-identical ✓");
+    let (world, report) =
+        SynthUs::generate_with(&config, GenMode::default()).expect("valid preset");
+    print!("{}", report.render());
+    println!("fingerprint {:#018x}", world.canonical_fingerprint());
 }

@@ -10,7 +10,7 @@ use red_is_sus::ml::FlatForest;
 use red_is_sus::serve::{
     encode_model, score_dataset, ScoreMode, ScoreOutput, ScoreServer, ServeConfig, ServedModel,
 };
-use red_is_sus::synth::{GenMode, SynthConfig, SynthUs};
+use red_is_sus::synth::{GenMode, SynthConfig, SynthStage, SynthUs};
 
 fn small_config() -> SynthConfig {
     SynthConfig {
@@ -55,55 +55,47 @@ const GOLDEN_DATASET_FINGERPRINT: u64 = 0x594d_5bf1_4861_7ef5;
 fn sharded_world_and_pipeline_match_golden_fingerprints() {
     let (world, report) =
         SynthUs::generate_with(&small_config(), GenMode::Parallel).expect("valid config");
-    assert!(report.workers >= 1);
+    assert_eq!(report.stages.len(), SynthStage::ALL.len());
     assert_eq!(
         world.canonical_fingerprint(),
         GOLDEN_WORLD_FINGERPRINT,
         "generator drift: world fingerprint is {:#018x}",
         world.canonical_fingerprint()
     );
-    // The full preparation pipeline over the sharded world, both schedules.
-    for engine in [PipelineEngine::sequential(), PipelineEngine::parallel()] {
-        let ctx = engine.run(&world).context;
-        assert_eq!(
-            ctx.canonical_fingerprint(),
-            GOLDEN_CONTEXT_FINGERPRINT,
-            "pipeline drift ({:?}): context fingerprint is {:#018x}",
-            engine.mode(),
-            ctx.canonical_fingerprint()
-        );
-    }
+    // The full preparation pipeline over the sharded world.
+    let ctx = PipelineEngine.run(&world).context;
+    assert_eq!(
+        ctx.canonical_fingerprint(),
+        GOLDEN_CONTEXT_FINGERPRINT,
+        "pipeline drift: context fingerprint is {:#018x}",
+        ctx.canonical_fingerprint()
+    );
 }
 
 #[test]
 fn dataset_stages_match_golden_fingerprints() {
     use red_is_sus::core::features::dataset_fingerprint;
     use red_is_sus::core::labels::observations_fingerprint;
-    use red_is_sus::core::pipeline::PipelineStage;
 
     let world = SynthUs::generate(&small_config());
-    for engine in [PipelineEngine::sequential(), PipelineEngine::parallel()] {
-        let run = engine.run_to_dataset(
-            &world,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-        );
-        assert_eq!(run.report.timings.len(), PipelineStage::ALL.len());
-        assert_eq!(
-            observations_fingerprint(&run.matrix.observations),
-            GOLDEN_LABELS_FINGERPRINT,
-            "label drift ({:?}): observations fingerprint is {:#018x}",
-            engine.mode(),
-            observations_fingerprint(&run.matrix.observations)
-        );
-        assert_eq!(
-            dataset_fingerprint(&run.matrix.dataset),
-            GOLDEN_DATASET_FINGERPRINT,
-            "feature drift ({:?}): dataset fingerprint is {:#018x}",
-            engine.mode(),
-            dataset_fingerprint(&run.matrix.dataset)
-        );
-    }
+    let run = PipelineEngine.run_to_dataset(
+        &world,
+        &LabelingOptions::default(),
+        &FeatureConfig::default(),
+    );
+    assert_eq!(run.report.stages.len(), 8);
+    assert_eq!(
+        observations_fingerprint(&run.matrix.observations),
+        GOLDEN_LABELS_FINGERPRINT,
+        "label drift: observations fingerprint is {:#018x}",
+        observations_fingerprint(&run.matrix.observations)
+    );
+    assert_eq!(
+        dataset_fingerprint(&run.matrix.dataset),
+        GOLDEN_DATASET_FINGERPRINT,
+        "feature drift: dataset fingerprint is {:#018x}",
+        dataset_fingerprint(&run.matrix.dataset)
+    );
 }
 
 #[test]

@@ -17,7 +17,6 @@ use red_is_sus::core::features::{
 use red_is_sus::core::labels::{observations_fingerprint, LabelMode, LabelingOptions};
 use red_is_sus::core::pipeline::{
     stage_feature_engineering, stage_label_construction, AnalysisContext, PipelineEngine,
-    PipelineStage,
 };
 use red_is_sus::synth::{SynthConfig, SynthUs};
 
@@ -136,35 +135,22 @@ fn staged_engine_matches_direct_calls() {
     let world = SynthUs::generate(&SynthConfig::tiny(11));
     let options = LabelingOptions::default();
     let features = FeatureConfig::default();
-    let mut runs = Vec::new();
-    for engine in [PipelineEngine::sequential(), PipelineEngine::parallel()] {
-        let run = engine.run_to_dataset(&world, &options, &features);
-        // All eight stages timed, in canonical order.
-        assert_eq!(run.report.timings.len(), PipelineStage::ALL.len());
-        for (timing, expected) in run.report.timings.iter().zip(PipelineStage::ALL) {
-            assert_eq!(timing.stage, expected, "timings not in canonical order");
-        }
-        assert!(run
-            .report
-            .wall_for(PipelineStage::LabelConstruction)
-            .is_some());
-        assert!(run
-            .report
-            .wall_for(PipelineStage::FeatureEngineering)
-            .is_some());
-        assert_eq!(run.matrix.dataset.n_rows(), run.matrix.observations.len());
-        runs.push((
-            observations_fingerprint(&run.matrix.observations),
-            dataset_fingerprint(&run.matrix.dataset),
-            run,
-        ));
-    }
-    // Sequential engine ≡ parallel engine ≡ the direct (unstaged) calls.
-    assert_eq!(runs[0].0, runs[1].0);
-    assert_eq!(runs[0].1, runs[1].1);
+    let run = PipelineEngine.run_to_dataset(&world, &options, &features);
+    // All eight stages timed, the two dataset stages last.
+    assert_eq!(run.report.stages.len(), 8);
+    let last: Vec<&str> = run.report.stages[6..].iter().map(|s| s.name).collect();
+    assert_eq!(last, ["label_construction", "feature_engineering"]);
+    assert_eq!(run.matrix.dataset.n_rows(), run.matrix.observations.len());
+    // The engine ≡ the direct (unstaged) calls on the sequential schedule.
     let ctx = AnalysisContext::prepare(&world);
     let labels = ctx.build_labels_with(&world, &options, LabelMode::Sequential);
     let matrix = build_features_with(&world, &ctx, &labels, &features, FeatureMode::Sequential);
-    assert_eq!(runs[0].0, observations_fingerprint(&labels));
-    assert_eq!(runs[0].1, dataset_fingerprint(&matrix.dataset));
+    assert_eq!(
+        observations_fingerprint(&run.matrix.observations),
+        observations_fingerprint(&labels)
+    );
+    assert_eq!(
+        dataset_fingerprint(&run.matrix.dataset),
+        dataset_fingerprint(&matrix.dataset)
+    );
 }

@@ -54,7 +54,7 @@ fn streamed_dataset_matches_materialised_on_every_schedule() {
     let features = FeatureConfig::default();
     for (name, config) in configs() {
         let world = SynthUs::generate(&config);
-        let materialised = PipelineEngine::sequential().run_to_dataset(&world, &options, &features);
+        let materialised = PipelineEngine.run_to_dataset(&world, &options, &features);
         let want_labels = observations_fingerprint(&materialised.matrix.observations);
         let want_dataset = dataset_fingerprint(&materialised.matrix.dataset);
         for mode in [GenMode::Sequential, GenMode::Parallel, GenMode::Threads(3)] {

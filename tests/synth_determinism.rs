@@ -14,8 +14,7 @@ use rand::{Rng, SeedableRng};
 use red_is_sus::synth::{GenMode, SynthConfig, SynthUs};
 
 fn fingerprint(config: &SynthConfig, mode: GenMode) -> u64 {
-    let (world, report) = SynthUs::generate_with(config, mode).expect("valid config");
-    assert_eq!(report.mode, mode);
+    let (world, _) = SynthUs::generate_with(config, mode).expect("valid config");
     world.canonical_fingerprint()
 }
 

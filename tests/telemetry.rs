@@ -53,14 +53,14 @@ fn pipeline_and_server_share_one_scrapeable_registry() {
 
     // Layer 1: the staged pipeline records into the shared registry…
     let world = SynthUs::generate(&SynthConfig::tiny(7));
-    let observed = PipelineEngine::sequential().run_to_dataset_with(
+    let observed = PipelineEngine.run_to_dataset_with(
         &world,
         &LabelingOptions::default(),
         &FeatureConfig::default(),
         &telemetry,
     );
     // …without perturbing the run: same dataset as a silent run.
-    let silent = PipelineEngine::sequential().run_to_dataset(
+    let silent = PipelineEngine.run_to_dataset(
         &world,
         &LabelingOptions::default(),
         &FeatureConfig::default(),
@@ -82,10 +82,11 @@ fn pipeline_and_server_share_one_scrapeable_registry() {
     server.shutdown();
 
     for series in [
-        // Pipeline families…
-        "pipeline_stage_wall_seconds_count{stage=\"feature_engineering\"}",
-        "pipeline_stage_peak_resident_entries{stage=\"label_construction\"}",
-        "pipeline_dataset_runs_total 1",
+        // Pipeline families (the same `stream_*` series the streaming
+        // runner records)…
+        "stream_stage_wall_seconds_count{stage=\"feature_engineering\"} 1",
+        "stream_stage_peak_resident_entries{stage=\"label_construction\"}",
+        "stream_total_wall_seconds",
         // …and server families, one exposition. The /metrics request
         // itself is counted only after its body is built, so the scrape
         // sees just the /healthz hit.
