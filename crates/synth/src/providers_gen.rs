@@ -6,7 +6,7 @@
 //! any worker count. Claim computation consumes no randomness at all and is
 //! likewise fanned per provider.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use bdc::{Frn, LocationId, Provider, ProviderId, Technology};
 use rand::rngs::StdRng;
@@ -310,25 +310,33 @@ fn generate_regional(
 /// round-trip error; the only cost of slack is scanning a few extra towns.
 const MAX_BSL_SCATTER_KM: f64 = 10.01;
 
+/// Town blocks fetched, regenerated or distance-tested at once: one window of
+/// a claim scan's candidate visits, or of the fabric drain's towns. Every
+/// block of a window is resident together, so this stays at half the
+/// streaming cache's 64-block cap; a constant, so residency and regeneration
+/// counts never depend on the worker count.
+pub(crate) const TOWN_WINDOW: usize = 32;
+
 /// Per-town access to the fabric's contiguous BSL blocks — the only fabric
 /// access pruned claim scanning needs. The materialised path slices a
 /// resident [`bdc::Fabric`] ([`FabricTownBsls`]); the streaming path
 /// regenerates blocks on demand from the per-town RNG streams.
-pub trait TownBsls: Sync {
-    /// Visit town `town_index`'s BSLs in location-id order.
-    fn with_town(&self, town_index: usize, visit: &mut dyn FnMut(&[bdc::Bsl]));
+pub(crate) trait TownBsls {
+    /// The blocks of one window of visits: entry `i` holds town `towns[i]`'s
+    /// BSLs in location-id order (a town may appear more than once).
+    fn blocks(&mut self, towns: &[usize]) -> Vec<&[bdc::Bsl]>;
 }
 
 /// [`TownBsls`] over a resident fabric: town `i`'s block is the slice at its
 /// prefix-sum offset (the fabric stores BSLs in generation order).
-pub struct FabricTownBsls<'a> {
+struct FabricTownBsls<'a> {
     fabric: &'a bdc::Fabric,
     towns: &'a [Town],
     offsets: Vec<u64>,
 }
 
 impl<'a> FabricTownBsls<'a> {
-    pub fn new(fabric: &'a bdc::Fabric, towns: &'a [Town]) -> Self {
+    fn new(fabric: &'a bdc::Fabric, towns: &'a [Town]) -> Self {
         let offsets = crate::fabric_gen::town_offsets(towns);
         let total: u64 = offsets
             .last()
@@ -348,10 +356,14 @@ impl<'a> FabricTownBsls<'a> {
 }
 
 impl TownBsls for FabricTownBsls<'_> {
-    fn with_town(&self, town_index: usize, visit: &mut dyn FnMut(&[bdc::Bsl])) {
-        let start = self.offsets[town_index] as usize;
-        let end = start + self.towns[town_index].n_bsls;
-        visit(&self.fabric.bsls()[start..end]);
+    fn blocks(&mut self, towns: &[usize]) -> Vec<&[bdc::Bsl]> {
+        towns
+            .iter()
+            .map(|&t| {
+                let start = self.offsets[t] as usize;
+                &self.fabric.bsls()[start..start + self.towns[t].n_bsls]
+            })
+            .collect()
     }
 }
 
@@ -388,29 +400,42 @@ pub fn compute_all_claims(
     workers: usize,
 ) -> BTreeMap<ProviderId, Vec<ClaimTruth>> {
     let scanner = ClaimScanner::new(towns);
-    let access = FabricTownBsls::new(fabric, towns);
     map_shards(workers, profiles, |_, p| {
-        (
-            p.provider.id,
-            compute_claims_with(p, &scanner, &access, config),
-        )
+        (p.provider.id, scan_fabric(p, &scanner, fabric, config))
     })
     .into_iter()
     .collect()
 }
 
 /// Compute the provider's location-level claims together with their ground
-/// truth, reading the fabric through a resident [`bdc::Fabric`]. Thin adapter
-/// over [`compute_claims_with`] for callers that hold a materialised world.
+/// truth, reading the fabric through a resident [`bdc::Fabric`].
 pub fn compute_claims(
     profile: &ProviderProfile,
     towns: &[Town],
     fabric: &bdc::Fabric,
     config: &SynthConfig,
 ) -> Vec<ClaimTruth> {
-    let scanner = ClaimScanner::new(towns);
-    let access = FabricTownBsls::new(fabric, towns);
-    compute_claims_with(profile, &scanner, &access, config)
+    scan_fabric(profile, &ClaimScanner::new(towns), fabric, config)
+}
+
+/// One provider's claims over a resident fabric, on the calling thread: the
+/// materialised path already fans out across providers.
+fn scan_fabric(
+    profile: &ProviderProfile,
+    scanner: &ClaimScanner,
+    fabric: &bdc::Fabric,
+    config: &SynthConfig,
+) -> Vec<ClaimTruth> {
+    let mut access = FabricTownBsls::new(fabric, scanner.towns);
+    compute_claims_observed(
+        profile,
+        scanner,
+        &mut access,
+        config,
+        1,
+        TOWN_WINDOW,
+        &mut |_, _, _| {},
+    )
 }
 
 /// Compute the provider's location-level claims together with their ground
@@ -424,27 +449,22 @@ pub fn compute_claims(
 /// maximum BSL scatter) can contain a claimable BSL, so only their blocks
 /// are visited — in town-index order, which keeps the claim list bit-identical
 /// to a full state scan while touching a tiny fraction of a national fabric.
-pub fn compute_claims_with(
+///
+/// Visits are taken `window` at a time: `bsls` supplies the window's blocks,
+/// the in-radius tests fan across `workers`, and the `seen` dedup, the claim
+/// push and `observe` run on the calling thread in visit order — so the claim
+/// list is the same for every `workers` and `window`. `observe` sees every
+/// claim the instant it is produced, together with its BSL and the index of
+/// the town block holding it: the hook the streaming world uses to capture
+/// each claim's hex and state during the scan.
+pub(crate) fn compute_claims_observed(
     profile: &ProviderProfile,
     scanner: &ClaimScanner,
-    bsls: &impl TownBsls,
+    bsls: &mut impl TownBsls,
     config: &SynthConfig,
-) -> Vec<ClaimTruth> {
-    compute_claims_observed(profile, scanner, bsls, config, &mut |_, _| {})
-}
-
-/// [`compute_claims_with`] with a claim observer: `observe` sees every claim
-/// the instant it is produced, *together with the BSL it refers to* — the
-/// hook the streaming national-scale world uses to capture each claim's hex
-/// and state during the scan, instead of re-resolving locations against a
-/// materialised fabric afterwards. The claim list returned is bit-identical
-/// to [`compute_claims_with`]; the observer only watches.
-pub fn compute_claims_observed(
-    profile: &ProviderProfile,
-    scanner: &ClaimScanner,
-    bsls: &impl TownBsls,
-    config: &SynthConfig,
-    observe: &mut dyn FnMut(&ClaimTruth, &bdc::Bsl),
+    workers: usize,
+    window: usize,
+    observe: &mut dyn FnMut(&ClaimTruth, &bdc::Bsl, usize),
 ) -> Vec<ClaimTruth> {
     let towns = scanner.towns;
     let mut claims = Vec::new();
@@ -466,48 +486,73 @@ pub fn compute_claims_observed(
     }
     for deployment in &profile.deployments {
         let claim_radius = deployment.true_radius_km * multiplier;
-        let mut seen: std::collections::HashSet<LocationId> = std::collections::HashSet::new();
-        for &(town_idx, is_phantom) in &scan_towns {
-            let town = &towns[town_idx];
+        let phantom_radius = deployment.true_radius_km.max(4.0);
+        // `(scan town, candidate town, is_phantom)` in scan order, produced
+        // lazily one window at a time.
+        let mut visits = scan_towns.iter().flat_map(|&(town_idx, is_phantom)| {
+            let center = towns[town_idx].center;
             // Widest radius at which this scan can claim a BSL; anything in a
             // town whose centre is further than reach can never be claimed
             // (triangle inequality on the great-circle metric).
             let claim_reach = if is_phantom {
-                deployment.true_radius_km.max(4.0)
+                phantom_radius
             } else {
                 claim_radius
             };
             let reach = claim_reach + MAX_BSL_SCATTER_KM;
-            for &cand in &scanner.state_towns[town.state.as_str()] {
-                if towns[cand].center.haversine_km(&town.center) > reach {
-                    continue;
-                }
-                bsls.with_town(cand, &mut |block| {
-                    for bsl in block {
-                        if seen.contains(&bsl.id) {
-                            continue;
-                        }
-                        let dist = town.center.haversine_km(&bsl.position);
-                        let (truly_served, claimed) = if is_phantom {
-                            (false, dist <= deployment.true_radius_km.max(4.0))
-                        } else {
-                            (dist <= deployment.true_radius_km, dist <= claim_radius)
-                        };
-                        if claimed {
-                            seen.insert(bsl.id);
-                            let claim = ClaimTruth {
-                                location: bsl.id,
-                                technology: deployment.technology,
-                                truly_served,
-                                max_down_mbps: deployment.max_down_mbps,
-                                max_up_mbps: deployment.max_up_mbps,
-                                low_latency: deployment.low_latency,
-                            };
-                            observe(&claim, bsl);
-                            claims.push(claim);
-                        }
+            scanner.state_towns[towns[town_idx].state.as_str()]
+                .iter()
+                .filter(move |&&cand| towns[cand].center.haversine_km(&center) <= reach)
+                .map(move |&cand| (town_idx, cand, is_phantom))
+        });
+        // Locations claimed so far: one bit per BSL of each visited block.
+        let mut seen: HashMap<usize, Vec<u64>> = HashMap::new();
+        loop {
+            let batch: Vec<(usize, usize, bool)> = visits.by_ref().take(window).collect();
+            if batch.is_empty() {
+                break;
+            }
+            let candidates: Vec<usize> = batch.iter().map(|&(_, cand, _)| cand).collect();
+            let blocks = bsls.blocks(&candidates);
+            // Per visit, the in-radius BSLs as (index in block, truly served).
+            let hits = map_shards(workers, &batch, |i, &(town_idx, _, is_phantom)| {
+                let center = towns[town_idx].center;
+                let mut hits: Vec<(usize, bool)> = Vec::new();
+                for (j, bsl) in blocks[i].iter().enumerate() {
+                    let dist = center.haversine_km(&bsl.position);
+                    let (truly_served, claimed) = if is_phantom {
+                        (false, dist <= phantom_radius)
+                    } else {
+                        (dist <= deployment.true_radius_km, dist <= claim_radius)
+                    };
+                    if claimed {
+                        hits.push((j, truly_served));
                     }
-                });
+                }
+                hits
+            });
+            for ((block, &cand), hits) in blocks.iter().zip(&candidates).zip(hits) {
+                let seen = seen
+                    .entry(cand)
+                    .or_insert_with(|| vec![0; block.len().div_ceil(64)]);
+                for (j, truly_served) in hits {
+                    let bit = 1u64 << (j % 64);
+                    if seen[j / 64] & bit != 0 {
+                        continue;
+                    }
+                    seen[j / 64] |= bit;
+                    let bsl = &block[j];
+                    let claim = ClaimTruth {
+                        location: bsl.id,
+                        technology: deployment.technology,
+                        truly_served,
+                        max_down_mbps: deployment.max_down_mbps,
+                        max_up_mbps: deployment.max_up_mbps,
+                        low_latency: deployment.low_latency,
+                    };
+                    observe(&claim, bsl, cand);
+                    claims.push(claim);
+                }
             }
         }
     }

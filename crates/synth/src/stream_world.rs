@@ -7,8 +7,8 @@
 //! locations at the national scale, far past any sensible budget. This module
 //! runs the same generators shard-by-shard instead:
 //!
-//! * The fabric is drained once through [`FabricEmitter`] into a [`HexTable`]
-//!   — per-hex BSL counts and state tallies, the only fabric facts any
+//! * The fabric is regenerated once, town by town, into a [`HexTable`] —
+//!   per-hex BSL counts and state tallies, the only fabric facts any
 //!   downstream stage consults (it implements [`bdc::FabricView`], so label
 //!   and feature construction run unchanged). Individual BSLs can still be
 //!   resolved on demand by regenerating their town's shard from its
@@ -19,23 +19,27 @@
 //!   everything the pipeline needs downstream: challenge waves, corrections,
 //!   the [`RemovalSchedule`], per-hex claim aggregates, served-hex sets and
 //!   distinct-location counts.
+//! * Both stages that regenerate town blocks — the hex-table build and the
+//!   claim scans — take them in fixed windows: worker threads regenerate and
+//!   distance-test a window's blocks, and the calling thread folds the
+//!   results in the sequential order.
 //! * Every collection the orchestrator holds is accounted against a shared
 //!   [`ResidencyMeter`]; each stage's peak is checked against
 //!   [`SynthConfig::max_resident_entries`] and the run fails loudly on the
-//!   first stage that exceeds the budget.
+//!   first stage that exceeds the budget. Only the calling thread meters, so
+//!   every stage's peak and shard count are the same on every schedule.
 //!
 //! Determinism contract: every artefact this module produces is bit-identical
 //! to the corresponding artefact of the materialised world — same RNG streams
 //! per `(seed, stage, shard)`, same iteration orders, same float accumulation
 //! orders. `tests/streaming_world.rs` pins the equivalence on small worlds.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 use asnmap::{FrnRegistration, RegistrationSource, WhoisDb};
 use bdc::source::{end_stage, SourceMeta, WorldSource};
-use bdc::stream::{drain_shards, map_shards, speed_pair_wins, ResidencyMeter};
+use bdc::stream::{map_shards, speed_pair_wins, ResidencyMeter};
 use bdc::{
     Bsl, Challenge, ClaimChange, ClaimChangeKind, DayStamp, FabricView, HexClaim, LocationId,
     NbmRelease, ProviderId, ReleaseVersion, Technology,
@@ -48,9 +52,10 @@ use crate::activity_gen::{
     LATER_WAVE_CHUNK,
 };
 use crate::config::SynthConfig;
-use crate::fabric_gen::{generate_towns, town_bsls, town_offsets, FabricEmitter, Town};
+use crate::fabric_gen::{generate_towns, town_bsls, town_offsets, Town};
 use crate::providers_gen::{
     compute_claims_observed, generate_providers, ClaimScanner, ProviderProfile, TownBsls,
+    TOWN_WINDOW,
 };
 use crate::registration_gen::{generate_registrations, RegistrationData};
 use crate::release_stream::RemovalSchedule;
@@ -59,8 +64,9 @@ use crate::shard::GenMode;
 /// Per-`(hex, technology)` release-aggregate accumulator for one provider:
 /// best `(down, up)` speed pair, low-latency flag, distinct-location count —
 /// the same fold `NbmRelease::from_records` runs, kept per provider so
-/// location-level claims never outlive the provider's scan.
-type HexTechAgg = BTreeMap<(HexCell, Technology), (Option<(f64, f64)>, bool, u32)>;
+/// location-level claims never outlive the provider's scan. Drained in sorted
+/// key order.
+type HexTechAgg = HashMap<(HexCell, Technology), (Option<(f64, f64)>, bool, u32)>;
 
 // The stage/report rows and the budget-enforcing `end_stage` now live in
 // `bdc::source` (they are shared by every `WorldSource`); re-exported here so
@@ -84,6 +90,8 @@ pub struct HexTable {
     hexes: Vec<(HexCell, u32, bool)>,
     /// Interned state codes; indices are stable for the table's lifetime.
     state_names: Vec<String>,
+    /// Interned state of each town (every BSL carries its town's state).
+    town_states: Vec<u16>,
     /// CSR offsets into `state_items`, one extra entry at the end.
     state_offsets: Vec<u32>,
     /// `(state_index, bsl_count)` runs per hex.
@@ -95,40 +103,68 @@ pub struct HexTable {
 }
 
 impl HexTable {
-    /// Drain the fabric stream once and fold it into the table. `towns` must
-    /// be the town list the fabric is generated from.
-    fn build(config: &SynthConfig, towns: Vec<Town>, meter: &ResidencyMeter) -> Self {
+    /// Regenerate the fabric once, town by town, and fold it into the table.
+    /// `towns` must be the town list the fabric is generated from. Towns are
+    /// taken `window` at a time: `workers` threads regenerate them and reduce
+    /// each to per-hex counts, and the calling thread merges them in town
+    /// order and does all the metering.
+    fn build(
+        config: &SynthConfig,
+        towns: Vec<Town>,
+        workers: usize,
+        window: usize,
+        meter: &ResidencyMeter,
+    ) -> Self {
         let offsets = town_offsets(&towns);
         let mut accum: HashMap<HexCell, (u32, Vec<(u16, u32)>)> = HashMap::new();
-        let mut state_index: BTreeMap<String, u16> = BTreeMap::new();
         let mut state_names: Vec<String> = Vec::new();
+        let mut town_states: Vec<u16> = Vec::with_capacity(towns.len());
         let mut metered = 0usize;
-        {
-            let emitter = FabricEmitter::new(config, &towns);
-            drain_shards(&emitter, meter, |_, shard| {
-                for bsl in &shard {
-                    let si = match state_index.get(bsl.state.as_str()) {
-                        Some(&i) => i,
-                        None => {
-                            let i = state_names.len() as u16;
-                            state_index.insert(bsl.state.clone(), i);
-                            state_names.push(bsl.state.clone());
-                            i
-                        }
-                    };
-                    let slot = accum.entry(bsl.hex).or_insert_with(|| (0, Vec::new()));
-                    slot.0 += 1;
-                    match slot.1.iter_mut().find(|(s, _)| *s == si) {
-                        Some((_, c)) => *c += 1,
-                        None => slot.1.push((si, 1)),
+        for (w, batch) in towns.chunks(window).enumerate() {
+            // Charge every block of the window up front: however the workers
+            // are scheduled, they never hold more at once.
+            let blocks: usize = batch.iter().map(|t| t.n_bsls).sum();
+            meter.acquire(blocks);
+            let counts = map_shards(workers, batch, |i, town| {
+                let t = w * window + i;
+                let mut hexes: Vec<HexCell> = town_bsls(config, t, town, offsets[t] + 1)
+                    .iter()
+                    .map(|b| b.hex)
+                    .collect();
+                hexes.sort_unstable();
+                let mut counts: Vec<(HexCell, u32)> = Vec::new();
+                for hex in hexes {
+                    match counts.last_mut() {
+                        Some((last, n)) if *last == hex => *n += 1,
+                        _ => counts.push((hex, 1)),
                     }
                 }
-                // Two entries per occupied hex: the count row and (almost
-                // always exactly) one state run.
-                let now = 2 * accum.len();
-                meter.acquire(now - metered);
-                metered = now;
+                counts
             });
+            for (town, counts) in batch.iter().zip(counts) {
+                let si = match state_names.iter().position(|s| *s == town.state) {
+                    Some(i) => i as u16,
+                    None => {
+                        state_names.push(town.state.clone());
+                        (state_names.len() - 1) as u16
+                    }
+                };
+                town_states.push(si);
+                for (hex, n) in counts {
+                    let slot = accum.entry(hex).or_insert_with(|| (0, Vec::new()));
+                    slot.0 += n;
+                    match slot.1.iter_mut().find(|(s, _)| *s == si) {
+                        Some((_, c)) => *c += n,
+                        None => slot.1.push((si, n)),
+                    }
+                }
+            }
+            // Two entries per occupied hex: the count row and (almost
+            // always exactly) one state run.
+            let now = 2 * accum.len();
+            meter.acquire(now - metered);
+            metered = now;
+            meter.release(blocks);
         }
         let total_locations = offsets
             .last()
@@ -151,7 +187,7 @@ impl HexTable {
         // Swap the accumulator's metering for the final arrays' (towns and
         // offsets are pinned by the caller when the town stage runs).
         meter.release(metered);
-        meter.pin(hexes.len() + state_items.len());
+        meter.pin(hexes.len() + state_items.len() + town_states.len());
 
         Self {
             config: *config,
@@ -160,6 +196,7 @@ impl HexTable {
             total_locations,
             hexes,
             state_names,
+            town_states,
             state_offsets,
             state_items,
             loc_hex: HashMap::new(),
@@ -193,12 +230,9 @@ impl HexTable {
         self.hexes.len()
     }
 
-    /// Interned index of a state code, if any BSL carried it.
-    fn state_id(&self, state: &str) -> Option<u16> {
-        self.state_names
-            .iter()
-            .position(|s| s == state)
-            .map(|i| i as u16)
+    /// Interned index of the state of town `town_index`'s BSLs.
+    fn town_state(&self, town_index: usize) -> u16 {
+        self.town_states[town_index]
     }
 
     /// The state code behind an interned index.
@@ -211,7 +245,7 @@ impl HexTable {
     }
 
     /// Mark every hex in `served` as genuinely served by some provider.
-    fn set_served(&mut self, served: &BTreeSet<HexCell>) {
+    fn set_served(&mut self, served: &HashSet<HexCell>) {
         for hex in served {
             if let Ok(i) = self.hexes.binary_search_by(|e| e.0.cmp(hex)) {
                 self.hexes[i].2 = true;
@@ -266,23 +300,25 @@ impl FabricView for HexTable {
     }
 }
 
-/// [`TownBsls`] that regenerates town shards on demand, with a small LRU
+/// [`TownBsls`] that regenerates town blocks on demand, with a small LRU
 /// cache: claim scans revisit the same neighbour towns across deployments and
-/// consecutive footprint towns, so a few resident blocks absorb most repeat
-/// visits. Cached entries are metered; the cache is capped in entries.
+/// consecutive footprint towns, so resident blocks absorb some repeat visits.
+/// Cached entries are metered; the cache is capped in entries. A window's
+/// missing blocks are regenerated across `workers` threads, but every cache
+/// decision and meter call happens on the calling thread, so residency and
+/// the regeneration count are the same on every schedule.
 struct CachedTownBsls<'a> {
     config: &'a SynthConfig,
     towns: &'a [Town],
     offsets: &'a [u64],
     meter: &'a ResidencyMeter,
+    workers: usize,
     cap: usize,
-    cache: Mutex<TownCache>,
-}
-
-#[derive(Default)]
-struct TownCache {
     tick: u64,
     resident: usize,
+    /// Blocks regenerated so far (the regulatory pass's shard count).
+    regenerated: usize,
+    /// Resident blocks by town index, with their last-use tick.
     blocks: HashMap<usize, (u64, Vec<Bsl>)>,
 }
 
@@ -292,6 +328,7 @@ impl<'a> CachedTownBsls<'a> {
         towns: &'a [Town],
         offsets: &'a [u64],
         meter: &'a ResidencyMeter,
+        workers: usize,
     ) -> Self {
         // Up to 64 resident town blocks (at least one): enough to cover a
         // footprint town plus every neighbour within claim reach many times
@@ -302,52 +339,63 @@ impl<'a> CachedTownBsls<'a> {
             towns,
             offsets,
             meter,
+            workers,
             cap,
-            cache: Mutex::new(TownCache::default()),
+            tick: 0,
+            resident: 0,
+            regenerated: 0,
+            blocks: HashMap::new(),
         }
     }
 }
 
 impl TownBsls for CachedTownBsls<'_> {
-    fn with_town(&self, town_index: usize, visit: &mut dyn FnMut(&[Bsl])) {
-        let mut cache = self.cache.lock().expect("town cache poisoned");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((stamp, block)) = cache.blocks.get_mut(&town_index) {
-            *stamp = tick;
-            visit(block);
-            return;
+    fn blocks(&mut self, towns: &[usize]) -> Vec<&[Bsl]> {
+        let mut missing: Vec<usize> = Vec::new();
+        for &t in towns {
+            if !self.blocks.contains_key(&t) && !missing.contains(&t) {
+                missing.push(t);
+            }
         }
-        let block = town_bsls(
-            self.config,
-            town_index,
-            &self.towns[town_index],
-            self.offsets[town_index] + 1,
-        );
-        self.meter.acquire(block.len());
-        cache.resident += block.len();
-        cache.blocks.insert(town_index, (tick, block));
-        while cache.resident > self.cap && cache.blocks.len() > 1 {
-            let oldest = *cache
+        // Make room first, evicting least recently used blocks outside this
+        // window, so the cache holds no more than its cap (or one window).
+        let need: usize = missing.iter().map(|&t| self.towns[t].n_bsls).sum();
+        while self.resident + need > self.cap {
+            let Some(oldest) = self
                 .blocks
                 .iter()
-                .filter(|(&i, _)| i != town_index)
+                .filter(|(t, _)| !towns.contains(t))
                 .min_by_key(|(_, (stamp, _))| *stamp)
-                .expect("len > 1 so another block exists")
-                .0;
-            let (_, evicted) = cache.blocks.remove(&oldest).expect("key just found");
-            cache.resident -= evicted.len();
+                .map(|(&t, _)| t)
+            else {
+                break;
+            };
+            let (_, evicted) = self.blocks.remove(&oldest).expect("key just found");
+            self.resident -= evicted.len();
             self.meter.release(evicted.len());
         }
-        visit(&cache.blocks[&town_index].1);
+        let (config, all_towns, offsets) = (self.config, self.towns, self.offsets);
+        let fresh = map_shards(self.workers, &missing, |_, &t| {
+            town_bsls(config, t, &all_towns[t], offsets[t] + 1)
+        });
+        self.meter.acquire(need);
+        self.resident += need;
+        self.regenerated += missing.len();
+        for (t, block) in missing.into_iter().zip(fresh) {
+            self.blocks.insert(t, (0, block));
+        }
+        for &t in towns {
+            self.tick += 1;
+            self.blocks.get_mut(&t).expect("window block is resident").0 = self.tick;
+        }
+        towns.iter().map(|t| self.blocks[t].1.as_slice()).collect()
     }
 }
 
 impl Drop for CachedTownBsls<'_> {
     fn drop(&mut self) {
-        let cache = self.cache.get_mut().expect("town cache poisoned");
-        self.meter.release(cache.resident);
-        cache.resident = 0;
+        self.meter.release(self.resident);
+        self.resident = 0;
     }
 }
 
@@ -386,8 +434,18 @@ impl StreamWorld {
     /// config is invalid or any stage's peak residency exceeds
     /// [`SynthConfig::max_resident_entries`].
     pub fn generate(config: &SynthConfig, mode: GenMode) -> Result<Self, String> {
+        Self::generate_in_windows(config, mode.worker_count(), TOWN_WINDOW)
+    }
+
+    /// [`StreamWorld::generate`] on `workers` threads with town blocks
+    /// regenerated `window` at a time; tests vary the window to pin that
+    /// neither it nor the worker count changes any output.
+    fn generate_in_windows(
+        config: &SynthConfig,
+        workers: usize,
+        window: usize,
+    ) -> Result<Self, String> {
         config.validate()?;
-        let workers = mode.worker_count();
         let budget = config.max_resident_entries;
         let meter = ResidencyMeter::new();
         let mut stages: Vec<StreamStage> = Vec::new();
@@ -400,9 +458,9 @@ impl StreamWorld {
         let n_towns = towns.len();
         end_stage(&mut stages, &meter, budget, "towns", s, n_towns)?;
 
-        // One full drain of the fabric stream into the hex table.
+        // One full regeneration of the fabric into the hex table.
         let s = Instant::now();
-        let mut hex_table = HexTable::build(config, towns, &meter);
+        let mut hex_table = HexTable::build(config, towns, workers, window, &meter);
         end_stage(&mut stages, &meter, budget, "fabric_hex_table", s, n_towns)?;
 
         // Provider profiles (footprints, styles, methodologies).
@@ -418,7 +476,7 @@ impl StreamWorld {
         let mut schedule = RemovalSchedule::new(config.n_minor_releases);
         let mut challenges: Vec<Challenge> = Vec::new();
         let mut hex_claims: Vec<HexClaim> = Vec::new();
-        let mut served_all: BTreeSet<HexCell> = BTreeSet::new();
+        let mut served_all: HashSet<HexCell> = HashSet::new();
         let mut served_hexes_by_provider: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
         let mut claims_count: BTreeMap<ProviderId, usize> = BTreeMap::new();
         let mut methodologies: BTreeMap<ProviderId, String> = BTreeMap::new();
@@ -428,10 +486,17 @@ impl StreamWorld {
 
         let mut order: Vec<usize> = (0..profiles.len()).collect();
         order.sort_by_key(|&i| profiles[i].provider.id);
-        {
+        // Providers stay sequential: scanning two at once would hold both
+        // transient claim sets, and the two majors' sets set the run's peak.
+        let regenerated = {
             let scanner = ClaimScanner::new(hex_table.towns());
-            let town_blocks =
-                CachedTownBsls::new(config, hex_table.towns(), hex_table.offsets(), &meter);
+            let mut town_blocks = CachedTownBsls::new(
+                config,
+                hex_table.towns(),
+                hex_table.offsets(),
+                &meter,
+                workers,
+            );
             for &pi in &order {
                 let profile = &profiles[pi];
                 let pid = profile.provider.id;
@@ -442,19 +507,18 @@ impl StreamWorld {
                 // aggregates and served-hex sets in the observer so no second
                 // pass over the claims is ever needed.
                 let mut geo: Vec<(HexCell, u16)> = Vec::new();
-                let mut agg: HexTechAgg = BTreeMap::new();
-                let mut served_p: BTreeSet<HexCell> = BTreeSet::new();
+                let mut agg: HexTechAgg = HashMap::new();
+                let mut served_p: HashSet<HexCell> = HashSet::new();
                 let claims = compute_claims_observed(
                     profile,
                     &scanner,
-                    &town_blocks,
+                    &mut town_blocks,
                     config,
-                    &mut |claim, bsl| {
+                    workers,
+                    window,
+                    &mut |claim, bsl, town| {
                         meter.acquire(2); // the claim row + its geometry row
-                        let state = hex_table
-                            .state_id(bsl.state.as_str())
-                            .expect("every BSL state was interned during the fabric drain");
-                        geo.push((bsl.hex, state));
+                        geo.push((bsl.hex, hex_table.town_state(town)));
                         let before = agg.len();
                         {
                             let slot = agg
@@ -539,10 +603,12 @@ impl StreamWorld {
 
                 // Fold the provider's per-hex aggregates into the global claim
                 // table. `(provider, hex, tech)` keys order by provider first,
-                // so appending per-provider BTreeMap drains in provider order
+                // so appending per-provider sorted drains in provider order
                 // reproduces the materialised release's global group order.
                 let agg_len = agg.len();
-                for ((hex, technology), (best, low_latency, locations)) in agg {
+                let mut rows: Vec<_> = agg.into_iter().collect();
+                rows.sort_unstable_by_key(|&(key, _)| key);
+                for ((hex, technology), (best, low_latency, locations)) in rows {
                     let (max_down_mbps, max_up_mbps) = best.unwrap_or((0.0, 0.0));
                     hex_claims.push(HexClaim {
                         provider: pid,
@@ -559,7 +625,7 @@ impl StreamWorld {
                 meter.release(agg_len * 2);
 
                 if !served_p.is_empty() {
-                    served_hexes_by_provider.insert(pid, served_p);
+                    served_hexes_by_provider.insert(pid, served_p.into_iter().collect());
                 }
 
                 // Meter the slow-growing global side tables.
@@ -568,14 +634,15 @@ impl StreamWorld {
                 meter.pin(schedule.len() - sched_metered);
                 sched_metered = schedule.len();
             }
-        }
+            town_blocks.regenerated
+        };
         end_stage(
             &mut stages,
             &meter,
             budget,
             "regulatory_pass",
             s,
-            profiles.len(),
+            regenerated,
         )?;
 
         // The later challenge wave: fixed global chunks over the concatenated
@@ -886,6 +953,87 @@ mod tests {
             .stages
             .iter()
             .all(|s| s.peak_resident_entries > 0));
+    }
+
+    #[test]
+    fn windows_and_workers_change_no_output_and_no_accounting() {
+        // The plain tiny world has only 55 towns, so one window holds a large
+        // share of its BSLs and the hex-table peak shows whether the window
+        // was charged. With 50-BSL towns the majors' footprints visit far
+        // more than the cache's 64 blocks, so eviction runs inside the
+        // windows too.
+        let evicting = SynthConfig {
+            n_bsls: 20_000,
+            bsls_per_town: 50,
+            ..SynthConfig::tiny(84)
+        };
+        let rows = |w: &StreamWorld| -> Vec<(&'static str, usize, usize)> {
+            w.report
+                .stages
+                .iter()
+                .map(|s| (s.name, s.shards, s.peak_resident_entries))
+                .collect()
+        };
+        for (config, evicts) in [(SynthConfig::tiny(84), false), (evicting, true)] {
+            let reference =
+                StreamWorld::generate(&config, GenMode::Sequential).expect("streamed synth");
+            let regenerated = reference.report.stage("regulatory_pass").unwrap().shards;
+            assert_eq!(
+                regenerated > reference.hex_table.towns().len(),
+                evicts,
+                "{regenerated} blocks regenerated"
+            );
+            for window in [1, 7, TOWN_WINDOW] {
+                let mut accounting = None;
+                for workers in [1, 2, 3] {
+                    let got = StreamWorld::generate_in_windows(&config, workers, window)
+                        .expect("streamed synth");
+                    let at = format!(
+                        "{} BSLs a town, window {window}, {workers} workers",
+                        config.bsls_per_town
+                    );
+                    assert_eq!(
+                        got.initial_release.hex_claims(),
+                        reference.initial_release.hex_claims(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        got.hex_table.entries(),
+                        reference.hex_table.entries(),
+                        "{at}"
+                    );
+                    assert_eq!(got.challenges, reference.challenges, "{at}");
+                    assert_eq!(got.later_challenges, reference.later_challenges, "{at}");
+                    assert_eq!(got.removal_evidence, reference.removal_evidence, "{at}");
+                    assert_eq!(
+                        got.served_hexes_by_provider, reference.served_hexes_by_provider,
+                        "{at}"
+                    );
+                    // A window's blocks stay charged until its counts are
+                    // merged into the accumulator (two entries per occupied
+                    // hex), so the hex-table peak covers the full table plus
+                    // the last window's blocks, however the workers ran.
+                    let peak = |stage| got.report.stage(stage).unwrap().peak_resident_entries;
+                    let towns = got.hex_table.towns();
+                    let last_window: usize = towns[(towns.len() - 1) / window * window..]
+                        .iter()
+                        .map(|t| t.n_bsls)
+                        .sum();
+                    assert!(
+                        peak("fabric_hex_table")
+                            >= peak("towns") + 2 * got.hex_table.occupied_hexes() + last_window,
+                        "{at}"
+                    );
+                    // The window decides the accounting; the worker count never.
+                    let got_rows = rows(&got);
+                    let want = accounting.get_or_insert_with(|| got_rows.clone());
+                    assert_eq!(&got_rows, want, "{at}");
+                }
+                if window == TOWN_WINDOW {
+                    assert_eq!(accounting, Some(rows(&reference)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! `--json` replaces the human-readable table with one machine-readable
 //! JSON document on stdout (including the metrics-registry snapshot);
 //! `--trace-out FILE` appends the run's JSONL trace events (per-stage spans
-//! plus strided per-shard drain events) to FILE.
+//! plus strided per-shard drain events) to FILE. `--out FILE` writes each
+//! stage's wall, shard count and peak as `BENCH_*.json` metrics, stamped with
+//! the host's `nproc` and the commit (`git rev-parse HEAD`, with `-dirty`
+//! when tracked files differ from it, or `unknown` outside a checkout).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -148,6 +151,11 @@ fn main() {
                 "ms",
             );
             push(
+                &format!("{}_shards", stage.name),
+                stage.shards as f64,
+                "shards",
+            );
+            push(
                 &format!("{}_peak_resident", stage.name),
                 stage.peak_resident_entries as f64,
                 "entries",
@@ -160,13 +168,43 @@ fn main() {
             "entries",
         );
         push("dataset_rows", run.matrix.dataset.n_rows() as f64, "rows");
-        let bench_json =
-            format!("{{\n  \"benchmarks\": [],\n  \"metrics\": [\n{metrics}\n  ]\n}}\n");
+        // Stamp the host and the code, so records from different machines
+        // or commits are never compared as if they were one series.
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let bench_json = format!(
+            "{{\n  \"nproc\": {nproc},\n  \"commit\": \"{}\",\n  \"benchmarks\": [],\n  \"metrics\": [\n{metrics}\n  ]\n}}\n",
+            commit()
+        );
         std::fs::write(&path, bench_json).unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         });
         // stderr so `--json` stdout stays one parseable document.
         eprintln!("wrote {path}");
+    }
+}
+
+/// `git rev-parse HEAD` of the working directory, suffixed `-dirty` when
+/// tracked files differ from it, or `unknown` outside a checkout.
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|text| text.trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(sha) if !sha.is_empty() => {
+            let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+            if status.is_some_and(|s| !s.is_empty()) {
+                format!("{sha}-dirty")
+            } else {
+                sha
+            }
+        }
+        _ => "unknown".into(),
     }
 }

@@ -12,7 +12,7 @@ use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelingOptions};
 use red_is_sus::core::pipeline::PipelineEngine;
 use red_is_sus::core::streaming::run_synth_streaming_to_dataset;
-use red_is_sus::synth::{GenMode, StreamWorld, SynthConfig, SynthUs};
+use red_is_sus::synth::{GenMode, StreamReport, StreamWorld, SynthConfig, SynthUs};
 
 /// The two scales the contract is pinned at: the unit-test world and the
 /// benchmark harness's experiment world.
@@ -23,14 +23,46 @@ fn configs() -> [(&'static str, SynthConfig); 2] {
     ]
 }
 
+/// `(name, shards, peak)` of every source stage: the accounting a schedule
+/// must not change.
+fn stage_rows(report: &StreamReport) -> Vec<(&'static str, usize, usize)> {
+    report
+        .stages
+        .iter()
+        .map(|s| (s.name, s.shards, s.peak_resident_entries))
+        .collect()
+}
+
 #[test]
 fn streamed_world_matches_materialised_on_every_schedule() {
     for (name, config) in configs() {
         let world = SynthUs::generate(&config);
         let reference = world.initial_release();
-        for mode in [GenMode::Sequential, GenMode::Parallel, GenMode::Threads(3)] {
+        let sequential = StreamWorld::generate(&config, GenMode::Sequential)
+            .unwrap_or_else(|e| panic!("{name} under Sequential: {e}"));
+        for mode in [
+            GenMode::Sequential,
+            GenMode::Parallel,
+            GenMode::Threads(2),
+            GenMode::Threads(3),
+        ] {
             let streamed = StreamWorld::generate(&config, mode)
                 .unwrap_or_else(|e| panic!("{name} under {mode:?}: {e}"));
+            // Schedules may not change the accounting either: the regulatory
+            // pass's regeneration count and every stage's peak repeat.
+            assert_eq!(
+                streamed.removal_evidence, sequential.removal_evidence,
+                "{name}: removal evidence differs under {mode:?}"
+            );
+            assert_eq!(
+                streamed.served_hexes_by_provider, sequential.served_hexes_by_provider,
+                "{name}: served hexes differ under {mode:?}"
+            );
+            assert_eq!(
+                stage_rows(&streamed.report),
+                stage_rows(&sequential.report),
+                "{name}: stage shards or peaks differ under {mode:?}"
+            );
             assert_eq!(
                 streamed.initial_release.hex_claims(),
                 reference.hex_claims(),
