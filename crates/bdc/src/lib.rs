@@ -38,10 +38,10 @@ pub use nbm::{ClaimKey, HexClaim, NbmRelease, ReleaseVersion};
 pub use provider::{Provider, ProviderRegistry};
 pub use source::{EmptyStream, SourceMeta, StreamReport, StreamStage, WorldSource};
 pub use stream::{
-    collect_shards, diff_releases, drain_shards, map_shards, ClaimEntry, ClaimStream, DiffChain,
-    DiffMode, DiffOutcome, DiffPairReport, FabricStream, MeterInstruments, ReleaseStream,
-    ResidencyMeter, ShardStream, ShardableRelease, SortedClaimStream, SpeedTestStream, StreamStats,
-    StreamingDiff, DEFAULT_DIFF_CHUNK,
+    collect_shards, diff_releases, drain_shards, map_shards, ClaimEntry, DiffChain, DiffMode,
+    DiffOutcome, DiffPairReport, MeterInstruments, ReleaseStream, ResidencyMeter, ShardStream,
+    ShardableRelease, SortedClaimStream, SpeedTestStream, StreamStats, StreamingDiff,
+    DEFAULT_DIFF_CHUNK,
 };
 pub use tech::Technology;
 pub use time::DayStamp;

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 use obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::diff::{ClaimChange, ClaimChangeKind, MapDiff};
-use crate::fabric::Bsl;
 use crate::filing::AvailabilityRecord;
 use crate::ids::ProviderId;
 use crate::nbm::{ClaimKey, ReleaseVersion};
@@ -333,8 +332,8 @@ impl ResidencyMeter {
 
 /// A source of data that is *regenerated or read shard-by-shard on demand*
 /// instead of being stored: the `ReleaseEmitter` pattern generalised. A shard
-/// is an indexed, self-contained batch (one town's BSLs, one provider's
-/// claims, one hex's speed-test tile); calling [`ShardStream::shard`] twice
+/// is an indexed, self-contained batch (one hex's speed-test tile, one
+/// provider's MLab tests); calling [`ShardStream::shard`] twice
 /// with the same index yields the same bytes, so consumers may pull shards in
 /// any order, in parallel, or twice — scheduling is never semantic, exactly
 /// as with [`map_shards`].
@@ -358,23 +357,6 @@ pub trait ShardStream: Sync {
     fn resident_entries(&self) -> usize {
         0
     }
-}
-
-/// A shard-streamed view of the BSL fabric: one shard per town-like cluster,
-/// concatenating to the full fabric in location-id order.
-pub trait FabricStream: ShardStream<Item = Bsl> {
-    /// Total number of BSLs across all shards (u64: the national fabric and
-    /// beyond must not be clamped to a 32-bit count).
-    fn total_locations(&self) -> u64;
-}
-
-/// A shard-streamed view of location-level claims: one shard per provider,
-/// ascending by provider id, each shard claim-key-ordered — so concatenating
-/// all shards yields the sorted claim base of the initial release.
-pub trait ClaimStream: ShardStream<Item = ClaimEntry> {
-    /// Providers backing the shards, ascending; `providers()[i]` owns shard
-    /// `i`.
-    fn providers(&self) -> Vec<ProviderId>;
 }
 
 /// A shard-streamed source of speed-test records (Ookla tiles, MLab tests —
@@ -1303,12 +1285,6 @@ mod tests {
         }
     }
 
-    impl ClaimStream for GenClaims {
-        fn providers(&self) -> Vec<ProviderId> {
-            self.providers.clone()
-        }
-    }
-
     #[test]
     fn residency_meter_tracks_peak_across_acquire_release() {
         let m = ResidencyMeter::new();
@@ -1391,6 +1367,5 @@ mod tests {
             "peak {} exceeds one shard + backing state",
             meter.peak()
         );
-        assert_eq!(stream.providers().len(), 9);
     }
 }

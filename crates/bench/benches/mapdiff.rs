@@ -16,27 +16,48 @@
 //! BENCH_JSON=$PWD/BENCH_diff.json cargo bench -p redsus_bench --bench mapdiff
 //! ```
 
-use bdc::stream::{diff_releases, DiffChain, DiffMode, DEFAULT_DIFF_CHUNK};
-use bdc::MapDiff;
+use bdc::stream::{diff_releases, DiffChain, DiffMode, ShardableRelease, DEFAULT_DIFF_CHUNK};
+use bdc::{MapDiff, NbmRelease};
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use redsus_core::pipeline::stage_release_diff;
 use std::hint::black_box;
 use synth::{SynthConfig, SynthUs};
 
+/// The batch baseline: every release of the timeline materialised as the
+/// initial release's records the world's `ReleaseEmitter` keeps in it.
+fn materialised_releases(world: &SynthUs) -> Vec<NbmRelease> {
+    let emitter = world.release_emitter();
+    let initial = world.initial_release().records();
+    (0..emitter.n_releases())
+        .map(|k| {
+            let release = emitter.release(k);
+            let records = initial.iter().filter(|r| release.is_live(&r.claim_key()));
+            let (version, published) = (release.version(), release.published());
+            NbmRelease::from_records(
+                version,
+                published,
+                records.cloned().collect(),
+                &world.fabric,
+            )
+        })
+        .collect()
+}
+
 /// The chain over the *materialised* releases — the comparison point for the
 /// pipeline path ([`stage_release_diff`]), which streams the same timeline
 /// from the world's `ReleaseEmitter` instead.
-fn chain_over_materialised(world: &SynthUs, mode: DiffMode) -> DiffChain {
-    let mut chain = DiffChain::new(world.initial_release().version);
-    for pair in world.releases.windows(2) {
+fn chain_over_materialised(releases: &[NbmRelease], mode: DiffMode) -> DiffChain {
+    let mut chain = DiffChain::new(releases[0].version);
+    for pair in releases.windows(2) {
         chain.extend_with(&pair[0], &pair[1], DEFAULT_DIFF_CHUNK, mode);
     }
     chain
 }
 
 fn bench_preset(c: &mut Criterion, label: &str, world: &SynthUs) {
-    let initial = world.initial_release();
-    let latest = world.latest_release();
+    let releases = materialised_releases(world);
+    let initial = &releases[0];
+    let latest = &releases[releases.len() - 1];
 
     let mut group = c.benchmark_group(&format!("mapdiff_{label}"));
     group.sample_size(10);
@@ -70,13 +91,13 @@ fn bench_preset(c: &mut Criterion, label: &str, world: &SynthUs) {
     group.bench_function("batch_pairwise", |b| {
         // The batch equivalent of the chain: one full MapDiff per pair.
         b.iter(|| {
-            for pair in world.releases.windows(2) {
+            for pair in releases.windows(2) {
                 black_box(MapDiff::between(&pair[0], &pair[1]));
             }
         })
     });
     group.bench_function("stream_chain_materialised", |b| {
-        b.iter(|| black_box(chain_over_materialised(world, DiffMode::Sequential)))
+        b.iter(|| black_box(chain_over_materialised(&releases, DiffMode::Sequential)))
     });
     group.bench_function("stream_chain_pipeline_stage", |b| {
         // Exactly what the pipeline's release_diff stage runs: emitter

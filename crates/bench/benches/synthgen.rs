@@ -1,7 +1,7 @@
 //! Criterion benches of sharded world generation: every config preset under
 //! the sequential and parallel schedules, so the committed `BENCH_synth.json`
-//! records the multicore speedup (or the documented single-core parity —
-//! `Parallel` degrades to the sequential schedule on 1-core hosts).
+//! records the multicore speedup (`Parallel` degrades to the sequential
+//! schedule on 1-core hosts; the committed report is from a 2-CPU host).
 //!
 //! Regenerate the committed report with (from the workspace root; the path
 //! must be absolute because cargo runs the bench binary with `crates/bench`

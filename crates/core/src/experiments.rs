@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use bdc::challenge::{outcome_distribution, reason_distribution, state_distribution};
-use bdc::{ChallengeOutcome, ChallengeReason, DayStamp, Technology};
+use bdc::{ChallengeOutcome, ChallengeReason, DayStamp, ShardableRelease, Technology};
 use ml::{explain_row, summarize_attributions, GbdtModel};
 use serde::{Deserialize, Serialize};
 use synth::{SynthConfig, SynthUs};
@@ -511,25 +511,26 @@ pub struct Figure1 {
     pub major2_total: usize,
 }
 
-/// Compute Figure 1.
+/// Compute Figure 1. The release windows are read from the world's release
+/// timeline ([`SynthUs::release_emitter`]).
 pub fn figure1(world: &SynthUs) -> Figure1 {
-    let mut series = Vec::new();
-    let releases = &world.releases;
-    for (i, release) in releases.iter().enumerate().skip(1) {
-        let start = releases[i - 1].published;
-        let end = release.published;
-        let count = world
+    let emitter = world.release_emitter();
+    let resolved_in = |start: DayStamp, end: Option<DayStamp>| {
+        world
             .challenges
             .iter()
-            .filter(|c| c.resolved > start && c.resolved <= end)
-            .count();
-        series.push((format!("{}", release.version), count));
+            .filter(|c| c.resolved > start && end.is_none_or(|end| c.resolved <= end))
+            .count()
+    };
+    let mut series = Vec::new();
+    for k in 1..emitter.n_releases() {
+        let release = emitter.release(k);
+        let start = emitter.release(k - 1).published();
+        let count = resolved_in(start, Some(release.published()));
+        series.push((format!("{}", release.version()), count));
     }
-    let tail = world
-        .challenges
-        .iter()
-        .filter(|c| c.resolved > releases.last().map(|r| r.published).unwrap_or(DayStamp(0)))
-        .count();
+    let last = emitter.release(emitter.n_releases() - 1);
+    let tail = resolved_in(last.published(), None);
     series.push(("v1.final".to_string(), tail));
     series.push(("v2.0".to_string(), world.later_challenges.len()));
     Figure1 {
@@ -994,6 +995,40 @@ mod tests {
         assert!(!render_breakdowns("Table 8", &table8(&s)).is_empty());
         assert!(!table1_schema().is_empty());
         assert!(!table4_schema(&FeatureConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn figure1_series_is_pinned_and_counts_each_resolved_challenge_once() {
+        let world = SynthUs::generate(&SynthConfig::tiny(21));
+        let f1 = figure1(&world);
+        let got: Vec<(&str, usize)> = f1.series.iter().map(|(l, c)| (l.as_str(), *c)).collect();
+        assert_eq!(
+            got,
+            vec![
+                ("v1.1", 3),
+                ("v1.2", 11),
+                ("v1.3", 18),
+                ("v1.4", 25),
+                ("v1.5", 27),
+                ("v1.6", 17),
+                ("v1.final", 30),
+                ("v2.0", 2),
+            ]
+        );
+        // The minor-release windows and the tail after the last one tile the
+        // time after the initial release: no challenge counted twice or lost.
+        let windows_and_tail: usize = got
+            .iter()
+            .filter(|(l, _)| *l != "v2.0")
+            .map(|(_, c)| c)
+            .sum();
+        let resolved_after_initial = world
+            .challenges
+            .iter()
+            .filter(|c| c.resolved > DayStamp::initial_nbm_release())
+            .count();
+        assert_eq!(windows_and_tail, resolved_after_initial);
+        assert_eq!(f1.major2_total, world.later_challenges.len());
     }
 
     #[test]

@@ -282,16 +282,15 @@ pub fn stage_methodology_collection(world: &SynthUs) -> BTreeMap<ProviderId, Str
 /// removal evidence. The stage streams the timeline from the world's
 /// [`ReleaseEmitter`](synth::ReleaseEmitter) — one sorted copy of the
 /// initial claims plus the removal schedule, with precomputed per-provider
-/// ranges — rather than the materialised `world.releases`, so its working
-/// memory is the emitter base plus one chunk per in-flight stream; it never
-/// re-sorts or copies whole releases per pair. The per-pair wall-clock and
-/// chunk statistics are kept on the returned chain
-/// ([`DiffChain::pair_reports`]).
+/// ranges — so its working memory is the emitter base plus one chunk per
+/// in-flight stream; it never re-sorts or copies whole releases per pair.
+/// The per-pair wall-clock and chunk statistics are kept on the returned
+/// chain ([`DiffChain::pair_reports`]).
 ///
 /// `mode` shards the per-provider merge across scoped workers; every mode
 /// produces bit-identical evidence (the `GenMode` contract). The emitted
-/// evidence is itself pinned equal to diffing the materialised releases
-/// (`tests/streaming_diff.rs`).
+/// evidence is itself pinned equal to the batch diff of the initial and
+/// latest releases (`tests/streaming_diff.rs`).
 pub fn stage_release_diff(world: &SynthUs, mode: DiffMode) -> DiffChain {
     let emitter = world.release_emitter();
     let mut chain = DiffChain::new(world.initial_release().version);
@@ -474,6 +473,7 @@ impl AnalysisContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdc::{NbmRelease, ShardableRelease};
     use synth::SynthConfig;
 
     #[test]
@@ -611,7 +611,7 @@ mod tests {
         // the worker count must never change the evidence.
         let seq = stage_release_diff(&world, DiffMode::Sequential);
         assert!(seq.removal_count() > 0, "no removal evidence in tiny world");
-        assert_eq!(seq.pair_reports().len(), world.releases.len() - 1);
+        assert_eq!(seq.pair_reports().len(), world.config.n_minor_releases);
         for mode in [DiffMode::Parallel, DiffMode::Threads(3)] {
             let other = stage_release_diff(&world, mode);
             assert_eq!(
@@ -628,7 +628,17 @@ mod tests {
     fn release_diff_stage_matches_batch_engine() {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
         let chain = stage_release_diff(&world, DiffMode::Sequential);
-        let batch = bdc::MapDiff::between(world.initial_release(), world.latest_release());
+        let emitter = world.release_emitter();
+        let last = emitter.release(emitter.n_releases() - 1);
+        let initial = world.initial_release();
+        let kept = initial
+            .records()
+            .iter()
+            .filter(|r| last.is_live(&r.claim_key()));
+        let (version, published) = (last.version(), last.published());
+        let latest =
+            NbmRelease::from_records(version, published, kept.cloned().collect(), &world.fabric);
+        let batch = bdc::MapDiff::between(initial, &latest);
         let batch_removed: Vec<bdc::ClaimChange> = batch.removed().copied().collect();
         assert_eq!(
             chain.removal_evidence(),

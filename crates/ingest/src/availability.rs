@@ -8,12 +8,10 @@
 //! [`IngestError`] naming file, line and column, never with silently
 //! misparsed rows.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
-use bdc::stream::{ClaimEntry, ClaimStream, ShardStream};
 use bdc::{AvailabilityRecord, LocationId, ProviderId, ServiceType, Technology};
 use hexgrid::HexCell;
 
@@ -193,65 +191,6 @@ impl AvailabilityReader {
     }
 }
 
-/// An in-memory claim-stream over parsed availability rows: one shard per
-/// provider, ascending provider order, each shard in ascending claim-key
-/// order — the canonical emission contract every `ClaimStream` promises, so
-/// `DiffChain` and the diff engine consume CSV-backed claims unchanged.
-///
-/// This is an in-memory adapter, so [`ShardStream::resident_entries`] admits
-/// the full backing copy — the honesty contract
-/// `tests/real_ingest.rs` pins against the actual buffered row count.
-pub struct AvailabilityShards {
-    /// `(provider, entries sorted by claim key)`, ascending by provider.
-    by_provider: Vec<(ProviderId, Vec<ClaimEntry>)>,
-    total: usize,
-}
-
-impl AvailabilityShards {
-    /// Group parsed rows into the canonical per-provider shard layout.
-    pub fn new(rows: &[AvailabilityRow]) -> Self {
-        let mut grouped: BTreeMap<ProviderId, Vec<ClaimEntry>> = BTreeMap::new();
-        for row in rows {
-            grouped
-                .entry(row.record.provider)
-                .or_default()
-                .push(ClaimEntry::from_record(&row.record));
-        }
-        let mut total = 0usize;
-        let by_provider: Vec<(ProviderId, Vec<ClaimEntry>)> = grouped
-            .into_iter()
-            .map(|(p, mut entries)| {
-                entries.sort_by_key(|e| e.key);
-                total += entries.len();
-                (p, entries)
-            })
-            .collect();
-        Self { by_provider, total }
-    }
-}
-
-impl ShardStream for AvailabilityShards {
-    type Item = ClaimEntry;
-
-    fn shard_count(&self) -> usize {
-        self.by_provider.len()
-    }
-
-    fn shard(&self, index: usize) -> Vec<ClaimEntry> {
-        self.by_provider[index].1.clone()
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.total
-    }
-}
-
-impl ClaimStream for AvailabilityShards {
-    fn providers(&self) -> Vec<ProviderId> {
-        self.by_provider.iter().map(|(p, _)| *p).collect()
-    }
-}
-
 /// Parse an availability file name of the canonical
 /// `bdc_<STATE>_<TECH>_fixed_broadband.csv` shape into its state code and
 /// technology.
@@ -349,45 +288,5 @@ mod tests {
         assert!(parse_availability_filename("bdc_XYZ_50_fixed_broadband.csv").is_none());
         assert!(parse_availability_filename("bdc_NE_99_fixed_broadband.csv").is_none());
         assert!(parse_availability_filename("other.csv").is_none());
-    }
-
-    #[test]
-    fn shards_emit_in_canonical_claim_key_order() {
-        let mk = |provider: u32, location: u64, tech: Technology| AvailabilityRow {
-            record: AvailabilityRecord::new(
-                ProviderId(provider),
-                LocationId(location),
-                tech,
-                100.0,
-                10.0,
-                true,
-                ServiceType::Both,
-            )
-            .unwrap(),
-            frn: 1,
-            brand_name: "b".into(),
-            state: "NE".into(),
-            hex: HexCell::containing(&geoprim::LatLng::new(41.0, -96.0), NBM_RESOLUTION),
-        };
-        // Deliberately out of order in both provider and location.
-        let rows = vec![
-            mk(200, 5, Technology::Fiber),
-            mk(100, 9, Technology::Cable),
-            mk(200, 1, Technology::Fiber),
-            mk(100, 2, Technology::Cable),
-        ];
-        let shards = AvailabilityShards::new(&rows);
-        assert_eq!(shards.providers(), vec![ProviderId(100), ProviderId(200)]);
-        assert_eq!(shards.resident_entries(), 4);
-        let flat: Vec<ClaimEntry> = (0..shards.shard_count())
-            .flat_map(|i| shards.shard(i))
-            .collect();
-        let mut sorted = flat.clone();
-        sorted.sort_by_key(|e| e.key);
-        assert_eq!(
-            flat.iter().map(|e| e.key).collect::<Vec<_>>(),
-            sorted.iter().map(|e| e.key).collect::<Vec<_>>(),
-            "concatenated shards must be in ascending claim-key order"
-        );
     }
 }

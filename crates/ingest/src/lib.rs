@@ -13,8 +13,9 @@
 //!
 //! * **Strict schemas.** Every malformed input is a typed [`IngestError`]
 //!   naming file, line and column. No silently skipped rows.
-//! * **Canonical emission.** Claim shards come out in ascending claim-key
-//!   order per provider, the contract the `DiffChain` relies on.
+//! * **Canonical emission.** Each ingested release is an `NbmRelease`,
+//!   whose claim streams come out in ascending claim-key order per
+//!   provider, the contract the `DiffChain` relies on.
 //! * **Honest residency.** Everything ingested is accounted on one
 //!   `ResidencyMeter` with per-stage budget enforcement, same as synth
 //!   generation.
@@ -29,8 +30,7 @@ pub mod ookla;
 pub mod source;
 
 pub use availability::{
-    parse_availability_filename, AvailabilityReader, AvailabilityRow, AvailabilityShards,
-    AVAILABILITY_COLUMNS,
+    parse_availability_filename, AvailabilityReader, AvailabilityRow, AVAILABILITY_COLUMNS,
 };
 pub use csv::{validate_header, AllocCsvRows, CsvRows, Fields};
 pub use error::IngestError;

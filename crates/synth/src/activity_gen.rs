@@ -2,21 +2,21 @@
 //!
 //! This module turns the providers' claimed/true service sets into the
 //! regulatory record the pipeline consumes: the initial BDC filings, the
-//! initial NBM release, a sequence of bi-weekly-style minor releases in which
-//! successful challenges and silent corrections remove claims, and the
-//! challenge outcomes themselves with the paper's Table 2/3 mix and Figure 2's
-//! state skew.
+//! challenge outcomes with the paper's Table 2/3 mix and Figure 2's state
+//! skew, and the silent corrections. Successful challenges and corrections
+//! remove claims from the bi-weekly-style minor releases, which
+//! [`crate::release_stream::ReleaseEmitter`] streams from this record.
 //!
 //! Sharding: challenges and corrections draw from one stream per *provider*
-//! (keyed by provider id), the later wave from one stream per fixed-size
-//! chunk of the first wave, and releases (which draw no randomness) fan one
-//! shard per release — so every output is bit-identical for any worker count.
+//! (keyed by provider id) and the later wave from one stream per fixed-size
+//! chunk of the first wave — so every output is bit-identical for any worker
+//! count.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bdc::{
     AvailabilityRecord, Challenge, ChallengeOutcome, ChallengeReason, DayStamp, Fabric, Filing,
-    LocationId, NbmRelease, ProviderId, ReleaseVersion, ServiceType, Technology,
+    LocationId, ProviderId, ServiceType, Technology,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -306,64 +306,6 @@ pub fn provider_corrections(
     out
 }
 
-/// Publication date of minor release `k` (`k >= 1`): minor releases are
-/// spaced through the challenge window (Feb–Nov 2023). Shared between
-/// [`build_releases`] and the streaming [`crate::release_stream::ReleaseEmitter`]
-/// so the two views of the release timeline can never drift apart.
-pub fn minor_release_published(k: usize) -> DayStamp {
-    DayStamp::from_ymd(2023, 2, 1).plus_days((k as u32) * 45)
-}
-
-/// Build the initial release plus `n_minor_releases` minor releases, removing
-/// successfully-challenged claims (once resolved) and silent corrections over
-/// time. Draws no randomness; each release is an independent shard.
-pub fn build_releases(
-    config: &SynthConfig,
-    filings: &[Filing],
-    fabric: &Fabric,
-    challenges: &[Challenge],
-    corrections: &[(ProviderId, LocationId, Technology, usize)],
-    workers: usize,
-) -> Vec<NbmRelease> {
-    let initial_records: Vec<AvailabilityRecord> = filings
-        .iter()
-        .flat_map(|f| f.records.iter().cloned())
-        .collect();
-    let release_indices: Vec<usize> = (0..=config.n_minor_releases).collect();
-    map_shards(workers, &release_indices, |_, &k| {
-        let mut version = ReleaseVersion::initial();
-        for _ in 0..k {
-            version = version.next_minor();
-        }
-        if k == 0 {
-            return NbmRelease::from_records(
-                version,
-                DayStamp::initial_nbm_release(),
-                initial_records.clone(),
-                fabric,
-            );
-        }
-        let published = minor_release_published(k);
-        let mut removed: BTreeSet<(ProviderId, LocationId, Technology)> = BTreeSet::new();
-        for c in challenges {
-            if c.is_successful() && c.resolved <= published {
-                removed.insert((c.provider, c.location, c.technology));
-            }
-        }
-        for (p, l, t, idx) in corrections {
-            if *idx <= k {
-                removed.insert((*p, *l, *t));
-            }
-        }
-        let records: Vec<AvailabilityRecord> = initial_records
-            .iter()
-            .filter(|r| !removed.contains(&r.claim_key()))
-            .cloned()
-            .collect();
-        NbmRelease::from_records(version, published, records, fabric)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,32 +413,6 @@ mod tests {
             assert!(!challenged.contains(&(*p, *l, *t)));
             assert!(!truth[&(*p, *l, *t)], "correction removed a truthful claim");
             assert!(*idx >= 1 && *idx <= w.config.n_minor_releases);
-        }
-    }
-
-    #[test]
-    fn releases_shrink_over_time() {
-        let w = world();
-        let filings = build_filings(&w.profiles, &w.claims);
-        let challenges = generate_challenges(&w.config, &w.fabric, &w.claims, 1);
-        let challenged: BTreeSet<_> = challenges
-            .iter()
-            .map(|c| (c.provider, c.location, c.technology))
-            .collect();
-        let corrections = generate_corrections(&w.config, &w.claims, &challenged, 1);
-        let releases = build_releases(&w.config, &filings, &w.fabric, &challenges, &corrections, 1);
-        assert_eq!(releases.len(), w.config.n_minor_releases + 1);
-        let first = releases.first().unwrap().records().len();
-        let last = releases.last().unwrap().records().len();
-        assert!(last < first, "claims should shrink: {first} -> {last}");
-        // Versions are ordered minor releases of the same major.
-        for (i, r) in releases.iter().enumerate() {
-            assert_eq!(r.version.major, 1);
-            assert_eq!(r.version.minor, i as u32);
-        }
-        // Publication dates increase.
-        for w2 in releases.windows(2) {
-            assert!(w2[0].published < w2[1].published);
         }
     }
 

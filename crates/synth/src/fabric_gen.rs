@@ -12,7 +12,7 @@
 //! computed by prefix sum — so the fabric is bit-identical for any worker
 //! count.
 
-use bdc::{collect_shards, Bsl, Fabric, FabricStream, LocationId, ShardStream};
+use bdc::{Bsl, Fabric, LocationId};
 use geoprim::LatLng;
 use rand::Rng;
 
@@ -121,8 +121,8 @@ pub fn town_offsets(towns: &[Town]) -> Vec<u64> {
 /// Scatter one town's BSLs, drawing from the town's own RNG stream
 /// ([`SynthStage::Fabric`], keyed by town index) with ids starting at
 /// `first_id`. This is the single generation kernel shared by the
-/// materialised path ([`generate_fabric`]) and the streaming path
-/// ([`FabricEmitter`]) — equivalence between the two is by construction.
+/// materialised path ([`generate_fabric`]) and the streaming world's town
+/// blocks — equivalence between the two is by construction.
 pub fn town_bsls(config: &SynthConfig, town_index: usize, town: &Town, first_id: u64) -> Vec<Bsl> {
     let mut rng = shard_rng(config.seed, SynthStage::Fabric, town_index as u64);
     let mut next_id = first_id;
@@ -161,82 +161,15 @@ pub fn town_bsls(config: &SynthConfig, town_index: usize, town: &Town, first_id:
         .collect()
 }
 
-/// A [`FabricStream`] that regenerates BSL shards (one per town) on demand
-/// from the per-town RNG streams instead of holding them resident. Only the
-/// town list and its id offsets stay in memory, so a national fabric streams
-/// through a few thousand entries of state instead of 115M `Bsl`s.
-pub struct FabricEmitter<'a> {
-    config: &'a SynthConfig,
-    towns: &'a [Town],
-    offsets: Vec<u64>,
-    total: u64,
-}
-
-impl<'a> FabricEmitter<'a> {
-    pub fn new(config: &'a SynthConfig, towns: &'a [Town]) -> Self {
-        let offsets = town_offsets(towns);
-        let total = offsets
-            .last()
-            .map(|&o| o + towns.last().map(|t| t.n_bsls as u64).unwrap_or(0))
-            .unwrap_or(0);
-        Self {
-            config,
-            towns,
-            offsets,
-            total,
-        }
-    }
-
-    /// The towns this emitter scatters BSLs around (shard `i` ↔ town `i`).
-    pub fn towns(&self) -> &[Town] {
-        self.towns
-    }
-
-    /// First location id of shard `index` (ids are `first_id(i) ..
-    /// first_id(i) + towns[i].n_bsls`).
-    pub fn first_id(&self, index: usize) -> u64 {
-        self.offsets[index] + 1
-    }
-}
-
-impl ShardStream for FabricEmitter<'_> {
-    type Item = Bsl;
-
-    fn shard_count(&self) -> usize {
-        self.towns.len()
-    }
-
-    fn shard(&self, index: usize) -> Vec<Bsl> {
-        town_bsls(
-            self.config,
-            index,
-            &self.towns[index],
-            self.offsets[index] + 1,
-        )
-    }
-
-    fn resident_entries(&self) -> usize {
-        // The town list plus its offset table is all the emitter keeps live.
-        self.towns.len() * 2
-    }
-}
-
-impl FabricStream for FabricEmitter<'_> {
-    fn total_locations(&self) -> u64 {
-        self.total
-    }
-}
-
 /// Generate the fabric by scattering BSLs around every town, one shard per
 /// town. Location ids are assigned from per-town offsets (prefix sums of
 /// `n_bsls`), so ids are dense, unique and independent of scheduling.
-///
-/// This is now a thin adapter that materialises the [`FabricEmitter`] stream;
-/// the tiny/experiment/large presets still get a resident [`Fabric`] while
-/// the national path drains the same shards without collecting them.
 pub fn generate_fabric(config: &SynthConfig, towns: &[Town], workers: usize) -> Fabric {
-    let emitter = FabricEmitter::new(config, towns);
-    Fabric::new(collect_shards(&emitter, workers))
+    let offsets = town_offsets(towns);
+    let bsls = map_shards(workers, towns, |i, town| {
+        town_bsls(config, i, town, offsets[i] + 1)
+    });
+    Fabric::new(bsls.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -346,34 +279,6 @@ mod tests {
                 .collect();
             assert_eq!(got, base, "fabric differs at {workers} workers");
         }
-    }
-
-    #[test]
-    fn emitter_shards_match_materialised_fabric() {
-        let config = SynthConfig::tiny(7);
-        let towns = generate_towns(&config, 1);
-        let fabric = generate_fabric(&config, &towns, 2);
-        let emitter = FabricEmitter::new(&config, &towns);
-        assert_eq!(emitter.shard_count(), towns.len());
-        assert_eq!(emitter.total_locations(), fabric.len() as u64);
-        // The emitter keeps only per-town state resident, never the BSLs.
-        assert!(emitter.resident_entries() < fabric.len() / 10);
-        let streamed: Vec<Bsl> = (0..emitter.shard_count())
-            .flat_map(|i| emitter.shard(i))
-            .collect();
-        let key = |b: &Bsl| {
-            (
-                b.id.value(),
-                b.position.lat.to_bits(),
-                b.position.lng.to_bits(),
-                b.unit_count,
-                b.community_anchor,
-            )
-        };
-        assert_eq!(
-            streamed.iter().map(key).collect::<Vec<_>>(),
-            fabric.bsls().iter().map(key).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * **providers** with technology-specific footprints, free-text filing
 //!   methodologies and strategic over-claiming behaviour, including a
 //!   Jefferson-County-Cable-style intentional over-claimer ([`providers_gen`]),
-//! * ground truth, **filings** and the resulting NBM releases plus the
-//!   bi-weekly correction releases ([`activity_gen`]),
+//! * ground truth, **filings** and the initial NBM release, with the
+//!   bi-weekly correction releases streamed from the removal schedule
+//!   ([`activity_gen`], [`release_stream`]),
 //! * state-biased **challenges** whose outcome mix matches Table 2/3
 //!   ([`activity_gen`]),
 //! * **speed tests**: Ookla quadkey aggregates and per-test MLab records

@@ -1,28 +1,30 @@
-//! Release-by-release claim streaming for the synthetic world.
+//! The synthetic world's release timeline after the initial release.
 //!
-//! `build_releases` materialises every NBM release as a full [`NbmRelease`]
-//! — necessary for the hex-aggregated public view, but ruinous for the diff
-//! engine at national scale (~115M BSLs × dozens of releases would mean
-//! holding dozens of full record vectors at once). [`ReleaseEmitter`] is the
-//! streaming alternative: it keeps **one** compact copy of the initial
-//! claims (sorted by claim key) plus the removal *schedule* (which claim
-//! disappears in which minor release), and emits any release's claims as
-//! claim-key-ordered chunks on demand — without ever materialising the
-//! release.
+//! The world materialises only the initial NBM release. Every later release
+//! is read from a [`ReleaseEmitter`]: it keeps **one** compact copy of the
+//! initial claims (sorted by claim key) plus the removal *schedule* (which
+//! claim disappears in which minor release), and emits any release's claims
+//! as claim-key-ordered chunks on demand. Holding dozens of full record
+//! vectors at national scale (~115M BSLs × dozens of releases) is never
+//! needed.
 //!
 //! The emitter implements `bdc`'s [`ShardableRelease`], so
 //! [`bdc::diff_releases`] and [`bdc::DiffChain`] can walk the whole release
-//! timeline holding at most one chunk per stream. Equivalence with the
-//! materialised releases is pinned by `tests/streaming_diff.rs`.
-//!
-//! [`NbmRelease`]: bdc::NbmRelease
+//! timeline holding at most one chunk per stream. Each [`EmittedRelease`]
+//! also answers its publication date and whether it still carries a given
+//! claim, which is all Figure 1 and the world fingerprint need. The unit
+//! tests pin the emitter against a materialising oracle.
 
 use std::collections::BTreeMap;
 
 use bdc::stream::{ClaimEntry, ReleaseStream, ShardableRelease};
-use bdc::{Challenge, ClaimKey, Filing, ProviderId, ReleaseVersion};
+use bdc::{Challenge, ClaimKey, DayStamp, Filing, ProviderId, ReleaseVersion};
 
-use crate::activity_gen::minor_release_published;
+/// Publication date of minor release `k` (`k >= 1`): minor releases are
+/// spaced through the challenge window (Feb–Nov 2023).
+fn minor_release_published(k: usize) -> DayStamp {
+    DayStamp::from_ymd(2023, 2, 1).plus_days((k as u32) * 45)
+}
 
 /// The removal schedule alone: which claim disappears in which minor
 /// release, derivable from the regulatory record without materialising a
@@ -33,7 +35,7 @@ use crate::activity_gen::minor_release_published;
 #[derive(Debug, Clone)]
 pub struct RemovalSchedule {
     /// Publication dates of the minor releases, in order.
-    published: Vec<bdc::DayStamp>,
+    published: Vec<DayStamp>,
     n_minor_releases: usize,
     /// Earliest release index at which a claim is absent (only claims that
     /// are ever removed appear; everything else survives the timeline).
@@ -69,9 +71,9 @@ impl RemovalSchedule {
         }
     }
 
-    /// Mirror `build_releases` (`idx <= k` for every minor k): an index of 0
-    /// means "removed from the first minor release on", and an index past
-    /// the last minor release never takes effect.
+    /// A claim corrected at index `idx` is absent from every minor release
+    /// `k >= idx`: an index of 0 means "removed from the first minor release
+    /// on", and an index past the last minor release never takes effect.
     pub fn note_correction(
         &mut self,
         provider: ProviderId,
@@ -120,9 +122,10 @@ pub struct ReleaseEmitter {
 
 impl ReleaseEmitter {
     /// Build the emitter from the regulatory record: the initial filings,
-    /// the challenge outcomes and the silent-correction schedule. Mirrors
-    /// `build_releases` exactly (same publication dates, same removal
-    /// rules), which the equivalence tests pin.
+    /// the challenge outcomes and the silent-correction schedule. A
+    /// successful challenge removes its claim from the first minor release
+    /// published on or after its resolution; a correction from the minor
+    /// release it names.
     pub fn new(
         n_minor_releases: usize,
         filings: &[Filing],
@@ -213,9 +216,20 @@ pub struct EmittedRelease<'a> {
 }
 
 impl EmittedRelease<'_> {
-    /// The release index in the timeline (0 = initial release).
-    pub fn index(&self) -> usize {
-        self.index
+    /// The release's publication date: the initial NBM release date for
+    /// index 0; minor release `k` follows 1 February 2023 by `45 k` days.
+    pub fn published(&self) -> DayStamp {
+        match self.index {
+            0 => DayStamp::initial_nbm_release(),
+            k => minor_release_published(k),
+        }
+    }
+
+    /// True unless the removal schedule has dropped the claim `key` by this
+    /// release. Filtering the initial release's records with it yields this
+    /// release's records, in the same order.
+    pub fn is_live(&self, key: &ClaimKey) -> bool {
+        self.emitter.alive_at(key, self.index)
     }
 
     /// Count the claims present in this release (walks the schedule; does
@@ -311,35 +325,84 @@ impl ReleaseStream for EmitterStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity_gen::{
-        build_filings, build_releases, generate_challenges, generate_corrections,
-    };
+    use crate::activity_gen::{build_filings, generate_challenges, generate_corrections};
     use crate::config::SynthConfig;
     use crate::fabric_gen::{generate_fabric, generate_towns};
     use crate::providers_gen::{compute_all_claims, generate_providers};
+    use crate::shard::map_shards;
     use bdc::stream::{diff_releases, DiffMode};
-    use bdc::{MapDiff, NbmRelease};
+    use bdc::{AvailabilityRecord, Fabric, LocationId, MapDiff, NbmRelease, Technology};
     use std::collections::BTreeSet;
+
+    /// The oracle: build the initial release plus `n_minor_releases` minor
+    /// releases, removing successfully-challenged claims (once resolved) and
+    /// silent corrections over time. Draws no randomness; each release is an
+    /// independent shard.
+    fn build_releases(
+        config: &SynthConfig,
+        filings: &[Filing],
+        fabric: &Fabric,
+        challenges: &[Challenge],
+        corrections: &[(ProviderId, LocationId, Technology, usize)],
+        workers: usize,
+    ) -> Vec<NbmRelease> {
+        let initial_records: Vec<AvailabilityRecord> = filings
+            .iter()
+            .flat_map(|f| f.records.iter().cloned())
+            .collect();
+        let release_indices: Vec<usize> = (0..=config.n_minor_releases).collect();
+        map_shards(workers, &release_indices, |_, &k| {
+            let mut version = ReleaseVersion::initial();
+            for _ in 0..k {
+                version = version.next_minor();
+            }
+            if k == 0 {
+                return NbmRelease::from_records(
+                    version,
+                    DayStamp::initial_nbm_release(),
+                    initial_records.clone(),
+                    fabric,
+                );
+            }
+            let published = minor_release_published(k);
+            let mut removed: BTreeSet<(ProviderId, LocationId, Technology)> = BTreeSet::new();
+            for c in challenges {
+                if c.is_successful() && c.resolved <= published {
+                    removed.insert((c.provider, c.location, c.technology));
+                }
+            }
+            for (p, l, t, idx) in corrections {
+                if *idx <= k {
+                    removed.insert((*p, *l, *t));
+                }
+            }
+            let records: Vec<AvailabilityRecord> = initial_records
+                .iter()
+                .filter(|r| !removed.contains(&r.claim_key()))
+                .cloned()
+                .collect();
+            NbmRelease::from_records(version, published, records, fabric)
+        })
+    }
 
     struct Timeline {
         emitter: ReleaseEmitter,
         releases: Vec<NbmRelease>,
     }
 
-    fn timeline(seed: u64) -> Timeline {
-        let config = SynthConfig::tiny(seed);
-        let towns = generate_towns(&config, 1);
-        let fabric = generate_fabric(&config, &towns, 1);
-        let profiles = generate_providers(&config, &towns, 1);
-        let claims = compute_all_claims(&profiles, &towns, &fabric, &config, 1);
+    fn timeline(config: &SynthConfig) -> Timeline {
+        let towns = generate_towns(config, 1);
+        let fabric = generate_fabric(config, &towns, 1);
+        let profiles = generate_providers(config, &towns, 1);
+        let claims = compute_all_claims(&profiles, &towns, &fabric, config, 1);
         let filings = build_filings(&profiles, &claims);
-        let challenges = generate_challenges(&config, &fabric, &claims, 1);
+        let challenges = generate_challenges(config, &fabric, &claims, 1);
         let challenged: BTreeSet<_> = challenges
             .iter()
             .map(|c| (c.provider, c.location, c.technology))
             .collect();
-        let corrections = generate_corrections(&config, &claims, &challenged, 1);
-        let releases = build_releases(&config, &filings, &fabric, &challenges, &corrections, 1);
+        let corrections = generate_corrections(config, &claims, &challenged, 1);
+        let releases = build_releases(config, &filings, &fabric, &challenges, &corrections, 1);
         let emitter =
             ReleaseEmitter::new(config.n_minor_releases, &filings, &challenges, &corrections);
         Timeline { emitter, releases }
@@ -365,29 +428,78 @@ mod tests {
 
     #[test]
     fn emitted_releases_match_materialised_releases() {
-        let t = timeline(21);
-        assert_eq!(t.emitter.n_releases(), t.releases.len());
-        assert!(t.emitter.scheduled_removals() > 0, "no removals scheduled");
-        for (k, release) in t.releases.iter().enumerate() {
-            let expected = claim_set(release);
-            for chunk in [7, 4096] {
-                assert_eq!(
-                    emitted_set(&t.emitter, k, chunk),
-                    expected,
-                    "release {k} differs at chunk size {chunk}"
-                );
-            }
-            assert_eq!(t.emitter.release(k).live_claims(), expected.len());
-            assert_eq!(
-                ShardableRelease::version(&t.emitter.release(k)),
-                release.version
+        // Seeded loop over the timeline's degenerate corners: no, one or six
+        // minor releases; no or total silent correction; no or heavy
+        // challenges of false claims.
+        let corners = [0, 1, 6].into_iter().flat_map(|minors| {
+            [0.0, 1.0].into_iter().flat_map(move |correction| {
+                [0.0, 0.6].map(|challenge| (minors, correction, challenge))
+            })
+        });
+        let mut removal_counts = BTreeSet::new();
+        for (i, (n_minor_releases, correction_rate, challenge_rate_false)) in corners.enumerate() {
+            let seed = 22 + i as u64;
+            let config = SynthConfig {
+                n_minor_releases,
+                correction_rate,
+                challenge_rate_false,
+                ..SynthConfig::tiny(seed)
+            };
+            let case = format!(
+                "seed {seed}, {n_minor_releases} minors, correction {correction_rate}, \
+                 challenge {challenge_rate_false}"
             );
+            let t = timeline(&config);
+            assert_eq!(t.emitter.n_releases(), t.releases.len(), "{case}");
+            removal_counts.insert(t.emitter.scheduled_removals().min(1));
+            let initial = t.releases[0].records();
+            for (k, release) in t.releases.iter().enumerate() {
+                let emitted = t.emitter.release(k);
+                let live: Vec<&AvailabilityRecord> = initial
+                    .iter()
+                    .filter(|r| emitted.is_live(&r.claim_key()))
+                    .collect();
+                let expected: Vec<&AvailabilityRecord> = release.records().iter().collect();
+                assert_eq!(live, expected, "{case}: release {k} records");
+                assert_eq!(emitted.live_claims(), expected.len(), "{case}: release {k}");
+                assert_eq!(emitted.version(), release.version, "{case}: release {k}");
+                assert_eq!(
+                    emitted.published(),
+                    release.published,
+                    "{case}: release {k}"
+                );
+                for chunk in [7, 4096] {
+                    assert_eq!(
+                        emitted_set(&t.emitter, k, chunk),
+                        claim_set(release),
+                        "{case}: release {k} differs at chunk size {chunk}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            removal_counts,
+            BTreeSet::from([0, 1]),
+            "the corners must include timelines with and without removals"
+        );
+    }
+
+    #[test]
+    fn releases_shrink_over_time() {
+        let t = timeline(&SynthConfig::tiny(21));
+        let last = t.emitter.n_releases() - 1;
+        assert!(t.emitter.release(last).live_claims() < t.emitter.release(0).live_claims());
+        for k in 1..=last {
+            let (prev, next) = (t.emitter.release(k - 1), t.emitter.release(k));
+            assert!(prev.published() < next.published(), "release {k}");
+            let minor = k as u32;
+            assert_eq!(next.version(), ReleaseVersion { major: 1, minor });
         }
     }
 
     #[test]
     fn emitter_diffs_match_batch_diffs_between_any_releases() {
-        let t = timeline(33);
+        let t = timeline(&SynthConfig::tiny(33));
         let last = t.releases.len() - 1;
         for (a, b) in [(0, 1), (0, last), (1, last.min(2))] {
             let batch = MapDiff::between(&t.releases[a], &t.releases[b]);
@@ -408,7 +520,7 @@ mod tests {
 
     #[test]
     fn provider_streams_partition_the_release() {
-        let t = timeline(21);
+        let t = timeline(&SynthConfig::tiny(21));
         let release = t.emitter.release(1);
         let mut via_providers = Vec::new();
         for provider in release.providers() {
@@ -425,11 +537,9 @@ mod tests {
 
     #[test]
     fn correction_index_zero_removes_from_every_minor_release() {
-        // Regression: `build_releases` removes an idx-0 correction from every
-        // minor release (`idx <= k`); the emitter used to drop it entirely.
-        use bdc::{
-            AvailabilityRecord, DayStamp, Filing, LocationId, ProviderId, ServiceType, Technology,
-        };
+        // Regression: the oracle removes an idx-0 correction from every minor
+        // release (`idx <= k`); the emitter used to drop it entirely.
+        use bdc::ServiceType;
         let one_claim_filing = || {
             let mut f = Filing::new(ProviderId(1), DayStamp::initial_filing_deadline(), "m");
             f.records.push(
@@ -461,7 +571,7 @@ mod tests {
 
     #[test]
     fn release_index_out_of_range_panics() {
-        let t = timeline(21);
+        let t = timeline(&SynthConfig::tiny(21));
         let n = t.emitter.n_releases();
         assert!(std::panic::catch_unwind(|| t.emitter.release(n)).is_err());
     }

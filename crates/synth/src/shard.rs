@@ -45,7 +45,8 @@ pub enum SynthStage {
     LaterChallenges,
     /// Silent corrections in minor releases (sharded by provider).
     Corrections,
-    /// The initial + minor NBM releases (sharded by release index; no RNG).
+    /// The initial NBM release (one shard; no RNG). The minor releases are
+    /// streamed by `ReleaseEmitter`, not generated.
     Releases,
     /// FRN registrations and WHOIS (sharded by provider, assembled in order).
     Registrations,

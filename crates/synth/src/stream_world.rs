@@ -875,7 +875,7 @@ mod tests {
         let releases: Vec<_> = (0..emitter.n_releases())
             .map(|i| emitter.release(i))
             .collect();
-        let mut chain = bdc::DiffChain::new(world.releases[0].version);
+        let mut chain = bdc::DiffChain::new(world.initial_release().version);
         for pair in releases.windows(2) {
             chain.extend_with(&pair[0], &pair[1], 4096, bdc::DiffMode::Sequential);
         }

@@ -1,8 +1,8 @@
 //! The assembled synthetic world and its sharded generation engine.
 //!
 //! [`SynthUs::generate_with`] runs the generation stages in canonical order,
-//! fanning each stage's shards (states, towns, providers, hexes, releases)
-//! across scoped worker threads according to a [`GenMode`]. Every random
+//! fanning each stage's shards (states, towns, providers, hexes) across
+//! scoped worker threads according to a [`GenMode`]. Every random
 //! quantity is drawn from a per-`(seed, stage, shard)` stream, so the world
 //! is a pure function of the [`SynthConfig`] alone: sequential, parallel and
 //! forced-thread-count schedules produce bit-identical worlds, a contract
@@ -14,15 +14,15 @@ use std::time::Instant;
 
 use asnmap::{FrnRegistration, SiblingGroups, WhoisDb};
 use bdc::{
-    Asn, Challenge, Fabric, Filing, LocationId, NbmRelease, Provider, ProviderId, ProviderRegistry,
-    StreamReport, StreamStage, Technology,
+    Asn, Challenge, DayStamp, Fabric, Filing, LocationId, NbmRelease, Provider, ProviderId,
+    ProviderRegistry, ReleaseVersion, ShardableRelease, StreamReport, StreamStage, Technology,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabDataset, OoklaDataset};
 
 use crate::activity_gen::{
-    build_filings, build_releases, generate_challenges, generate_corrections,
-    generate_later_challenges, later_wave_shard_count,
+    build_filings, generate_challenges, generate_corrections, generate_later_challenges,
+    later_wave_shard_count,
 };
 use crate::config::SynthConfig;
 use crate::fabric_gen::{generate_fabric, generate_towns, Town};
@@ -59,18 +59,18 @@ pub struct SynthUs {
     pub providers: ProviderRegistry,
     pub profiles: Vec<ProviderProfile>,
     pub filings: Vec<Filing>,
-    /// NBM releases: index 0 is the initial release, later entries are the
-    /// bi-weekly-style minor releases.
-    pub releases: Vec<NbmRelease>,
+    /// The initial NBM release. The minor releases after it are streamed by
+    /// [`SynthUs::release_emitter`], never materialised.
+    initial_release: NbmRelease,
     /// Challenges against the initial release (the paper's analysis window).
     pub challenges: Vec<Challenge>,
     /// The much smaller challenge wave against the subsequent release
     /// (Figure 1's comparison point).
     pub later_challenges: Vec<Challenge>,
     /// Claims silently removed without a public challenge, with the index of
-    /// the minor release they disappear in — the removal schedule behind the
-    /// minor releases, kept so the release timeline can be re-streamed
-    /// ([`SynthUs::release_emitter`]) without re-deriving it from diffs.
+    /// the minor release they disappear in — with the challenges, the
+    /// removal schedule [`SynthUs::release_emitter`] streams the minor
+    /// releases from.
     pub corrections: Vec<(ProviderId, LocationId, Technology, usize)>,
     pub ookla: OoklaDataset,
     pub mlab: MlabDataset,
@@ -176,21 +176,14 @@ impl SynthUs {
         let corrections = timed(&mut stages, SynthStage::Corrections, claims.len(), || {
             generate_corrections(config, &claims, &challenged_keys, workers)
         });
-        let releases = timed(
-            &mut stages,
-            SynthStage::Releases,
-            config.n_minor_releases + 1,
-            || {
-                build_releases(
-                    config,
-                    &filings,
-                    &fabric,
-                    &challenges,
-                    &corrections,
-                    workers,
-                )
-            },
-        );
+        let initial_release = timed(&mut stages, SynthStage::Releases, 1, || {
+            NbmRelease::from_filings(
+                ReleaseVersion::initial(),
+                DayStamp::initial_nbm_release(),
+                &filings,
+                &fabric,
+            )
+        });
 
         let claims_count: BTreeMap<ProviderId, usize> = filings
             .iter()
@@ -261,7 +254,7 @@ impl SynthUs {
                 providers,
                 profiles,
                 filings,
-                releases,
+                initial_release,
                 challenges,
                 later_challenges,
                 corrections,
@@ -286,19 +279,12 @@ impl SynthUs {
 
     /// The initial NBM release the paper studies.
     pub fn initial_release(&self) -> &NbmRelease {
-        &self.releases[0]
+        &self.initial_release
     }
 
-    /// The most recent minor release (used to compute map diffs).
-    pub fn latest_release(&self) -> &NbmRelease {
-        self.releases
-            .last()
-            .expect("at least the initial release exists")
-    }
-
-    /// A streaming view of the release timeline: one compact sorted copy of
-    /// the initial claims plus the removal schedule, able to emit any
-    /// release's claims chunk-by-chunk without materialising it (see
+    /// The release timeline: one compact sorted copy of the initial claims
+    /// plus the removal schedule, able to emit any release's claims
+    /// chunk-by-chunk without materialising it (see
     /// [`crate::release_stream`]).
     pub fn release_emitter(&self) -> crate::release_stream::ReleaseEmitter {
         crate::release_stream::ReleaseEmitter::new(
@@ -392,13 +378,21 @@ impl SynthUs {
                 f(r.max_up_mbps, &mut h);
             }
         }
-        self.releases.len().hash(&mut h);
-        for rel in &self.releases {
-            (rel.version, rel.published, rel.records().len()).hash(&mut h);
-            for r in rel.records() {
+        // Each release folds as its materialised form would: the initial
+        // records it keeps, in filing order, then its per-hex claim count.
+        let emitter = self.release_emitter();
+        emitter.n_releases().hash(&mut h);
+        for k in 0..emitter.n_releases() {
+            let rel = emitter.release(k);
+            (rel.version(), rel.published(), rel.live_claims()).hash(&mut h);
+            let mut hex_claims = BTreeSet::new();
+            let records = self.initial_release.records().iter();
+            for r in records.filter(|r| rel.is_live(&r.claim_key())) {
                 (r.provider, r.location, r.technology).hash(&mut h);
+                let hex = self.fabric.get(r.location).map(|bsl| bsl.hex);
+                hex_claims.extend(hex.map(|hex| (r.provider, hex, r.technology)));
             }
-            rel.hex_claims().len().hash(&mut h);
+            hex_claims.len().hash(&mut h);
         }
 
         // Challenge waves.
@@ -511,7 +505,7 @@ pub fn neighboring_states(home: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use bdc::challenge::success_rate;
-    use bdc::MapDiff;
+    use bdc::{diff_releases, DiffMode};
 
     // Seed re-pinned when generation moved to sharded per-stage RNG streams
     // (the world is different, byte for byte, from the single-stream era).
@@ -525,7 +519,10 @@ mod tests {
         assert!(!w.fabric.is_empty());
         assert_eq!(w.providers.len(), w.config.n_providers);
         assert_eq!(w.filings.len(), w.config.n_providers);
-        assert_eq!(w.releases.len(), w.config.n_minor_releases + 1);
+        assert_eq!(
+            w.release_emitter().n_releases(),
+            w.config.n_minor_releases + 1
+        );
         assert!(!w.challenges.is_empty());
         assert!(!w.ookla.is_empty());
         assert!(!w.mlab.is_empty());
@@ -537,7 +534,9 @@ mod tests {
     #[test]
     fn diff_between_releases_contains_removals() {
         let w = tiny_world();
-        let diff = MapDiff::between(w.initial_release(), w.latest_release());
+        let emitter = w.release_emitter();
+        let latest = emitter.release(emitter.n_releases() - 1);
+        let diff = diff_releases(&emitter.release(0), &latest, 4096, DiffMode::Sequential);
         let (added, removed, _) = diff.counts();
         assert!(removed > 0, "expected removals in the diff");
         assert_eq!(added, 0, "the synthetic timeline never adds claims");
@@ -622,10 +621,7 @@ mod tests {
             report.stage("providers").map(|s| s.shards),
             Some(w.config.n_providers)
         );
-        assert_eq!(
-            report.stage("releases").map(|s| s.shards),
-            Some(w.config.n_minor_releases + 1)
-        );
+        assert_eq!(report.stage("releases").map(|s| s.shards), Some(1));
         assert!(report.stage_sum() <= report.total_wall);
     }
 

@@ -19,16 +19,16 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
     let world = SynthUs::generate(&SynthConfig::tiny(seed));
+    let emitter = world.release_emitter();
     println!(
         "world: {} BSLs, {} providers, {} releases (seed {seed})\n",
         world.fabric.len(),
         world.providers.len(),
-        world.releases.len(),
+        emitter.n_releases(),
     );
 
     // The fully streaming path: releases emitted from the removal schedule,
     // never materialised; each pairwise diff holds one chunk per stream.
-    let emitter = world.release_emitter();
     let mut chain = DiffChain::new(ShardableRelease::version(&emitter.release(0)));
     for k in 0..emitter.n_releases() - 1 {
         chain.extend_with(
@@ -57,7 +57,11 @@ fn main() {
         );
     }
 
-    let batch_resident: usize = world.releases.iter().map(|r| r.records().len()).sum();
+    // The batch baseline: every release materialised as the initial
+    // release's records it keeps.
+    let batch_resident: usize = (0..emitter.n_releases())
+        .map(|k| emitter.release(k).live_claims())
+        .sum();
     println!(
         "\ncumulative evidence: {} net removals across {} providers",
         chain.removal_count(),

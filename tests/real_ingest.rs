@@ -1,18 +1,15 @@
 //! Fixture-backed ingest end to end: the committed `bdc_sample` directory
 //! must drive the *generic* streaming runner to a pinned golden dataset
-//! fingerprint under every worker schedule, every malformed input must
-//! surface as its typed error, and the CSV-backed claim stream's
-//! `resident_entries` must report what it actually buffers.
+//! fingerprint under every worker schedule, and every malformed input must
+//! surface as its typed error.
 
 use std::path::PathBuf;
 
-use red_is_sus::bdc::{DiffMode, ShardStream};
+use red_is_sus::bdc::DiffMode;
 use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelingOptions};
 use red_is_sus::core::streaming::run_streaming_to_dataset;
-use red_is_sus::ingest::{
-    AvailabilityReader, AvailabilityShards, FileWorld, IngestError, IngestOptions, OoklaReader,
-};
+use red_is_sus::ingest::{AvailabilityReader, FileWorld, IngestError, IngestOptions, OoklaReader};
 
 /// Golden fingerprints of the fixture dataset. Regenerating the fixture
 /// (`cargo run --example gen_bdc_fixture`) must reproduce these; any change
@@ -60,25 +57,6 @@ fn fixture_dataset_fingerprint_is_pinned_on_every_schedule() {
         assert!(run.report.stage("feature_engineering").is_some());
         assert!(run.matrix.dataset.n_rows() > 0);
     }
-}
-
-#[test]
-fn csv_claim_stream_reports_resident_entries_honestly() {
-    let path = fixture_dir().join("bdc/2023-06-30/bdc_NE_50_fixed_broadband.csv");
-    let mut reader = AvailabilityReader::open(&path).expect("fixture file opens");
-    let mut rows = Vec::new();
-    while let Some(row) = reader.next_record().expect("fixture rows parse") {
-        rows.push(row);
-    }
-    assert!(!rows.is_empty());
-    let shards = AvailabilityShards::new(&rows);
-    // The stream admits exactly its buffered row count — no under-reporting
-    // to sneak past the residency budget.
-    assert_eq!(shards.resident_entries(), rows.len());
-    let drained: usize = (0..shards.shard_count())
-        .map(|i| shards.shard(i).len())
-        .sum();
-    assert_eq!(drained, rows.len());
 }
 
 /// Drain one negative availability fixture to its typed error.

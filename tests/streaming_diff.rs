@@ -5,7 +5,8 @@
 //!   claim keys, empty releases and disjoint provider sets), at every chunk
 //!   size and worker count,
 //! * the synth world's `ReleaseEmitter` streams every release bit-identically
-//!   to the materialised `build_releases` timeline,
+//!   to that release materialised from the initial records it keeps (the
+//!   emitter's own unit tests pin those against a materialising oracle),
 //! * `DiffChain` folded over the whole timeline nets out to exactly the
 //!   batch initial-vs-latest removals the labelling pipeline used to
 //!   compute,
@@ -21,7 +22,7 @@ use red_is_sus::bdc::{
     ReleaseVersion, ServiceType, ShardableRelease, Technology,
 };
 use red_is_sus::geoprim::LatLng;
-use red_is_sus::synth::{SynthConfig, SynthUs};
+use red_is_sus::synth::{EmittedRelease, SynthConfig, SynthUs};
 
 const N_LOCATIONS: u64 = 60;
 
@@ -165,15 +166,35 @@ fn streaming_diff_handles_empty_and_disjoint_releases() {
     assert_eq!(modified, 0);
 }
 
+/// Materialise one emitted release of a generated world the batch way: the
+/// initial release's records it keeps, aggregated into a full `NbmRelease`.
+fn materialise(world: &SynthUs, release: &EmittedRelease) -> NbmRelease {
+    let initial = world.initial_release().records();
+    let records = initial.iter().filter(|r| release.is_live(&r.claim_key()));
+    let (version, published) = (release.version(), release.published());
+    NbmRelease::from_records(
+        version,
+        published,
+        records.cloned().collect(),
+        &world.fabric,
+    )
+}
+
 #[test]
 fn emitter_streams_match_materialised_releases_in_a_generated_world() {
     let world = SynthUs::generate(&SynthConfig::tiny(21));
     let emitter = world.release_emitter();
-    assert_eq!(emitter.n_releases(), world.releases.len());
-    for (k, materialised) in world.releases.iter().enumerate() {
+    assert_eq!(emitter.n_releases(), world.config.n_minor_releases + 1);
+    for k in 0..emitter.n_releases() {
         // Stream-diff the emitted view against the materialised release:
         // bit-identical claims mean an empty diff.
-        let outcome = diff_releases(&emitter.release(k), materialised, 128, DiffMode::Sequential);
+        let materialised = materialise(&world, &emitter.release(k));
+        let outcome = diff_releases(
+            &emitter.release(k),
+            &materialised,
+            128,
+            DiffMode::Sequential,
+        );
         assert!(
             outcome.changes.is_empty(),
             "release {k}: emitted view differs from materialised release: {:?}",
@@ -195,7 +216,8 @@ fn diff_chain_over_emitter_equals_batch_initial_vs_latest() {
             DiffMode::Sequential,
         );
     }
-    let batch = MapDiff::between(world.initial_release(), world.latest_release());
+    let latest = materialise(&world, &emitter.release(emitter.n_releases() - 1));
+    let batch = MapDiff::between(world.initial_release(), &latest);
     let batch_removed: Vec<ClaimChange> = batch.removed().copied().collect();
     assert!(!batch_removed.is_empty(), "tiny world has no removals");
     assert_eq!(

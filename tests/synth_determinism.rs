@@ -87,7 +87,10 @@ fn assert_structurally_valid(config: &SynthConfig, world: &SynthUs) {
     assert!(!world.fabric.is_empty(), "fabric empty");
     assert_eq!(world.providers.len(), config.n_providers);
     assert_eq!(world.filings.len(), config.n_providers);
-    assert_eq!(world.releases.len(), config.n_minor_releases + 1);
+    assert_eq!(
+        world.release_emitter().n_releases(),
+        config.n_minor_releases + 1
+    );
     assert_eq!(world.registrations.len(), config.n_providers);
     // Ground truth only references providers that exist.
     for (provider, _, _) in world.ground_truth.keys() {
