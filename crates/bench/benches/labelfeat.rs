@@ -19,6 +19,7 @@ use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use redsus_core::features::{build_features_with, FeatureConfig, FeatureMode};
 use redsus_core::labels::{LabelMode, LabelingOptions};
 use redsus_core::pipeline::{AnalysisContext, PipelineEngine};
+use redsus_core::Telemetry;
 use std::hint::black_box;
 use std::time::Instant;
 use synth::{SynthConfig, SynthUs};
@@ -105,7 +106,7 @@ fn bench_preset(c: &mut Criterion, label: &str, world: &SynthUs) {
 
     // The staged engine's own view: per-stage wall-clock of the two dataset
     // stages, and every stage's metered residency.
-    let run = PipelineEngine.run_to_dataset(world, &options, &config);
+    let run = PipelineEngine.run_to_dataset_with(world, &options, &config, &Telemetry::disabled());
     for stage in &run.report.stages {
         if matches!(stage.name, "label_construction" | "feature_engineering") {
             report_metric(

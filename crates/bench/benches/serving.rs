@@ -19,14 +19,15 @@
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use ml::FlatForest;
 use redsus_bench::bench_suite;
 use redsus_serve::{
-    decode_model, encode_model, score_dataset, ScoreMode, ScoreOutput, ScoreServer, ServeConfig,
-    ServedModel,
+    decode_model, encode_model, score_dataset, ModelRegistry, ScoreMode, ScoreOutput, ScoreServer,
+    ServeConfig, ServedModel, Telemetry,
 };
 
 /// Best-of-N wall-clock of one closure, in seconds.
@@ -300,11 +301,12 @@ fn bench_load_generator(model: ml::GbdtModel, data: &ml::Dataset) {
 }
 
 /// The telemetry overhead guard: the same keep-alive closed loop with the
-/// metrics registry attached (`ServeConfig::metrics = true`, the default —
-/// every request observes a latency histogram and bumps per-route series)
-/// vs noop instruments. Published, not asserted: the target is <2%
-/// overhead, but a 1-core CI container is too noisy for a hard gate, so
-/// the number lands in BENCH_serve.json where drift is visible in review.
+/// metrics registry attached (`ScoreServer::start` — every request observes
+/// a latency histogram and bumps per-route series) vs noop instruments
+/// (`ScoreServer::bind` with `Telemetry::disabled()`). Published, not
+/// asserted: the target is <2% overhead, but a small CI container is too
+/// noisy for a hard gate, so the number lands in BENCH_serve.json where
+/// drift is visible in review.
 fn bench_instrumentation_overhead(model: &ml::GbdtModel, body: &str, n_rows: usize) {
     let request = format!(
         "POST /score HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
@@ -315,14 +317,17 @@ fn bench_instrumentation_overhead(model: &ml::GbdtModel, body: &str, n_rows: usi
     // Uninstrumented first, instrumented second — adjacent runs on a warm
     // process so the pair is as comparable as the host allows.
     for (i, metrics) in [false, true].into_iter().enumerate() {
-        let server = ScoreServer::start(
-            ServedModel::from_model(model.clone()),
-            ServeConfig {
-                workers: LOAD_CLIENTS,
-                metrics,
-                ..ServeConfig::default()
-            },
-        )
+        let served = ServedModel::from_model(model.clone());
+        let config = ServeConfig {
+            workers: LOAD_CLIENTS,
+            ..ServeConfig::default()
+        };
+        let server = if metrics {
+            ScoreServer::start(served, config)
+        } else {
+            let registry = Arc::new(ModelRegistry::with_model(served));
+            ScoreServer::bind("127.0.0.1:0", registry, config, &Telemetry::disabled())
+        }
         .expect("bind loopback");
         assert_eq!(server.metrics_registry().is_some(), metrics);
 

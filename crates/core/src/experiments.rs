@@ -2,8 +2,8 @@
 //!
 //! Every experiment returns a plain result structure with a `render()` method
 //! that prints the same rows/series the paper reports; the `redsus-bench`
-//! crate regenerates all of them (see DESIGN.md §4 for the experiment index
-//! and EXPERIMENTS.md for paper-vs-measured notes).
+//! crate's `experiments` binary regenerates all of them (see the README's
+//! "Quickstart").
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -50,7 +50,7 @@ pub struct StreamingSuite<W = synth::StreamWorld> {
 
 impl ExperimentSuite {
     /// Generate the world and run the shared pipeline stages through the
-    /// staged engine (all eight stages).
+    /// staged engine (all eight stages), recording no telemetry.
     pub fn prepare(config: &SynthConfig) -> Self {
         let (world, synth_report) = SynthUs::generate_with(config, synth::GenMode::default())
             .unwrap_or_else(|msg| panic!("invalid SynthConfig: {msg}"));
@@ -58,10 +58,11 @@ impl ExperimentSuite {
             context: ctx,
             matrix,
             report: pipeline_report,
-        } = crate::pipeline::PipelineEngine.run_to_dataset(
+        } = crate::pipeline::PipelineEngine.run_to_dataset_with(
             &world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),
+            &obs::Telemetry::disabled(),
         );
         let observation_holdout = run_holdout(
             &matrix,
@@ -93,13 +94,13 @@ impl ExperimentSuite {
         }
     }
 
-    /// Run the streaming pipeline over any [`WorldSource`] — synthetic or
-    /// file-backed — and evaluate a random-observation hold-out on the
-    /// resulting matrix. The source-agnostic counterpart of
-    /// [`ExperimentSuite::prepare`]: where `prepare` materialises a
-    /// [`SynthUs`], this entry only needs what the source streams, so it is
-    /// how real-data runs (and national-scale synth runs) enter the
-    /// experiment layer.
+    /// Run the streaming pipeline over any
+    /// [`WorldSource`](bdc::WorldSource) — synthetic or file-backed — and
+    /// evaluate a random-observation hold-out on the resulting matrix. The
+    /// source-agnostic counterpart of [`ExperimentSuite::prepare`]: where
+    /// `prepare` materialises a [`SynthUs`], this entry only needs what the
+    /// source streams, so it is how real-data runs (and national-scale synth
+    /// runs) enter the experiment layer. Records no telemetry.
     pub fn prepare_streaming<W: crate::streaming::StreamableSource>(
         source: W,
         seed: u64,
@@ -107,7 +108,13 @@ impl ExperimentSuite {
         features: &FeatureConfig,
         mode: bdc::DiffMode,
     ) -> Result<StreamingSuite<W>, String> {
-        let run = crate::streaming::run_streaming_to_dataset(source, options, features, mode)?;
+        let run = crate::streaming::run_streaming_to_dataset_with(
+            source,
+            options,
+            features,
+            mode,
+            &obs::Telemetry::disabled(),
+        )?;
         let observation_holdout = run_holdout(
             &run.matrix,
             &HoldoutStrategy::RandomObservations { fraction: 0.1 },

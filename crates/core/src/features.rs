@@ -227,7 +227,7 @@ pub fn build_features(
 /// Build the feature matrix under an explicit schedule.
 ///
 /// Per-provider methodology embeddings are precomputed in parallel, then the
-/// observations are cut into fixed [`OBSERVATION_CHUNK`]-sized shards, each
+/// observations are cut into fixed `OBSERVATION_CHUNK`-sized shards, each
 /// vectorised into a dataset shard on a scoped worker, and reassembled in
 /// chunk order via [`Dataset::from_shards`] — bit-identical to a sequential
 /// row loop for every [`FeatureMode`].

@@ -29,8 +29,7 @@ pub mod streaming;
 pub use features::{FeatureConfig, FeatureMatrix, FeatureMode};
 pub use labels::{Label, LabelMode, LabelSource, LabelingOptions, Observation};
 pub use model::{EvaluationResult, HoldoutStrategy};
+/// The telemetry handle every run entry point records into.
+pub use obs::Telemetry;
 pub use pipeline::{AnalysisContext, DatasetRun, PipelineEngine, PipelineRun};
-pub use streaming::{
-    run_streaming_to_dataset, run_streaming_to_dataset_with, run_synth_streaming_to_dataset,
-    run_synth_streaming_to_dataset_with, StreamableSource, StreamingDatasetRun,
-};
+pub use streaming::{run_streaming_to_dataset_with, StreamableSource, StreamingDatasetRun};

@@ -68,18 +68,11 @@ pub struct PipelineEngine;
 
 impl PipelineEngine {
     /// Run the six preparation stages over a world and return the prepared
-    /// context with its stage report. [`PipelineEngine::run_to_dataset`]
-    /// additionally runs the two dataset stages.
+    /// context with its stage report.
+    /// [`PipelineEngine::run_to_dataset_with`] additionally runs the two
+    /// dataset stages.
     ///
-    /// Records stage telemetry into the process-wide registry
-    /// ([`obs::global`]); [`PipelineEngine::run_with`] takes an explicit
-    /// [`Telemetry`] instead.
-    pub fn run(&self, world: &SynthUs) -> PipelineRun {
-        self.run_with(world, &Telemetry::global())
-    }
-
-    /// [`PipelineEngine::run`] with an explicit telemetry handle: the report
-    /// lands in the streaming runner's `stream_*` series once the stages
+    /// The report lands in `telemetry`'s `stream_*` series once the stages
     /// complete. Recording is pure observation — a run with
     /// [`Telemetry::disabled`] produces a bit-identical context.
     pub fn run_with(&self, world: &SynthUs, telemetry: &Telemetry) -> PipelineRun {
@@ -93,18 +86,8 @@ impl PipelineEngine {
 
     /// Run all eight stages over a world: the six preparation stages, then
     /// `label_construction` and `feature_engineering` with the given options,
-    /// all in a single [`StreamReport`].
-    pub fn run_to_dataset(
-        &self,
-        world: &SynthUs,
-        options: &LabelingOptions,
-        features: &FeatureConfig,
-    ) -> DatasetRun {
-        self.run_to_dataset_with(world, options, features, &Telemetry::global())
-    }
-
-    /// [`PipelineEngine::run_to_dataset`] with an explicit telemetry handle
-    /// (see [`PipelineEngine::run_with`]).
+    /// all in a single [`StreamReport`] recorded into `telemetry` (see
+    /// [`PipelineEngine::run_with`]).
     pub fn run_to_dataset_with(
         &self,
         world: &SynthUs,
@@ -359,9 +342,11 @@ pub struct AnalysisContext {
 
 impl AnalysisContext {
     /// Run the data-preparation half of the pipeline (§4.1–4.3) over a world
-    /// with the engine.
+    /// with the engine, recording no telemetry.
     pub fn prepare(world: &SynthUs) -> Self {
-        PipelineEngine.run(world).context
+        PipelineEngine
+            .run_with(world, &Telemetry::disabled())
+            .context
     }
 
     /// Build labelled observations for a world with the given options, under
@@ -523,7 +508,7 @@ mod tests {
     #[test]
     fn engine_reports_every_stage_in_canonical_order() {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
-        let run = PipelineEngine.run(&world);
+        let run = PipelineEngine.run_with(&world, &Telemetry::disabled());
         let names: Vec<&str> = run.report.stages.iter().map(|s| s.name).collect();
         assert_eq!(
             names,

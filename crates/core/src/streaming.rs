@@ -1,16 +1,15 @@
 //! The source-agnostic streaming runner: any [`WorldSource`] → labelled
 //! dataset without ever materialising the world.
 //!
-//! [`run_streaming_to_dataset`] is the bounded-memory counterpart of
-//! [`PipelineEngine::run_to_dataset`](crate::pipeline::PipelineEngine::run_to_dataset).
+//! [`run_streaming_to_dataset_with`] is the bounded-memory counterpart of
+//! [`PipelineEngine::run_to_dataset_with`](crate::pipeline::PipelineEngine::run_to_dataset_with).
 //! Where the materialised path generates a full [`SynthUs`](synth::SynthUs)
 //! (every BSL, claim, filing and release resident at once) and then runs the
 //! eight pipeline stages over it, this runner consumes a [`WorldSource`] —
-//! the synthetic [`StreamWorld`](synth::StreamWorld), which regenerates
-//! fabric, claim and speed-test shards on demand from per-`(seed, stage,
-//! shard)` RNG streams, or a file-backed source such as the ingest crate's
-//! BDC/Ookla reader — and pulls the remaining pipeline stages through the
-//! same shard streams:
+//! the synthetic [`StreamWorld`], which regenerates fabric, claim and
+//! speed-test shards on demand from per-`(seed, stage, shard)` RNG streams,
+//! or a file-backed source such as the ingest crate's BDC/Ookla reader —
+//! and pulls the remaining pipeline stages through the same shard streams:
 //!
 //! ```text
 //! WorldSource (synth or ingest)    this runner
@@ -25,9 +24,9 @@
 //!
 //! Everything flows through the source's shared
 //! [`ResidencyMeter`](bdc::ResidencyMeter), so the combined
-//! [`StreamReport`](bdc::StreamReport) gives an honest per-stage high-water
-//! mark, and every stage is checked against the source's resident-entry
-//! budget — an over-budget run fails loudly instead of silently swapping.
+//! [`StreamReport`] gives an honest per-stage high-water mark, and every
+//! stage is checked against the source's resident-entry budget — an
+//! over-budget run fails loudly instead of silently swapping.
 //!
 //! On the synth path the output is bit-identical to the materialised path:
 //! the Ookla drain applies record contributions in the exact record order of
@@ -53,7 +52,7 @@ use speedtest::{
     aggregate_records_into, coverage_scores, MlabAttributor, MlabTest, OoklaHexAggregate,
     OoklaTileRecord, ProviderHexTests,
 };
-use synth::{GenMode, StreamWorld, SynthConfig};
+use synth::StreamWorld;
 
 use crate::features::{
     build_features_from_inputs, FeatureConfig, FeatureInputs, FeatureMatrix, OBSERVATION_CHUNK,
@@ -89,6 +88,10 @@ impl<W> StreamableSource for W where
 {
 }
 
+/// How many per-shard trace events a single drained stage may emit; denser
+/// stages are strided down so a national run's timeline stays readable.
+const TRACE_SHARDS_PER_STAGE: usize = 128;
+
 /// Run source → dataset end-to-end through the shard streams, never
 /// materialising the fabric, the location-level claims or the speed-test
 /// datasets. Generic over [`WorldSource`]: the synthetic stream world and
@@ -98,52 +101,15 @@ impl<W> StreamableSource for W where
 ///
 /// `mode` is the shared scheduling knob: it fans the label/feature shards
 /// across workers, and every mode is bit-identical (the worker-invariance
-/// contract). For the synth-config entry point see
-/// [`run_synth_streaming_to_dataset`].
-pub fn run_streaming_to_dataset<W: StreamableSource>(
-    source: W,
-    options: &LabelingOptions,
-    features: &FeatureConfig,
-    mode: DiffMode,
-) -> Result<StreamingDatasetRun<W>, String> {
-    run_streaming_to_dataset_with(source, options, features, mode, &Telemetry::global())
-}
-
-/// Generate a synthetic [`StreamWorld`] under `mode`'s worker budget and run
-/// it through [`run_streaming_to_dataset`] — the config-level convenience
-/// entry the synth benchmarks and examples use.
-pub fn run_synth_streaming_to_dataset(
-    config: &SynthConfig,
-    options: &LabelingOptions,
-    features: &FeatureConfig,
-    mode: GenMode,
-) -> Result<StreamingDatasetRun, String> {
-    run_synth_streaming_to_dataset_with(config, options, features, mode, &Telemetry::global())
-}
-
-/// [`run_synth_streaming_to_dataset`] with an explicit telemetry handle.
-pub fn run_synth_streaming_to_dataset_with(
-    config: &SynthConfig,
-    options: &LabelingOptions,
-    features: &FeatureConfig,
-    mode: GenMode,
-    telemetry: &Telemetry,
-) -> Result<StreamingDatasetRun, String> {
-    let source = StreamWorld::generate(config, mode)?;
-    run_streaming_to_dataset_with(source, options, features, mode, telemetry)
-}
-
-/// How many per-shard trace events a single drained stage may emit; denser
-/// stages are strided down so a national run's timeline stays readable.
-const TRACE_SHARDS_PER_STAGE: usize = 128;
-
-/// [`run_streaming_to_dataset`] with an explicit telemetry handle: the
-/// source's shared [`ResidencyMeter`](bdc::ResidencyMeter) mirrors its
-/// acquire/release traffic into registry instruments, every stage lands in
-/// `stream_stage_*` series, and an attached trace sink receives a strided
-/// per-shard timeline plus one `stage` event per stage. All recording is
-/// observation-only — the matrix and every fingerprint are bit-identical
-/// with telemetry on or off.
+/// contract).
+///
+/// `telemetry` receives the run's metrics and trace: the source's shared
+/// [`ResidencyMeter`](bdc::ResidencyMeter) mirrors its acquire/release
+/// traffic into registry instruments, every stage lands in `stream_stage_*`
+/// series, and an attached trace sink receives a strided per-shard timeline
+/// plus one `stage` event per stage. All recording is observation-only —
+/// the matrix and every fingerprint are bit-identical with telemetry on or
+/// off ([`Telemetry::disabled`]).
 pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     source: W,
     options: &LabelingOptions,
@@ -436,17 +402,24 @@ pub(crate) fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport
 mod tests {
     use super::*;
     use crate::pipeline::PipelineEngine;
+    use synth::{GenMode, SynthConfig};
+
+    /// Generate the tiny world for `seed` and stream it to a dataset.
+    fn stream_tiny(seed: u64, mode: GenMode, telemetry: &Telemetry) -> StreamingDatasetRun {
+        let source = StreamWorld::generate(&SynthConfig::tiny(seed), mode).expect("valid config");
+        run_streaming_to_dataset_with(
+            source,
+            &LabelingOptions::default(),
+            &FeatureConfig::default(),
+            mode,
+            telemetry,
+        )
+        .expect("tiny config fits any budget")
+    }
 
     #[test]
     fn streaming_run_reports_every_stage_and_respects_budget() {
-        let config = SynthConfig::tiny(91);
-        let run = run_synth_streaming_to_dataset(
-            &config,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            GenMode::Sequential,
-        )
-        .expect("tiny config fits any budget");
+        let run = stream_tiny(91, GenMode::Sequential, &Telemetry::disabled());
         for name in [
             "asn_matching",
             "ookla_reprojection",
@@ -491,15 +464,7 @@ mod tests {
         let registry = Arc::new(obs::MetricsRegistry::new());
         let telemetry = Telemetry::with_metrics(Arc::clone(&registry))
             .with_trace(Arc::new(obs::TraceSink::to_writer(Box::new(buf.clone()))));
-        let config = SynthConfig::tiny(91);
-        let run = run_synth_streaming_to_dataset_with(
-            &config,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            GenMode::Sequential,
-            &telemetry,
-        )
-        .expect("valid config");
+        let run = stream_tiny(91, GenMode::Sequential, &telemetry);
 
         // Registry: runner stages and residency instruments are all there.
         let text = registry.encode_prometheus();
@@ -530,13 +495,7 @@ mod tests {
         }
 
         // And the matrix is bit-identical to an untelemetered run.
-        let silent = run_synth_streaming_to_dataset(
-            &config,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            GenMode::Sequential,
-        )
-        .expect("valid config");
+        let silent = stream_tiny(91, GenMode::Sequential, &Telemetry::disabled());
         assert_eq!(
             crate::features::dataset_fingerprint(&run.matrix.dataset),
             crate::features::dataset_fingerprint(&silent.matrix.dataset),
@@ -549,20 +508,14 @@ mod tests {
         use crate::features::dataset_fingerprint;
         use crate::labels::observations_fingerprint;
 
-        let config = SynthConfig::tiny(92);
-        let world = synth::SynthUs::generate(&config);
-        let materialised = PipelineEngine.run_to_dataset(
+        let world = synth::SynthUs::generate(&SynthConfig::tiny(92));
+        let materialised = PipelineEngine.run_to_dataset_with(
             &world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),
+            &Telemetry::disabled(),
         );
-        let streamed = run_synth_streaming_to_dataset(
-            &config,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            GenMode::Parallel,
-        )
-        .expect("valid config");
+        let streamed = stream_tiny(92, GenMode::Parallel, &Telemetry::disabled());
         assert_eq!(
             observations_fingerprint(&streamed.matrix.observations),
             observations_fingerprint(&materialised.matrix.observations),
@@ -572,34 +525,6 @@ mod tests {
             dataset_fingerprint(&streamed.matrix.dataset),
             dataset_fingerprint(&materialised.matrix.dataset),
             "streamed dataset must be bit-identical to the materialised path"
-        );
-    }
-
-    #[test]
-    fn generic_runner_accepts_a_pregenerated_source() {
-        // The public entry takes any WorldSource value directly — here a
-        // StreamWorld generated up front, exactly what a file-backed source
-        // substitutes for.
-        let config = SynthConfig::tiny(93);
-        let source = StreamWorld::generate(&config, GenMode::Sequential).expect("valid config");
-        let run = run_streaming_to_dataset(
-            source,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            GenMode::Sequential,
-        )
-        .expect("runs over the trait");
-        let convenience = run_synth_streaming_to_dataset(
-            &config,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            GenMode::Sequential,
-        )
-        .expect("valid config");
-        assert_eq!(
-            crate::features::dataset_fingerprint(&run.matrix.dataset),
-            crate::features::dataset_fingerprint(&convenience.matrix.dataset),
-            "the convenience wrapper is exactly generate + generic run"
         );
     }
 }

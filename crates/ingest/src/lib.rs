@@ -5,7 +5,7 @@
 //! BDC bulk availability exports (per-state, per-technology CSV files under
 //! per-release directories) and Ookla open-data tile exports — and presents
 //! it through exactly the same trait surface, so
-//! `core::streaming::run_streaming_to_dataset` and everything downstream
+//! `core::streaming::run_streaming_to_dataset_with` and everything downstream
 //! (diff engine, budget enforcement, labels, features, scoring) apply
 //! unchanged.
 //!

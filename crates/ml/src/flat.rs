@@ -1,6 +1,6 @@
-//! Flattened forest inference: the recursive [`RegressionTree`] boxes lowered
-//! into one contiguous node array for cache-friendly traversal at serving
-//! time.
+//! Flattened forest inference: the recursive
+//! [`RegressionTree`](crate::RegressionTree) boxes lowered into one
+//! contiguous node array for cache-friendly traversal at serving time.
 //!
 //! [`GbdtModel::predict_margin`] walks a `Vec<Node>` per tree through an enum
 //! match; fine for training-time evaluation, but the serving hot path wants a

@@ -34,16 +34,7 @@ pub use metrics::{
 pub use span::SpanTimer;
 pub use trace::{TraceSink, TraceValue};
 
-use std::sync::{Arc, OnceLock};
-
-/// The process-wide registry, created on first use. Entry points that
-/// aren't handed an explicit [`Telemetry`] (the legacy `run()` /
-/// `run_to_dataset()` signatures) record here, so one scrape surface sees
-/// the whole process by default.
-pub fn global() -> &'static Arc<MetricsRegistry> {
-    static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new()))
-}
+use std::sync::Arc;
 
 /// The telemetry handle a subsystem threads through its layers: an
 /// optional metrics registry plus an optional trace sink. Cloning is two
@@ -66,11 +57,6 @@ impl Telemetry {
             metrics: Some(registry),
             trace: None,
         }
-    }
-
-    /// Record metrics into the process-wide [`global`] registry.
-    pub fn global() -> Self {
-        Self::with_metrics(Arc::clone(global()))
     }
 
     /// Attach a trace sink (builder-style).
@@ -156,13 +142,5 @@ mod tests {
         assert!(telemetry.is_enabled());
         telemetry.counter("runs_total", "Runs.", &[]).inc();
         assert_eq!(registry.counter("runs_total", "Runs.", &[]).value(), 1);
-    }
-
-    #[test]
-    fn global_registry_is_one_instance() {
-        let a = global();
-        let b = global();
-        assert!(Arc::ptr_eq(a, b));
-        assert!(Telemetry::global().is_enabled());
     }
 }

@@ -14,9 +14,11 @@
 //! the per-row walk at any block size, so the kernel choice never shows in
 //! the output bits. Inputs that fit a single shard, or schedules with one
 //! effective worker, **short-circuit** past the shard/worker machinery
-//! entirely: on the 1-core bench container the worker sweep showed
-//! `Threads(2)`/`Threads(4)` strictly slower than sequential, so spawning is
-//! pure overhead unless there are both multiple shards and multiple workers.
+//! entirely: spawning is pure overhead unless there are both multiple shards
+//! and multiple workers. Even then it barely pays on small inputs: on a
+//! 2-CPU host, six runs of the serving bench over its 1,214-row dataset (two
+//! shards, the second 190 rows) showed no consistent gain from `Threads(2)`
+//! or `Threads(4)` over sequential (`BENCH_serve.json`).
 
 use bdc::stream::map_shards;
 use ml::gbdt::sigmoid;
@@ -61,13 +63,11 @@ impl ScoreOutput {
     }
 }
 
-/// Which traversal kernel a scoring call runs on. All three produce
+/// Which traversal kernel a scoring call runs on. Both produce
 /// bit-identical scores — the kernel is a throughput decision, reported by
 /// the HTTP endpoint and the quickstart example so dispatch is observable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreKernel {
-    /// Per-row recursive-equivalent walk over the flat forest.
-    Scalar,
     /// Block-batched level-synchronous traversal of the flat forest.
     Batched,
     /// Block-batched traversal on u16-quantised thresholds (exact trees
@@ -79,7 +79,6 @@ impl ScoreKernel {
     /// Stable name, used by the HTTP endpoint and the CLI.
     pub fn name(self) -> &'static str {
         match self {
-            ScoreKernel::Scalar => "scalar",
             ScoreKernel::Batched => "batched",
             ScoreKernel::Quantised => "quantised",
         }

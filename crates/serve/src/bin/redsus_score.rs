@@ -218,9 +218,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         telemetry = telemetry.with_trace(Arc::new(sink));
         println!("tracing requests to {path} (JSONL)");
     }
-    let server =
-        ScoreServer::bind_with_telemetry(&options.addr, Arc::clone(&registry), config, &telemetry)
-            .map_err(|e| format!("binding {}: {e}", options.addr))?;
+    let server = ScoreServer::bind(&options.addr, Arc::clone(&registry), config, &telemetry)
+        .map_err(|e| format!("binding {}: {e}", options.addr))?;
     match registry.default_fingerprint() {
         Some(fp) => println!(
             "serving {} model version(s), default {fp:#018x}, at {} ({} workers); Ctrl-C to stop",

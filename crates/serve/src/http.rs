@@ -19,7 +19,7 @@
 //!   read past one request's body are kept as the start of the next
 //!   request, so a client may write a burst of requests and read the
 //!   responses back in order.
-//! * **Models** come from a [`ModelRegistry`](crate::ModelRegistry):
+//! * **Models** come from a [`ModelRegistry`]:
 //!   `POST /score` uses the default version, `?model=<fingerprint>` pins an
 //!   explicit one, and `GET /models` lists what is loaded. A request clones
 //!   the model's `Arc` once up front, so a hot reload mid-request can never
@@ -45,9 +45,11 @@
 //!
 //! Error handling distinguishes the wire from the peer: malformed input
 //! maps to a typed 4xx JSON response (and closes, since framing can no
-//! longer be trusted), a read *timeout* maps to 408, but a peer reset or
-//! broken pipe closes without writing into the dead socket and is counted
-//! in [`ServerStats::peer_resets`]. The worker never panics on wire bytes.
+//! longer be trusted), a read *timeout* or a request still incomplete at
+//! its [`ServeConfig::read_timeout`] deadline maps to 408, but a peer
+//! reset or broken pipe closes without writing into the dead socket and is
+//! counted in [`ServerStats::peer_resets`]. The worker never panics on wire
+//! bytes.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,8 +59,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, Telemetry, TraceSink, TraceValue,
-    DEFAULT_LATENCY_BUCKETS,
+    Counter, Gauge, Histogram, MetricsRegistry, Telemetry, TraceValue, DEFAULT_LATENCY_BUCKETS,
 };
 
 use crate::batch::{ScoreMode, ScoreOutput};
@@ -74,29 +75,20 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Largest accepted request body; larger requests get 413.
     pub max_body_bytes: usize,
-    /// Per-read socket timeout while a request is in flight (mid-headers or
-    /// mid-body); expiry maps to 408.
+    /// Deadline for a whole request, headers and body, counted from its
+    /// first byte (from the start of the read when pipelined bytes are
+    /// already buffered); a request still incomplete past it gets 408 and
+    /// the connection closes. Also the per-read socket timeout while a
+    /// request is in flight, so a client that goes silent is answered at
+    /// most one `read_timeout` past the deadline.
     pub read_timeout: Duration,
     /// How long a keep-alive connection may sit idle *between* requests
     /// before the server closes it quietly.
     pub idle_timeout: Duration,
-    /// Master switch: `false` answers every request with
-    /// `Connection: close`, whatever the client asked for.
-    pub keep_alive: bool,
     /// Requests served per connection before the server closes it (the
     /// final response advertises the close). Bounds how long one client can
     /// monopolise a pool worker.
     pub max_requests_per_connection: u64,
-    /// Schedule of the per-request batch scorer. Defaults to `Sequential`:
-    /// under concurrent load the worker pool is the parallelism, and the
-    /// contract guarantees the schedule never changes the bits anyway.
-    pub score_mode: ScoreMode,
-    /// Whether the plain constructors attach a metrics registry (served on
-    /// `GET /metrics` / `GET /stats`). `false` runs the server with noop
-    /// instruments — `/metrics` answers 503 and the request path pays one
-    /// branch per record. Constructors taking an explicit [`Telemetry`]
-    /// ignore this flag: what they are handed wins.
-    pub metrics: bool,
 }
 
 impl Default for ServeConfig {
@@ -106,10 +98,7 @@ impl Default for ServeConfig {
             max_body_bytes: 8 << 20,
             read_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(2),
-            keep_alive: true,
             max_requests_per_connection: 1024,
-            score_mode: ScoreMode::Sequential,
-            metrics: true,
         }
     }
 }
@@ -177,8 +166,7 @@ fn status_label(status: u16) -> &'static str {
 /// histograms, per-route series and gauges are noops unless a metrics
 /// registry is attached.
 struct ServerMetrics {
-    registry: Option<Arc<MetricsRegistry>>,
-    trace: Option<Arc<TraceSink>>,
+    telemetry: Telemetry,
     requests: Counter,
     scored_rows: Counter,
     connections: Counter,
@@ -200,8 +188,7 @@ impl ServerMetrics {
         let idle_closes = Counter::active();
         let connections_active = Gauge::active();
         let in_flight = Gauge::active();
-        let registry = telemetry.registry().cloned();
-        let models_loaded = match &registry {
+        let models_loaded = match telemetry.registry() {
             Some(reg) => {
                 reg.adopt_counter(
                     "http_requests_total",
@@ -275,21 +262,17 @@ impl ServerMetrics {
         let route_latency = ROUTES
             .iter()
             .map(|route| {
-                let hist = match &registry {
-                    Some(reg) => reg.histogram(
-                        "http_request_duration_seconds",
-                        "Request handling latency by route (routing to response body built).",
-                        &DEFAULT_LATENCY_BUCKETS,
-                        &[("route", route)],
-                    ),
-                    None => Histogram::noop(),
-                };
+                let hist = telemetry.histogram(
+                    "http_request_duration_seconds",
+                    "Request handling latency by route (routing to response body built).",
+                    &DEFAULT_LATENCY_BUCKETS,
+                    &[("route", route)],
+                );
                 (*route, hist)
             })
             .collect();
         Self {
-            registry,
-            trace: telemetry.trace_sink().cloned(),
+            telemetry: telemetry.clone(),
             requests,
             scored_rows,
             connections,
@@ -314,29 +297,26 @@ impl ServerMetrics {
     /// series is get-or-create (a read-lock hit after the first response of
     /// its kind); disabled metrics skip it entirely.
     fn response(&self, route: &'static str, status: u16) {
-        if let Some(reg) = &self.registry {
-            reg.counter(
+        self.telemetry
+            .counter(
                 "http_responses_total",
                 "Responses by route and status.",
                 &[("route", route), ("status", status_label(status))],
             )
             .inc();
-        }
     }
 
     /// Emit one per-request trace event, when a sink is attached.
     fn trace_request(&self, route: &str, status: u16, wall: Duration, keep: bool) {
-        if let Some(sink) = &self.trace {
-            sink.emit(
-                "request",
-                route,
-                &[
-                    ("status", TraceValue::U64(status as u64)),
-                    ("duration_us", TraceValue::U64(wall.as_micros() as u64)),
-                    ("keep_alive", TraceValue::U64(keep as u64)),
-                ],
-            );
-        }
+        self.telemetry.emit(
+            "request",
+            route,
+            &[
+                ("status", TraceValue::U64(status as u64)),
+                ("duration_us", TraceValue::U64(wall.as_micros() as u64)),
+                ("keep_alive", TraceValue::U64(keep as u64)),
+            ],
+        );
     }
 }
 
@@ -386,58 +366,28 @@ pub struct ScoreServer {
 }
 
 impl ScoreServer {
-    /// Start on an ephemeral loopback port with a single-model registry
+    /// Start on an ephemeral loopback port with a single-model registry and
+    /// a private metrics registry behind `GET /metrics` and `GET /stats`
     /// (the hermetic-test entry point).
     pub fn start(served: ServedModel, config: ServeConfig) -> std::io::Result<Self> {
-        Self::bind("127.0.0.1:0", served, config)
+        Self::bind(
+            "127.0.0.1:0",
+            Arc::new(ModelRegistry::with_model(served)),
+            config,
+            &Telemetry::with_metrics(Arc::new(MetricsRegistry::new())),
+        )
     }
 
-    /// Start on an explicit address with a single-model registry.
-    pub fn bind(addr: &str, served: ServedModel, config: ServeConfig) -> std::io::Result<Self> {
-        Self::bind_with_registry(addr, Arc::new(ModelRegistry::with_model(served)), config)
-    }
-
-    /// Start on an ephemeral loopback port over a shared registry — the
-    /// hot-reload entry point: publish/retire on the registry while the
-    /// server runs and new requests see the swap atomically.
-    pub fn start_with_registry(
-        registry: Arc<ModelRegistry>,
-        config: ServeConfig,
-    ) -> std::io::Result<Self> {
-        Self::bind_with_registry("127.0.0.1:0", registry, config)
-    }
-
-    /// Start on an explicit address over a shared registry. Builds the
-    /// server's telemetry from [`ServeConfig::metrics`]: `true` attaches a
-    /// fresh private [`MetricsRegistry`] (so `GET /metrics` works out of the
-    /// box), `false` runs noop instruments.
-    pub fn bind_with_registry(
-        addr: &str,
-        registry: Arc<ModelRegistry>,
-        config: ServeConfig,
-    ) -> std::io::Result<Self> {
-        let telemetry = if config.metrics {
-            Telemetry::with_metrics(Arc::new(MetricsRegistry::new()))
-        } else {
-            Telemetry::disabled()
-        };
-        Self::bind_with_telemetry(addr, registry, config, &telemetry)
-    }
-
-    /// Start on an ephemeral loopback port with explicit telemetry — wire
-    /// the server into a registry shared with the pipeline, or attach a
-    /// trace sink. Ignores [`ServeConfig::metrics`]: the handed telemetry
-    /// wins.
-    pub fn start_with_telemetry(
-        registry: Arc<ModelRegistry>,
-        config: ServeConfig,
-        telemetry: &Telemetry,
-    ) -> std::io::Result<Self> {
-        Self::bind_with_telemetry("127.0.0.1:0", registry, config, telemetry)
-    }
-
-    /// Start on an explicit address with explicit telemetry.
-    pub fn bind_with_telemetry(
+    /// Start on `addr` (`"127.0.0.1:0"` for an ephemeral loopback port) over
+    /// a shared model registry, recording into `telemetry`.
+    ///
+    /// Publishing or retiring on `registry` while the server runs is the
+    /// hot-reload path: new requests see the swap atomically. `telemetry`
+    /// decides what the server exports: a registry shared with the pipeline
+    /// puts both layers on one `/metrics` scrape, an attached trace sink
+    /// receives one event per request, and [`Telemetry::disabled`] runs noop
+    /// instruments with `/metrics` answering 503.
+    pub fn bind(
         addr: &str,
         registry: Arc<ModelRegistry>,
         config: ServeConfig,
@@ -525,7 +475,7 @@ impl ScoreServer {
     /// scrapes — or `None` when metrics are disabled. Useful for reading
     /// server series in-process without an HTTP round trip.
     pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.shared.metrics.registry.as_ref()
+        self.shared.metrics.telemetry.registry()
     }
 
     /// Gracefully stop: unblock the accept loop, drain the workers, join
@@ -659,8 +609,19 @@ fn read_step(stream: &mut TcpStream, chunk: &mut [u8]) -> ReadStep {
     }
 }
 
+/// [`read_step`] for a request in flight: a read that returns after the
+/// request's `deadline` counts as a timeout, so a client trickling bytes
+/// cannot stretch one request past [`ServeConfig::read_timeout`].
+fn read_before(stream: &mut TcpStream, chunk: &mut [u8], deadline: Instant) -> ReadStep {
+    match read_step(stream, chunk) {
+        ReadStep::Data(_) if Instant::now() >= deadline => ReadStep::TimedOut,
+        step => step,
+    }
+}
+
 /// Read one request out of the connection, honouring leftover pipelined
 /// bytes in `conn` and leaving any over-read bytes there for the next call.
+/// The whole request must arrive within `read_timeout` of its first byte.
 ///
 /// `first` selects the wait-for-request-start semantics: the first request
 /// of a connection that never arrives is a client error (408 after
@@ -710,6 +671,7 @@ fn read_request(
         }
     }
     let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let deadline = Instant::now() + config.read_timeout;
 
     // Phase 2: read until the blank line ending the headers. The scan for
     // `\r\n\r\n` resumes where the last one stopped (minus 3 bytes in case
@@ -727,7 +689,7 @@ fn read_request(
                 HttpError::new(431, "request headers too large").with_unread(DRAIN_SLACK_BYTES),
             ));
         }
-        match read_step(stream, &mut chunk) {
+        match read_before(stream, &mut chunk, deadline) {
             ReadStep::Data(n) => conn.buf.extend_from_slice(&chunk[..n]),
             ReadStep::Eof => {
                 return Err(ReadEnd::Error(HttpError::new(
@@ -832,7 +794,7 @@ fn read_request(
     // the next pipelined request.
     let total = header_end + 4 + content_length;
     while conn.buf.len() < total {
-        match read_step(stream, &mut chunk) {
+        match read_before(stream, &mut chunk, deadline) {
             ReadStep::Data(n) => conn.buf.extend_from_slice(&chunk[..n]),
             ReadStep::Eof => {
                 return Err(ReadEnd::Error(HttpError::new(
@@ -886,8 +848,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         match read_request(&mut stream, &mut conn, shared, served == 0) {
             Ok(request) => {
                 served += 1;
-                let keep = shared.config.keep_alive
-                    && request.keep_alive
+                let keep = request.keep_alive
                     && served < shared.config.max_requests_per_connection
                     && !shared.shutdown.load(Ordering::SeqCst);
                 let route_name = route_key(&request.method, &request.path);
@@ -1014,9 +975,9 @@ fn route(request: &Request, shared: &Shared) -> Result<RouteBody, HttpError> {
 
 /// `GET /metrics`: the Prometheus text exposition of every series in the
 /// server's registry — including any pipeline/streaming families recorded
-/// into a shared registry handed to [`ScoreServer::start_with_telemetry`].
+/// into a shared registry handed to [`ScoreServer::bind`].
 fn metrics_route(shared: &Shared) -> Result<RouteBody, HttpError> {
-    let Some(registry) = &shared.metrics.registry else {
+    let Some(registry) = shared.metrics.telemetry.registry() else {
         return Err(HttpError::new(503, "metrics are disabled on this server"));
     };
     // Model count is sampled at scrape time: the registry swap path stays
@@ -1048,7 +1009,7 @@ fn stats_body(shared: &Shared) -> String {
         stats.peer_resets,
         stats.idle_closes,
     );
-    match &metrics.registry {
+    match metrics.telemetry.registry() {
         Some(registry) => {
             metrics.models_loaded.set(shared.registry.len() as f64);
             body.push_str(&registry.snapshot_json());
@@ -1091,7 +1052,8 @@ fn score_route(request: &Request, shared: &Shared) -> Result<String, HttpError> 
         std::str::from_utf8(&request.body).map_err(|_| HttpError::new(400, "body is not UTF-8"))?;
     let frame = FeatureFrame::parse_csv(text).map_err(|e| HttpError::new(400, e.to_string()))?;
     let aligned = frame.align(served.forest());
-    let scores = served.score_block(&aligned.data, output, shared.config.score_mode);
+    // Sequential: under concurrent load the worker pool is the parallelism.
+    let scores = served.score_block(&aligned.data, output, ScoreMode::Sequential);
     shared.metrics.scored_rows.add(scores.len() as u64);
 
     let mut body = String::with_capacity(64 + scores.len() * 20);

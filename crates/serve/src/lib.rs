@@ -50,6 +50,8 @@ pub use batch::{
 };
 pub use frame::{AlignedBlock, FeatureFrame, FrameError};
 pub use http::{ScoreServer, ServeConfig, ServerStats};
+/// The telemetry handle [`ScoreServer::bind`] records into.
+pub use obs::Telemetry;
 pub use registry::{DirWatcher, ModelInfo, ModelRegistry, ScanReport};
 
 use std::path::Path;
@@ -127,7 +129,7 @@ impl ServedModel {
     pub fn score_block(&self, data: &[f32], output: ScoreOutput, mode: ScoreMode) -> Vec<f64> {
         match self.kernel() {
             ScoreKernel::Quantised => score_rows_quantised(&self.quant, data, output, mode),
-            _ => score_rows(self.forest(), data, output, mode),
+            ScoreKernel::Batched => score_rows(self.forest(), data, output, mode),
         }
     }
 

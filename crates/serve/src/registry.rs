@@ -79,12 +79,12 @@ pub struct ModelInfo {
 /// the same cores the registry itself increments.
 #[derive(Debug, Clone)]
 pub struct RegistryLifecycle {
-    /// Models published or inserted (replacements included).
+    /// Models published (replacements included).
     pub publishes: Counter,
     /// Model versions retired.
     pub retires: Counter,
-    /// Times the default version changed (publish over a different
-    /// default, explicit `set_default`, or retire-of-default fallback).
+    /// Times the default version changed (a publish over a different
+    /// default, or the fallback when the default is retired).
     pub default_swaps: Counter,
 }
 
@@ -173,50 +173,6 @@ impl ModelRegistry {
         });
         self.lifecycle.publishes.inc();
         fingerprint
-    }
-
-    /// Insert (or replace) a model without changing the default — unless the
-    /// registry was empty, in which case it becomes the default.
-    pub fn insert(&self, model: ServedModel) -> u64 {
-        let fingerprint = model.fingerprint();
-        let model = Arc::new(model);
-        self.swap(|old| {
-            if old.default.is_none() {
-                self.lifecycle.default_swaps.inc();
-            }
-            let mut models: Vec<Arc<ServedModel>> = old
-                .models
-                .iter()
-                .filter(|m| m.fingerprint() != fingerprint)
-                .cloned()
-                .collect();
-            models.push(Arc::clone(&model));
-            Snapshot {
-                default: old.default.or(Some(fingerprint)),
-                models,
-            }
-        });
-        self.lifecycle.publishes.inc();
-        fingerprint
-    }
-
-    /// Make an already-registered model the default. Returns `false` when no
-    /// model has that fingerprint (the default is unchanged).
-    pub fn set_default(&self, fingerprint: u64) -> bool {
-        let mut found = false;
-        self.swap(|old| Snapshot {
-            default: if old.find(fingerprint).is_some() {
-                found = true;
-                if old.default != Some(fingerprint) {
-                    self.lifecycle.default_swaps.inc();
-                }
-                Some(fingerprint)
-            } else {
-                old.default
-            },
-            models: old.models.clone(),
-        });
-        found
     }
 
     /// Remove a model version. In-flight requests holding its `Arc` finish
@@ -486,19 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_keeps_the_default_unless_empty() {
-        let registry = ModelRegistry::new();
-        let v1 = registry.insert(model(1));
-        assert_eq!(registry.default_fingerprint(), Some(v1), "first insert");
-        let v2 = registry.insert(model(2));
-        assert_eq!(registry.default_fingerprint(), Some(v1));
-        assert!(registry.set_default(v2));
-        assert_eq!(registry.default_fingerprint(), Some(v2));
-        assert!(!registry.set_default(0x1234));
-        assert_eq!(registry.default_fingerprint(), Some(v2));
-    }
-
-    #[test]
     fn retire_drains_instead_of_dropping() {
         let registry = ModelRegistry::new();
         let v1 = registry.publish(model(1));
@@ -559,25 +502,19 @@ mod tests {
         registry.publish(model(2)); // replacement publish, default unchanged
         assert_eq!(lc.publishes.value(), 3);
         assert_eq!(lc.default_swaps.value(), 2);
-        registry.insert(model(3)); // insert keeps the default
-        assert_eq!(lc.publishes.value(), 4);
-        assert_eq!(lc.default_swaps.value(), 2);
-        assert!(registry.set_default(v1));
-        assert!(
-            registry.set_default(v1),
-            "re-setting the default is not a swap"
-        );
-        assert!(!registry.set_default(0xdead));
-        assert_eq!(lc.default_swaps.value(), 3);
-        assert!(registry.retire(v2));
-        assert!(!registry.retire(v2));
+        assert!(registry.retire(v1));
+        assert!(!registry.retire(v1));
         assert_eq!(lc.retires.value(), 1);
         assert_eq!(
             lc.default_swaps.value(),
-            3,
+            2,
             "retiring a non-default is not a swap"
         );
-        assert!(registry.retire(v1)); // default falls back to the survivor
+        assert_eq!(registry.default_fingerprint(), Some(v2));
+        let v3 = registry.publish(model(3)); // publish + default swap (v2→v3)
+        assert!(registry.retire(v3)); // default falls back to the survivor
+        assert_eq!(registry.default_fingerprint(), Some(v2));
+        assert_eq!(lc.publishes.value(), 4);
         assert_eq!(lc.retires.value(), 2);
         assert_eq!(lc.default_swaps.value(), 4);
         // Adoption into a metrics registry exposes the same atomics.

@@ -1,18 +1,20 @@
 //! The connection-lifecycle and hot-reload contract, pinned hermetically on
 //! loopback: keep-alive reuse, pipelined framing, HTTP/1.0-vs-1.1 close
-//! semantics, the per-connection request cap and idle timeout, registry
-//! swaps under live traffic, and the strict-JSON guarantee for non-finite
-//! scores.
+//! semantics, the per-connection request cap, idle timeout and whole-request
+//! deadline, registry swaps under live traffic, and the strict-JSON
+//! guarantee for non-finite scores.
 
 mod common;
 
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{assert_strict_json, FramedClient};
 use ml::tree::Node;
 use ml::{Dataset, GbdtModel, GbdtParams, RegressionTree};
-use redsus_serve::{ModelRegistry, ScoreServer, ServeConfig, ServedModel};
+use redsus_serve::{ModelRegistry, ScoreServer, ServeConfig, ServedModel, Telemetry};
 
 /// A small deterministic model over features `(a, b)`; different seeds give
 /// different fingerprints (and different scores for the same rows).
@@ -48,6 +50,18 @@ fn start(config: ServeConfig) -> (ScoreServer, ServedModel) {
     let clone = ServedModel::from_model(served.model().clone());
     let server = ScoreServer::start(served, config).expect("bind loopback");
     (server, clone)
+}
+
+/// Serve a shared model registry on an ephemeral loopback port.
+fn serve(registry: &Arc<ModelRegistry>) -> ScoreServer {
+    let telemetry = Telemetry::disabled();
+    ScoreServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(registry),
+        ServeConfig::default(),
+        &telemetry,
+    )
+    .expect("bind loopback")
 }
 
 /// The headline acceptance test: one connection, 100+ pipelined `/score`
@@ -204,6 +218,59 @@ fn silent_first_request_still_gets_408() {
     assert_eq!(stats.requests, 1, "the 408 is a (failed) request");
 }
 
+/// Open a connection, send `head`, then trickle one more byte every 50 ms
+/// for up to 2 s. Returns how long after `head` the server ended the
+/// connection (a write failed), or `None` when it was still taking bytes
+/// after 2 s.
+fn trickle(addr: SocketAddr, head: &str) -> Option<Duration> {
+    let mut stream = TcpStream::connect(addr).expect("connect loopback");
+    stream.set_nodelay(true).expect("nodelay");
+    let started = Instant::now();
+    stream.write_all(head.as_bytes()).expect("send head");
+    while started.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(50));
+        if stream.write_all(b"a").is_err() {
+            return Some(started.elapsed());
+        }
+    }
+    None
+}
+
+/// A trickled request must end at its deadline with one 408. The client is
+/// still sending, so it may see a reset instead of the 408 body: the
+/// server's counters are the evidence.
+fn assert_one_deadline_408(head: &str) {
+    let (server, _) = start(ServeConfig {
+        read_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    });
+    let metrics = Arc::clone(server.metrics_registry().expect("start attaches metrics"));
+    let closed = trickle(server.addr(), head);
+    let stats = server.shutdown();
+    let closed = closed.expect("the server was still reading the trickle after 2 s");
+    assert!(closed < Duration::from_secs(1), "closed after {closed:?}");
+    assert_eq!(stats.requests, 1, "{stats:?}");
+    let timeouts = metrics.counter(
+        "http_responses_total",
+        "",
+        &[("route", "other"), ("status", "408")],
+    );
+    assert_eq!(timeouts.value(), 1);
+}
+
+/// A client dripping header bytes cannot hold a pool worker past
+/// `read_timeout`: the deadline covers the request, not each read.
+#[test]
+fn trickled_headers_end_at_the_request_deadline() {
+    assert_one_deadline_408("GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: ");
+}
+
+/// The same deadline covers the body after complete headers.
+#[test]
+fn trickled_body_ends_at_the_request_deadline() {
+    assert_one_deadline_408("POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: 4096\r\n\r\na,b\n");
+}
+
 /// Hot reload under live traffic: scores stream over one connection while
 /// the registry swaps the default version. Every response is a 200, every
 /// response's fingerprint matches its scores (no mixed-version response),
@@ -220,8 +287,7 @@ fn hot_reload_swaps_mid_stream_without_mixing_versions() {
         ServedModel::from_model(v2.model().clone()),
     );
     let registry = Arc::new(ModelRegistry::with_model(v1));
-    let server = ScoreServer::start_with_registry(Arc::clone(&registry), ServeConfig::default())
-        .expect("bind loopback");
+    let server = serve(&registry);
 
     let mut client = FramedClient::connect(server.addr());
     let mut saw = (0u32, 0u32);
@@ -293,8 +359,7 @@ fn models_are_listed_and_selectable_by_fingerprint() {
     let registry = Arc::new(ModelRegistry::new());
     registry.publish(v1);
     registry.publish(v2);
-    let server = ScoreServer::start_with_registry(Arc::clone(&registry), ServeConfig::default())
-        .expect("bind loopback");
+    let server = serve(&registry);
     let mut client = FramedClient::connect(server.addr());
 
     client.send_get("/models", false);
@@ -348,9 +413,7 @@ fn models_are_listed_and_selectable_by_fingerprint() {
     server.shutdown();
 
     // An empty registry is alive but has nothing to score with: 503.
-    let empty =
-        ScoreServer::start_with_registry(Arc::new(ModelRegistry::new()), ServeConfig::default())
-            .expect("bind loopback");
+    let empty = serve(&Arc::new(ModelRegistry::new()));
     let mut client = FramedClient::connect(empty.addr());
     client.send_score("", &csv(0), true);
     let response = client.read_response().expect("503");

@@ -2,7 +2,8 @@
 //! loopback: `/metrics` serves parseable Prometheus text whose counters
 //! advance across pipelined keep-alive requests and survive a hot model
 //! reload; `/stats` is one strict-JSON document mirroring the same numbers;
-//! and disabling metrics degrades to 503 without touching the request path.
+//! and a server bound with disabled telemetry degrades to 503 without
+//! touching the request path.
 
 mod common;
 
@@ -10,6 +11,7 @@ use std::sync::Arc;
 
 use common::{assert_strict_json, FramedClient};
 use ml::{Dataset, GbdtModel, GbdtParams};
+use obs::{MetricsRegistry, Telemetry};
 use redsus_serve::{ModelRegistry, ScoreServer, ServeConfig, ServedModel};
 
 fn model(seed: u32) -> ServedModel {
@@ -145,7 +147,9 @@ fn metrics_counters_advance_across_pipelined_keepalive_requests() {
 #[test]
 fn metrics_survive_hot_model_reload() {
     let registry = Arc::new(ModelRegistry::with_model(model(1)));
-    let server = ScoreServer::start_with_registry(Arc::clone(&registry), ServeConfig::default())
+    let telemetry = Telemetry::with_metrics(Arc::new(MetricsRegistry::new()));
+    let config = ServeConfig::default();
+    let server = ScoreServer::bind("127.0.0.1:0", Arc::clone(&registry), config, &telemetry)
         .expect("bind loopback");
     let mut client = FramedClient::connect(server.addr());
 
@@ -207,17 +211,16 @@ fn stats_endpoint_is_strict_json_with_server_counters() {
     server.shutdown();
 }
 
-/// `metrics: false` degrades gracefully: scoring works, `/metrics` answers
-/// 503, `/stats` carries the counters with a `null` snapshot, and
+/// Disabled telemetry degrades gracefully: scoring works, `/metrics`
+/// answers 503, `/stats` carries the counters with a `null` snapshot, and
 /// `ScoreServer::stats()` still counts (the `ServerStats` atomics are
 /// always active).
 #[test]
 fn disabled_metrics_answer_503_but_stats_still_count() {
-    let config = ServeConfig {
-        metrics: false,
-        ..ServeConfig::default()
-    };
-    let server = ScoreServer::start(model(1), config).expect("bind loopback");
+    let registry = Arc::new(ModelRegistry::with_model(model(1)));
+    let config = ServeConfig::default();
+    let server = ScoreServer::bind("127.0.0.1:0", registry, config, &Telemetry::disabled())
+        .expect("bind loopback");
     assert!(server.metrics_registry().is_none());
     let mut client = FramedClient::connect(server.addr());
 

@@ -125,7 +125,7 @@ fn accumulate_test(
 ///
 /// Tests are fed in dataset order, batch by batch: the materialised pipeline
 /// feeds the whole dataset at once, the streaming runner one shard at a time.
-/// Within a batch, each block of [`TEST_BLOCK`] tests computes its candidate
+/// Within a batch, each block of `TEST_BLOCK` tests computes its candidate
 /// hexes (pure geometry) across scoped workers when it holds enough usable
 /// mapped tests, then folds them serially in test order. Every count
 /// therefore accumulates in ascending test order, so any batch split and any

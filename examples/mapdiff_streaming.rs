@@ -11,6 +11,7 @@
 use red_is_sus::bdc::stream::{DiffMode, ShardableRelease, DEFAULT_DIFF_CHUNK};
 use red_is_sus::bdc::DiffChain;
 use red_is_sus::core::pipeline::PipelineEngine;
+use red_is_sus::obs::Telemetry;
 use red_is_sus::synth::{SynthConfig, SynthUs};
 
 fn main() {
@@ -75,7 +76,7 @@ fn main() {
 
     // The same chain runs inside the pipeline engine as the release_diff
     // stage, feeding label construction incrementally.
-    let run = PipelineEngine.run(&world);
+    let run = PipelineEngine.run_with(&world, &Telemetry::disabled());
     let wall = run
         .report
         .stage("release_diff")

@@ -24,9 +24,9 @@ use std::sync::Arc;
 
 use red_is_sus::core::features::FeatureConfig;
 use red_is_sus::core::labels::LabelingOptions;
-use red_is_sus::core::streaming::run_synth_streaming_to_dataset_with;
+use red_is_sus::core::streaming::run_streaming_to_dataset_with;
 use red_is_sus::obs::{MetricsRegistry, Telemetry, TraceSink};
-use red_is_sus::synth::{GenMode, SynthConfig};
+use red_is_sus::synth::{GenMode, StreamWorld, SynthConfig};
 
 fn main() {
     let mut scale = 1usize;
@@ -79,17 +79,20 @@ fn main() {
         telemetry = telemetry.with_trace(Arc::new(sink));
     }
 
-    let run = run_synth_streaming_to_dataset_with(
-        &config,
-        &LabelingOptions::default(),
-        &FeatureConfig::default(),
-        GenMode::Parallel,
-        &telemetry,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("streaming run failed: {e}");
-        std::process::exit(1);
-    });
+    let run = StreamWorld::generate(&config, GenMode::Parallel)
+        .and_then(|source| {
+            run_streaming_to_dataset_with(
+                source,
+                &LabelingOptions::default(),
+                &FeatureConfig::default(),
+                GenMode::Parallel,
+                &telemetry,
+            )
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("streaming run failed: {e}");
+            std::process::exit(1);
+        });
     if let Some(sink) = telemetry.trace_sink() {
         sink.flush();
         if !json {

@@ -20,9 +20,10 @@ use std::path::PathBuf;
 use red_is_sus::bdc::DiffMode;
 use red_is_sus::core::features::FeatureConfig;
 use red_is_sus::core::labels::LabelingOptions;
-use red_is_sus::core::streaming::run_streaming_to_dataset;
+use red_is_sus::core::streaming::run_streaming_to_dataset_with;
 use red_is_sus::ingest::{FileWorld, IngestOptions};
 use red_is_sus::ml::{GbdtModel, GbdtParams};
+use red_is_sus::obs::Telemetry;
 use red_is_sus::serve::{ScoreServer, ServeConfig, ServedModel};
 
 fn main() {
@@ -62,11 +63,12 @@ fn main() {
         };
         println!("ingested {meta_detail}");
     }
-    let run = run_streaming_to_dataset(
+    let run = run_streaming_to_dataset_with(
         world,
         &LabelingOptions::default(),
         &FeatureConfig::default(),
         DiffMode::Parallel,
+        &Telemetry::disabled(),
     )
     .unwrap_or_else(|e| {
         eprintln!("streaming run failed: {e}");

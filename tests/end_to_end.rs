@@ -7,6 +7,7 @@ use red_is_sus::core::labels::{source_composition, LabelingOptions};
 use red_is_sus::core::model::{default_params, run_holdout, HoldoutStrategy};
 use red_is_sus::core::pipeline::{AnalysisContext, PipelineEngine};
 use red_is_sus::ml::FlatForest;
+use red_is_sus::obs::Telemetry;
 use red_is_sus::serve::{
     encode_model, score_dataset, ScoreMode, ScoreOutput, ScoreServer, ServeConfig, ServedModel,
 };
@@ -63,7 +64,9 @@ fn sharded_world_and_pipeline_match_golden_fingerprints() {
         world.canonical_fingerprint()
     );
     // The full preparation pipeline over the sharded world.
-    let ctx = PipelineEngine.run(&world).context;
+    let ctx = PipelineEngine
+        .run_with(&world, &Telemetry::disabled())
+        .context;
     assert_eq!(
         ctx.canonical_fingerprint(),
         GOLDEN_CONTEXT_FINGERPRINT,
@@ -78,10 +81,11 @@ fn dataset_stages_match_golden_fingerprints() {
     use red_is_sus::core::labels::observations_fingerprint;
 
     let world = SynthUs::generate(&small_config());
-    let run = PipelineEngine.run_to_dataset(
+    let run = PipelineEngine.run_to_dataset_with(
         &world,
         &LabelingOptions::default(),
         &FeatureConfig::default(),
+        &Telemetry::disabled(),
     );
     assert_eq!(run.report.stages.len(), 8);
     assert_eq!(

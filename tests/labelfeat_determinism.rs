@@ -4,7 +4,8 @@
 //!   `Sequential`, `Parallel` and forced-`Threads(n)` schedules for the
 //!   tiny and experiment presets (the `GenMode`/`DiffMode`/`ScoreMode`
 //!   worker-invariance contract, extended to the last pipeline half),
-//! * the staged engine path (`run_to_dataset`) reproduces the direct calls,
+//! * the staged engine path (`run_to_dataset_with`) reproduces the direct
+//!   calls,
 //! * distinct seeds produce distinct labelled datasets,
 //! * and a seeded loop over labelling/feature ablation corners holds the
 //!   contract in every configuration, not just the defaults.
@@ -18,6 +19,7 @@ use red_is_sus::core::labels::{observations_fingerprint, LabelMode, LabelingOpti
 use red_is_sus::core::pipeline::{
     stage_feature_engineering, stage_label_construction, AnalysisContext, PipelineEngine,
 };
+use red_is_sus::obs::Telemetry;
 use red_is_sus::synth::{SynthConfig, SynthUs};
 
 const MODES: [LabelMode; 3] = [
@@ -135,7 +137,8 @@ fn staged_engine_matches_direct_calls() {
     let world = SynthUs::generate(&SynthConfig::tiny(11));
     let options = LabelingOptions::default();
     let features = FeatureConfig::default();
-    let run = PipelineEngine.run_to_dataset(&world, &options, &features);
+    let run =
+        PipelineEngine.run_to_dataset_with(&world, &options, &features, &Telemetry::disabled());
     // All eight stages timed, the two dataset stages last.
     assert_eq!(run.report.stages.len(), 8);
     let last: Vec<&str> = run.report.stages[6..].iter().map(|s| s.name).collect();

@@ -8,8 +8,9 @@ use std::path::PathBuf;
 use red_is_sus::bdc::DiffMode;
 use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelingOptions};
-use red_is_sus::core::streaming::run_streaming_to_dataset;
+use red_is_sus::core::streaming::run_streaming_to_dataset_with;
 use red_is_sus::ingest::{AvailabilityReader, FileWorld, IngestError, IngestOptions, OoklaReader};
+use red_is_sus::obs::Telemetry;
 
 /// Golden fingerprints of the fixture dataset. Regenerating the fixture
 /// (`cargo run --example gen_bdc_fixture`) must reproduce these; any change
@@ -35,11 +36,12 @@ fn fixture_dataset_fingerprint_is_pinned_on_every_schedule() {
         DiffMode::Threads(3),
     ] {
         let world = load(&IngestOptions::default(), mode);
-        let run = run_streaming_to_dataset(
+        let run = run_streaming_to_dataset_with(
             world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),
             mode,
+            &Telemetry::disabled(),
         )
         .unwrap_or_else(|e| panic!("fixture run under {mode:?}: {e}"));
         assert_eq!(

@@ -10,9 +10,10 @@ use red_is_sus::bdc::{DiffMode, StreamReport};
 use red_is_sus::core::features::FeatureConfig;
 use red_is_sus::core::labels::LabelingOptions;
 use red_is_sus::core::pipeline::PipelineEngine;
-use red_is_sus::core::streaming::{run_streaming_to_dataset, run_synth_streaming_to_dataset};
+use red_is_sus::core::streaming::run_streaming_to_dataset_with;
 use red_is_sus::ingest::{FileWorld, IngestOptions};
-use red_is_sus::synth::{GenMode, SynthConfig, SynthUs};
+use red_is_sus::obs::Telemetry;
+use red_is_sus::synth::{StreamWorld, SynthConfig, SynthUs};
 
 /// The stages both engines run, in canonical order.
 const SHARED_STAGES: [&str; 6] = [
@@ -29,32 +30,33 @@ fn every_report_producer_has_truthful_totals_and_one_stage_order() {
     let config = SynthConfig::tiny(31);
     let options = LabelingOptions::default();
     let features = FeatureConfig::default();
-    let (world, generated) =
-        SynthUs::generate_with(&config, GenMode::Parallel).expect("valid config");
+    let (mode, telemetry) = (DiffMode::Parallel, Telemetry::disabled());
+    let (world, generated) = SynthUs::generate_with(&config, mode).expect("valid config");
+    let stream_world = StreamWorld::generate(&config, mode).expect("valid config");
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bdc_sample");
-    let file_world = FileWorld::load(&fixture, &IngestOptions::default(), DiffMode::Parallel)
+    let file_world = FileWorld::load(&fixture, &IngestOptions::default(), mode)
         .unwrap_or_else(|e| panic!("fixture must load: {e}"));
 
     // (producer, report, whether it runs the pipeline stages)
     let cases: [(&str, StreamReport, bool); 4] = [
         ("SynthUs::generate_with", generated, false),
         (
-            "PipelineEngine::run_to_dataset",
+            "PipelineEngine::run_to_dataset_with",
             PipelineEngine
-                .run_to_dataset(&world, &options, &features)
+                .run_to_dataset_with(&world, &options, &features, &telemetry)
                 .report,
             true,
         ),
         (
             "runner over StreamWorld",
-            run_synth_streaming_to_dataset(&config, &options, &features, GenMode::Parallel)
+            run_streaming_to_dataset_with(stream_world, &options, &features, mode, &telemetry)
                 .expect("tiny config fits any budget")
                 .report,
             true,
         ),
         (
             "runner over FileWorld",
-            run_streaming_to_dataset(file_world, &options, &features, DiffMode::Parallel)
+            run_streaming_to_dataset_with(file_world, &options, &features, mode, &telemetry)
                 .expect("fixture run")
                 .report,
             true,

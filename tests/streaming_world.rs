@@ -11,7 +11,8 @@
 use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelingOptions};
 use red_is_sus::core::pipeline::PipelineEngine;
-use red_is_sus::core::streaming::run_synth_streaming_to_dataset;
+use red_is_sus::core::streaming::run_streaming_to_dataset_with;
+use red_is_sus::obs::Telemetry;
 use red_is_sus::synth::{GenMode, StreamReport, StreamWorld, SynthConfig, SynthUs};
 
 /// The two scales the contract is pinned at: the unit-test world and the
@@ -84,13 +85,18 @@ fn streamed_world_matches_materialised_on_every_schedule() {
 fn streamed_dataset_matches_materialised_on_every_schedule() {
     let options = LabelingOptions::default();
     let features = FeatureConfig::default();
+    let telemetry = Telemetry::disabled();
     for (name, config) in configs() {
         let world = SynthUs::generate(&config);
-        let materialised = PipelineEngine.run_to_dataset(&world, &options, &features);
+        let materialised =
+            PipelineEngine.run_to_dataset_with(&world, &options, &features, &telemetry);
         let want_labels = observations_fingerprint(&materialised.matrix.observations);
         let want_dataset = dataset_fingerprint(&materialised.matrix.dataset);
         for mode in [GenMode::Sequential, GenMode::Parallel, GenMode::Threads(3)] {
-            let streamed = run_synth_streaming_to_dataset(&config, &options, &features, mode)
+            let streamed = StreamWorld::generate(&config, mode)
+                .and_then(|source| {
+                    run_streaming_to_dataset_with(source, &options, &features, mode, &telemetry)
+                })
                 .unwrap_or_else(|e| panic!("{name} under {mode:?}: {e}"));
             assert_eq!(
                 observations_fingerprint(&streamed.matrix.observations),
@@ -116,11 +122,13 @@ fn scaled_national_preset_runs_inside_its_budget() {
     // test, with the budget shrunk the same way — so the budget enforcement
     // machinery is exercised on every `cargo test`, not just in CI.
     let config = SynthConfig::national_scaled(7, 4096);
-    let run = run_synth_streaming_to_dataset(
-        &config,
+    let source = StreamWorld::generate(&config, GenMode::Parallel).expect("valid config");
+    let run = run_streaming_to_dataset_with(
+        source,
         &LabelingOptions::default(),
         &FeatureConfig::default(),
         GenMode::Parallel,
+        &Telemetry::disabled(),
     )
     .expect("scaled national run must fit its scaled budget");
     let budget = run.report.budget.expect("national presets set a budget");

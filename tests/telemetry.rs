@@ -60,10 +60,11 @@ fn pipeline_and_server_share_one_scrapeable_registry() {
         &telemetry,
     );
     // …without perturbing the run: same dataset as a silent run.
-    let silent = PipelineEngine.run_to_dataset(
+    let silent = PipelineEngine.run_to_dataset_with(
         &world,
         &LabelingOptions::default(),
         &FeatureConfig::default(),
+        &Telemetry::disabled(),
     );
     assert_eq!(
         red_is_sus::core::features::dataset_fingerprint(&observed.matrix.dataset),
@@ -73,7 +74,7 @@ fn pipeline_and_server_share_one_scrapeable_registry() {
 
     // Layer 2: the scoring server adopts the same registry.
     let models = Arc::new(ModelRegistry::with_model(tiny_model()));
-    let server = ScoreServer::start_with_telemetry(models, ServeConfig::default(), &telemetry)
+    let server = ScoreServer::bind("127.0.0.1:0", models, ServeConfig::default(), &telemetry)
         .expect("bind loopback");
 
     // Traffic, then one scrape carrying both layers' families.
