@@ -8,13 +8,21 @@
 //! minor release and computed the difference between each provider's initial
 //! claims and the latest map; locations *removed* from a claim are treated as
 //! additional "unserved" evidence.
+//!
+//! [`MapDiff::between`] is the one comparison of two releases: a merge-join
+//! over both releases' claims sorted by claim key. [`DiffChain`] keeps what
+//! labelling needs of a timeline, the claims of the initial release absent
+//! from the latest one. Intermediate releases never reach that evidence: a
+//! claim removed and later restored is not evidence, and neither is one
+//! added and removed again.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{LocationId, ProviderId};
-use crate::nbm::NbmRelease;
+use crate::nbm::{ClaimKey, NbmRelease, ReleaseVersion};
 use crate::stream::ClaimEntry;
 use crate::tech::Technology;
 
@@ -40,6 +48,17 @@ pub struct ClaimChange {
 }
 
 impl ClaimChange {
+    /// A change of `kind` to the claim `key`.
+    pub fn new(key: ClaimKey, kind: ClaimChangeKind) -> Self {
+        let (provider, location, technology) = key;
+        Self {
+            provider,
+            location,
+            technology,
+            kind,
+        }
+    }
+
     /// The claim key the change is about.
     pub fn claim_key(&self) -> (ProviderId, LocationId, Technology) {
         (self.provider, self.location, self.technology)
@@ -50,30 +69,31 @@ impl ClaimChange {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MapDiff {
     /// Version of the older release.
-    pub from: crate::nbm::ReleaseVersion,
+    pub from: ReleaseVersion,
     /// Version of the newer release.
-    pub to: crate::nbm::ReleaseVersion,
+    pub to: ReleaseVersion,
     changes: Vec<ClaimChange>,
 }
 
-/// Index a release's records by claim key, resolving duplicate keys with the
-/// canonical [`ClaimEntry::wins_over`] rule (lexicographically greatest
-/// `(down, up)` pair) instead of letting the last record win by input order.
-fn canonical_speeds(
-    release: &NbmRelease,
-) -> BTreeMap<(ProviderId, LocationId, Technology), ClaimEntry> {
-    let mut out: BTreeMap<(ProviderId, LocationId, Technology), ClaimEntry> = BTreeMap::new();
-    for r in release.records() {
-        let entry = ClaimEntry::from_record(r);
-        out.entry(r.claim_key())
-            .and_modify(|best| {
-                if entry.wins_over(best) {
-                    *best = entry;
-                }
-            })
-            .or_insert(entry);
-    }
-    out
+/// A release's claims as one canonical entry per claim key, in ascending
+/// key order: each run of duplicate keys collapses to its
+/// [`ClaimEntry::wins_over`] winner. Records come grouped by provider in long
+/// ascending runs, which the stable sort merges instead of re-partitioning.
+fn canonical_entries(release: &NbmRelease) -> Vec<ClaimEntry> {
+    let mut entries: Vec<ClaimEntry> = release
+        .records()
+        .iter()
+        .map(ClaimEntry::from_record)
+        .collect();
+    entries.sort_by_key(|e| e.key);
+    entries.dedup_by(|next, kept| {
+        let duplicate = next.key == kept.key;
+        if duplicate && next.wins_over(kept) {
+            *kept = *next;
+        }
+        duplicate
+    });
+    entries
 }
 
 impl MapDiff {
@@ -83,42 +103,34 @@ impl MapDiff {
     /// deterministically (the record with the lexicographically greatest
     /// `(down, up)` pair wins), and speeds are compared by exact bit pattern
     /// — so a NaN speed equals an identical NaN instead of flagging the
-    /// claim `Modified` on every diff. The same two rules govern the
-    /// streaming engine ([`crate::stream`]), keeping both paths
-    /// bit-identical.
+    /// claim `Modified` on every diff. Changes come out in ascending
+    /// claim-key order, one per key.
     pub fn between(old: &NbmRelease, new: &NbmRelease) -> Self {
-        // Index the newer release's records by claim key so modifications can
-        // be detected (a speed change with the claim still present).
-        let new_speeds = canonical_speeds(new);
-        let old_keys = canonical_speeds(old);
-
+        let (olds, news) = (canonical_entries(old), canonical_entries(new));
+        let (mut i, mut j) = (0, 0);
         let mut changes = Vec::new();
-        for (key, old_entry) in &old_keys {
-            match new_speeds.get(key) {
-                None => changes.push(ClaimChange {
-                    provider: key.0,
-                    location: key.1,
-                    technology: key.2,
-                    kind: ClaimChangeKind::Removed,
-                }),
-                Some(new_entry) if new_entry.speed_bits() != old_entry.speed_bits() => changes
-                    .push(ClaimChange {
-                        provider: key.0,
-                        location: key.1,
-                        technology: key.2,
-                        kind: ClaimChangeKind::Modified,
-                    }),
-                Some(_) => {}
-            }
-        }
-        for key in new_speeds.keys() {
-            if !old_keys.contains_key(key) {
-                changes.push(ClaimChange {
-                    provider: key.0,
-                    location: key.1,
-                    technology: key.2,
-                    kind: ClaimChangeKind::Added,
-                });
+        while i < olds.len() || j < news.len() {
+            let order = match (olds.get(i), news.get(j)) {
+                (Some(a), Some(b)) => a.key.cmp(&b.key),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => {
+                    changes.push(ClaimChange::new(olds[i].key, ClaimChangeKind::Removed));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    changes.push(ClaimChange::new(news[j].key, ClaimChangeKind::Added));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    if olds[i].speed_bits() != news[j].speed_bits() {
+                        changes.push(ClaimChange::new(olds[i].key, ClaimChangeKind::Modified));
+                    }
+                    i += 1;
+                    j += 1;
+                }
             }
         }
         Self {
@@ -126,16 +138,6 @@ impl MapDiff {
             to: new.version,
             changes,
         }
-    }
-
-    /// Assemble a diff from already-computed changes (the streaming engine's
-    /// exit point into this type).
-    pub fn from_changes(
-        from: crate::nbm::ReleaseVersion,
-        to: crate::nbm::ReleaseVersion,
-        changes: Vec<ClaimChange>,
-    ) -> Self {
-        Self { from, to, changes }
     }
 
     /// All changes.
@@ -177,6 +179,98 @@ impl MapDiff {
     /// True when nothing changed between the releases.
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
+    }
+}
+
+/// The map-change evidence of a release timeline: the claim keys of its
+/// initial release absent from its latest one, and the keys the latest
+/// release added. Only the two ends of the timeline count, so a claim
+/// removed and later restored is not evidence, and neither is one added and
+/// removed again.
+#[derive(Debug, Clone)]
+pub struct DiffChain {
+    from: ReleaseVersion,
+    to: ReleaseVersion,
+    /// Claims of the initial release absent from the latest, ascending.
+    removed: Vec<ClaimKey>,
+    /// Claims of the latest release absent from the initial, ascending.
+    added: Vec<ClaimKey>,
+}
+
+impl DiffChain {
+    /// The evidence between a timeline's `initial` and `latest` releases:
+    /// one [`MapDiff::between`] of the two.
+    pub fn between(initial: &NbmRelease, latest: &NbmRelease) -> Self {
+        let diff = MapDiff::between(initial, latest);
+        let keys = |kind: ClaimChangeKind| {
+            diff.changes()
+                .iter()
+                .filter(|c| c.kind == kind)
+                .map(ClaimChange::claim_key)
+                .collect()
+        };
+        Self {
+            from: diff.from,
+            to: diff.to,
+            removed: keys(ClaimChangeKind::Removed),
+            added: keys(ClaimChangeKind::Added),
+        }
+    }
+
+    /// The evidence of a timeline from `from` to `to` that only ever removes
+    /// claims: `removed` lists the initial claims gone by `to`, in any order.
+    pub fn from_removed(
+        from: ReleaseVersion,
+        to: ReleaseVersion,
+        removed: impl IntoIterator<Item = ClaimKey>,
+    ) -> Self {
+        let mut removed: Vec<ClaimKey> = removed.into_iter().collect();
+        removed.sort_unstable();
+        removed.dedup();
+        Self {
+            from,
+            to,
+            removed,
+            added: Vec::new(),
+        }
+    }
+
+    /// Version of the timeline's initial release.
+    pub fn from_version(&self) -> ReleaseVersion {
+        self.from
+    }
+
+    /// Version of the timeline's latest release.
+    pub fn to_version(&self) -> ReleaseVersion {
+        self.to
+    }
+
+    /// The removal evidence in ascending claim-key order: one `Removed`
+    /// change per claim of the initial release absent from the latest.
+    pub fn removal_evidence(&self) -> Vec<ClaimChange> {
+        self.removed
+            .iter()
+            .map(|&key| ClaimChange::new(key, ClaimChangeKind::Removed))
+            .collect()
+    }
+
+    /// Number of removed claims.
+    pub fn removal_count(&self) -> usize {
+        self.removed.len()
+    }
+
+    /// Fold the chain's identity and evidence into a hasher, for pinning
+    /// golden fingerprints: `(from, to)`, then the removed count and keys,
+    /// then the added count and keys, keys in ascending order.
+    pub fn fold_evidence_into<H: std::hash::Hasher>(&self, h: &mut H) {
+        use std::hash::Hash;
+        (self.from, self.to).hash(h);
+        for keys in [&self.removed, &self.added] {
+            keys.len().hash(h);
+            for key in keys {
+                key.hash(h);
+            }
+        }
     }
 }
 
@@ -301,5 +395,48 @@ mod tests {
         let (_, removed, _) = diff.counts();
         assert_eq!(removed, 1);
         assert_eq!(diff.removed().next().unwrap().technology, Technology::Cable);
+    }
+
+    #[test]
+    fn chain_between_keeps_initial_minus_latest() {
+        let initial = release(vec![rec(0, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
+        let latest = release(vec![rec(0, 100.0), rec(2, 300.0), rec(3, 100.0)], 4);
+        let chain = DiffChain::between(&initial, &latest);
+        assert_eq!(chain.from_version(), initial.version);
+        assert_eq!(chain.to_version(), latest.version);
+        assert_eq!(chain.removal_count(), 1);
+        let evidence = chain.removal_evidence();
+        assert_eq!(evidence.len(), 1);
+        assert_eq!(evidence[0].location, LocationId(1));
+        assert_eq!(evidence[0].kind, ClaimChangeKind::Removed);
+    }
+
+    #[test]
+    fn chain_from_removed_keys_folds_like_the_diffed_chain() {
+        // A timeline that only removes claims: the chain built from its
+        // removed keys (unsorted, with a repeat) hashes the same bytes as the
+        // chain diffed from its two ends.
+        let initial = release(vec![rec(0, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
+        let latest = release(vec![rec(1, 100.0)], 2);
+        let key = |loc: u64| (ProviderId(1), LocationId(loc), Technology::Cable);
+        let scheduled =
+            DiffChain::from_removed(initial.version, latest.version, [key(2), key(0), key(2)]);
+        let diffed = DiffChain::between(&initial, &latest);
+        assert_eq!(scheduled.removal_evidence(), diffed.removal_evidence());
+        let fold = |chain: &DiffChain| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            chain.fold_evidence_into(&mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        assert_eq!(fold(&scheduled), fold(&diffed));
+    }
+
+    #[test]
+    fn changes_come_out_in_ascending_claim_key_order() {
+        let old = release(vec![rec(4, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
+        let new = release(vec![rec(3, 100.0), rec(2, 300.0), rec(0, 100.0)], 1);
+        let diff = MapDiff::between(&old, &new);
+        let locations: Vec<u64> = diff.changes().iter().map(|c| c.location.0).collect();
+        assert_eq!(locations, [0, 1, 2, 3, 4]);
     }
 }

@@ -9,10 +9,13 @@
 //! * per-location **availability filings** ([`filing`], Table 1 of the paper),
 //! * **providers** and their free-text filing methodologies ([`provider`]),
 //! * aggregated **NBM releases** and the public per-hex view ([`nbm`]),
-//! * the **diff engine** over successive releases that recovers non-archived
-//!   changes ([`diff`], §4.1.3),
+//! * the **release diff** that recovers non-archived changes between a
+//!   timeline's initial and latest releases ([`diff`], §4.1.3),
 //! * the **challenge process** with its outcomes and reasons ([`challenge`],
-//!   Tables 2 and 3).
+//!   Tables 2 and 3),
+//! * the [`WorldSource`] seam the streaming runner consumes ([`source`]), with
+//!   the shard streams, residency meter and worker schedule it is built on
+//!   ([`stream`]).
 //!
 //! The crate is purely a data model: generation of synthetic instances lives
 //! in the `synth` crate and label construction lives in `redsus-core`.
@@ -30,7 +33,7 @@ pub mod tech;
 pub mod time;
 
 pub use challenge::{Challenge, ChallengeOutcome, ChallengeReason};
-pub use diff::{ClaimChange, ClaimChangeKind, MapDiff};
+pub use diff::{ClaimChange, ClaimChangeKind, DiffChain, MapDiff};
 pub use fabric::{Bsl, Fabric, FabricView};
 pub use filing::{AvailabilityRecord, Filing, ServiceType};
 pub use ids::{Asn, Frn, LocationId, ProviderId};
@@ -38,10 +41,8 @@ pub use nbm::{ClaimKey, HexClaim, NbmRelease, ReleaseVersion};
 pub use provider::{Provider, ProviderRegistry};
 pub use source::{EmptyStream, SourceMeta, StreamReport, StreamStage, WorldSource};
 pub use stream::{
-    collect_shards, diff_releases, drain_shards, map_shards, ClaimEntry, DiffChain, DiffMode,
-    DiffOutcome, DiffPairReport, MeterInstruments, ReleaseStream, ResidencyMeter, ShardStream,
-    ShardableRelease, SortedClaimStream, SpeedTestStream, StreamStats, StreamingDiff,
-    DEFAULT_DIFF_CHUNK,
+    collect_shards, drain_shards, map_shards, ClaimEntry, DiffMode, MeterInstruments,
+    ResidencyMeter, ShardStream, SpeedTestStream,
 };
 pub use tech::Technology;
 pub use time::DayStamp;

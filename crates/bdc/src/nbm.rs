@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 use crate::fabric::Fabric;
 use crate::filing::{AvailabilityRecord, Filing};
 use crate::ids::{LocationId, ProviderId};
-use crate::stream::{ClaimEntry, ShardableRelease, SortedClaimStream};
 use crate::tech::Technology;
 use crate::time::DayStamp;
 
@@ -100,7 +99,7 @@ impl HexClaim {
     }
 }
 
-/// The key of a location-level claim, used by the diff engine.
+/// The key of a location-level claim, used by the release diff.
 pub type ClaimKey = (ProviderId, LocationId, Technology);
 
 /// One release of the National Broadband Map.
@@ -264,7 +263,7 @@ impl NbmRelease {
             .map(|&i| &self.hex_claims[i])
     }
 
-    /// The set of location-level claim keys, used by the diff engine.
+    /// The set of location-level claim keys.
     pub fn claim_keys(&self) -> BTreeSet<ClaimKey> {
         self.records.iter().map(|r| r.claim_key()).collect()
     }
@@ -279,13 +278,23 @@ impl NbmRelease {
         sets.into_iter().map(|(p, s)| (p, s.len())).collect()
     }
 
-    /// Hexes claimed by a provider with any technology.
-    pub fn hexes_claimed_by(&self, provider: ProviderId) -> BTreeSet<HexCell> {
-        self.hex_claims
-            .iter()
-            .filter(|c| c.provider == provider)
-            .map(|c| c.hex)
-            .collect()
+    /// The hexes each of `providers` claims with any technology, grouped in
+    /// one pass over the hex claims. A provider with no claims maps to an
+    /// empty set; claims of providers not asked for are skipped.
+    pub fn claimed_hexes_by_provider(
+        &self,
+        providers: impl IntoIterator<Item = ProviderId>,
+    ) -> BTreeMap<ProviderId, BTreeSet<HexCell>> {
+        let mut out: BTreeMap<ProviderId, BTreeSet<HexCell>> = providers
+            .into_iter()
+            .map(|p| (p, BTreeSet::new()))
+            .collect();
+        for c in &self.hex_claims {
+            if let Some(hexes) = out.get_mut(&c.provider) {
+                hexes.insert(c.hex);
+            }
+        }
+        out
     }
 
     /// Rebuild the claim index after deserialisation (serde skips it).
@@ -298,46 +307,6 @@ impl NbmRelease {
             .enumerate()
             .map(|(i, c)| (c.observation_key(), i))
             .collect();
-    }
-}
-
-/// Streams the release's records by projecting and sorting them per call:
-/// `full_stream` is one `O(n log n)` pass, but `provider_stream` filters the
-/// whole record list for every provider, so a fully sharded diff over raw
-/// `NbmRelease`s costs `O(providers × records)`. Convenient for one-off and
-/// test diffs; for repeated or sharded timeline walks prefer a source with
-/// precomputed provider ranges (e.g. the synth crate's `ReleaseEmitter`,
-/// which the pipeline's `release_diff` stage uses).
-impl ShardableRelease for NbmRelease {
-    type Stream = SortedClaimStream;
-
-    fn version(&self) -> ReleaseVersion {
-        self.version
-    }
-
-    fn providers(&self) -> Vec<ProviderId> {
-        let set: BTreeSet<ProviderId> = self.records.iter().map(|r| r.provider).collect();
-        set.into_iter().collect()
-    }
-
-    fn full_stream(&self, chunk_size: usize) -> SortedClaimStream {
-        SortedClaimStream::new(
-            self.version,
-            self.records.iter().map(ClaimEntry::from_record).collect(),
-            chunk_size,
-        )
-    }
-
-    fn provider_stream(&self, provider: ProviderId, chunk_size: usize) -> SortedClaimStream {
-        SortedClaimStream::new(
-            self.version,
-            self.records
-                .iter()
-                .filter(|r| r.provider == provider)
-                .map(ClaimEntry::from_record)
-                .collect(),
-            chunk_size,
-        )
     }
 }
 
@@ -547,5 +516,46 @@ mod tests {
             &f,
         );
         assert_eq!(rel.locations_claimed_by_provider()[&ProviderId(1)], 2);
+    }
+
+    #[test]
+    fn claimed_hexes_group_like_a_per_provider_filter() {
+        // Two providers far enough apart to claim distinct hexes, a third
+        // asked for with no claims, and a claimant nobody asks for.
+        let bsls = (0..12u64)
+            .map(|i| {
+                let lat = 37.0 + (i % 4) as f64 * 0.05;
+                Bsl::new(LocationId(i), LatLng::new(lat, -80.0), 1, false, "VA")
+            })
+            .collect();
+        let f = Fabric::new(bsls);
+        let mut recs = Vec::new();
+        for i in 0..12u64 {
+            let mut r = record(i, 100.0, 10.0);
+            r.provider = ProviderId([1, 2, 9][(i % 3) as usize]);
+            if i % 4 == 0 {
+                r.technology = Technology::Copper;
+            }
+            recs.push(r);
+        }
+        let rel = NbmRelease::from_records(
+            ReleaseVersion::initial(),
+            DayStamp::initial_nbm_release(),
+            recs,
+            &f,
+        );
+        let asked = [ProviderId(1), ProviderId(2), ProviderId(5)];
+        let grouped = rel.claimed_hexes_by_provider(asked);
+        let filtered: BTreeMap<ProviderId, BTreeSet<HexCell>> = asked
+            .iter()
+            .map(|&p| {
+                let hexes = rel.hex_claims().iter().filter(|c| c.provider == p);
+                (p, hexes.map(|c| c.hex).collect())
+            })
+            .collect();
+        assert_eq!(grouped, filtered);
+        assert!(grouped[&ProviderId(5)].is_empty());
+        assert!(grouped[&ProviderId(1)].len() > 1);
+        assert!(!grouped.contains_key(&ProviderId(9)));
     }
 }

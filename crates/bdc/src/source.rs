@@ -202,8 +202,8 @@ pub trait WorldSource {
     fn fabric(&self) -> &dyn FabricView;
     /// The initial release of the claim timeline (the public per-hex view).
     fn initial_release(&self) -> &NbmRelease;
-    /// Cumulative non-archived removals across the release timeline,
-    /// ascending claim-key order (the `DiffChain` contract).
+    /// Non-archived removals: the claims of the initial release absent from
+    /// the latest one, in ascending claim-key order (see `DiffChain`).
     fn removal_evidence(&self) -> &[ClaimChange];
     /// Resolved availability challenges, provider order.
     fn challenges(&self) -> &[Challenge];

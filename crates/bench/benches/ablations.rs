@@ -1,6 +1,6 @@
 //! Ablation benches: the retraining-heavy experiments (Figure 7's label-source
-//! ablation, Figure 8's JCC case study) and the design-choice ablations called
-//! out in DESIGN.md (embedding dimensionality, dataset balancing).
+//! ablation, Figure 8's JCC case study) and two design-choice ablations of the
+//! dataset (embedding dimensionality, dataset balancing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use redsus_bench::micro_config;

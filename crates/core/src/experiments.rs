@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use bdc::challenge::{outcome_distribution, reason_distribution, state_distribution};
-use bdc::{ChallengeOutcome, ChallengeReason, DayStamp, ShardableRelease, Technology};
+use bdc::{ChallengeOutcome, ChallengeReason, DayStamp, Technology};
 use ml::{explain_row, summarize_attributions, GbdtModel};
 use serde::{Deserialize, Serialize};
 use synth::{SynthConfig, SynthUs};

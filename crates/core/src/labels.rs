@@ -137,11 +137,11 @@ impl LabelingOptions {
 pub struct LabelInputs<'a> {
     pub fabric: &'a dyn FabricView,
     pub initial_release: &'a NbmRelease,
-    /// Cumulative non-archived removals recovered by streaming successive
-    /// releases through `bdc::DiffChain` (claim-key order; every change's
-    /// kind is `Removed`). Produced by the pipeline's `release_diff` stage —
-    /// label construction no longer materialises and diffs whole releases
-    /// itself.
+    /// Non-archived removals: the initial release's claims absent from the
+    /// latest release, as a `bdc::DiffChain` yields them (claim-key order;
+    /// every change's kind is `Removed`). Produced by the pipeline's
+    /// `release_diff` stage or the source — label construction never diffs
+    /// releases itself.
     pub removal_evidence: &'a [ClaimChange],
     pub challenges: &'a [Challenge],
     /// Per-hex Ookla service-coverage scores, sorted descending.

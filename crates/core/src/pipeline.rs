@@ -27,7 +27,6 @@ use std::time::Instant;
 
 use asnmap::{MatchReport, ProviderAsnMatcher};
 use bdc::source::end_stage;
-use bdc::stream::DEFAULT_DIFF_CHUNK;
 use bdc::{Asn, DiffChain, DiffMode, ProviderId, ResidencyMeter, StreamReport, StreamStage};
 use hexgrid::{HexCell, NBM_RESOLUTION};
 use obs::Telemetry;
@@ -158,8 +157,6 @@ impl Ledger {
 
 /// The six preparation stages in canonical order, each closed on `ledger`.
 fn run_preparation(world: &SynthUs, ledger: &mut Ledger) -> AnalysisContext {
-    let mode = DiffMode::default();
-
     let t = Instant::now();
     let (match_report, provider_asns) = stage_asn_matching(world);
     let pairs: usize = provider_asns.values().map(|a| a.len()).sum();
@@ -181,12 +178,12 @@ fn run_preparation(world: &SynthUs, ledger: &mut Ledger) -> AnalysisContext {
     let methodologies = stage_methodology_collection(world);
     ledger.close("methodology_collection", t, 1, methodologies.len());
 
-    // The diff chain meters its own transient chunks; its high-water mark is
-    // what the stage holds.
+    // One shard per minor release the evidence spans; the stage retains the
+    // evidence.
     let t = Instant::now();
-    let diff_chain = stage_release_diff(world, mode);
-    let pairs = diff_chain.pair_reports().len();
-    ledger.close("release_diff", t, pairs, diff_chain.peak_resident_entries());
+    let diff_chain = stage_release_diff(world, DiffMode::default());
+    let minors = world.config.n_minor_releases;
+    ledger.close("release_diff", t, minors, diff_chain.removal_count());
 
     AnalysisContext {
         match_report,
@@ -241,10 +238,9 @@ pub fn stage_mlab_attribution(
     world: &SynthUs,
     provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
 ) -> ProviderHexTests {
-    let claimed_hexes: BTreeMap<ProviderId, BTreeSet<HexCell>> = provider_asns
-        .keys()
-        .map(|p| (*p, world.initial_release().hexes_claimed_by(*p)))
-        .collect();
+    let claimed_hexes = world
+        .initial_release()
+        .claimed_hexes_by_provider(provider_asns.keys().copied());
     let mut attributor = MlabAttributor::new(provider_asns, &claimed_hexes, NBM_RESOLUTION);
     attributor.add_tests(world.mlab.tests());
     attributor.finish()
@@ -260,32 +256,20 @@ pub fn stage_methodology_collection(world: &SynthUs) -> BTreeMap<ProviderId, Str
         .collect()
 }
 
-/// `release_diff`: walk every consecutive release pair
-/// through the streaming diff engine, folding the changes into cumulative
-/// removal evidence. The stage streams the timeline from the world's
-/// [`ReleaseEmitter`](synth::ReleaseEmitter) — one sorted copy of the
-/// initial claims plus the removal schedule, with precomputed per-provider
-/// ranges — so its working memory is the emitter base plus one chunk per
-/// in-flight stream; it never re-sorts or copies whole releases per pair.
-/// The per-pair wall-clock and chunk statistics are kept on the returned
-/// chain ([`DiffChain::pair_reports`]).
+/// `release_diff`: the map-change evidence of the world's release timeline,
+/// the initial claims absent from the latest release (§4.1.3). The synthetic
+/// timeline only removes claims, and each scheduled removal takes effect by
+/// the last minor release, so the evidence is read off the world's
+/// [`RemovalSchedule`](synth::RemovalSchedule) with
+/// [`RemovalSchedule::diff_chain`](synth::RemovalSchedule::diff_chain), the
+/// same call `StreamWorld` makes; no release is diffed.
+/// `tests/release_diff.rs` pins it equal to the batch diff of the initial
+/// and latest releases.
 ///
-/// `mode` shards the per-provider merge across scoped workers; every mode
-/// produces bit-identical evidence (the `GenMode` contract). The emitted
-/// evidence is itself pinned equal to the batch diff of the initial and
-/// latest releases (`tests/streaming_diff.rs`).
-pub fn stage_release_diff(world: &SynthUs, mode: DiffMode) -> DiffChain {
-    let emitter = world.release_emitter();
-    let mut chain = DiffChain::new(world.initial_release().version);
-    for k in 0..emitter.n_releases().saturating_sub(1) {
-        chain.extend_with(
-            &emitter.release(k),
-            &emitter.release(k + 1),
-            DEFAULT_DIFF_CHUNK,
-            mode,
-        );
-    }
-    chain
+/// `_mode` is ignored: reading the schedule has no worker fan-out. It stays
+/// in the signature the repository benchmark calls.
+pub fn stage_release_diff(world: &SynthUs, _mode: DiffMode) -> DiffChain {
+    world.removal_schedule().diff_chain()
 }
 
 /// `label_construction`: build the labelled observation set
@@ -334,9 +318,9 @@ pub struct AnalysisContext {
     pub mlab_evidence: ProviderHexTests,
     /// Each provider's filing methodology text.
     pub methodologies: BTreeMap<ProviderId, String>,
-    /// The release timeline folded through the streaming diff engine:
-    /// cumulative removal evidence (`DiffChain::removal_evidence`, the
-    /// §4.1.3 labelling signal) plus per-pair execution reports.
+    /// The release timeline's map-change evidence: the initial claims absent
+    /// from the latest release (`DiffChain::removal_evidence`, the §4.1.3
+    /// labelling signal).
     pub diff_chain: DiffChain,
 }
 
@@ -458,7 +442,7 @@ impl AnalysisContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdc::{NbmRelease, ShardableRelease};
+    use bdc::NbmRelease;
     use synth::SynthConfig;
 
     #[test]
@@ -592,19 +576,15 @@ mod tests {
         let (_, provider_asns) = stage_asn_matching(&world);
         let evidence = stage_mlab_attribution(&world, &provider_asns);
         assert!(!evidence.is_empty());
-        // The streaming release diff, under every schedule —
-        // the worker count must never change the evidence.
-        let seq = stage_release_diff(&world, DiffMode::Sequential);
-        assert!(seq.removal_count() > 0, "no removal evidence in tiny world");
-        assert_eq!(seq.pair_reports().len(), world.config.n_minor_releases);
-        for mode in [DiffMode::Parallel, DiffMode::Threads(3)] {
-            let other = stage_release_diff(&world, mode);
-            assert_eq!(
-                other.removal_evidence(),
-                seq.removal_evidence(),
-                "release diff evidence differs under {mode:?}"
-            );
-        }
+        // The release diff spans the whole timeline.
+        let chain = stage_release_diff(&world, DiffMode::Sequential);
+        assert!(
+            chain.removal_count() > 0,
+            "no removal evidence in tiny world"
+        );
+        assert_eq!(chain.from_version(), world.initial_release().version);
+        let minor = world.config.n_minor_releases as u32;
+        assert_eq!(chain.to_version().minor, minor);
         // Methodology collection needs nothing else.
         assert!(!stage_methodology_collection(&world).is_empty());
     }
@@ -628,10 +608,8 @@ mod tests {
         assert_eq!(
             chain.removal_evidence(),
             batch_removed,
-            "streamed chain evidence must equal the batch initial-vs-latest removals"
+            "schedule-built evidence must equal the batch initial-vs-latest removals"
         );
-        // The chain walked every pair at bounded memory.
-        let initial_records = world.initial_release().records().len();
-        assert!(chain.peak_resident_entries() < initial_records);
+        assert_eq!(chain.to_version(), latest.version);
     }
 }

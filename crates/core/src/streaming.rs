@@ -202,10 +202,9 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     // mlab_attribution — the source's test stream folded into the
     // attributor in shard order.
     let t = Instant::now();
-    let claimed_hexes: BTreeMap<ProviderId, BTreeSet<HexCell>> = provider_asns
-        .keys()
-        .map(|p| (*p, source.initial_release().hexes_claimed_by(*p)))
-        .collect();
+    let claimed_hexes = source
+        .initial_release()
+        .claimed_hexes_by_provider(provider_asns.keys().copied());
     let claimed_total: usize = claimed_hexes.values().map(|h| h.len()).sum();
     meter.acquire(claimed_total);
     let mlab_shards;

@@ -20,10 +20,11 @@
 //! * cell ↔ centroid ↔ boundary conversions, k-ring neighbourhoods
 //!   (`grid_disk`), and approximate parent/child navigation.
 //!
-//! The pipeline only relies on the grid being a deterministic, near-equal-area
-//! tiling with stable ids and local neighbourhood queries; it never depends on
-//! H3's exact icosahedral geometry, so this substitution preserves every
-//! downstream behaviour (see DESIGN.md §2).
+//! The workspace builds without registry dependencies, so no H3 binding is
+//! available. The pipeline only relies on the grid being a deterministic,
+//! near-equal-area tiling with stable ids and local neighbourhood queries; it
+//! never depends on H3's exact icosahedral geometry, so this substitution
+//! preserves every downstream behaviour.
 
 pub mod cell;
 pub mod grid;

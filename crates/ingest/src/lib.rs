@@ -6,16 +6,15 @@
 //! per-release directories) and Ookla open-data tile exports — and presents
 //! it through exactly the same trait surface, so
 //! `core::streaming::run_streaming_to_dataset_with` and everything downstream
-//! (diff engine, budget enforcement, labels, features, scoring) apply
-//! unchanged.
+//! (budget enforcement, labels, features, scoring) apply unchanged.
 //!
 //! Design rules:
 //!
 //! * **Strict schemas.** Every malformed input is a typed [`IngestError`]
 //!   naming file, line and column. No silently skipped rows.
-//! * **Canonical emission.** Each ingested release is an `NbmRelease`,
-//!   whose claim streams come out in ascending claim-key order per
-//!   provider, the contract the `DiffChain` relies on.
+//! * **One release diff.** Each ingested release is an `NbmRelease`; the
+//!   removal evidence is one `MapDiff` of the initial and latest releases
+//!   (`DiffChain::between`), in ascending claim-key order.
 //! * **Honest residency.** Everything ingested is accounted on one
 //!   `ResidencyMeter` with per-stage budget enforcement, same as synth
 //!   generation.

@@ -20,10 +20,9 @@
 //! every stage accounts what it holds against one [`ResidencyMeter`], a
 //! configured budget is enforced per stage with the exact same breach
 //! semantics, and the per-stage report lands in front of the runner's
-//! pipeline stages. Releases are diffed pairwise through [`DiffChain`] —
-//! the same engine, chunking and worker schedule (`DiffMode`) as the synth
-//! path — so removal evidence from real files is byte-compatible with
-//! removal evidence from generated ones.
+//! pipeline stages. The removal evidence is one [`DiffChain::between`] of
+//! the initial and latest releases, as §4.1.3 defines it, so it has the same
+//! shape as the evidence a synthetic world reads off its removal schedule.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -32,9 +31,8 @@ use std::time::Instant;
 use asnmap::{FrnRegistration, RegistrationSource, WhoisDb};
 use bdc::source::{end_stage, SourceMeta, StreamReport, WorldSource};
 use bdc::{
-    AvailabilityRecord, Bsl, Challenge, ClaimChange, DayStamp, DiffChain, DiffMode, EmptyStream,
-    Fabric, FabricView, HexClaim, LocationId, NbmRelease, ProviderId, ReleaseVersion,
-    ResidencyMeter, ShardableRelease, DEFAULT_DIFF_CHUNK,
+    AvailabilityRecord, Bsl, Challenge, ClaimChange, DayStamp, DiffChain, EmptyStream, Fabric,
+    FabricView, HexClaim, LocationId, NbmRelease, ProviderId, ReleaseVersion, ResidencyMeter,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabTest, OoklaTileRecord};
@@ -48,8 +46,6 @@ use crate::ookla::{OoklaReader, TileShards};
 pub struct IngestOptions {
     /// Resident-entry budget enforced per stage, like the synth config's.
     pub max_resident_entries: Option<usize>,
-    /// Chunk size for the release diff streams.
-    pub diff_chunk: usize,
     /// Shard size for the Ookla tile stream handed to the runner.
     pub ookla_chunk: usize,
 }
@@ -58,7 +54,6 @@ impl Default for IngestOptions {
     fn default() -> Self {
         Self {
             max_resident_entries: None,
-            diff_chunk: DEFAULT_DIFF_CHUNK,
             ookla_chunk: 1024,
         }
     }
@@ -106,14 +101,8 @@ fn budget_breach(message: String) -> IngestError {
 }
 
 impl FileWorld {
-    /// Ingest a data directory into a runnable world. `mode` selects the
-    /// worker schedule of the release diff, exactly as it does for the
-    /// synth generator.
-    pub fn load(
-        data_dir: &Path,
-        options: &IngestOptions,
-        mode: DiffMode,
-    ) -> Result<Self, IngestError> {
+    /// Ingest a data directory into a runnable world.
+    pub fn load(data_dir: &Path, options: &IngestOptions) -> Result<Self, IngestError> {
         let total_started = Instant::now();
         let meter = ResidencyMeter::new();
         let budget = options.max_resident_entries;
@@ -188,9 +177,11 @@ impl FileWorld {
         end_stage(&mut stages, &meter, budget, "fabric_assembly", started, 1)
             .map_err(budget_breach)?;
 
-        // Stage 4: aggregate each release's records into an NbmRelease.
-        // Biannual filings are successive major versions. Record buffers
-        // move into the releases, so residency carries over unchanged.
+        // Stage 4: aggregate the initial and latest releases' records into
+        // NbmReleases; biannual filings are successive major versions. Their
+        // record buffers move into the releases, so residency carries over
+        // unchanged. The release diff reads only those two, so the records of
+        // every release in between are dropped here.
         let started = Instant::now();
         let release_count = per_release.len();
         let mut built: Vec<(NbmRelease, usize)> = Vec::new();
@@ -200,10 +191,12 @@ impl FileWorld {
                 version = version.next_major();
             }
             let count = records.len();
-            built.push((
-                NbmRelease::from_records(version, published, records, &fabric),
-                count,
-            ));
+            if i == 0 || i + 1 == release_count {
+                let release = NbmRelease::from_records(version, published, records, &fabric);
+                built.push((release, count));
+            } else {
+                meter.release(count);
+            }
         }
         end_stage(
             &mut stages,
@@ -215,19 +208,16 @@ impl FileWorld {
         )
         .map_err(budget_breach)?;
 
-        // Stage 5: fold consecutive release pairs through the diff chain.
-        // Each pairwise diff materialises both releases' claim streams, so
-        // that transient copy is metered around the fold; after the chain,
-        // only the initial release (the public view labels run against) and
-        // the cumulative removal evidence stay resident.
+        // Stage 5: diff the initial release against the latest. The diff
+        // sorts a copy of both releases' claims, so that transient copy is
+        // metered around it; afterwards only the initial release (the public
+        // view labels run against) and the removal evidence stay resident.
         let started = Instant::now();
-        let mut chain = DiffChain::new(built[0].0.version());
-        for i in 1..built.len() {
-            let transient = built[i - 1].1 + built[i].1;
-            meter.acquire(transient);
-            chain.extend_with(&built[i - 1].0, &built[i].0, options.diff_chunk, mode);
-            meter.release(transient);
-        }
+        let (initial, latest) = (&built[0], &built[built.len() - 1]);
+        let transient = initial.1 + latest.1;
+        meter.acquire(transient);
+        let chain = DiffChain::between(&initial.0, &latest.0);
+        meter.release(transient);
         let removal_evidence = chain.removal_evidence();
         meter.pin(removal_evidence.len());
         let mut drain = built.into_iter();
@@ -235,15 +225,8 @@ impl FileWorld {
         for (_, count) in drain {
             meter.release(count);
         }
-        end_stage(
-            &mut stages,
-            &meter,
-            budget,
-            "release_diff",
-            started,
-            release_count.saturating_sub(1),
-        )
-        .map_err(budget_breach)?;
+        end_stage(&mut stages, &meter, budget, "release_diff", started, 1)
+            .map_err(budget_breach)?;
 
         // Stage 6: Ookla tiles, read in file-name order. Tiles stay
         // resident; the runner drains them as a chunked stream.
@@ -551,8 +534,7 @@ business_residential_code,state_usps,block_geoid,h3_res8_id";
     fn loads_and_diffs_a_two_release_directory() {
         let tmp = TempDir::new("load");
         write_fixture(tmp.path());
-        let world = FileWorld::load(tmp.path(), &IngestOptions::default(), DiffMode::Sequential)
-            .expect("fixture loads");
+        let world = FileWorld::load(tmp.path(), &IngestOptions::default()).expect("fixture loads");
 
         assert_eq!(world.fabric_ref().len(), 3);
         assert_eq!(world.release_count, 2);
@@ -589,7 +571,7 @@ business_residential_code,state_usps,block_geoid,h3_res8_id";
             max_resident_entries: Some(1),
             ..IngestOptions::default()
         };
-        let Err(err) = FileWorld::load(tmp.path(), &options, DiffMode::Sequential) else {
+        let Err(err) = FileWorld::load(tmp.path(), &options) else {
             panic!("5 resident rows must breach a budget of 1");
         };
         assert!(matches!(err, IngestError::BudgetExceeded { .. }), "{err}");
@@ -602,8 +584,7 @@ business_residential_code,state_usps,block_geoid,h3_res8_id";
     fn empty_directory_is_missing_data() {
         let tmp = TempDir::new("empty");
         fs::create_dir_all(tmp.path().join("bdc")).unwrap();
-        let Err(err) = FileWorld::load(tmp.path(), &IngestOptions::default(), DiffMode::Sequential)
-        else {
+        let Err(err) = FileWorld::load(tmp.path(), &IngestOptions::default()) else {
             panic!("an empty bdc directory must fail discovery");
         };
         assert!(matches!(err, IngestError::MissingData { .. }), "{err}");

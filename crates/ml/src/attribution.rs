@@ -6,7 +6,8 @@
 //! per-feature contributions that sum *exactly* to the prediction margin minus
 //! the model's expected margin. This is the Saabas path-attribution scheme —
 //! the fast, exact-additivity approximation of TreeSHAP used here in place of
-//! the full SHAP algorithm (see DESIGN.md §2). The downstream uses (ranking
+//! the full SHAP algorithm: it costs one root-to-leaf walk per tree and its
+//! attributions still sum exactly to the margin. The downstream uses (ranking
 //! top features, a per-prediction waterfall, direction-of-effect analysis) are
 //! identical.
 

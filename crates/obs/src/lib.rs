@@ -6,7 +6,7 @@
 //! order, or otherwise perturbs the deterministic data path, so golden
 //! fingerprints are byte-identical with telemetry on or off.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`MetricsRegistry`] + [`Counter`]/[`Gauge`]/[`Histogram`] — lock-free
 //!   recording, Prometheus text exposition
@@ -15,7 +15,6 @@
 //! * [`TraceSink`] — a JSONL event sink producing a replayable
 //!   per-stage/per-shard timeline (`--trace-out` on the national example
 //!   and `redsus-score serve`).
-//! * [`SpanTimer`] — scoped wall-clock → histogram recording.
 //!
 //! [`Telemetry`] bundles an optional registry and an optional trace sink
 //! into the single handle the pipeline, streaming runner, and score server
@@ -24,14 +23,12 @@
 //! zero-cost-when-disabled contract.
 
 mod metrics;
-mod span;
 mod trace;
 
 pub use metrics::{
     Counter, Gauge, Histogram, MetricKind, MetricsRegistry, DEFAULT_LATENCY_BUCKETS,
     DEFAULT_WALL_BUCKETS,
 };
-pub use span::SpanTimer;
 pub use trace::{TraceSink, TraceValue};
 
 use std::sync::Arc;

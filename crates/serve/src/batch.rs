@@ -5,8 +5,8 @@
 //! the worker count*, and each shard is a pure function of its rows, so
 //! [`map_shards`] reassembling the per-shard score vectors in shard order
 //! yields the same bits under `Sequential`, `Parallel` or `Threads(n)` —
-//! exactly the `GenMode`/`DiffMode` contract the generator and the streaming
-//! diff engine already honour. [`ScoreMode`] *is* that shared enum.
+//! exactly the `GenMode`/`DiffMode` contract the generator and the dataset
+//! stages already honour. [`ScoreMode`] *is* that shared enum.
 //!
 //! Inside a shard, rows run through the **block-batched** traversal kernel
 //! ([`FlatForest::predict_margin_rows_into`], or its [`QuantForest`]

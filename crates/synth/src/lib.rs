@@ -13,8 +13,9 @@
 //!   methodologies and strategic over-claiming behaviour, including a
 //!   Jefferson-County-Cable-style intentional over-claimer ([`providers_gen`]),
 //! * ground truth, **filings** and the initial NBM release, with the
-//!   bi-weekly correction releases streamed from the removal schedule
-//!   ([`activity_gen`], [`release_stream`]),
+//!   bi-weekly correction releases read off the removal schedule, which is
+//!   also the timeline's map-change evidence ([`activity_gen`],
+//!   [`release_stream`]),
 //! * state-biased **challenges** whose outcome mix matches Table 2/3
 //!   ([`activity_gen`]),
 //! * **speed tests**: Ookla quadkey aggregates and per-test MLab records
@@ -49,7 +50,7 @@ pub mod world;
 
 pub use config::SynthConfig;
 pub use providers_gen::{ProviderProfile, ReportingStyle};
-pub use release_stream::{EmittedRelease, EmitterStream, ReleaseEmitter, RemovalSchedule};
+pub use release_stream::{EmittedRelease, ReleaseEmitter, RemovalSchedule};
 pub use shard::{GenMode, SynthStage};
 pub use speedtest_gen::{MlabEmitter, OoklaEmitter};
 pub use states::{StateInfo, STATES};

@@ -1,24 +1,23 @@
 //! The synthetic world's release timeline after the initial release.
 //!
 //! The world materialises only the initial NBM release. Every later release
-//! is read from a [`ReleaseEmitter`]: it keeps **one** compact copy of the
-//! initial claims (sorted by claim key) plus the removal *schedule* (which
-//! claim disappears in which minor release), and emits any release's claims
-//! as claim-key-ordered chunks on demand. Holding dozens of full record
-//! vectors at national scale (~115M BSLs × dozens of releases) is never
-//! needed.
+//! is read from a [`ReleaseEmitter`]: the initial release's claim keys plus
+//! the [`RemovalSchedule`], which says in which minor release each removed
+//! claim disappears. Each [`EmittedRelease`] answers its version, its
+//! publication date and whether it still carries a given claim, which is all
+//! Figure 1 and the world fingerprint need.
 //!
-//! The emitter implements `bdc`'s [`ShardableRelease`], so
-//! [`bdc::diff_releases`] and [`bdc::DiffChain`] can walk the whole release
-//! timeline holding at most one chunk per stream. Each [`EmittedRelease`]
-//! also answers its publication date and whether it still carries a given
-//! claim, which is all Figure 1 and the world fingerprint need. The unit
-//! tests pin the emitter against a materialising oracle.
+//! The timeline only ever removes claims, and every scheduled removal takes
+//! effect by the last minor release. Its map-change evidence, the initial
+//! claims absent from the latest release, is therefore exactly the
+//! schedule's keys: [`RemovalSchedule::diff_chain`] reads it off without
+//! diffing a release, for the materialised world and the streaming world
+//! alike. The unit tests pin the emitter and that chain against a
+//! materialising oracle.
 
 use std::collections::BTreeMap;
 
-use bdc::stream::{ClaimEntry, ReleaseStream, ShardableRelease};
-use bdc::{Challenge, ClaimKey, DayStamp, Filing, ProviderId, ReleaseVersion};
+use bdc::{Challenge, ClaimKey, DayStamp, DiffChain, Filing, ProviderId, ReleaseVersion};
 
 /// Publication date of minor release `k` (`k >= 1`): minor releases are
 /// spaced through the challenge window (Feb–Nov 2023).
@@ -26,12 +25,20 @@ fn minor_release_published(k: usize) -> DayStamp {
     DayStamp::from_ymd(2023, 2, 1).plus_days((k as u32) * 45)
 }
 
+/// Version of release `index` of the timeline (0 = initial).
+fn release_version(index: usize) -> ReleaseVersion {
+    ReleaseVersion {
+        major: 1,
+        minor: index as u32,
+    }
+}
+
 /// The removal schedule alone: which claim disappears in which minor
 /// release, derivable from the regulatory record without materialising a
-/// single release. [`ReleaseEmitter::new`] builds one internally; the
-/// streaming world builds one incrementally (per-provider) and reads its
-/// keys back as the diff chain's removal evidence, since the schedule only
-/// ever removes claims — it never restores them.
+/// single release. [`RemovalSchedule::build`] reads it off a world's
+/// challenges and corrections; the streaming world notes them provider by
+/// provider instead. Either way [`RemovalSchedule::diff_chain`] turns it into
+/// the timeline's removal evidence.
 #[derive(Debug, Clone)]
 pub struct RemovalSchedule {
     /// Publication dates of the minor releases, in order.
@@ -43,6 +50,7 @@ pub struct RemovalSchedule {
 }
 
 impl RemovalSchedule {
+    /// An empty schedule for a timeline of `n_minor_releases` minor releases.
     pub fn new(n_minor_releases: usize) -> Self {
         Self {
             published: (1..=n_minor_releases)
@@ -51,6 +59,25 @@ impl RemovalSchedule {
             n_minor_releases,
             removed_from: BTreeMap::new(),
         }
+    }
+
+    /// The schedule of a regulatory record: every challenge and every
+    /// silent correction noted in turn (see
+    /// [`RemovalSchedule::note_challenge`] and
+    /// [`RemovalSchedule::note_correction`]).
+    pub fn build(
+        n_minor_releases: usize,
+        challenges: &[Challenge],
+        corrections: &[(ProviderId, bdc::LocationId, bdc::Technology, usize)],
+    ) -> Self {
+        let mut schedule = Self::new(n_minor_releases);
+        for c in challenges {
+            schedule.note_challenge(c);
+        }
+        for (p, l, t, idx) in corrections {
+            schedule.note_correction(*p, *l, *t, *idx);
+        }
+        schedule
     }
 
     fn note(&mut self, key: ClaimKey, k: usize) {
@@ -100,22 +127,25 @@ impl RemovalSchedule {
         self.removed_from.keys()
     }
 
-    pub fn into_removed_from(self) -> BTreeMap<ClaimKey, usize> {
-        self.removed_from
+    /// The timeline's removal evidence, from the initial release to the last
+    /// minor release: every scheduled claim, since each is gone by then and
+    /// none comes back.
+    pub fn diff_chain(&self) -> DiffChain {
+        DiffChain::from_removed(
+            ReleaseVersion::initial(),
+            release_version(self.n_minor_releases),
+            self.keys().copied(),
+        )
     }
 }
 
-/// The removal schedule and sorted claim base of a release timeline: enough
-/// to stream every release, a fraction of the memory of materialising them.
+/// The release timeline: the initial release's claim keys and the removal
+/// schedule, enough to answer for every release without materialising any.
 #[derive(Debug, Clone)]
 pub struct ReleaseEmitter {
-    /// Initial-release claims in ascending claim-key order.
-    base: Vec<ClaimEntry>,
-    /// `base[start..end]` per provider, ascending by provider id.
-    provider_ranges: Vec<(ProviderId, usize, usize)>,
-    /// Earliest release index at which a claim is absent (only claims that
-    /// are ever removed appear; everything else survives the timeline).
-    removed_from: BTreeMap<ClaimKey, usize>,
+    /// Initial-release claim keys, in filing order.
+    base: Vec<ClaimKey>,
+    schedule: RemovalSchedule,
     /// Total number of releases (the initial one plus the minor releases).
     n_releases: usize,
 }
@@ -132,53 +162,28 @@ impl ReleaseEmitter {
         challenges: &[Challenge],
         corrections: &[(ProviderId, bdc::LocationId, bdc::Technology, usize)],
     ) -> Self {
-        let mut base: Vec<ClaimEntry> = filings
+        let base = filings
             .iter()
-            .flat_map(|f| f.records.iter().map(ClaimEntry::from_record))
+            .flat_map(|f| f.records.iter().map(|r| r.claim_key()))
             .collect();
-        base.sort_by_key(|e| e.key);
-
-        let mut provider_ranges: Vec<(ProviderId, usize, usize)> = Vec::new();
-        for (i, entry) in base.iter().enumerate() {
-            match provider_ranges.last_mut() {
-                Some((provider, _, end)) if *provider == entry.key.0 => *end = i + 1,
-                _ => provider_ranges.push((entry.key.0, i, i + 1)),
-            }
-        }
-
-        let mut schedule = RemovalSchedule::new(n_minor_releases);
-        for c in challenges {
-            schedule.note_challenge(c);
-        }
-        for (p, l, t, idx) in corrections {
-            schedule.note_correction(*p, *l, *t, *idx);
-        }
-
         Self {
             base,
-            provider_ranges,
-            removed_from: schedule.into_removed_from(),
+            schedule: RemovalSchedule::build(n_minor_releases, challenges, corrections),
             n_releases: n_minor_releases + 1,
         }
     }
 
-    /// Number of releases the emitter can stream (initial + minors).
+    /// Number of releases in the timeline (initial + minors).
     pub fn n_releases(&self) -> usize {
         self.n_releases
     }
 
-    /// Number of claims in the initial release.
-    pub fn base_len(&self) -> usize {
-        self.base.len()
-    }
-
     /// Number of claims scheduled for removal at some point in the timeline.
     pub fn scheduled_removals(&self) -> usize {
-        self.removed_from.len()
+        self.schedule.len()
     }
 
-    /// A lightweight view of release `index` (0 = initial) implementing
-    /// [`ShardableRelease`].
+    /// A lightweight view of release `index` (0 = initial).
     ///
     /// # Panics
     /// Panics when `index >= n_releases()`.
@@ -196,14 +201,10 @@ impl ReleaseEmitter {
 
     /// True when the claim identified by `key` is present in release `index`.
     fn alive_at(&self, key: &ClaimKey, index: usize) -> bool {
-        self.removed_from.get(key).is_none_or(|&k| index < k)
-    }
-
-    fn version(&self, index: usize) -> ReleaseVersion {
-        ReleaseVersion {
-            major: 1,
-            minor: index as u32,
-        }
+        self.schedule
+            .removed_from
+            .get(key)
+            .is_none_or(|&k| index < k)
     }
 }
 
@@ -216,6 +217,11 @@ pub struct EmittedRelease<'a> {
 }
 
 impl EmittedRelease<'_> {
+    /// The release's version: major 1, minor = its index in the timeline.
+    pub fn version(&self) -> ReleaseVersion {
+        release_version(self.index)
+    }
+
     /// The release's publication date: the initial NBM release date for
     /// index 0; minor release `k` follows 1 February 2023 by `45 k` days.
     pub fn published(&self) -> DayStamp {
@@ -238,87 +244,8 @@ impl EmittedRelease<'_> {
         self.emitter
             .base
             .iter()
-            .filter(|e| self.emitter.alive_at(&e.key, self.index))
+            .filter(|key| self.emitter.alive_at(key, self.index))
             .count()
-    }
-}
-
-impl<'a> ShardableRelease for EmittedRelease<'a> {
-    type Stream = EmitterStream<'a>;
-
-    fn version(&self) -> ReleaseVersion {
-        self.emitter.version(self.index)
-    }
-
-    fn providers(&self) -> Vec<ProviderId> {
-        self.emitter
-            .provider_ranges
-            .iter()
-            .map(|(p, _, _)| *p)
-            .collect()
-    }
-
-    fn full_stream(&self, chunk_size: usize) -> EmitterStream<'a> {
-        EmitterStream {
-            emitter: self.emitter,
-            release: self.index,
-            pos: 0,
-            end: self.emitter.base.len(),
-            chunk_size: chunk_size.max(1),
-        }
-    }
-
-    fn provider_stream(&self, provider: ProviderId, chunk_size: usize) -> EmitterStream<'a> {
-        let (pos, end) = self
-            .emitter
-            .provider_ranges
-            .binary_search_by_key(&provider, |(p, _, _)| *p)
-            .map(|i| {
-                let (_, start, end) = self.emitter.provider_ranges[i];
-                (start, end)
-            })
-            .unwrap_or((0, 0));
-        EmitterStream {
-            emitter: self.emitter,
-            release: self.index,
-            pos,
-            end,
-            chunk_size: chunk_size.max(1),
-        }
-    }
-}
-
-/// A claim-key-ordered chunk stream over one emitted release: walks the
-/// shared base, skipping claims already removed by this release. Holds no
-/// entry storage of its own — the chunk it returns is the only allocation.
-#[derive(Debug)]
-pub struct EmitterStream<'a> {
-    emitter: &'a ReleaseEmitter,
-    release: usize,
-    pos: usize,
-    end: usize,
-    chunk_size: usize,
-}
-
-impl ReleaseStream for EmitterStream<'_> {
-    fn version(&self) -> ReleaseVersion {
-        self.emitter.version(self.release)
-    }
-
-    fn next_chunk(&mut self) -> Option<Vec<ClaimEntry>> {
-        let mut chunk = Vec::with_capacity(self.chunk_size.min(self.end - self.pos));
-        while self.pos < self.end && chunk.len() < self.chunk_size {
-            let entry = self.emitter.base[self.pos];
-            self.pos += 1;
-            if self.emitter.alive_at(&entry.key, self.release) {
-                chunk.push(entry);
-            }
-        }
-        if chunk.is_empty() {
-            None
-        } else {
-            Some(chunk)
-        }
     }
 }
 
@@ -330,8 +257,9 @@ mod tests {
     use crate::fabric_gen::{generate_fabric, generate_towns};
     use crate::providers_gen::{compute_all_claims, generate_providers};
     use crate::shard::map_shards;
-    use bdc::stream::{diff_releases, DiffMode};
-    use bdc::{AvailabilityRecord, Fabric, LocationId, MapDiff, NbmRelease, Technology};
+    use bdc::{
+        AvailabilityRecord, ClaimChange, Fabric, LocationId, MapDiff, NbmRelease, Technology,
+    };
     use std::collections::BTreeSet;
 
     /// The oracle: build the initial release plus `n_minor_releases` minor
@@ -387,6 +315,7 @@ mod tests {
 
     struct Timeline {
         emitter: ReleaseEmitter,
+        chain: DiffChain,
         releases: Vec<NbmRelease>,
     }
 
@@ -405,29 +334,17 @@ mod tests {
         let releases = build_releases(config, &filings, &fabric, &challenges, &corrections, 1);
         let emitter =
             ReleaseEmitter::new(config.n_minor_releases, &filings, &challenges, &corrections);
-        Timeline { emitter, releases }
-    }
-
-    /// The claim multiset of a release, from its records.
-    fn claim_set(release: &NbmRelease) -> Vec<bdc::ClaimKey> {
-        let mut keys: Vec<_> = release.records().iter().map(|r| r.claim_key()).collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// The claim multiset of an emitted release, drained through the stream.
-    fn emitted_set(emitter: &ReleaseEmitter, index: usize, chunk: usize) -> Vec<bdc::ClaimKey> {
-        let release = emitter.release(index);
-        let mut stream = release.full_stream(chunk);
-        let mut keys = Vec::new();
-        while let Some(chunk) = stream.next_chunk() {
-            keys.extend(chunk.iter().map(|e| e.key));
+        let chain =
+            RemovalSchedule::build(config.n_minor_releases, &challenges, &corrections).diff_chain();
+        Timeline {
+            emitter,
+            chain,
+            releases,
         }
-        keys
     }
 
     #[test]
-    fn emitted_releases_match_materialised_releases() {
+    fn emitter_and_schedule_chain_match_materialised_releases() {
         // Seeded loop over the timeline's degenerate corners: no, one or six
         // minor releases; no or total silent correction; no or heavy
         // challenges of false claims.
@@ -468,14 +385,19 @@ mod tests {
                     release.published,
                     "{case}: release {k}"
                 );
-                for chunk in [7, 4096] {
-                    assert_eq!(
-                        emitted_set(&t.emitter, k, chunk),
-                        claim_set(release),
-                        "{case}: release {k} differs at chunk size {chunk}"
-                    );
-                }
             }
+            // The schedule-built chain is the batch diff of the two ends.
+            let latest = t.releases.last().unwrap();
+            let batch = MapDiff::between(&t.releases[0], latest);
+            let batch_removed: Vec<ClaimChange> = batch.removed().copied().collect();
+            assert_eq!(t.chain.removal_evidence(), batch_removed, "{case}");
+            assert_eq!(
+                batch.counts().0,
+                0,
+                "{case}: the timeline never adds claims"
+            );
+            assert_eq!(t.chain.from_version(), t.releases[0].version, "{case}");
+            assert_eq!(t.chain.to_version(), latest.version, "{case}");
         }
         assert_eq!(
             removal_counts,
@@ -495,44 +417,6 @@ mod tests {
             let minor = k as u32;
             assert_eq!(next.version(), ReleaseVersion { major: 1, minor });
         }
-    }
-
-    #[test]
-    fn emitter_diffs_match_batch_diffs_between_any_releases() {
-        let t = timeline(&SynthConfig::tiny(33));
-        let last = t.releases.len() - 1;
-        for (a, b) in [(0, 1), (0, last), (1, last.min(2))] {
-            let batch = MapDiff::between(&t.releases[a], &t.releases[b]);
-            let mut batch_changes = batch.changes().to_vec();
-            batch_changes.sort_unstable();
-            for mode in [DiffMode::Sequential, DiffMode::Threads(3)] {
-                let streamed =
-                    diff_releases(&t.emitter.release(a), &t.emitter.release(b), 64, mode);
-                let mut streamed_changes = streamed.changes.clone();
-                streamed_changes.sort_unstable();
-                assert_eq!(
-                    streamed_changes, batch_changes,
-                    "diff {a}->{b} differs under {mode:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn provider_streams_partition_the_release() {
-        let t = timeline(&SynthConfig::tiny(21));
-        let release = t.emitter.release(1);
-        let mut via_providers = Vec::new();
-        for provider in release.providers() {
-            let mut stream = release.provider_stream(provider, 32);
-            while let Some(chunk) = stream.next_chunk() {
-                via_providers.extend(chunk.iter().map(|e| e.key));
-            }
-        }
-        assert_eq!(via_providers, emitted_set(&t.emitter, 1, 32));
-        // An unknown provider streams nothing.
-        let mut empty = release.provider_stream(ProviderId(u32::MAX), 32);
-        assert!(empty.next_chunk().is_none());
     }
 
     #[test]
@@ -563,10 +447,14 @@ mod tests {
         assert_eq!(emitter.release(0).live_claims(), 1);
         assert_eq!(emitter.release(1).live_claims(), 0);
         assert_eq!(emitter.release(2).live_claims(), 0);
+        let chain = RemovalSchedule::build(2, &[], &correction_at(0)).diff_chain();
+        assert_eq!(chain.removal_count(), 1);
         // An index past the last minor release never takes effect.
         let emitter = ReleaseEmitter::new(2, &[one_claim_filing()], &[], &correction_at(3));
         assert_eq!(emitter.scheduled_removals(), 0);
         assert_eq!(emitter.release(2).live_claims(), 1);
+        let chain = RemovalSchedule::build(2, &[], &correction_at(3)).diff_chain();
+        assert_eq!(chain.removal_count(), 0);
     }
 
     #[test]

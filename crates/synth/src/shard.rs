@@ -218,8 +218,8 @@ pub fn shard_rng(master: u64, stage: SynthStage, shard: u64) -> StdRng {
 /// `Threads(n)` (forced worker counts, the knob the determinism tests use).
 ///
 /// The enum is the workspace's shared scheduling mode, defined once in
-/// `bdc::stream` (where the streaming diff engine uses it as `DiffMode`) —
-/// one `worker_count` resolution for generator shards and diff shards alike.
+/// `bdc::stream` as `DiffMode` — one `worker_count` resolution for every
+/// sharded stage.
 pub use bdc::stream::DiffMode as GenMode;
 
 /// Map `f` over `items`, fanning contiguous chunks across `workers` scoped
@@ -230,9 +230,7 @@ pub use bdc::stream::DiffMode as GenMode;
 /// `f` is pure the output is bit-identical for any worker count.
 ///
 /// The implementation is the workspace's shared fan-out primitive in
-/// `bdc::stream` (the streaming diff engine shards its per-provider merge
-/// through the same function), re-exported here as the generator's
-/// historical home.
+/// `bdc::stream`, re-exported here as the generator's historical home.
 pub use bdc::stream::map_shards;
 
 #[cfg(test)]

@@ -41,8 +41,8 @@ use asnmap::{FrnRegistration, RegistrationSource, WhoisDb};
 use bdc::source::{end_stage, SourceMeta, WorldSource};
 use bdc::stream::{map_shards, speed_pair_wins, ResidencyMeter};
 use bdc::{
-    Bsl, Challenge, ClaimChange, ClaimChangeKind, DayStamp, FabricView, HexClaim, LocationId,
-    NbmRelease, ProviderId, ReleaseVersion, Technology,
+    Bsl, Challenge, ClaimChange, DayStamp, FabricView, HexClaim, LocationId, NbmRelease,
+    ProviderId, ReleaseVersion, Technology,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabTest, OoklaTileRecord};
@@ -414,9 +414,10 @@ pub struct StreamWorld {
     pub challenges: Vec<Challenge>,
     /// The later challenge wave, chunked exactly like the materialised path.
     pub later_challenges: Vec<Challenge>,
-    /// Cumulative non-archived removals across all minor releases, ascending
-    /// claim-key order — bit-identical to draining the full release chain
-    /// through `bdc::DiffChain` (the schedule only ever removes claims).
+    /// Non-archived removals, the initial claims gone from the latest
+    /// release, in ascending claim-key order: the removal schedule's
+    /// [`RemovalSchedule::diff_chain`], exactly as the materialised world's
+    /// `release_diff` stage reads it.
     pub removal_evidence: Vec<ClaimChange>,
     /// The initial NBM release: per-hex claims aggregated provider-by-provider
     /// during the regulatory pass, with no location-level records resident.
@@ -665,19 +666,11 @@ impl StreamWorld {
             later_wave_shard_count(challenges.len()),
         )?;
 
-        // Release assembly: the removal schedule *is* the release chain's
-        // cumulative diff (claims are only ever removed), and the streamed
-        // per-hex aggregates *are* the initial release's public view.
+        // Release assembly: the removal schedule *is* the timeline's
+        // initial-vs-latest diff (claims are only ever removed), and the
+        // streamed per-hex aggregates *are* the initial release's public view.
         let s = Instant::now();
-        let removal_evidence: Vec<ClaimChange> = schedule
-            .keys()
-            .map(|&(provider, location, technology)| ClaimChange {
-                provider,
-                location,
-                technology,
-                kind: ClaimChangeKind::Removed,
-            })
-            .collect();
+        let removal_evidence = schedule.diff_chain().removal_evidence();
         meter.pin(removal_evidence.len());
         meter.release(sched_metered);
         drop(schedule);
@@ -868,18 +861,23 @@ mod tests {
     }
 
     #[test]
-    fn removal_evidence_matches_release_diff_chain() {
+    fn removal_evidence_matches_the_diff_of_initial_and_latest() {
         let config = SynthConfig::tiny(79);
         let (stream, world) = stream_and_world(&config);
         let emitter = world.release_emitter();
-        let releases: Vec<_> = (0..emitter.n_releases())
-            .map(|i| emitter.release(i))
-            .collect();
-        let mut chain = bdc::DiffChain::new(world.initial_release().version);
-        for pair in releases.windows(2) {
-            chain.extend_with(&pair[0], &pair[1], 4096, bdc::DiffMode::Sequential);
-        }
-        assert_eq!(stream.removal_evidence, chain.removal_evidence());
+        let last = emitter.release(emitter.n_releases() - 1);
+        let initial = world.initial_release();
+        let kept = initial
+            .records()
+            .iter()
+            .filter(|r| last.is_live(&r.claim_key()));
+        let (version, published) = (last.version(), last.published());
+        let latest =
+            NbmRelease::from_records(version, published, kept.cloned().collect(), &world.fabric);
+        let batch = bdc::MapDiff::between(initial, &latest);
+        let removals: Vec<ClaimChange> = batch.removed().copied().collect();
+        assert!(!removals.is_empty());
+        assert_eq!(stream.removal_evidence, removals);
     }
 
     #[test]

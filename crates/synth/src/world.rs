@@ -15,7 +15,7 @@ use std::time::Instant;
 use asnmap::{FrnRegistration, SiblingGroups, WhoisDb};
 use bdc::{
     Asn, Challenge, DayStamp, Fabric, Filing, LocationId, NbmRelease, Provider, ProviderId,
-    ProviderRegistry, ReleaseVersion, ShardableRelease, StreamReport, StreamStage, Technology,
+    ProviderRegistry, ReleaseVersion, StreamReport, StreamStage, Technology,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabDataset, OoklaDataset};
@@ -28,6 +28,7 @@ use crate::config::SynthConfig;
 use crate::fabric_gen::{generate_fabric, generate_towns, Town};
 use crate::providers_gen::{compute_all_claims, generate_providers, ClaimTruth, ProviderProfile};
 use crate::registration_gen::generate_registrations;
+use crate::release_stream::{ReleaseEmitter, RemovalSchedule};
 use crate::shard::{GenMode, SynthStage};
 use crate::speedtest_gen::{generate_mlab, generate_ookla, hex_observation_truth, served_hex_sets};
 use crate::states::{state_by_code, STATES};
@@ -282,14 +283,24 @@ impl SynthUs {
         &self.initial_release
     }
 
-    /// The release timeline: one compact sorted copy of the initial claims
-    /// plus the removal schedule, able to emit any release's claims
-    /// chunk-by-chunk without materialising it (see
+    /// The release timeline: the initial claim keys plus the removal
+    /// schedule, answering for any release without materialising it (see
     /// [`crate::release_stream`]).
-    pub fn release_emitter(&self) -> crate::release_stream::ReleaseEmitter {
-        crate::release_stream::ReleaseEmitter::new(
+    pub fn release_emitter(&self) -> ReleaseEmitter {
+        ReleaseEmitter::new(
             self.config.n_minor_releases,
             &self.filings,
+            &self.challenges,
+            &self.corrections,
+        )
+    }
+
+    /// Which claim leaves the timeline in which minor release, from the
+    /// challenge outcomes and the silent corrections. Its
+    /// [`RemovalSchedule::diff_chain`] is the timeline's map-change evidence.
+    pub fn removal_schedule(&self) -> RemovalSchedule {
+        RemovalSchedule::build(
+            self.config.n_minor_releases,
             &self.challenges,
             &self.corrections,
         )
@@ -505,7 +516,7 @@ pub fn neighboring_states(home: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use bdc::challenge::success_rate;
-    use bdc::{diff_releases, DiffMode};
+    use bdc::{ClaimChange, MapDiff};
 
     // Seed re-pinned when generation moved to sharded per-stage RNG streams
     // (the world is different, byte for byte, from the single-stream era).
@@ -532,14 +543,27 @@ mod tests {
     }
 
     #[test]
-    fn diff_between_releases_contains_removals() {
+    fn schedule_chain_equals_the_diff_of_initial_and_latest() {
         let w = tiny_world();
         let emitter = w.release_emitter();
-        let latest = emitter.release(emitter.n_releases() - 1);
-        let diff = diff_releases(&emitter.release(0), &latest, 4096, DiffMode::Sequential);
+        let last = emitter.release(emitter.n_releases() - 1);
+        let initial = w.initial_release();
+        let kept = initial
+            .records()
+            .iter()
+            .filter(|r| last.is_live(&r.claim_key()));
+        let (version, published) = (last.version(), last.published());
+        let latest =
+            NbmRelease::from_records(version, published, kept.cloned().collect(), &w.fabric);
+        let diff = MapDiff::between(initial, &latest);
         let (added, removed, _) = diff.counts();
         assert!(removed > 0, "expected removals in the diff");
         assert_eq!(added, 0, "the synthetic timeline never adds claims");
+        let removals: Vec<ClaimChange> = diff.removed().copied().collect();
+        assert_eq!(
+            w.removal_schedule().diff_chain().removal_evidence(),
+            removals
+        );
     }
 
     #[test]

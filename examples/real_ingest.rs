@@ -51,11 +51,10 @@ fn main() {
 
     // Ingest the directory, then run the source through the same generic
     // streaming pipeline the synth world uses.
-    let world = FileWorld::load(&data_dir, &IngestOptions::default(), DiffMode::Parallel)
-        .unwrap_or_else(|e| {
-            eprintln!("ingest failed: {e}");
-            std::process::exit(1);
-        });
+    let world = FileWorld::load(&data_dir, &IngestOptions::default()).unwrap_or_else(|e| {
+        eprintln!("ingest failed: {e}");
+        std::process::exit(1);
+    });
     if !json {
         let meta_detail = {
             use red_is_sus::bdc::WorldSource as _;

@@ -34,7 +34,7 @@ fn every_report_producer_has_truthful_totals_and_one_stage_order() {
     let (world, generated) = SynthUs::generate_with(&config, mode).expect("valid config");
     let stream_world = StreamWorld::generate(&config, mode).expect("valid config");
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bdc_sample");
-    let file_world = FileWorld::load(&fixture, &IngestOptions::default(), mode)
+    let file_world = FileWorld::load(&fixture, &IngestOptions::default())
         .unwrap_or_else(|e| panic!("fixture must load: {e}"));
 
     // (producer, report, whether it runs the pipeline stages)

@@ -8,9 +8,10 @@
 //! worker-invariance contract `GenMode` pins for the materialised generator,
 //! extended across the whole synth → dataset run.
 
+use red_is_sus::bdc::DiffMode;
 use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelingOptions};
-use red_is_sus::core::pipeline::PipelineEngine;
+use red_is_sus::core::pipeline::{stage_release_diff, PipelineEngine};
 use red_is_sus::core::streaming::run_streaming_to_dataset_with;
 use red_is_sus::obs::Telemetry;
 use red_is_sus::synth::{GenMode, StreamReport, StreamWorld, SynthConfig, SynthUs};
@@ -41,6 +42,12 @@ fn streamed_world_matches_materialised_on_every_schedule() {
         let reference = world.initial_release();
         let sequential = StreamWorld::generate(&config, GenMode::Sequential)
             .unwrap_or_else(|e| panic!("{name} under Sequential: {e}"));
+        // Both worlds read their evidence off the same removal schedule.
+        assert_eq!(
+            sequential.removal_evidence,
+            stage_release_diff(&world, DiffMode::Parallel).removal_evidence(),
+            "{name}: streamed evidence differs from the release_diff stage's"
+        );
         for mode in [
             GenMode::Sequential,
             GenMode::Parallel,
