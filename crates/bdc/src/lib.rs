@@ -42,7 +42,7 @@ pub use provider::{Provider, ProviderRegistry};
 pub use source::{EmptyStream, SourceMeta, StreamReport, StreamStage, WorldSource};
 pub use stream::{
     collect_shards, drain_shards, map_shards, ClaimEntry, DiffMode, MeterInstruments,
-    ResidencyMeter, ShardStream, SpeedTestStream,
+    ResidencyMeter, ShardStream, SliceShards, SpeedTestStream,
 };
 pub use tech::Technology;
 pub use time::DayStamp;

@@ -1,20 +1,23 @@
 //! The source abstraction the analysis pipeline runs over.
 //!
-//! A [`WorldSource`] is everything the streaming synth → dataset runner
-//! consumes from "the world": a bounded [`FabricView`], the claim-release
-//! timeline (the initial [`NbmRelease`] plus cumulative removal evidence),
-//! the challenge record, speed-test shard streams, and per-source metadata —
-//! all accounted against one shared [`ResidencyMeter`]. The synth crate's
-//! `StreamWorld` is one implementation (pure regeneration is its private
-//! strategy); the ingest crate's file-backed BDC/Ookla source is another.
-//! The runner in `redsus_core::streaming` is generic over this trait, so
-//! synthetic and real data flow through byte-for-byte the same pipeline.
+//! A [`WorldSource`] is everything the pipeline runner consumes from "the
+//! world": a bounded [`FabricView`], the claim-release timeline (the initial
+//! [`NbmRelease`] plus cumulative removal evidence), the challenge record,
+//! speed-test shard streams, and per-source metadata — all accounted against
+//! one shared [`ResidencyMeter`]. Three sources implement it: the synth
+//! crate's `StreamWorld` (pure regeneration is its private strategy), the
+//! ingest crate's file-backed BDC/Ookla source, and the resident synthetic
+//! world `redsus_core`'s pipeline engine wraps. The runner in
+//! `redsus_core::streaming` is generic over this trait and is the only
+//! stage sequence, so synthetic and real data flow through byte-for-byte the
+//! same pipeline.
 //!
 //! The speed-test streams are generic associated types rather than boxed
 //! trait objects: each source names its own concrete stream (the synth
-//! emitters borrow the source's tables; the file source hands out resident
-//! tile chunks), the item types stay source-defined (this crate cannot name
-//! the `speedtest` crate's records — `speedtest` depends on `bdc`), and the
+//! emitters borrow the source's tables; the file source and the resident
+//! world hand out [`SliceShards`](crate::SliceShards) of records they
+//! hold), the item types stay source-defined (this crate cannot name the
+//! `speedtest` crate's records — `speedtest` depends on `bdc`), and the
 //! runner pins the items it requires via equality bounds.
 
 use std::collections::BTreeMap;

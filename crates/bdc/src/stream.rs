@@ -5,7 +5,7 @@
 //!   merges, with the one duplicate-key rule ([`ClaimEntry::wins_over`]).
 //! * [`ShardStream`] and [`SpeedTestStream`] — sources regenerated or read
 //!   shard by shard on demand, drained by [`drain_shards`] or collected by
-//!   [`collect_shards`].
+//!   [`collect_shards`]; [`SliceShards`] streams records already resident.
 //! * [`ResidencyMeter`] — honest peak-residency accounting shared by every
 //!   streaming stage, mirrored into telemetry by [`MeterInstruments`].
 //! * [`map_shards`] and [`DiffMode`] — the one scoped-thread fan-out and the
@@ -230,6 +230,46 @@ pub trait ShardStream: Sync {
 /// dataset byte for byte.
 pub trait SpeedTestStream: ShardStream {}
 
+/// Entries per [`SliceShards`] shard: the MLab attributor's test block, so a
+/// resident source's test shards are exactly the blocks the attributor fans
+/// out.
+const SLICE_CHUNK: usize = 4096;
+
+/// Records that are already resident, handed out as a [`SpeedTestStream`] in
+/// 4096-entry shards, in slice order. The slice stays resident in its owner,
+/// so `resident_entries` admits all of it: the meter charges what is
+/// actually held, not what a shard happens to hand out.
+pub struct SliceShards<'a, T> {
+    items: &'a [T],
+}
+
+impl<'a, T> SliceShards<'a, T> {
+    /// Stream a resident slice.
+    pub fn new(items: &'a [T]) -> Self {
+        Self { items }
+    }
+}
+
+impl<T: Clone + Send + Sync> ShardStream for SliceShards<'_, T> {
+    type Item = T;
+
+    fn shard_count(&self) -> usize {
+        self.items.len().div_ceil(SLICE_CHUNK)
+    }
+
+    fn shard(&self, index: usize) -> Vec<T> {
+        let start = index * SLICE_CHUNK;
+        let end = (start + SLICE_CHUNK).min(self.items.len());
+        self.items[start..end].to_vec()
+    }
+
+    fn resident_entries(&self) -> usize {
+        self.items.len()
+    }
+}
+
+impl<T: Clone + Send + Sync> SpeedTestStream for SliceShards<'_, T> {}
+
 /// Materialise a shard stream: pull every shard through [`map_shards`] and
 /// concatenate in shard order. This is the thin adapter that turns any
 /// streaming source back into the resident representation — the generators'
@@ -267,9 +307,9 @@ pub fn drain_shards<S: ShardStream>(
 /// never a semantic one.
 ///
 /// This is the workspace's one scheduling enum: the synth crate re-exports
-/// it as `GenMode`, `core` as `LabelMode` and `FeatureMode`, and `serve` as
-/// `ScoreMode`, so every parallel stage shares one `worker_count`
-/// resolution. The name is historical; no release diff takes a mode.
+/// it as `GenMode`, `core` as `LabelMode`, and `serve` as `ScoreMode`, so
+/// every parallel stage shares one `worker_count` resolution. The name is
+/// historical; no release diff takes a mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiffMode {
     /// Everything on the calling thread.
@@ -392,6 +432,20 @@ mod tests {
         fn resident_entries(&self) -> usize {
             self.providers.len()
         }
+    }
+
+    #[test]
+    fn slice_shards_chunk_in_order_and_admit_the_whole_slice() {
+        let items: Vec<usize> = (0..2 * SLICE_CHUNK + 5).collect();
+        let shards = SliceShards::new(&items);
+        assert_eq!(shards.shard_count(), 3);
+        assert_eq!(shards.resident_entries(), items.len());
+        assert_eq!(shards.shard(2), items[2 * SLICE_CHUNK..]);
+        assert_eq!(collect_shards(&shards, 2), items);
+
+        let empty = SliceShards::<usize>::new(&[]);
+        assert_eq!(empty.shard_count(), 0);
+        assert_eq!(empty.resident_entries(), 0);
     }
 
     #[test]

@@ -5,16 +5,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use redsus_bench::micro_config;
 use redsus_core::experiments as exp;
-use redsus_core::features::{build_features, FeatureConfig};
-use redsus_core::labels::LabelingOptions;
-use redsus_core::pipeline::AnalysisContext;
+use redsus_core::features::FeatureConfig;
+use redsus_core::labels::{LabelMode, LabelingOptions};
+use redsus_core::pipeline::{stage_feature_engineering, stage_label_construction, AnalysisContext};
 use std::hint::black_box;
 use synth::SynthUs;
 
 fn bench_ablations(c: &mut Criterion) {
     let world = SynthUs::generate(&micro_config(11));
     let ctx = AnalysisContext::prepare(&world);
-    let labels = ctx.build_labels(&world, &LabelingOptions::default());
+    let labels = |options| stage_label_construction(&world, &ctx, &options, LabelMode::Parallel);
+    let observations = labels(LabelingOptions::default());
 
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
@@ -29,10 +30,10 @@ fn bench_ablations(c: &mut Criterion) {
     // Balancing ablation: labelled-set construction with and without the
     // likely-served balancing step.
     group.bench_function("labels_balanced", |b| {
-        b.iter(|| black_box(ctx.build_labels(&world, &LabelingOptions::default())))
+        b.iter(|| black_box(labels(LabelingOptions::default())))
     });
     group.bench_function("labels_unbalanced_challenges_changes", |b| {
-        b.iter(|| black_box(ctx.build_labels(&world, &LabelingOptions::challenges_and_changes())))
+        b.iter(|| black_box(labels(LabelingOptions::challenges_and_changes())))
     });
 
     // Embedding-dimensionality ablation for the methodology feature.
@@ -42,7 +43,15 @@ fn bench_ablations(c: &mut Criterion) {
                 embedding_dim: dim,
                 ..FeatureConfig::default()
             };
-            b.iter(|| black_box(build_features(&world, &ctx, &labels, &config)))
+            b.iter(|| {
+                black_box(stage_feature_engineering(
+                    &world,
+                    &ctx,
+                    &observations,
+                    &config,
+                    LabelMode::Parallel,
+                ))
+            })
         });
     }
     group.finish();

@@ -16,9 +16,11 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
-use redsus_core::features::{build_features_with, FeatureConfig, FeatureMode};
+use redsus_core::features::FeatureConfig;
 use redsus_core::labels::{LabelMode, LabelingOptions};
-use redsus_core::pipeline::{AnalysisContext, PipelineEngine};
+use redsus_core::pipeline::{
+    stage_feature_engineering, stage_label_construction, AnalysisContext, PipelineEngine,
+};
 use redsus_core::Telemetry;
 use std::hint::black_box;
 use std::time::Instant;
@@ -31,46 +33,30 @@ fn bench_preset(c: &mut Criterion, label: &str, world: &SynthUs) {
     let ctx = AnalysisContext::prepare(world);
     let options = LabelingOptions::default();
     let config = FeatureConfig::default();
+    let labels = |mode| stage_label_construction(world, &ctx, &options, mode);
 
     let mut group = c.benchmark_group(&format!("labels_{label}"));
     group.sample_size(10);
     group.bench_function("sequential", |b| {
-        b.iter(|| black_box(ctx.build_labels_with(world, &options, LabelMode::Sequential)))
+        b.iter(|| black_box(labels(LabelMode::Sequential)))
     });
     for workers in SWEEP {
         group.bench_function(format!("threads{workers}"), |b| {
-            b.iter(|| {
-                black_box(ctx.build_labels_with(world, &options, LabelMode::Threads(workers)))
-            })
+            b.iter(|| black_box(labels(LabelMode::Threads(workers))))
         });
     }
     group.finish();
 
-    let labels = ctx.build_labels(world, &options);
+    let labelled = labels(LabelMode::Parallel);
+    let features = |mode| stage_feature_engineering(world, &ctx, &labelled, &config, mode);
     let mut group = c.benchmark_group(&format!("features_{label}"));
     group.sample_size(10);
     group.bench_function("sequential", |b| {
-        b.iter(|| {
-            black_box(build_features_with(
-                world,
-                &ctx,
-                &labels,
-                &config,
-                FeatureMode::Sequential,
-            ))
-        })
+        b.iter(|| black_box(features(LabelMode::Sequential)))
     });
     for workers in SWEEP {
         group.bench_function(format!("threads{workers}"), |b| {
-            b.iter(|| {
-                black_box(build_features_with(
-                    world,
-                    &ctx,
-                    &labels,
-                    &config,
-                    FeatureMode::Threads(workers),
-                ))
-            })
+            b.iter(|| black_box(features(LabelMode::Threads(workers))))
         });
     }
     group.finish();
@@ -78,10 +64,11 @@ fn bench_preset(c: &mut Criterion, label: &str, world: &SynthUs) {
     // Throughput: observations labelled / rows vectorised per second on the
     // sequential schedule (the per-worker number the sweep scales from).
     let start = Instant::now();
-    let observations = ctx.build_labels_with(world, &options, LabelMode::Sequential);
+    let observations = labels(LabelMode::Sequential);
     let label_wall = start.elapsed();
     let start = Instant::now();
-    let matrix = build_features_with(world, &ctx, &observations, &config, FeatureMode::Sequential);
+    let matrix =
+        stage_feature_engineering(world, &ctx, &observations, &config, LabelMode::Sequential);
     let feature_wall = start.elapsed();
     report_metric(
         format!("labels_{label}/observations"),

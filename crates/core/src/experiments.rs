@@ -14,24 +14,22 @@ use ml::{explain_row, summarize_attributions, GbdtModel};
 use serde::{Deserialize, Serialize};
 use synth::{SynthConfig, SynthUs};
 
-use crate::features::{build_features, FeatureConfig, FeatureMatrix};
-use crate::labels::{Label, LabelSource, LabelingOptions};
+use crate::features::{FeatureConfig, FeatureMatrix};
+use crate::labels::{Label, LabelMode, LabelSource, LabelingOptions};
 use crate::model::{default_params, run_holdout, EvaluationResult, HoldoutStrategy};
-use crate::pipeline::AnalysisContext;
+use crate::pipeline::{
+    stage_feature_engineering, stage_label_construction, AnalysisContext, DatasetRun,
+    PipelineEngine,
+};
 
 /// The states held out in §6.2.2 (and reused for Table 7/8 and Figure 6).
 pub const HOLDOUT_STATES: [&str; 6] = ["NE", "GA", "OK", "MO", "IN", "SC"];
 
 /// Everything the model-dependent experiments share: the generated world, the
-/// generator's execution report, the prepared context, the labelled feature
-/// matrix and the three hold-out outcomes.
+/// prepared context, the labelled feature matrix and the three hold-out
+/// outcomes.
 pub struct ExperimentSuite {
     pub world: SynthUs,
-    /// Per-stage/per-shard report of the sharded world generation.
-    pub synth_report: bdc::StreamReport,
-    /// Per-stage report of the full eight-stage pipeline run (preparation
-    /// plus label construction and feature engineering).
-    pub pipeline_report: bdc::StreamReport,
     pub ctx: AnalysisContext,
     pub matrix: FeatureMatrix,
     pub observation_holdout: crate::model::HoldoutOutcome,
@@ -49,16 +47,16 @@ pub struct StreamingSuite<W = synth::StreamWorld> {
 }
 
 impl ExperimentSuite {
-    /// Generate the world and run the shared pipeline stages through the
-    /// staged engine (all eight stages), recording no telemetry.
+    /// Generate the world and run all eight pipeline stages over it with the
+    /// engine, recording no telemetry.
     pub fn prepare(config: &SynthConfig) -> Self {
-        let (world, synth_report) = SynthUs::generate_with(config, synth::GenMode::default())
+        let (world, _) = SynthUs::generate_with(config, synth::GenMode::default())
             .unwrap_or_else(|msg| panic!("invalid SynthConfig: {msg}"));
-        let crate::pipeline::DatasetRun {
+        let DatasetRun {
             context: ctx,
             matrix,
-            report: pipeline_report,
-        } = crate::pipeline::PipelineEngine.run_to_dataset_with(
+            ..
+        } = PipelineEngine.run_to_dataset_with(
             &world,
             &LabelingOptions::default(),
             &FeatureConfig::default(),
@@ -84,8 +82,6 @@ impl ExperimentSuite {
         );
         Self {
             world,
-            synth_report,
-            pipeline_report,
             ctx,
             matrix,
             observation_holdout,
@@ -724,11 +720,12 @@ pub fn figure7(world: &SynthUs, ctx: &AnalysisContext) -> Figure7 {
         ),
     ];
     let states: Vec<String> = HOLDOUT_STATES.iter().map(|s| s.to_string()).collect();
+    let (features, mode) = (FeatureConfig::default(), LabelMode::Parallel);
     let rows = configs
         .iter()
         .map(|(label, options)| {
-            let observations = ctx.build_labels(world, options);
-            let matrix = build_features(world, ctx, &observations, &FeatureConfig::default());
+            let observations = stage_label_construction(world, ctx, options, mode);
+            let matrix = stage_feature_engineering(world, ctx, &observations, &features, mode);
             let outcome = run_holdout(
                 &matrix,
                 &HoldoutStrategy::States(states.clone()),
@@ -771,8 +768,9 @@ pub struct Figure8 {
 /// states excluded, then score every hex the provider claims.
 pub fn figure8(world: &SynthUs, ctx: &AnalysisContext) -> Option<Figure8> {
     let jcc = world.jcc.as_ref()?;
-    let observations = ctx.build_labels(world, &LabelingOptions::default());
-    let matrix = build_features(world, ctx, &observations, &FeatureConfig::default());
+    let (features, mode) = (FeatureConfig::default(), LabelMode::Parallel);
+    let observations = stage_label_construction(world, ctx, &LabelingOptions::default(), mode);
+    let matrix = stage_feature_engineering(world, ctx, &observations, &features, mode);
     let outcome = run_holdout(
         &matrix,
         &HoldoutStrategy::States(jcc.excluded_states.clone()),
@@ -793,7 +791,7 @@ pub fn figure8(world: &SynthUs, ctx: &AnalysisContext) -> Option<Figure8> {
             source: LabelSource::LikelyServed,
         })
         .collect();
-    let jcc_matrix = build_features(world, ctx, &jcc_claims, &FeatureConfig::default());
+    let jcc_matrix = stage_feature_engineering(world, ctx, &jcc_claims, &features, mode);
     let mut over_flagged = 0usize;
     let mut over_total = 0usize;
     let mut served_flagged = 0usize;

@@ -12,22 +12,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 
 use bdc::stream::map_shards;
-use bdc::{FabricView, NbmRelease, ProviderId};
+use bdc::{DiffMode, FabricView, NbmRelease, ProviderId};
 use embed::TextEmbedder;
 use hexgrid::HexCell;
 use ml::Dataset;
 use serde::{Deserialize, Serialize};
 use speedtest::{CoverageScore, OoklaHexAggregate, ProviderHexTests};
-use synth::{SynthUs, STATES};
+use synth::STATES;
 
 use crate::labels::Observation;
-use crate::pipeline::AnalysisContext;
-
-/// How feature engineering schedules its shard fan-out — the workspace's one
-/// scheduling enum (`GenMode`/`DiffMode`/`ScoreMode`/`LabelMode`), under the
-/// same contract: the worker count never changes the produced matrix by a
-/// single bit.
-pub use bdc::stream::DiffMode as FeatureMode;
 
 /// Fixed number of observations per feature-row shard. A function of the
 /// input alone (never of the worker count), so every schedule cuts the same
@@ -143,9 +136,9 @@ pub fn feature_names(config: &FeatureConfig) -> Vec<String> {
 
 /// Everything feature engineering needs to see — the counterpart of
 /// `LabelInputs`. The fabric enters as a [`FabricView`] and the release, the
-/// speed-test aggregates and the methodologies enter by reference, so both
-/// the materialised `SynthUs` + `AnalysisContext` pair and the national-scale
-/// streaming world vectorise bit-identically through the same code.
+/// speed-test aggregates and the methodologies enter by reference, so a
+/// resident world and the national-scale streaming world vectorise
+/// bit-identically through the same code.
 pub struct FeatureInputs<'a> {
     pub fabric: &'a dyn FabricView,
     /// The initial NBM release whose per-hex claims feed the claim columns.
@@ -213,49 +206,21 @@ fn feature_shard(
     dataset
 }
 
-/// Build the feature matrix for a set of labelled observations with the
-/// default (parallel) schedule.
-pub fn build_features(
-    world: &SynthUs,
-    ctx: &AnalysisContext,
-    observations: &[Observation],
-    config: &FeatureConfig,
-) -> FeatureMatrix {
-    build_features_with(world, ctx, observations, config, FeatureMode::Parallel)
-}
-
-/// Build the feature matrix under an explicit schedule.
+/// Build the feature matrix from explicit [`FeatureInputs`] — the
+/// `feature_engineering` body every source routes through (the streaming
+/// runner, and `stage_feature_engineering` over a resident world), so no two
+/// paths can vectorise differently.
 ///
 /// Per-provider methodology embeddings are precomputed in parallel, then the
 /// observations are cut into fixed `OBSERVATION_CHUNK`-sized shards, each
 /// vectorised into a dataset shard on a scoped worker, and reassembled in
 /// chunk order via [`Dataset::from_shards`] — bit-identical to a sequential
-/// row loop for every [`FeatureMode`].
-pub fn build_features_with(
-    world: &SynthUs,
-    ctx: &AnalysisContext,
-    observations: &[Observation],
-    config: &FeatureConfig,
-    mode: FeatureMode,
-) -> FeatureMatrix {
-    let inputs = FeatureInputs {
-        fabric: &world.fabric,
-        release: world.initial_release(),
-        ookla_by_hex: &ctx.ookla_by_hex,
-        mlab_evidence: &ctx.mlab_evidence,
-        methodologies: &ctx.methodologies,
-    };
-    build_features_from_inputs(&inputs, observations, config, mode)
-}
-
-/// Build the feature matrix from explicit [`FeatureInputs`] — the engine the
-/// materialised wrapper above and the streaming national-scale path both
-/// route through, so the two can never vectorise differently.
+/// row loop for every [`DiffMode`].
 pub fn build_features_from_inputs(
     inputs: &FeatureInputs<'_>,
     observations: &[Observation],
     config: &FeatureConfig,
-    mode: FeatureMode,
+    mode: DiffMode,
 ) -> FeatureMatrix {
     let workers = mode.worker_count();
     let names = feature_names(config);
@@ -286,7 +251,7 @@ pub fn build_features_from_inputs(
 
 /// An order-sensitive stable digest of a dataset: feature names, every cell's
 /// bit pattern and every label fold through `synth::shard::StableHasher`.
-/// Pins the worker-invariance contract of [`build_features_with`] and the
+/// Pins the worker-invariance contract of [`build_features_from_inputs`] and the
 /// golden dataset fingerprint in `tests/end_to_end.rs`.
 pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
     let mut h = synth::shard::StableHasher::new();
@@ -304,14 +269,27 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::LabelingOptions;
-    use synth::SynthConfig;
+    use crate::labels::{LabelMode, LabelingOptions};
+    use crate::pipeline::{stage_feature_engineering, AnalysisContext, PipelineEngine};
+    use obs::Telemetry;
+    use synth::{SynthConfig, SynthUs};
+
+    /// The tiny world, its prepared context and its default labels.
+    fn labelled() -> (SynthUs, AnalysisContext, Vec<Observation>) {
+        let world = SynthUs::generate(&SynthConfig::tiny(5));
+        let run = PipelineEngine.run_to_dataset_with(
+            &world,
+            &LabelingOptions::default(),
+            &FeatureConfig::default(),
+            &Telemetry::disabled(),
+        );
+        (world, run.context, run.matrix.observations)
+    }
 
     fn matrix() -> FeatureMatrix {
-        let world = SynthUs::generate(&SynthConfig::tiny(5));
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
-        build_features(&world, &ctx, &labels, &FeatureConfig::default())
+        let (world, ctx, labels) = labelled();
+        let config = FeatureConfig::default();
+        stage_feature_engineering(&world, &ctx, &labels, &config, LabelMode::Parallel)
     }
 
     #[test]
@@ -356,19 +334,13 @@ mod tests {
 
     #[test]
     fn config_flags_shrink_the_matrix() {
-        let world = SynthUs::generate(&SynthConfig::tiny(5));
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
-        let slim = build_features(
-            &world,
-            &ctx,
-            &labels,
-            &FeatureConfig {
-                include_methodology: false,
-                include_state: false,
-                ..FeatureConfig::default()
-            },
-        );
+        let (world, ctx, labels) = labelled();
+        let config = FeatureConfig {
+            include_methodology: false,
+            include_state: false,
+            ..FeatureConfig::default()
+        };
+        let slim = stage_feature_engineering(&world, &ctx, &labels, &config, LabelMode::Parallel);
         assert_eq!(slim.dataset.n_features(), 4 + 2 + 2);
     }
 
@@ -379,9 +351,10 @@ mod tests {
         // with an `embedding_dim.max(1)`-wide embedder output, tripping
         // `Dataset::push_row`'s row-width assert. Dim 0 now means "no
         // methodology features", across every ablation corner.
-        let world = SynthUs::generate(&SynthConfig::tiny(5));
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
+        let (world, ctx, labels) = labelled();
+        let features = |config: FeatureConfig| {
+            stage_feature_engineering(&world, &ctx, &labels, &config, LabelMode::Parallel)
+        };
         for include_speedtest in [false, true] {
             for include_location in [false, true] {
                 for include_state in [false, true] {
@@ -394,7 +367,7 @@ mod tests {
                                 include_location,
                                 include_state,
                             };
-                            let m = build_features(&world, &ctx, &labels, &config);
+                            let m = features(config);
                             let expected = 4
                                 + if include_location { 2 } else { 0 }
                                 + if include_state { STATES.len() } else { 0 }
@@ -416,24 +389,14 @@ mod tests {
             }
         }
         // The degenerate corner matches disabled methodology bit for bit.
-        let dim0 = build_features(
-            &world,
-            &ctx,
-            &labels,
-            &FeatureConfig {
-                embedding_dim: 0,
-                ..FeatureConfig::default()
-            },
-        );
-        let disabled = build_features(
-            &world,
-            &ctx,
-            &labels,
-            &FeatureConfig {
-                include_methodology: false,
-                ..FeatureConfig::default()
-            },
-        );
+        let dim0 = features(FeatureConfig {
+            embedding_dim: 0,
+            ..FeatureConfig::default()
+        });
+        let disabled = features(FeatureConfig {
+            include_methodology: false,
+            ..FeatureConfig::default()
+        });
         assert_eq!(
             dataset_fingerprint(&dim0.dataset),
             dataset_fingerprint(&disabled.dataset)
@@ -442,9 +405,7 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_the_matrix() {
-        let world = SynthUs::generate(&SynthConfig::tiny(5));
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
+        let (world, ctx, labels) = labelled();
         for config in [
             FeatureConfig::default(),
             FeatureConfig {
@@ -453,13 +414,14 @@ mod tests {
                 ..FeatureConfig::default()
             },
         ] {
-            let base = build_features_with(&world, &ctx, &labels, &config, FeatureMode::Sequential);
+            let features = |mode| stage_feature_engineering(&world, &ctx, &labels, &config, mode);
+            let base = features(LabelMode::Sequential);
             for mode in [
-                FeatureMode::Parallel,
-                FeatureMode::Threads(3),
-                FeatureMode::Threads(16),
+                LabelMode::Parallel,
+                LabelMode::Threads(3),
+                LabelMode::Threads(16),
             ] {
-                let other = build_features_with(&world, &ctx, &labels, &config, mode);
+                let other = features(mode);
                 assert_eq!(
                     dataset_fingerprint(&other.dataset),
                     dataset_fingerprint(&base.dataset),
@@ -474,10 +436,14 @@ mod tests {
     fn ookla_density_feature_agrees_with_coverage_scores() {
         // The model feature and the likely-served labelling threshold must
         // see the same ratio on the same hex, bit for bit.
-        let world = SynthUs::generate(&SynthConfig::tiny(5));
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
-        let m = build_features(&world, &ctx, &labels, &FeatureConfig::default());
+        let (world, ctx, labels) = labelled();
+        let m = stage_feature_engineering(
+            &world,
+            &ctx,
+            &labels,
+            &FeatureConfig::default(),
+            LabelMode::Parallel,
+        );
         let col = m
             .dataset
             .feature_index("ookla_devices_per_location")

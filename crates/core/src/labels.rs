@@ -317,11 +317,6 @@ fn provider_label_shard(
     }
 }
 
-/// Build the labelled observation set with the default (parallel) schedule.
-pub fn build_labels(inputs: &LabelInputs<'_>, options: &LabelingOptions) -> Vec<Observation> {
-    build_labels_with(inputs, options, LabelMode::Parallel)
-}
-
 /// Build the labelled observation set under an explicit schedule.
 ///
 /// Challenge and map-change labels shard per provider, likely-served
@@ -546,7 +541,7 @@ pub fn unserved_fraction(observations: &[Observation]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::AnalysisContext;
+    use crate::pipeline::{stage_label_construction, AnalysisContext};
     use synth::{SynthConfig, SynthUs};
 
     fn context() -> (SynthUs, AnalysisContext) {
@@ -555,10 +550,19 @@ mod tests {
         (world, ctx)
     }
 
+    /// The `label_construction` stage on the default schedule.
+    fn label(
+        world: &SynthUs,
+        ctx: &AnalysisContext,
+        options: &LabelingOptions,
+    ) -> Vec<Observation> {
+        stage_label_construction(world, ctx, options, LabelMode::Parallel)
+    }
+
     #[test]
     fn full_labelling_has_all_three_sources() {
         let (world, ctx) = context();
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
+        let labels = label(&world, &ctx, &LabelingOptions::default());
         assert!(labels.len() > 500, "only {} observations", labels.len());
         let comp = source_composition(&labels);
         assert!(comp.get("challenges").copied().unwrap_or(0) > 0);
@@ -569,8 +573,8 @@ mod tests {
     #[test]
     fn balancing_reduces_class_imbalance() {
         let (world, ctx) = context();
-        let unbalanced = ctx.build_labels(&world, &LabelingOptions::challenges_and_changes());
-        let balanced = ctx.build_labels(&world, &LabelingOptions::default());
+        let unbalanced = label(&world, &ctx, &LabelingOptions::challenges_and_changes());
+        let balanced = label(&world, &ctx, &LabelingOptions::default());
         let unbalanced_frac = unserved_fraction(&unbalanced);
         let balanced_frac = unserved_fraction(&balanced);
         assert!(
@@ -586,7 +590,7 @@ mod tests {
     #[test]
     fn no_duplicate_observation_keys() {
         let (world, ctx) = context();
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
+        let labels = label(&world, &ctx, &LabelingOptions::default());
         let keys: BTreeSet<_> = labels
             .iter()
             .map(|o| (o.provider, o.hex, o.technology))
@@ -597,7 +601,7 @@ mod tests {
     #[test]
     fn challenges_only_excludes_other_sources() {
         let (world, ctx) = context();
-        let labels = ctx.build_labels(&world, &LabelingOptions::challenges_only());
+        let labels = label(&world, &ctx, &LabelingOptions::challenges_only());
         assert!(labels
             .iter()
             .all(|o| matches!(o.source, LabelSource::Challenge { .. })));
@@ -608,7 +612,7 @@ mod tests {
         // The labelling heuristics should recover the synthetic ground truth
         // for the overwhelming majority of observations.
         let (world, ctx) = context();
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
+        let labels = label(&world, &ctx, &LabelingOptions::default());
         let mut correct = 0usize;
         let mut total = 0usize;
         for obs in &labels {
@@ -645,13 +649,13 @@ mod tests {
                 ..LabelingOptions::default()
             },
         ] {
-            let base = ctx.build_labels_with(&world, &options, LabelMode::Sequential);
+            let base = stage_label_construction(&world, &ctx, &options, LabelMode::Sequential);
             for mode in [
                 LabelMode::Parallel,
                 LabelMode::Threads(3),
                 LabelMode::Threads(16),
             ] {
-                let other = ctx.build_labels_with(&world, &options, mode);
+                let other = stage_label_construction(&world, &ctx, &options, mode);
                 assert_eq!(
                     observations_fingerprint(&other),
                     observations_fingerprint(&base),
@@ -758,7 +762,7 @@ mod tests {
             coverage: &[],
             mlab_evidence: &Default::default(),
         };
-        let labels = build_labels(&inputs, &LabelingOptions::default());
+        let labels = build_labels_with(&inputs, &LabelingOptions::default(), LabelMode::Parallel);
         assert_eq!(labels.len(), 2);
         for obs in &labels {
             assert_eq!(
@@ -774,7 +778,7 @@ mod tests {
         // through the shared resolver, so a hex can never appear under two
         // states regardless of which source labelled it.
         let (world, ctx) = context();
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
+        let labels = label(&world, &ctx, &LabelingOptions::default());
         let mut state_of_hex: BTreeMap<HexCell, &str> = BTreeMap::new();
         for obs in &labels {
             let entry = state_of_hex.entry(obs.hex).or_insert(obs.state.as_str());

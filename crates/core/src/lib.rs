@@ -26,10 +26,10 @@ pub mod model;
 pub mod pipeline;
 pub mod streaming;
 
-pub use features::{FeatureConfig, FeatureMatrix, FeatureMode};
+pub use features::{FeatureConfig, FeatureMatrix};
 pub use labels::{Label, LabelMode, LabelSource, LabelingOptions, Observation};
 pub use model::{EvaluationResult, HoldoutStrategy};
 /// The telemetry handle every run entry point records into.
 pub use obs::Telemetry;
-pub use pipeline::{AnalysisContext, DatasetRun, PipelineEngine, PipelineRun};
+pub use pipeline::{AnalysisContext, DatasetRun, PipelineEngine};
 pub use streaming::{run_streaming_to_dataset_with, StreamableSource, StreamingDatasetRun};

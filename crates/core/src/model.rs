@@ -139,17 +139,23 @@ pub fn run_holdout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{build_features, FeatureConfig};
+    use crate::features::FeatureConfig;
     use crate::labels::LabelingOptions;
-    use crate::pipeline::AnalysisContext;
+    use crate::pipeline::PipelineEngine;
+    use obs::Telemetry;
     use synth::{SynthConfig, SynthUs};
 
     // Seed re-pinned when world generation moved to sharded RNG streams.
     fn matrix() -> FeatureMatrix {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
-        build_features(&world, &ctx, &labels, &FeatureConfig::default())
+        PipelineEngine
+            .run_to_dataset_with(
+                &world,
+                &LabelingOptions::default(),
+                &FeatureConfig::default(),
+                &Telemetry::disabled(),
+            )
+            .matrix
     }
 
     #[test]

@@ -1,58 +1,56 @@
-//! The staged pipeline engine: everything that has to be computed once before
-//! labels and features can be built, expressed as named, independently
-//! runnable stages with recorded wall-clock timings.
+//! The materialised pipeline: the eight named `stage_*` functions over a
+//! resident [`SynthUs`], and the [`PipelineEngine`] that runs them as one
+//! timed dataset run.
 //!
-//! The data-preparation half of the paper (§4.1–4.3) decomposes into six
-//! stages, and the dataset half (§4.3 labels, §5.1 features) adds two more
-//! that consume the prepared context. [`PipelineEngine`] runs them on the
-//! calling thread in canonical order:
+//! The engine has no stage sequence of its own. It wraps the world in a
+//! private resident-world [`WorldSource`], whose source half is
+//! `methodology_collection` and `release_diff`, and hands it to the one
+//! runner in [`crate::streaming`], which runs the other six stages and
+//! reports all eight in one [`StreamReport`]:
 //!
 //! ```text
-//! asn_matching → ookla_reprojection → coverage_scoring → mlab_attribution
-//!   → methodology_collection → release_diff        (the AnalysisContext)
-//!   → label_construction → feature_engineering     (the FeatureMatrix)
+//! methodology_collection → release_diff            (the resident source)
+//!   → asn_matching → ookla_reprojection → coverage_scoring → mlab_attribution
+//!   → label_construction → feature_engineering     (the runner)
 //! ```
 //!
-//! Parallelism lives inside the stages (shard fan-out under the default
-//! [`DiffMode`]), never between them. Every stage is a pure function of its
-//! inputs and every mode is bit-identical, so the assembled context and
-//! matrix are the same under any worker count. The engine reports and meters
-//! its stages exactly as the streaming runner does: one [`StreamReport`] row
-//! per stage, closed by [`end_stage`] on a [`ResidencyMeter`] that holds each
-//! stage's retained output.
+//! [`AnalysisContext::prepare`] runs the same source through the runner's
+//! preparation half only. The resident source hands the world's Ookla tiles
+//! and MLab tests to the runner as [`SliceShards`], so the runner meters
+//! them while it drains them, as it does for every source.
+//!
+//! Each pinned `stage_*` function calls the function the runner uses for its
+//! stage, or the shared kernel that stage wraps, so running the stages one
+//! at a time gives the engine's bits. Parallelism lives inside the stages
+//! (shard fan-out under the default [`DiffMode`]), never between them, and
+//! every mode is bit-identical.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use asnmap::{MatchReport, ProviderAsnMatcher};
-use bdc::source::end_stage;
-use bdc::{Asn, DiffChain, DiffMode, ProviderId, ResidencyMeter, StreamReport, StreamStage};
-use hexgrid::{HexCell, NBM_RESOLUTION};
+use asnmap::{FrnRegistration, MatchReport, RegistrationSource, WhoisDb};
+use bdc::source::{end_stage, SourceMeta};
+use bdc::{
+    Asn, Challenge, ClaimChange, DiffChain, DiffMode, FabricView, NbmRelease, ProviderId,
+    ResidencyMeter, SliceShards, StreamReport, WorldSource,
+};
+use hexgrid::HexCell;
 use obs::Telemetry;
 use speedtest::{
-    coverage_scores, CoverageScore, MlabAttributor, OoklaHexAggregate, ProviderHexTests,
+    coverage_scores, CoverageScore, MlabTest, OoklaHexAggregate, OoklaTileRecord, ProviderHexTests,
 };
 use synth::SynthUs;
 
-use crate::features::{build_features_with, FeatureConfig, FeatureMatrix, OBSERVATION_CHUNK};
-use crate::labels::{
-    build_labels_with, LabelInputs, LabelMode, LabelingOptions, Observation, COVERAGE_CHUNK,
+use crate::features::{build_features_from_inputs, FeatureConfig, FeatureInputs, FeatureMatrix};
+use crate::labels::{build_labels_with, LabelInputs, LabelMode, LabelingOptions, Observation};
+use crate::streaming::{
+    attribute_mlab, match_providers, prepare_source, reproject_ookla, run_source, Prepared,
 };
-use crate::streaming::observe_stream_report;
-
-/// A finished pipeline run: the prepared context plus the report of its six
-/// preparation stages.
-#[derive(Debug)]
-pub struct PipelineRun {
-    pub context: AnalysisContext,
-    pub report: StreamReport,
-}
 
 /// A full dataset-construction run: the prepared context, the labelled
 /// feature matrix (row-aligned observations included), and one report
-/// covering all eight stages — the six preparation stages plus
-/// `label_construction` and `feature_engineering`.
+/// covering all eight stages.
 #[derive(Debug)]
 pub struct DatasetRun {
     pub context: AnalysisContext,
@@ -60,33 +58,19 @@ pub struct DatasetRun {
     pub report: StreamReport,
 }
 
-/// The materialised execution engine: the eight `stage_*` functions called
-/// in canonical order over a resident [`SynthUs`].
+/// The materialised execution engine: the streaming runner over a resident
+/// [`SynthUs`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineEngine;
 
 impl PipelineEngine {
-    /// Run the six preparation stages over a world and return the prepared
-    /// context with its stage report.
-    /// [`PipelineEngine::run_to_dataset_with`] additionally runs the two
-    /// dataset stages.
+    /// Run all eight stages over a world — the resident source's
+    /// `methodology_collection` and `release_diff`, then the runner's six
+    /// with the given options — in a single [`StreamReport`].
     ///
     /// The report lands in `telemetry`'s `stream_*` series once the stages
     /// complete. Recording is pure observation — a run with
-    /// [`Telemetry::disabled`] produces a bit-identical context.
-    pub fn run_with(&self, world: &SynthUs, telemetry: &Telemetry) -> PipelineRun {
-        let mut ledger = Ledger::new();
-        let context = run_preparation(world, &mut ledger);
-        PipelineRun {
-            context,
-            report: ledger.finish(telemetry),
-        }
-    }
-
-    /// Run all eight stages over a world: the six preparation stages, then
-    /// `label_construction` and `feature_engineering` with the given options,
-    /// all in a single [`StreamReport`] recorded into `telemetry` (see
-    /// [`PipelineEngine::run_with`]).
+    /// [`Telemetry::disabled`] produces a bit-identical context and matrix.
     pub fn run_to_dataset_with(
         &self,
         world: &SynthUs,
@@ -94,105 +78,158 @@ impl PipelineEngine {
         features: &FeatureConfig,
         telemetry: &Telemetry,
     ) -> DatasetRun {
-        let mode = DiffMode::default();
-        let mut ledger = Ledger::new();
-        let context = run_preparation(world, &mut ledger);
-
-        let t = Instant::now();
-        let observations = stage_label_construction(world, &context, options, mode);
-        let shards = world.providers.len() + context.coverage.len().div_ceil(COVERAGE_CHUNK);
-        ledger.close("label_construction", t, shards, observations.len());
-
-        let t = Instant::now();
-        let matrix = stage_feature_engineering(world, &context, &observations, features, mode);
-        let values = matrix.dataset.n_rows() * matrix.dataset.feature_names().len();
-        let shards = observations.len().div_ceil(OBSERVATION_CHUNK).max(1);
-        ledger.close("feature_engineering", t, shards, values);
-
+        let source = ResidentWorld::new(world);
+        let (prepared, matrix, report) =
+            run_source(&source, options, features, DiffMode::default(), telemetry)
+                .expect(UNBUDGETED);
         DatasetRun {
-            context,
+            context: source.into_context(prepared),
             matrix,
-            report: ledger.finish(telemetry),
+            report,
         }
     }
 }
 
-/// The engine's stage bookkeeping: one unbudgeted meter and the stage rows
-/// closed on it.
-struct Ledger {
-    started: Instant,
+const UNBUDGETED: &str = "an unbudgeted run cannot exceed its budget";
+
+/// A resident [`SynthUs`] as a [`WorldSource`]. The fabric, initial release
+/// and challenges are lent by reference, and the Ookla tiles and MLab tests
+/// reach the runner as [`SliceShards`]. Building it runs the source half,
+/// `methodology_collection` and `release_diff`, on a fresh unbudgeted meter
+/// that then meters the runner's stages too.
+struct ResidentWorld<'w> {
+    world: &'w SynthUs,
+    methodologies: BTreeMap<ProviderId, String>,
+    diff_chain: DiffChain,
+    removal_evidence: Vec<ClaimChange>,
     meter: ResidencyMeter,
-    stages: Vec<StreamStage>,
+    report: StreamReport,
 }
 
-impl Ledger {
-    fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            meter: ResidencyMeter::new(),
-            stages: Vec::new(),
-        }
-    }
+impl<'w> ResidentWorld<'w> {
+    fn new(world: &'w SynthUs) -> Self {
+        let started = Instant::now();
+        let meter = ResidencyMeter::new();
+        let mut stages = Vec::new();
 
-    /// Close a stage that retains `retained` entries of output. The world
-    /// the stages read is already resident and shared, so the output is what
-    /// a stage adds.
-    fn close(&mut self, name: &'static str, started: Instant, shards: usize, retained: usize) {
-        self.meter.acquire(retained);
-        end_stage(&mut self.stages, &self.meter, None, name, started, shards)
-            .expect("an unbudgeted stage cannot exceed its budget");
-    }
+        let t = Instant::now();
+        let methodologies = stage_methodology_collection(world);
+        meter.pin(methodologies.len());
+        end_stage(&mut stages, &meter, None, "methodology_collection", t, 1).expect(UNBUDGETED);
 
-    fn finish(self, telemetry: &Telemetry) -> StreamReport {
+        // One shard per minor release the evidence spans; the source keeps
+        // the evidence.
+        let t = Instant::now();
+        let diff_chain = stage_release_diff(world, DiffMode::default());
+        let removal_evidence = diff_chain.removal_evidence();
+        meter.pin(removal_evidence.len());
+        let minors = world.config.n_minor_releases;
+        end_stage(&mut stages, &meter, None, "release_diff", t, minors).expect(UNBUDGETED);
+
         let report = StreamReport {
-            stages: self.stages,
-            total_wall: self.started.elapsed(),
-            peak_resident_entries: self.meter.peak(),
+            stages,
+            total_wall: started.elapsed(),
+            peak_resident_entries: meter.peak(),
             budget: None,
         };
-        observe_stream_report(telemetry, &report);
-        report
+        Self {
+            world,
+            methodologies,
+            diff_chain,
+            removal_evidence,
+            meter,
+            report,
+        }
+    }
+
+    /// The prepared context: what the runner prepared, plus this source's
+    /// methodology map and diff chain.
+    fn into_context(self, prepared: Prepared) -> AnalysisContext {
+        AnalysisContext {
+            match_report: prepared.match_report,
+            provider_asns: prepared.provider_asns,
+            ookla_by_hex: prepared.ookla_by_hex,
+            coverage: prepared.coverage,
+            mlab_evidence: prepared.mlab_evidence,
+            methodologies: self.methodologies,
+            diff_chain: self.diff_chain,
+        }
     }
 }
 
-/// The six preparation stages in canonical order, each closed on `ledger`.
-fn run_preparation(world: &SynthUs, ledger: &mut Ledger) -> AnalysisContext {
-    let t = Instant::now();
-    let (match_report, provider_asns) = stage_asn_matching(world);
-    let pairs: usize = provider_asns.values().map(|a| a.len()).sum();
-    ledger.close("asn_matching", t, 1, provider_asns.len() + pairs);
+impl WorldSource for ResidentWorld<'_> {
+    type OoklaItem = OoklaTileRecord;
+    type MlabItem = MlabTest;
+    type OoklaStream<'a>
+        = SliceShards<'a, OoklaTileRecord>
+    where
+        Self: 'a;
+    type MlabStream<'a>
+        = SliceShards<'a, MlabTest>
+    where
+        Self: 'a;
 
-    let t = Instant::now();
-    let ookla_by_hex = stage_ookla_reprojection(world);
-    ledger.close("ookla_reprojection", t, 1, ookla_by_hex.len());
+    fn meta(&self) -> SourceMeta {
+        let config = &self.world.config;
+        SourceMeta {
+            name: "synth-resident",
+            detail: format!(
+                "seed {} · {} bsls · {} providers",
+                config.seed, config.n_bsls, config.n_providers
+            ),
+            provider_count: self.world.providers.len(),
+            release_count: config.n_minor_releases + 1,
+        }
+    }
 
-    let t = Instant::now();
-    let coverage = stage_coverage_scoring(world, &ookla_by_hex);
-    ledger.close("coverage_scoring", t, 1, coverage.len());
+    fn meter(&self) -> &ResidencyMeter {
+        &self.meter
+    }
 
-    let t = Instant::now();
-    let mlab_evidence = stage_mlab_attribution(world, &provider_asns);
-    ledger.close("mlab_attribution", t, 1, mlab_evidence.len());
+    fn budget(&self) -> Option<usize> {
+        None
+    }
 
-    let t = Instant::now();
-    let methodologies = stage_methodology_collection(world);
-    ledger.close("methodology_collection", t, 1, methodologies.len());
+    fn source_report(&self) -> &StreamReport {
+        &self.report
+    }
 
-    // One shard per minor release the evidence spans; the stage retains the
-    // evidence.
-    let t = Instant::now();
-    let diff_chain = stage_release_diff(world, DiffMode::default());
-    let minors = world.config.n_minor_releases;
-    ledger.close("release_diff", t, minors, diff_chain.removal_count());
+    fn fabric(&self) -> &dyn FabricView {
+        &self.world.fabric
+    }
 
-    AnalysisContext {
-        match_report,
-        provider_asns,
-        ookla_by_hex,
-        coverage,
-        mlab_evidence,
-        methodologies,
-        diff_chain,
+    fn initial_release(&self) -> &NbmRelease {
+        self.world.initial_release()
+    }
+
+    fn removal_evidence(&self) -> &[ClaimChange] {
+        &self.removal_evidence
+    }
+
+    fn challenges(&self) -> &[Challenge] {
+        &self.world.challenges
+    }
+
+    fn methodologies(&self) -> &BTreeMap<ProviderId, String> {
+        &self.methodologies
+    }
+
+    fn ookla_stream(&self) -> SliceShards<'_, OoklaTileRecord> {
+        SliceShards::new(self.world.ookla.records())
+    }
+
+    fn mlab_stream(&self) -> SliceShards<'_, MlabTest> {
+        SliceShards::new(self.world.mlab.tests())
+    }
+}
+
+impl RegistrationSource for ResidentWorld<'_> {
+    fn registrations(&self) -> &[FrnRegistration] {
+        &self.world.registrations
+    }
+
+    fn whois(&self) -> &WhoisDb {
+        &self.world.whois
     }
 }
 
@@ -202,25 +239,14 @@ fn run_preparation(world: &SynthUs, ledger: &mut Ledger) -> AnalysisContext {
 /// `asn_matching`: run the four matching methods and lift the
 /// result into typed ids.
 pub fn stage_asn_matching(world: &SynthUs) -> (MatchReport, BTreeMap<ProviderId, BTreeSet<Asn>>) {
-    let matcher = ProviderAsnMatcher::new(world.registrations.clone());
-    let match_report = matcher.run(&world.whois);
-    let provider_asns = match_report
-        .provider_to_asns
-        .iter()
-        .map(|(p, asns)| {
-            (
-                ProviderId(*p),
-                asns.iter().map(|a| Asn(*a)).collect::<BTreeSet<Asn>>(),
-            )
-        })
-        .collect();
-    (match_report, provider_asns)
+    match_providers(&world.registrations, &world.whois)
 }
 
 /// `ookla_reprojection`: re-project Ookla quadkey tiles onto
 /// resolution-8 hexes.
 pub fn stage_ookla_reprojection(world: &SynthUs) -> HashMap<HexCell, OoklaHexAggregate> {
-    world.ookla.aggregate_to_hexes(NBM_RESOLUTION)
+    let tiles = SliceShards::new(world.ookla.records());
+    reproject_ookla(&tiles, &ResidencyMeter::new(), &Telemetry::disabled())
 }
 
 /// `coverage_scoring`: per-hex devices-per-BSL coverage
@@ -238,12 +264,15 @@ pub fn stage_mlab_attribution(
     world: &SynthUs,
     provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
 ) -> ProviderHexTests {
-    let claimed_hexes = world
-        .initial_release()
-        .claimed_hexes_by_provider(provider_asns.keys().copied());
-    let mut attributor = MlabAttributor::new(provider_asns, &claimed_hexes, NBM_RESOLUTION);
-    attributor.add_tests(world.mlab.tests());
-    attributor.finish()
+    let tests = SliceShards::new(world.mlab.tests());
+    let (meter, telemetry) = (ResidencyMeter::new(), Telemetry::disabled());
+    attribute_mlab(
+        world.initial_release(),
+        provider_asns,
+        &tests,
+        &meter,
+        &telemetry,
+    )
 }
 
 /// `methodology_collection`: each provider's filing
@@ -283,7 +312,16 @@ pub fn stage_label_construction(
     options: &LabelingOptions,
     mode: LabelMode,
 ) -> Vec<Observation> {
-    ctx.build_labels_with(world, options, mode)
+    let removal_evidence = ctx.diff_chain.removal_evidence();
+    let inputs = LabelInputs {
+        fabric: &world.fabric,
+        initial_release: world.initial_release(),
+        removal_evidence: &removal_evidence,
+        challenges: &world.challenges,
+        coverage: &ctx.coverage,
+        mlab_evidence: &ctx.mlab_evidence,
+    };
+    build_labels_with(&inputs, options, mode)
 }
 
 /// `feature_engineering`: vectorise labelled observations
@@ -297,7 +335,14 @@ pub fn stage_feature_engineering(
     config: &FeatureConfig,
     mode: LabelMode,
 ) -> FeatureMatrix {
-    build_features_with(world, ctx, observations, config, mode)
+    let inputs = FeatureInputs {
+        fabric: &world.fabric,
+        release: world.initial_release(),
+        ookla_by_hex: &ctx.ookla_by_hex,
+        mlab_evidence: &ctx.mlab_evidence,
+        methodologies: &ctx.methodologies,
+    };
+    build_features_from_inputs(&inputs, observations, config, mode)
 }
 
 /// Intermediate products of the pipeline that are shared by labelling, feature
@@ -325,39 +370,14 @@ pub struct AnalysisContext {
 }
 
 impl AnalysisContext {
-    /// Run the data-preparation half of the pipeline (§4.1–4.3) over a world
-    /// with the engine, recording no telemetry.
+    /// Run the data-preparation half of the pipeline (§4.1–4.3) over a
+    /// world: the resident source's two stages, then the runner's
+    /// preparation half, recording no telemetry.
     pub fn prepare(world: &SynthUs) -> Self {
-        PipelineEngine
-            .run_with(world, &Telemetry::disabled())
-            .context
-    }
-
-    /// Build labelled observations for a world with the given options, under
-    /// the default (parallel) schedule.
-    pub fn build_labels(&self, world: &SynthUs, options: &LabelingOptions) -> Vec<Observation> {
-        self.build_labels_with(world, options, LabelMode::Parallel)
-    }
-
-    /// Build labelled observations under an explicit shard schedule — the
-    /// `label_construction` stage body. Every mode produces bit-identical
-    /// observations.
-    pub fn build_labels_with(
-        &self,
-        world: &SynthUs,
-        options: &LabelingOptions,
-        mode: LabelMode,
-    ) -> Vec<Observation> {
-        let removal_evidence = self.diff_chain.removal_evidence();
-        let inputs = LabelInputs {
-            fabric: &world.fabric,
-            initial_release: world.initial_release(),
-            removal_evidence: &removal_evidence,
-            challenges: &world.challenges,
-            coverage: &self.coverage,
-            mlab_evidence: &self.mlab_evidence,
-        };
-        build_labels_with(&inputs, options, mode)
+        let source = ResidentWorld::new(world);
+        let prepared =
+            prepare_source(&source, &mut Vec::new(), &Telemetry::disabled()).expect(UNBUDGETED);
+        source.into_context(prepared)
     }
 
     /// Number of providers for which both an ASN match and MLab evidence
@@ -442,7 +462,6 @@ impl AnalysisContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdc::NbmRelease;
     use synth::SynthConfig;
 
     #[test]
@@ -492,47 +511,52 @@ mod tests {
     #[test]
     fn engine_reports_every_stage_in_canonical_order() {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
-        let run = PipelineEngine.run_with(&world, &Telemetry::disabled());
+        let run = PipelineEngine.run_to_dataset_with(
+            &world,
+            &LabelingOptions::default(),
+            &FeatureConfig::default(),
+            &Telemetry::disabled(),
+        );
         let names: Vec<&str> = run.report.stages.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             [
+                "methodology_collection",
+                "release_diff",
                 "asn_matching",
                 "ookla_reprojection",
                 "coverage_scoring",
                 "mlab_attribution",
-                "methodology_collection",
-                "release_diff",
+                "label_construction",
+                "feature_engineering",
             ]
         );
-        // Each stage's output stays resident, so the metered peaks climb
-        // stage by stage and the run peak is the last stage's.
-        for pair in run.report.stages.windows(2) {
-            assert!(
-                pair[1].peak_resident_entries > pair[0].peak_resident_entries,
-                "{} adds no resident entries",
-                pair[1].name
-            );
-        }
+        // One meter spans both halves, so the run peak is the largest stage
+        // peak.
         assert!(run.report.stages[0].peak_resident_entries > 0);
-        assert_eq!(
-            run.report.peak_resident_entries,
-            run.report.stages[5].peak_resident_entries
-        );
+        let largest = run.report.stages.iter().map(|s| s.peak_resident_entries);
+        assert_eq!(run.report.peak_resident_entries, largest.max().unwrap());
         assert_eq!(run.report.budget, None);
         assert!(run.report.stage_sum() <= run.report.total_wall);
     }
 
     #[test]
-    fn run_with_records_stage_telemetry_without_perturbing_the_context() {
+    fn run_records_stage_telemetry_without_perturbing_the_context() {
         let world = SynthUs::generate(&SynthConfig::tiny(9));
         let registry = std::sync::Arc::new(obs::MetricsRegistry::new());
         let telemetry = Telemetry::with_metrics(std::sync::Arc::clone(&registry));
-        let observed = PipelineEngine.run_with(&world, &telemetry);
-        let silent = PipelineEngine.run_with(&world, &Telemetry::disabled());
+        let run = || {
+            PipelineEngine.run_to_dataset_with(
+                &world,
+                &LabelingOptions::default(),
+                &FeatureConfig::default(),
+                &telemetry,
+            )
+        };
+        let observed = run();
         assert_eq!(
             observed.context.canonical_fingerprint(),
-            silent.context.canonical_fingerprint(),
+            AnalysisContext::prepare(&world).canonical_fingerprint(),
             "telemetry must be pure observation"
         );
         let text = registry.encode_prometheus();
@@ -546,23 +570,36 @@ mod tests {
                 stage.name
             );
         }
-        // The dataset entry point lands all eight stages in the same series.
-        let _ = PipelineEngine.run_to_dataset_with(
-            &world,
-            &LabelingOptions::default(),
-            &FeatureConfig::default(),
-            &telemetry,
-        );
+        // A second run lands in the same series.
+        let _ = run();
         let text = registry.encode_prometheus();
-        assert!(
-            text.contains("stream_stage_wall_seconds_count{stage=\"feature_engineering\"} 1"),
-            "{text}"
-        );
         assert!(
             text.contains("stream_stage_wall_seconds_count{stage=\"asn_matching\"} 2"),
             "{text}"
         );
         assert!(!text.contains("pipeline_"), "{text}");
+    }
+
+    #[test]
+    fn pinned_stages_assemble_the_prepared_context() {
+        let world = SynthUs::generate(&SynthConfig::tiny(9));
+        let (match_report, provider_asns) = stage_asn_matching(&world);
+        let ookla_by_hex = stage_ookla_reprojection(&world);
+        let coverage = stage_coverage_scoring(&world, &ookla_by_hex);
+        let mlab_evidence = stage_mlab_attribution(&world, &provider_asns);
+        let staged = AnalysisContext {
+            match_report,
+            provider_asns,
+            ookla_by_hex,
+            coverage,
+            mlab_evidence,
+            methodologies: stage_methodology_collection(&world),
+            diff_chain: stage_release_diff(&world, DiffMode::Sequential),
+        };
+        assert_eq!(
+            staged.canonical_fingerprint(),
+            AnalysisContext::prepare(&world).canonical_fingerprint()
+        );
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! The source-agnostic streaming runner: any [`WorldSource`] → labelled
-//! dataset without ever materialising the world.
+//! The pipeline runner: any [`WorldSource`] → labelled dataset, the one
+//! stage sequence in the workspace.
 //!
-//! [`run_streaming_to_dataset_with`] is the bounded-memory counterpart of
-//! [`PipelineEngine::run_to_dataset_with`](crate::pipeline::PipelineEngine::run_to_dataset_with).
-//! Where the materialised path generates a full [`SynthUs`](synth::SynthUs)
-//! (every BSL, claim, filing and release resident at once) and then runs the
-//! eight pipeline stages over it, this runner consumes a [`WorldSource`] —
-//! the synthetic [`StreamWorld`], which regenerates fabric, claim and
-//! speed-test shards on demand from per-`(seed, stage, shard)` RNG streams,
-//! or a file-backed source such as the ingest crate's BDC/Ookla reader —
-//! and pulls the remaining pipeline stages through the same shard streams:
+//! [`run_streaming_to_dataset_with`] consumes a source and pulls six stages
+//! through its shard streams, after the source's own stages. Three sources
+//! implement [`WorldSource`]: the synthetic [`StreamWorld`], which
+//! regenerates fabric, claim and speed-test shards on demand from
+//! per-`(seed, stage, shard)` RNG streams and never materialises the world;
+//! the ingest crate's file-backed BDC/Ookla reader; and the resident
+//! [`SynthUs`](synth::SynthUs) that
+//! [`PipelineEngine`](crate::pipeline::PipelineEngine) and
+//! [`AnalysisContext::prepare`](crate::pipeline::AnalysisContext::prepare)
+//! hand to this runner.
 //!
 //! ```text
-//! WorldSource (synth or ingest)    this runner
+//! WorldSource                      this runner
 //! ─────────────────────────────    ───────────────────────────────────
 //! fabric view       ──┐            asn_matching        (RegistrationSource)
 //! claim timeline      ├──────────► ookla_reprojection  (ookla_stream drained)
@@ -23,34 +24,33 @@
 //! ```
 //!
 //! Everything flows through the source's shared
-//! [`ResidencyMeter`](bdc::ResidencyMeter), so the combined
-//! [`StreamReport`] gives an honest per-stage high-water mark, and every
-//! stage is checked against the source's resident-entry budget — an
-//! over-budget run fails loudly instead of silently swapping.
+//! [`ResidencyMeter`], so the combined [`StreamReport`] gives an honest
+//! per-stage high-water mark, and every stage is checked against the
+//! source's resident-entry budget — an over-budget run fails loudly instead
+//! of silently swapping.
 //!
-//! On the synth path the output is bit-identical to the materialised path:
-//! the Ookla drain applies record contributions in the exact record order of
-//! the materialised dataset, the MLab drain feeds the same `MlabAttributor`
-//! the materialised stage uses, in provider order, and labels/features
-//! run over the source's `FabricView` — asserted end-to-end by
-//! `tests/streaming_world.rs` against the golden label and dataset
-//! fingerprints. `tests/real_ingest.rs` pins the same worker-invariance
-//! contract for the file-backed source.
+//! Every source gives the same bits for the same world: the Ookla drain
+//! applies record contributions in record order, the MLab drain feeds one
+//! `MlabAttributor` in dataset order, and labels/features run over the
+//! source's `FabricView` — asserted end-to-end by `tests/streaming_world.rs`
+//! against the golden label and dataset fingerprints.
+//! `tests/real_ingest.rs` pins the same worker-invariance contract for the
+//! file-backed source.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
-use asnmap::{ProviderAsnMatcher, RegistrationSource};
+use asnmap::{FrnRegistration, MatchReport, ProviderAsnMatcher, RegistrationSource, WhoisDb};
 use bdc::source::end_stage;
 use bdc::{
-    drain_shards, Asn, DiffMode, MeterInstruments, ProviderId, ShardStream, StreamReport,
-    StreamStage, WorldSource,
+    drain_shards, Asn, DiffMode, MeterInstruments, NbmRelease, ProviderId, ResidencyMeter,
+    ShardStream, StreamReport, StreamStage, WorldSource,
 };
 use hexgrid::{HexCell, NBM_RESOLUTION};
 use obs::{Telemetry, TraceValue, DEFAULT_WALL_BUCKETS};
 use speedtest::{
-    aggregate_records_into, coverage_scores, MlabAttributor, MlabTest, OoklaHexAggregate,
-    OoklaTileRecord, ProviderHexTests,
+    aggregate_records_into, coverage_scores, CoverageScore, MlabAttributor, MlabTest,
+    OoklaHexAggregate, OoklaTileRecord, ProviderHexTests,
 };
 use synth::StreamWorld;
 
@@ -104,12 +104,12 @@ const TRACE_SHARDS_PER_STAGE: usize = 128;
 /// contract).
 ///
 /// `telemetry` receives the run's metrics and trace: the source's shared
-/// [`ResidencyMeter`](bdc::ResidencyMeter) mirrors its acquire/release
-/// traffic into registry instruments, every stage lands in `stream_stage_*`
-/// series, and an attached trace sink receives a strided per-shard timeline
-/// plus one `stage` event per stage. All recording is observation-only —
-/// the matrix and every fingerprint are bit-identical with telemetry on or
-/// off ([`Telemetry::disabled`]).
+/// [`ResidencyMeter`] mirrors its acquire/release traffic into registry
+/// instruments, every stage lands in `stream_stage_*` series, and an
+/// attached trace sink receives a strided per-shard timeline plus one
+/// `stage` event per stage. All recording is observation-only — the matrix
+/// and every fingerprint are bit-identical with telemetry on or off
+/// ([`Telemetry::disabled`]).
 pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     source: W,
     options: &LabelingOptions,
@@ -117,131 +117,47 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     mode: DiffMode,
     telemetry: &Telemetry,
 ) -> Result<StreamingDatasetRun<W>, String> {
+    let (_, matrix, report) = run_source(&source, options, features, mode, telemetry)?;
+    Ok(StreamingDatasetRun {
+        world: source,
+        matrix,
+        report,
+    })
+}
+
+/// What the runner's preparation half hands the dataset half: the outputs of
+/// `asn_matching`, `ookla_reprojection`, `coverage_scoring` and
+/// `mlab_attribution`.
+pub(crate) struct Prepared {
+    pub(crate) match_report: MatchReport,
+    pub(crate) provider_asns: BTreeMap<ProviderId, BTreeSet<Asn>>,
+    pub(crate) ookla_by_hex: HashMap<HexCell, OoklaHexAggregate>,
+    pub(crate) coverage: Vec<CoverageScore>,
+    pub(crate) mlab_evidence: ProviderHexTests,
+}
+
+/// The runner over a borrowed source: the source half's stages, then this
+/// runner's six, in one report recorded into `telemetry`. Returns what the
+/// preparation half produced alongside the matrix, for callers that keep it.
+pub(crate) fn run_source<W: StreamableSource>(
+    source: &W,
+    options: &LabelingOptions,
+    features: &FeatureConfig,
+    mode: DiffMode,
+    telemetry: &Telemetry,
+) -> Result<(Prepared, FeatureMatrix, StreamReport), String> {
     let started = Instant::now();
     let meter = source.meter();
     if let Some(registry) = telemetry.registry() {
         meter.attach_instruments(MeterInstruments::register(registry, "stream_residency"));
     }
-    let budget = source.budget();
-    let meta = source.meta();
-    let mut stages: Vec<StreamStage> = Vec::new();
     // The source half left its own stage peaks behind; start this runner's
     // first stage from the current watermark, not the ingest/generation peak.
     meter.take_stage_peak();
-
-    // asn_matching — the matcher clones the registration rows (transient)
-    // and retains only the provider→ASN pairs.
-    let t = Instant::now();
-    let n_regs = source.registrations().len();
-    meter.acquire(n_regs);
-    let match_report = {
-        let matcher = ProviderAsnMatcher::new(source.registrations().to_vec());
-        matcher.run(source.whois())
-    };
-    meter.release(n_regs);
-    let provider_asns: BTreeMap<ProviderId, BTreeSet<Asn>> = match_report
-        .provider_to_asns
-        .iter()
-        .map(|(p, asns)| {
-            (
-                ProviderId(*p),
-                asns.iter().map(|a| Asn(*a)).collect::<BTreeSet<Asn>>(),
-            )
-        })
-        .collect();
-    drop(match_report);
-    let asn_pairs: usize = provider_asns.values().map(|a| a.len()).sum();
-    meter.acquire(provider_asns.len() + asn_pairs);
-    end_stage(&mut stages, meter, budget, "asn_matching", t, 1)?;
-
-    // ookla_reprojection — one shard stream from the source, folded straight
-    // into the per-hex aggregate in record order (the float-accumulation
-    // order of the materialised path).
-    let t = Instant::now();
-    let mut ookla_by_hex: HashMap<HexCell, OoklaHexAggregate> = HashMap::new();
-    let ookla_shards;
-    {
-        let stream = source.ookla_stream();
-        ookla_shards = stream.shard_count();
-        let stride = (ookla_shards / TRACE_SHARDS_PER_STAGE).max(1);
-        let mut pinned = 0usize;
-        drain_shards(&stream, meter, |i, shard| {
-            let records = shard.len();
-            aggregate_records_into(&shard, NBM_RESOLUTION, &mut ookla_by_hex);
-            let now = ookla_by_hex.len();
-            meter.acquire(now - pinned);
-            pinned = now;
-            if i % stride == 0 {
-                telemetry.emit(
-                    "shard",
-                    "ookla_reprojection",
-                    &[
-                        ("shard", TraceValue::U64(i as u64)),
-                        ("records", TraceValue::U64(records as u64)),
-                        ("resident", TraceValue::U64(meter.current() as u64)),
-                    ],
-                );
-            }
-        });
-    }
-    end_stage(
-        &mut stages,
-        meter,
-        budget,
-        "ookla_reprojection",
-        t,
-        ookla_shards,
-    )?;
-
-    // coverage_scoring — devices-per-BSL over the bounded fabric view.
-    let t = Instant::now();
-    let coverage = coverage_scores(&ookla_by_hex, source.fabric());
-    meter.acquire(coverage.len());
-    end_stage(&mut stages, meter, budget, "coverage_scoring", t, 1)?;
-
-    // mlab_attribution — the source's test stream folded into the
-    // attributor in shard order.
-    let t = Instant::now();
-    let claimed_hexes = source
-        .initial_release()
-        .claimed_hexes_by_provider(provider_asns.keys().copied());
-    let claimed_total: usize = claimed_hexes.values().map(|h| h.len()).sum();
-    meter.acquire(claimed_total);
-    let mlab_shards;
-    let mlab_evidence: ProviderHexTests;
-    {
-        let mut attributor = MlabAttributor::new(&provider_asns, &claimed_hexes, NBM_RESOLUTION);
-        let stream = source.mlab_stream();
-        mlab_shards = stream.shard_count();
-        let stride = (mlab_shards / TRACE_SHARDS_PER_STAGE).max(1);
-        drain_shards(&stream, meter, |i, tests| {
-            let records = tests.len();
-            attributor.add_tests(&tests);
-            if i % stride == 0 {
-                telemetry.emit(
-                    "shard",
-                    "mlab_attribution",
-                    &[
-                        ("shard", TraceValue::U64(i as u64)),
-                        ("records", TraceValue::U64(records as u64)),
-                        ("resident", TraceValue::U64(meter.current() as u64)),
-                    ],
-                );
-            }
-        });
-        mlab_evidence = attributor.finish();
-    }
-    drop(claimed_hexes);
-    meter.release(claimed_total);
-    meter.acquire(mlab_evidence.len());
-    end_stage(
-        &mut stages,
-        meter,
-        budget,
-        "mlab_attribution",
-        t,
-        mlab_shards,
-    )?;
+    let source_report = source.source_report();
+    let mut stages = source_report.stages.clone();
+    let prepared = prepare_source(source, &mut stages, telemetry)?;
+    let budget = source.budget();
 
     // label_construction — the source's fabric view supplies hex membership;
     // no resident fabric is ever required.
@@ -251,50 +167,32 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
         initial_release: source.initial_release(),
         removal_evidence: source.removal_evidence(),
         challenges: source.challenges(),
-        coverage: &coverage,
-        mlab_evidence: &mlab_evidence,
+        coverage: &prepared.coverage,
+        mlab_evidence: &prepared.mlab_evidence,
     };
     let observations = build_labels_with(&inputs, options, mode);
     meter.acquire(observations.len());
-    let label_shards = meta.provider_count + coverage.len().div_ceil(COVERAGE_CHUNK);
-    end_stage(
-        &mut stages,
-        meter,
-        budget,
-        "label_construction",
-        t,
-        label_shards,
-    )?;
+    let shards = source.meta().provider_count + prepared.coverage.len().div_ceil(COVERAGE_CHUNK);
+    end_stage(&mut stages, meter, budget, "label_construction", t, shards)?;
 
     // feature_engineering — fixed observation chunks over the same views.
     let t = Instant::now();
-    let feature_inputs = FeatureInputs {
+    let inputs = FeatureInputs {
         fabric: source.fabric(),
         release: source.initial_release(),
-        ookla_by_hex: &ookla_by_hex,
-        mlab_evidence: &mlab_evidence,
+        ookla_by_hex: &prepared.ookla_by_hex,
+        mlab_evidence: &prepared.mlab_evidence,
         methodologies: source.methodologies(),
     };
-    let matrix = build_features_from_inputs(&feature_inputs, &observations, features, mode);
-    let values = matrix.dataset.n_rows() * matrix.dataset.feature_names().len();
-    meter.acquire(values);
-    let feature_shards = observations.len().div_ceil(OBSERVATION_CHUNK).max(1);
-    end_stage(
-        &mut stages,
-        meter,
-        budget,
-        "feature_engineering",
-        t,
-        feature_shards,
-    )?;
+    let matrix = build_features_from_inputs(&inputs, &observations, features, mode);
+    meter.acquire(matrix.dataset.n_rows() * matrix.dataset.feature_names().len());
+    let shards = observations.len().div_ceil(OBSERVATION_CHUNK).max(1);
+    end_stage(&mut stages, meter, budget, "feature_engineering", t, shards)?;
 
     // The source half ran before this runner started; its wall-clock is part
     // of the run, as its stages are part of the table.
-    let source_report = source.source_report();
-    let mut all_stages = source_report.stages.clone();
-    all_stages.append(&mut stages);
     let report = StreamReport {
-        stages: all_stages,
+        stages,
         total_wall: source_report.total_wall + started.elapsed(),
         peak_resident_entries: meter.peak(),
         budget,
@@ -303,22 +201,157 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     telemetry
         .counter(
             "streaming_runs_total",
-            "Completed streaming source-to-dataset runs.",
+            "Completed source-to-dataset runs of the pipeline runner, any source.",
             &[],
         )
         .inc();
-    Ok(StreamingDatasetRun {
-        world: source,
-        matrix,
-        report,
+    Ok((prepared, matrix, report))
+}
+
+/// The runner's preparation half: its first four stages, each closed on
+/// `stages` and checked against the source's budget.
+pub(crate) fn prepare_source<W: StreamableSource>(
+    source: &W,
+    stages: &mut Vec<StreamStage>,
+    telemetry: &Telemetry,
+) -> Result<Prepared, String> {
+    let (meter, budget) = (source.meter(), source.budget());
+
+    // asn_matching — the matcher clones the registration rows (transient)
+    // and retains only the provider→ASN pairs.
+    let t = Instant::now();
+    let n_regs = source.registrations().len();
+    meter.acquire(n_regs);
+    let (match_report, provider_asns) = match_providers(source.registrations(), source.whois());
+    meter.release(n_regs);
+    let asn_pairs: usize = provider_asns.values().map(|a| a.len()).sum();
+    meter.acquire(provider_asns.len() + asn_pairs);
+    end_stage(stages, meter, budget, "asn_matching", t, 1)?;
+
+    // ookla_reprojection — one shard stream from the source.
+    let t = Instant::now();
+    let stream = source.ookla_stream();
+    let ookla_by_hex = reproject_ookla(&stream, meter, telemetry);
+    let shards = stream.shard_count();
+    end_stage(stages, meter, budget, "ookla_reprojection", t, shards)?;
+
+    // coverage_scoring — devices-per-BSL over the bounded fabric view.
+    let t = Instant::now();
+    let coverage = coverage_scores(&ookla_by_hex, source.fabric());
+    meter.acquire(coverage.len());
+    end_stage(stages, meter, budget, "coverage_scoring", t, 1)?;
+
+    // mlab_attribution — the source's test stream.
+    let t = Instant::now();
+    let stream = source.mlab_stream();
+    let release = source.initial_release();
+    let mlab_evidence = attribute_mlab(release, &provider_asns, &stream, meter, telemetry);
+    let shards = stream.shard_count();
+    end_stage(stages, meter, budget, "mlab_attribution", t, shards)?;
+
+    Ok(Prepared {
+        match_report,
+        provider_asns,
+        ookla_by_hex,
+        coverage,
+        mlab_evidence,
     })
 }
 
-/// Record a finished run's report — streamed or materialised — as
-/// per-stage wall histograms, peak-residency and shard-count gauges, the
-/// run-wide peak/budget gauges, one `stage` trace event per stage and a
-/// closing `run_end` event.
-pub(crate) fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
+/// `asn_matching`: run the four matching methods over the registrations and
+/// lift the recovered provider→ASN mapping into typed ids.
+pub(crate) fn match_providers(
+    registrations: &[FrnRegistration],
+    whois: &WhoisDb,
+) -> (MatchReport, BTreeMap<ProviderId, BTreeSet<Asn>>) {
+    let match_report = ProviderAsnMatcher::new(registrations.to_vec()).run(whois);
+    let provider_asns = match_report
+        .provider_to_asns
+        .iter()
+        .map(|(p, asns)| {
+            (
+                ProviderId(*p),
+                asns.iter().map(|a| Asn(*a)).collect::<BTreeSet<Asn>>(),
+            )
+        })
+        .collect();
+    (match_report, provider_asns)
+}
+
+/// `ookla_reprojection`: fold a tile stream straight into the per-hex
+/// aggregate in record order (the float-accumulation order every source
+/// shares), metering the growing aggregate.
+pub(crate) fn reproject_ookla<S: ShardStream<Item = OoklaTileRecord>>(
+    stream: &S,
+    meter: &ResidencyMeter,
+    telemetry: &Telemetry,
+) -> HashMap<HexCell, OoklaHexAggregate> {
+    let mut ookla_by_hex: HashMap<HexCell, OoklaHexAggregate> = HashMap::new();
+    let stride = (stream.shard_count() / TRACE_SHARDS_PER_STAGE).max(1);
+    let mut pinned = 0usize;
+    drain_shards(stream, meter, |i, shard| {
+        aggregate_records_into(&shard, NBM_RESOLUTION, &mut ookla_by_hex);
+        let now = ookla_by_hex.len();
+        meter.acquire(now - pinned);
+        pinned = now;
+        if i % stride == 0 {
+            trace_shard(telemetry, "ookla_reprojection", i, shard.len(), meter);
+        }
+    });
+    ookla_by_hex
+}
+
+/// `mlab_attribution`: build the matched providers' claimed footprints from
+/// `release`, then fold a test stream into the attributor in shard order.
+/// The footprints are metered while they live; the evidence stays.
+pub(crate) fn attribute_mlab<S: ShardStream<Item = MlabTest>>(
+    release: &NbmRelease,
+    provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
+    stream: &S,
+    meter: &ResidencyMeter,
+    telemetry: &Telemetry,
+) -> ProviderHexTests {
+    let claimed_hexes = release.claimed_hexes_by_provider(provider_asns.keys().copied());
+    let claimed_total: usize = claimed_hexes.values().map(|h| h.len()).sum();
+    meter.acquire(claimed_total);
+    let mut attributor = MlabAttributor::new(provider_asns, &claimed_hexes, NBM_RESOLUTION);
+    let stride = (stream.shard_count() / TRACE_SHARDS_PER_STAGE).max(1);
+    drain_shards(stream, meter, |i, tests| {
+        attributor.add_tests(&tests);
+        if i % stride == 0 {
+            trace_shard(telemetry, "mlab_attribution", i, tests.len(), meter);
+        }
+    });
+    let mlab_evidence = attributor.finish();
+    drop(claimed_hexes);
+    meter.release(claimed_total);
+    meter.acquire(mlab_evidence.len());
+    mlab_evidence
+}
+
+/// One strided per-shard trace event of a drained stage.
+fn trace_shard(
+    telemetry: &Telemetry,
+    stage: &str,
+    shard: usize,
+    records: usize,
+    meter: &ResidencyMeter,
+) {
+    telemetry.emit(
+        "shard",
+        stage,
+        &[
+            ("shard", TraceValue::U64(shard as u64)),
+            ("records", TraceValue::U64(records as u64)),
+            ("resident", TraceValue::U64(meter.current() as u64)),
+        ],
+    );
+}
+
+/// Record a finished run's report as per-stage wall histograms,
+/// peak-residency and shard-count gauges, the run-wide peak/budget gauges,
+/// one `stage` trace event per stage and a closing `run_end` event.
+fn observe_stream_report(telemetry: &Telemetry, report: &StreamReport) {
     if !telemetry.is_enabled() {
         return;
     }

@@ -33,5 +33,5 @@ pub use availability::{
 };
 pub use csv::{validate_header, AllocCsvRows, CsvRows, Fields};
 pub use error::IngestError;
-pub use ookla::{OoklaReader, TileShards, OOKLA_COLUMNS};
+pub use ookla::{OoklaReader, OOKLA_COLUMNS};
 pub use source::{FileWorld, IngestOptions};

@@ -3,14 +3,13 @@
 //! Ookla publishes quarterly fixed-broadband performance aggregates keyed by
 //! zoom-16 quadkey tiles. This module reads the CSV shape of those exports
 //! (reduced to the columns this pipeline consumes) with the same strict
-//! schema rules as the BDC reader, and adapts the parsed tiles into a
-//! [`SpeedTestStream`] the streaming runner drains shard by shard.
+//! schema rules as the BDC reader; the file source hands the parsed tiles to
+//! the streaming runner as a `bdc::SliceShards` stream.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
-use bdc::stream::{ShardStream, SpeedTestStream};
 use hexgrid::QuadTile;
 use speedtest::OoklaTileRecord;
 
@@ -119,43 +118,6 @@ impl OoklaReader {
     }
 }
 
-/// Parsed Ookla tiles exposed as a chunked [`SpeedTestStream`]. The tiles are
-/// already resident in the owning source, so `resident_entries` reports the
-/// full backing slice — the meter charges what is actually held, not what a
-/// shard happens to hand out.
-pub struct TileShards<'a> {
-    tiles: &'a [OoklaTileRecord],
-    chunk: usize,
-}
-
-impl<'a> TileShards<'a> {
-    /// Chunk a tile slice; `chunk` must be non-zero.
-    pub fn new(tiles: &'a [OoklaTileRecord], chunk: usize) -> Self {
-        assert!(chunk > 0, "tile shard chunk must be non-zero");
-        Self { tiles, chunk }
-    }
-}
-
-impl ShardStream for TileShards<'_> {
-    type Item = OoklaTileRecord;
-
-    fn shard_count(&self) -> usize {
-        self.tiles.len().div_ceil(self.chunk)
-    }
-
-    fn shard(&self, index: usize) -> Vec<OoklaTileRecord> {
-        let start = index * self.chunk;
-        let end = (start + self.chunk).min(self.tiles.len());
-        self.tiles[start..end].to_vec()
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.tiles.len()
-    }
-}
-
-impl SpeedTestStream for TileShards<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,33 +162,5 @@ mod tests {
             parse_one(&format!("{qk},inf,1.0,1.0,1,1")),
             Err(IngestError::NonFiniteSpeed { column, .. }) if column == "avg_d_kbps"
         ));
-    }
-
-    #[test]
-    fn tile_shards_chunk_and_report_residency() {
-        let qk = some_quadkey();
-        let tile = QuadTile::from_quadkey(&qk).unwrap();
-        let tiles: Vec<OoklaTileRecord> = (0..5)
-            .map(|i| OoklaTileRecord {
-                tile,
-                tests: i,
-                devices: i,
-                avg_download_kbps: 1.0,
-                avg_upload_kbps: 1.0,
-                avg_latency_ms: 1.0,
-            })
-            .collect();
-        let shards = TileShards::new(&tiles, 2);
-        assert_eq!(shards.shard_count(), 3);
-        assert_eq!(shards.resident_entries(), 5);
-        let drained: Vec<u32> = (0..shards.shard_count())
-            .flat_map(|i| shards.shard(i))
-            .map(|t| t.tests)
-            .collect();
-        assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-
-        let empty = TileShards::new(&[], 2);
-        assert_eq!(empty.shard_count(), 0);
-        assert_eq!(empty.resident_entries(), 0);
     }
 }

@@ -33,30 +33,20 @@ use bdc::source::{end_stage, SourceMeta, StreamReport, WorldSource};
 use bdc::{
     AvailabilityRecord, Bsl, Challenge, ClaimChange, DayStamp, DiffChain, EmptyStream, Fabric,
     FabricView, HexClaim, LocationId, NbmRelease, ProviderId, ReleaseVersion, ResidencyMeter,
+    SliceShards,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabTest, OoklaTileRecord};
 
 use crate::availability::{parse_availability_filename, AvailabilityReader};
 use crate::error::IngestError;
-use crate::ookla::{OoklaReader, TileShards};
+use crate::ookla::OoklaReader;
 
 /// Knobs for a file-backed ingest run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
     /// Resident-entry budget enforced per stage, like the synth config's.
     pub max_resident_entries: Option<usize>,
-    /// Shard size for the Ookla tile stream handed to the runner.
-    pub ookla_chunk: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        Self {
-            max_resident_entries: None,
-            ookla_chunk: 1024,
-        }
-    }
 }
 
 /// One release directory discovered on disk.
@@ -81,7 +71,6 @@ pub struct FileWorld {
     report: StreamReport,
     meter: ResidencyMeter,
     budget: Option<usize>,
-    ookla_chunk: usize,
 }
 
 /// `YYYY-MM-DD` release directory name → publication date.
@@ -229,7 +218,7 @@ impl FileWorld {
             .map_err(budget_breach)?;
 
         // Stage 6: Ookla tiles, read in file-name order. Tiles stay
-        // resident; the runner drains them as a chunked stream.
+        // resident; the runner drains them as a `SliceShards` stream.
         let started = Instant::now();
         let ookla_dir = data_dir.join("ookla");
         let ookla_files = discover_ookla_files(&ookla_dir)?;
@@ -291,7 +280,6 @@ impl FileWorld {
             report,
             meter,
             budget,
-            ookla_chunk: options.ookla_chunk.max(1),
         })
     }
 
@@ -384,7 +372,7 @@ fn discover_ookla_files(ookla_dir: &Path) -> Result<Vec<PathBuf>, IngestError> {
 impl WorldSource for FileWorld {
     type OoklaItem = OoklaTileRecord;
     type MlabItem = MlabTest;
-    type OoklaStream<'a> = TileShards<'a>;
+    type OoklaStream<'a> = SliceShards<'a, OoklaTileRecord>;
     type MlabStream<'a> = EmptyStream<MlabTest>;
 
     fn meta(&self) -> SourceMeta {
@@ -433,8 +421,8 @@ impl WorldSource for FileWorld {
         &self.methodologies
     }
 
-    fn ookla_stream(&self) -> TileShards<'_> {
-        TileShards::new(&self.tiles, self.ookla_chunk)
+    fn ookla_stream(&self) -> SliceShards<'_, OoklaTileRecord> {
+        SliceShards::new(&self.tiles)
     }
 
     fn mlab_stream(&self) -> EmptyStream<MlabTest> {
@@ -569,7 +557,6 @@ business_residential_code,state_usps,block_geoid,h3_res8_id";
         write_fixture(tmp.path());
         let options = IngestOptions {
             max_resident_entries: Some(1),
-            ..IngestOptions::default()
         };
         let Err(err) = FileWorld::load(tmp.path(), &options) else {
             panic!("5 resident rows must breach a budget of 1");

@@ -1,6 +1,8 @@
-//! Print the staged pipeline engine's per-stage wall-clock and residency
-//! report over a bench-scale world — all eight stages, from provider→ASN
-//! matching through label construction and feature engineering.
+//! Print the pipeline engine's per-stage wall-clock and residency report
+//! over a bench-scale world — all eight stages: the resident world's
+//! methodology collection and release diff, then the runner's six, from
+//! provider→ASN matching through label construction and feature
+//! engineering.
 //!
 //! ```sh
 //! cargo run --release --example pipeline_timings [seed] [--json]

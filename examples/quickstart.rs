@@ -7,7 +7,6 @@
 
 use red_is_sus::core::experiments::{figure5a, figure5c, render_roc, ExperimentSuite};
 use red_is_sus::core::labels::source_composition;
-use red_is_sus::core::labels::LabelingOptions;
 use red_is_sus::synth::SynthConfig;
 
 fn main() {
@@ -21,11 +20,9 @@ fn main() {
     let suite = ExperimentSuite::prepare(&config);
 
     // 2. Inspect the labelled dataset composition (§4.3 of the paper).
-    let labels = suite
-        .ctx
-        .build_labels(&suite.world, &LabelingOptions::default());
+    let labels = &suite.matrix.observations;
     println!("labelled observations: {}", labels.len());
-    for (source, count) in source_composition(&labels) {
+    for (source, count) in source_composition(labels) {
         println!("  {source:<14} {count}");
     }
 

@@ -2,10 +2,10 @@
 //! trained model, run end to end through the public APIs.
 
 use red_is_sus::core::experiments::{figure5a, figure5c, figure9, table2, ExperimentSuite};
-use red_is_sus::core::features::{build_features, FeatureConfig};
+use red_is_sus::core::features::FeatureConfig;
 use red_is_sus::core::labels::{source_composition, LabelingOptions};
 use red_is_sus::core::model::{default_params, run_holdout, HoldoutStrategy};
-use red_is_sus::core::pipeline::{AnalysisContext, PipelineEngine};
+use red_is_sus::core::pipeline::{AnalysisContext, DatasetRun, PipelineEngine};
 use red_is_sus::ml::FlatForest;
 use red_is_sus::obs::Telemetry;
 use red_is_sus::serve::{
@@ -52,6 +52,17 @@ const GOLDEN_SERVED_SCORES_FINGERPRINT: u64 = 0xf7fc_79e1_6796_57a9;
 const GOLDEN_LABELS_FINGERPRINT: u64 = 0x50f0_1514_03de_cdfe;
 const GOLDEN_DATASET_FINGERPRINT: u64 = 0x594d_5bf1_4861_7ef5;
 
+/// All eight stages over `world` with the default options: the engine run
+/// every dataset test starts from.
+fn dataset(world: &SynthUs) -> DatasetRun {
+    PipelineEngine.run_to_dataset_with(
+        world,
+        &LabelingOptions::default(),
+        &FeatureConfig::default(),
+        &Telemetry::disabled(),
+    )
+}
+
 #[test]
 fn sharded_world_and_pipeline_match_golden_fingerprints() {
     let (world, report) =
@@ -64,9 +75,7 @@ fn sharded_world_and_pipeline_match_golden_fingerprints() {
         world.canonical_fingerprint()
     );
     // The full preparation pipeline over the sharded world.
-    let ctx = PipelineEngine
-        .run_with(&world, &Telemetry::disabled())
-        .context;
+    let ctx = AnalysisContext::prepare(&world);
     assert_eq!(
         ctx.canonical_fingerprint(),
         GOLDEN_CONTEXT_FINGERPRINT,
@@ -81,12 +90,7 @@ fn dataset_stages_match_golden_fingerprints() {
     use red_is_sus::core::labels::observations_fingerprint;
 
     let world = SynthUs::generate(&small_config());
-    let run = PipelineEngine.run_to_dataset_with(
-        &world,
-        &LabelingOptions::default(),
-        &FeatureConfig::default(),
-        &Telemetry::disabled(),
-    );
+    let run = dataset(&world);
     assert_eq!(run.report.stages.len(), 8);
     assert_eq!(
         observations_fingerprint(&run.matrix.observations),
@@ -134,10 +138,7 @@ fn streamed_diff_chain_matches_golden_fingerprint() {
 fn pipeline_end_to_end_beats_baseline() {
     let suite = ExperimentSuite::prepare(&small_config());
     // The labelled dataset draws on all three sources.
-    let labels = suite
-        .ctx
-        .build_labels(&suite.world, &LabelingOptions::default());
-    let composition = source_composition(&labels);
+    let composition = source_composition(&suite.matrix.observations);
     assert!(composition.len() >= 2, "composition {composition:?}");
     // The classifier clearly beats random guessing on both hold-outs, and the
     // challenge outcome mix matches the paper's shape.
@@ -187,9 +188,7 @@ fn served_scores_match_in_process_predictions() {
     use std::io::{Read, Write};
 
     let world = SynthUs::generate(&small_config());
-    let ctx = AnalysisContext::prepare(&world);
-    let labels = ctx.build_labels(&world, &LabelingOptions::default());
-    let matrix = build_features(&world, &ctx, &labels, &FeatureConfig::default());
+    let matrix = dataset(&world).matrix;
     let outcome = run_holdout(
         &matrix,
         &HoldoutStrategy::RandomObservations { fraction: 0.1 },
@@ -288,16 +287,14 @@ fn pipeline_is_deterministic_under_a_fixed_seed() {
     let config = small_config();
     let run = || {
         let world = SynthUs::generate(&config);
-        let ctx = AnalysisContext::prepare(&world);
-        let labels = ctx.build_labels(&world, &LabelingOptions::default());
-        let matrix = build_features(&world, &ctx, &labels, &FeatureConfig::default());
+        let matrix = dataset(&world).matrix;
         (
             world.challenges.len(),
             world.initial_release().claim_count(),
             world.mlab.len(),
             matrix.dataset.n_features(),
             matrix.dataset.feature_names().to_vec(),
-            labels.len(),
+            matrix.observations.len(),
         )
     };
     assert_eq!(run(), run());
@@ -306,10 +303,8 @@ fn pipeline_is_deterministic_under_a_fixed_seed() {
 #[test]
 fn feature_matrix_aligns_with_observations_across_crates() {
     let world = SynthUs::generate(&small_config());
-    let ctx = AnalysisContext::prepare(&world);
-    let labels = ctx.build_labels(&world, &LabelingOptions::default());
-    let matrix = build_features(&world, &ctx, &labels, &FeatureConfig::default());
-    assert_eq!(matrix.dataset.n_rows(), labels.len());
+    let matrix = dataset(&world).matrix;
+    assert_eq!(matrix.dataset.n_rows(), matrix.observations.len());
     // Every observation refers to a provider and hex that exist in the world.
     for obs in matrix.observations.iter().step_by(71) {
         assert!(world.providers.get(obs.provider).is_some());

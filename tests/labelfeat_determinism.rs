@@ -12,9 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use red_is_sus::core::features::{
-    build_features_with, dataset_fingerprint, FeatureConfig, FeatureMode,
-};
+use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelMode, LabelingOptions};
 use red_is_sus::core::pipeline::{
     stage_feature_engineering, stage_label_construction, AnalysisContext, PipelineEngine,
@@ -144,16 +142,13 @@ fn staged_engine_matches_direct_calls() {
     let last: Vec<&str> = run.report.stages[6..].iter().map(|s| s.name).collect();
     assert_eq!(last, ["label_construction", "feature_engineering"]);
     assert_eq!(run.matrix.dataset.n_rows(), run.matrix.observations.len());
-    // The engine ≡ the direct (unstaged) calls on the sequential schedule.
+    // The engine ≡ the direct stage calls on the sequential schedule.
     let ctx = AnalysisContext::prepare(&world);
-    let labels = ctx.build_labels_with(&world, &options, LabelMode::Sequential);
-    let matrix = build_features_with(&world, &ctx, &labels, &features, FeatureMode::Sequential);
     assert_eq!(
-        observations_fingerprint(&run.matrix.observations),
-        observations_fingerprint(&labels)
-    );
-    assert_eq!(
-        dataset_fingerprint(&run.matrix.dataset),
-        dataset_fingerprint(&matrix.dataset)
+        (
+            observations_fingerprint(&run.matrix.observations),
+            dataset_fingerprint(&run.matrix.dataset)
+        ),
+        stage_fingerprints(&world, &ctx, &options, &features, LabelMode::Sequential)
     );
 }

@@ -163,7 +163,6 @@ fn io_missing_data_and_budget_errors_are_typed() {
     // BudgetExceeded: the fixture's ~300 rows cannot fit 10 resident entries.
     let options = IngestOptions {
         max_resident_entries: Some(10),
-        ..IngestOptions::default()
     };
     let Err(err) = FileWorld::load(&fixture_dir(), &options) else {
         panic!("a 10-entry budget must breach");

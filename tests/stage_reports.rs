@@ -1,8 +1,8 @@
 //! One stage report, told truthfully by every producer: world generation,
-//! the materialised engine, and the streaming runner over a synthetic and a
-//! file-backed source all return a `bdc::StreamReport` whose stage walls sum
-//! to no more than its total, and both engines list the stages they share in
-//! the same order.
+//! and the one streaming runner over the resident world (the engine), a
+//! synthetic and a file-backed source, all return a `bdc::StreamReport`
+//! whose stage walls sum to no more than its total. Every runner report
+//! lists the runner's stages in the same order, after the source's own.
 
 use std::path::PathBuf;
 
@@ -15,7 +15,7 @@ use red_is_sus::ingest::{FileWorld, IngestOptions};
 use red_is_sus::obs::Telemetry;
 use red_is_sus::synth::{StreamWorld, SynthConfig, SynthUs};
 
-/// The stages both engines run, in canonical order.
+/// The runner's stages, in canonical order.
 const SHARED_STAGES: [&str; 6] = [
     "asn_matching",
     "ookla_reprojection",
@@ -80,4 +80,8 @@ fn every_report_producer_has_truthful_totals_and_one_stage_order() {
             assert_eq!(shared, SHARED_STAGES, "{producer}: shared stage order");
         }
     }
+    // The engine's source half is the resident world's two stages.
+    let engine: Vec<&str> = cases[1].1.stages.iter().map(|s| s.name).collect();
+    let source_half = ["methodology_collection", "release_diff"];
+    assert_eq!(engine, [&source_half[..], &SHARED_STAGES[..]].concat());
 }
