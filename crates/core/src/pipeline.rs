@@ -382,11 +382,15 @@ impl AnalysisContext {
 
     /// Number of providers for which both an ASN match and MLab evidence
     /// exist — the subset the paper can model (911 of 2,153 in the paper).
+    /// One pass over the evidence collects the matched providers that carry
+    /// positive mass.
     pub fn modelable_providers(&self) -> usize {
-        self.provider_asns
-            .keys()
-            .filter(|p| self.mlab_evidence.total_for(**p) > 0.0)
-            .count()
+        self.mlab_evidence
+            .iter()
+            .filter(|(p, _, count)| *count > 0.0 && self.provider_asns.contains_key(p))
+            .map(|(p, _, _)| p)
+            .collect::<BTreeSet<ProviderId>>()
+            .len()
     }
 
     /// An order-independent digest of every field, for asserting that two
@@ -483,6 +487,22 @@ mod tests {
         assert!(!ctx.mlab_evidence.is_empty());
         assert!(ctx.modelable_providers() > 0);
         assert!(ctx.modelable_providers() <= world.providers.len());
+        // The one-pass count equals the per-provider definition: matched
+        // providers whose total attributed mass is positive.
+        let per_provider = ctx
+            .provider_asns
+            .keys()
+            .filter(|p| {
+                let total: f64 = ctx
+                    .mlab_evidence
+                    .iter()
+                    .filter(|(q, _, _)| q == *p)
+                    .map(|(_, _, count)| count)
+                    .sum();
+                total > 0.0
+            })
+            .count();
+        assert_eq!(ctx.modelable_providers(), per_provider);
         // Every provider has a methodology string.
         assert_eq!(ctx.methodologies.len(), world.providers.len());
     }

@@ -118,8 +118,7 @@ impl HexCell {
         let k = k as i64;
         let mut out = Vec::with_capacity((1 + 3 * k * (k + 1)) as usize);
         for dq in -k..=k {
-            let lo = (-k).max(-dq - k);
-            let hi = k.min(-dq + k);
+            let (lo, hi) = disk_column(k, dq);
             for dr in lo..=hi {
                 out.push(Self::from_parts(
                     res,
@@ -131,6 +130,30 @@ impl HexCell {
             }
         }
         out
+    }
+
+    /// [`grid_disk`](Self::grid_disk)`(k)` as one inclusive `(first, last)`
+    /// cell pair per axial column, in ascending index order: concatenated,
+    /// the columns are exactly `grid_disk(k)`, cell for cell and in the same
+    /// order. Cells order by their packed `(res, q, r)` index, so each column
+    /// is one contiguous range of an ordered cell set (`set.range(first..=last)`).
+    pub fn grid_disk_columns(&self, k: usize) -> impl Iterator<Item = (HexCell, HexCell)> {
+        let a = self.axial();
+        let res = self.resolution();
+        let k = k as i64;
+        (-k..=k).map(move |dq| {
+            let (lo, hi) = disk_column(k, dq);
+            let cell = |dr| {
+                Self::from_parts(
+                    res,
+                    Axial {
+                        q: a.q + dq,
+                        r: a.r + dr,
+                    },
+                )
+            };
+            (cell(lo), cell(hi))
+        })
     }
 
     /// Grid distance (number of hex steps) to another cell of the same
@@ -172,6 +195,11 @@ impl HexCell {
     }
 }
 
+/// The `dr` offsets `(lo, hi)` of column `dq` of a radius-`k` disk.
+fn disk_column(k: i64, dq: i64) -> (i64, i64) {
+    ((-k).max(-dq - k), k.min(-dq + k))
+}
+
 impl std::fmt::Display for HexCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
@@ -182,6 +210,7 @@ impl std::fmt::Display for HexCell {
 mod tests {
     use super::*;
     use crate::grid::NBM_RESOLUTION;
+    use std::collections::BTreeSet;
 
     fn dc() -> LatLng {
         LatLng::new(38.9072, -77.0369)
@@ -236,6 +265,49 @@ mod tests {
         assert_eq!(a.grid_disk(1).len(), 7);
         assert_eq!(a.grid_disk(2).len(), 19);
         assert_eq!(a.grid_disk(3).len(), 37);
+    }
+
+    /// Concatenated, the columns are `grid_disk(k)` cell for cell: each is
+    /// a run of consecutive packed indices, and a range query over a larger
+    /// cell set returns exactly that run. The disks hold cells of both signs
+    /// of both axial coordinates (the plane's origin is at 180°W on the south
+    /// pole, so negative `q` lies west of the line `x = y/√3` and negative
+    /// `r` only south of the pole's row).
+    #[test]
+    fn grid_disk_columns_flatten_to_grid_disk() {
+        let centres = [
+            dc(),
+            LatLng::new(52.0, -179.0),
+            LatLng::new(0.0, -146.92),
+            LatLng::new(-89.99, 20.0),
+        ];
+        let cells: Vec<HexCell> = centres
+            .iter()
+            .map(|p| HexCell::containing(p, NBM_RESOLUTION))
+            .collect();
+        let signs: BTreeSet<(bool, bool)> = cells
+            .iter()
+            .flat_map(|c| c.grid_disk(25))
+            .flat_map(|c| [(true, c.axial().q < 0), (false, c.axial().r < 0)])
+            .collect();
+        assert_eq!(signs.len(), 4, "a sign of an axial coordinate is missing");
+        for cell in cells {
+            let around: BTreeSet<HexCell> = cell.grid_disk(27).into_iter().collect();
+            for k in 0..=25 {
+                let mut by_index = Vec::new();
+                let mut by_range = Vec::new();
+                for (first, last) in cell.grid_disk_columns(k) {
+                    assert!(first <= last, "k = {k} at {cell}: {first} > {last}");
+                    by_index.extend(
+                        (first.index()..=last.index()).map(|i| HexCell::from_index(i).unwrap()),
+                    );
+                    by_range.extend(around.range(first..=last).copied());
+                }
+                let disk = cell.grid_disk(k);
+                assert_eq!(by_index, disk, "k = {k} at {cell}");
+                assert_eq!(by_range, disk, "k = {k} at {cell}");
+            }
+        }
     }
 
     #[test]

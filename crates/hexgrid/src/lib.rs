@@ -18,7 +18,8 @@
 //!   of the previous one); resolution 8 cells cover ≈ 0.73 km², matching H3's
 //!   0.737 km² average,
 //! * cell ↔ centroid ↔ boundary conversions, k-ring neighbourhoods
-//!   (`grid_disk`), and approximate parent/child navigation.
+//!   (`grid_disk`, and `grid_disk_columns` for range queries on ordered
+//!   cell sets), and approximate parent/child navigation.
 //!
 //! The workspace builds without registry dependencies, so no H3 binding is
 //! available. The pipeline only relies on the grid being a deterministic,

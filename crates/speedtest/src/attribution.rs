@@ -3,12 +3,27 @@
 //! Each usable MLab test carries an ASN and an IP-geolocation disc. Given the
 //! provider→ASN mapping produced by the `asnmap` matcher and each provider's
 //! claimed footprint in the NBM, a test contributes evidence to every hex that
-//! is (a) within the geolocation disc and (b) claimed by the provider the
-//! test's ASN belongs to.
+//! is (a) within the geolocation disc, bounded as described below, and (b)
+//! claimed by the provider the test's ASN belongs to.
+//!
+//! Localisation starts from the footprint. The disc is `grid_disk(k)` around
+//! the centre's cell, with `k = ceil(r / (√3·size))`: one grid step moves
+//! √3·size between neighbouring centroids. Each axial column of that disk is
+//! one range query on the provider's ordered footprint, and only the claimed
+//! cells it returns are tested: a cell survives when it is the centre cell or
+//! its centroid lies within the radius.
+//!
+//! The disc is therefore *not* every cell within the radius. Ring `k + 1`
+//! comes as close as `1.5·(k + 1)·size` to the centre cell (the middle of a
+//! ring's edge), and the equal-area plane stretches east–west distances by
+//! `1/cos(lat)`, so in-radius cells beyond grid distance `k` fall outside
+//! the disk's corners and are never localised. The golden fingerprints pin
+//! this bound.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bdc::{map_shards, Asn, DiffMode, ProviderId};
+use geoprim::LatLng;
 use hexgrid::{HexCell, Resolution};
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +43,8 @@ impl ProviderHexTests {
     }
 
     /// All hexes with attributed tests for a provider.
-    pub fn hexes_for(&self, provider: ProviderId) -> BTreeSet<HexCell> {
+    #[cfg(test)]
+    fn hexes_for(&self, provider: ProviderId) -> BTreeSet<HexCell> {
         self.counts
             .keys()
             .filter(|(p, _)| *p == provider)
@@ -47,7 +63,8 @@ impl ProviderHexTests {
     }
 
     /// Total attributed test mass for a provider.
-    pub fn total_for(&self, provider: ProviderId) -> f64 {
+    #[cfg(test)]
+    fn total_for(&self, provider: ProviderId) -> f64 {
         self.counts
             .iter()
             .filter(|((p, _), _)| *p == provider)
@@ -61,57 +78,41 @@ impl ProviderHexTests {
     }
 }
 
-/// The hexes a test could have been run from: every cell whose centroid lies
-/// within the geolocation accuracy radius of the test's centre (plus the
-/// centre cell itself).
-pub fn candidate_hexes(
-    center: &geoprim::LatLng,
+/// Localise a test to one provider's footprint, in ascending cell order: the
+/// claimed cells of `grid_disk(k)` around the centre's cell,
+/// `k = ceil(r / (√3·size))`, that are the centre cell or whose centroid lies
+/// within `accuracy_radius_km` of the centre. Only the claimed cells of each
+/// disk column are visited. The bound is the disk, not the radius: in-radius
+/// cells beyond grid distance `k` are never returned (see the module docs).
+fn localise(
+    center: &LatLng,
     accuracy_radius_km: f64,
     res: Resolution,
+    footprint: &BTreeSet<HexCell>,
 ) -> Vec<HexCell> {
     let center_cell = HexCell::containing(center, res);
-    // One grid step moves roughly sqrt(3) * circumradius between centroids.
     let step_km = res.hex_size_km() * 3.0_f64.sqrt();
     let k = (accuracy_radius_km / step_km).ceil().max(0.0) as usize;
     center_cell
-        .grid_disk(k)
-        .into_iter()
+        .grid_disk_columns(k)
+        .flat_map(|(first, last)| footprint.range(first..=last))
         .filter(|cell| {
-            cell == &center_cell || cell.center().haversine_km(center) <= accuracy_radius_km
+            **cell == center_cell || cell.center().haversine_km(center) <= accuracy_radius_km
         })
+        .copied()
         .collect()
 }
 
-/// Usable, mapped tests per block below which fanning the block's geometry
-/// across workers is not worth the thread-spawn overhead. Both paths fold
-/// identically (see module tests).
+/// Usable, mapped tests per block below which fanning the block's
+/// localisation across workers is not worth the thread-spawn overhead. Both
+/// paths fold identically (see module tests).
 const PARALLEL_MIN_TESTS: usize = 512;
 
-/// Tests per block: candidate-hex vectors are only ever materialised for one
-/// block at a time, bounding peak memory at `O(TEST_BLOCK × hexes-per-radius)`
-/// regardless of dataset size.
+/// Tests per block: one block's localised hexes (per test and provider, only
+/// the claimed cells of each disc) are all that is ever materialised,
+/// bounding peak memory at `O(TEST_BLOCK × providers per test × claimed
+/// hexes per disc)` regardless of dataset size.
 const TEST_BLOCK: usize = 4096;
-
-/// Fold one test's surviving candidate hexes into a provider's counts: the
-/// single accumulation step every count goes through.
-fn accumulate_test(
-    provider: ProviderId,
-    footprint: &BTreeSet<HexCell>,
-    candidates: &[HexCell],
-    counts: &mut HashMap<(ProviderId, HexCell), f64>,
-) {
-    let localized: Vec<&HexCell> = candidates
-        .iter()
-        .filter(|h| footprint.contains(h))
-        .collect();
-    if localized.is_empty() {
-        return;
-    }
-    let share = 1.0 / localized.len() as f64;
-    for hex in localized {
-        *counts.entry((provider, *hex)).or_insert(0.0) += share;
-    }
-}
 
 /// Attribute MLab tests to providers and localise them to hexes (§4.2.2).
 ///
@@ -120,16 +121,17 @@ fn accumulate_test(
 ///
 /// A test whose ASN maps to several providers contributes to each of them (the
 /// paper notes shared ASNs are usually corporate siblings or wholesale
-/// transit). Tests are split evenly across the candidate hexes that survive
-/// the footprint intersection so that each test contributes one unit of mass.
+/// transit). Tests are split evenly across the hexes they localise to in the
+/// provider's footprint, so that each test contributes one unit of mass.
 ///
 /// Tests are fed in dataset order, batch by batch: the materialised pipeline
 /// feeds the whole dataset at once, the streaming runner one shard at a time.
-/// Within a batch, each block of `TEST_BLOCK` tests computes its candidate
-/// hexes (pure geometry) across scoped workers when it holds enough usable
-/// mapped tests, then folds them serially in test order. Every count
-/// therefore accumulates in ascending test order, so any batch split and any
-/// worker count is bit-identical.
+/// Within a batch, each block of `TEST_BLOCK` tests localises every mapped
+/// test to each of its providers' footprints (read-only, shared by the
+/// workers) across scoped workers when it holds enough usable mapped tests.
+/// The serial fold then adds the `1/len` shares in (test, provider,
+/// ascending hex) order. Every count therefore accumulates in ascending test
+/// order, so any batch split and any worker count is bit-identical.
 pub struct MlabAttributor<'a> {
     asn_to_providers: BTreeMap<Asn, Vec<ProviderId>>,
     claimed_hexes: &'a BTreeMap<ProviderId, BTreeSet<HexCell>>,
@@ -161,8 +163,8 @@ impl<'a> MlabAttributor<'a> {
         }
     }
 
-    /// Force the geometry worker count, so tests exercise every schedule on
-    /// any host.
+    /// Force the localisation worker count, so tests exercise every schedule
+    /// on any host.
     #[cfg(test)]
     fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -172,6 +174,7 @@ impl<'a> MlabAttributor<'a> {
     /// Fold a batch of tests in, in order. Unusable tests and tests whose
     /// ASN maps to no provider are skipped.
     pub fn add_tests(&mut self, tests: &[MlabTest]) {
+        let (claimed_hexes, res) = (self.claimed_hexes, self.res);
         for block in tests.chunks(TEST_BLOCK) {
             let mapped: Vec<(&MlabTest, &[ProviderId])> = block
                 .iter()
@@ -183,14 +186,20 @@ impl<'a> MlabAttributor<'a> {
             } else {
                 1
             };
-            let candidates = map_shards(workers, &mapped, |_, (t, _)| {
-                candidate_hexes(&t.geo_center, t.accuracy_radius_km, self.res)
+            let localised = map_shards(workers, &mapped, |_, (t, providers)| {
+                providers
+                    .iter()
+                    .filter_map(|provider| {
+                        let footprint = claimed_hexes.get(provider)?;
+                        let hexes = localise(&t.geo_center, t.accuracy_radius_km, res, footprint);
+                        (!hexes.is_empty()).then_some((*provider, hexes))
+                    })
+                    .collect::<Vec<_>>()
             });
-            for ((_, providers), candidates) in mapped.iter().zip(&candidates) {
-                for provider in *providers {
-                    if let Some(footprint) = self.claimed_hexes.get(provider) {
-                        accumulate_test(*provider, footprint, candidates, &mut self.counts);
-                    }
+            for (provider, hexes) in localised.iter().flatten() {
+                let share = 1.0 / hexes.len() as f64;
+                for hex in hexes {
+                    *self.counts.entry((*provider, *hex)).or_insert(0.0) += share;
                 }
             }
         }
@@ -207,9 +216,8 @@ impl<'a> MlabAttributor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlab::MlabDataset;
+    use crate::mlab::{MlabDataset, MAX_ACCURACY_RADIUS_KM};
     use bdc::DayStamp;
-    use geoprim::LatLng;
     use hexgrid::NBM_RESOLUTION;
 
     fn center() -> LatLng {
@@ -228,21 +236,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn candidate_hexes_grow_with_radius() {
-        let small = candidate_hexes(&center(), 1.0, NBM_RESOLUTION);
-        let large = candidate_hexes(&center(), 10.0, NBM_RESOLUTION);
-        assert!(!small.is_empty());
-        assert!(large.len() > small.len());
-        let center_cell = HexCell::containing(&center(), NBM_RESOLUTION);
-        assert!(small.contains(&center_cell));
-        assert!(large.contains(&center_cell));
+    /// The oracle disc, enumerated cell by cell: every cell of `grid_disk(k)`
+    /// around the centre's cell, `k = ceil(r / (√3·size))`, that is the
+    /// centre cell or whose centroid lies within the radius, in `grid_disk`
+    /// order.
+    fn candidate_hexes(center: &LatLng, accuracy_radius_km: f64, res: Resolution) -> Vec<HexCell> {
+        let center_cell = HexCell::containing(center, res);
+        // One grid step moves roughly sqrt(3) * circumradius between centroids.
+        let step_km = res.hex_size_km() * 3.0_f64.sqrt();
+        let k = (accuracy_radius_km / step_km).ceil().max(0.0) as usize;
+        center_cell
+            .grid_disk(k)
+            .into_iter()
+            .filter(|cell| {
+                cell == &center_cell || cell.center().haversine_km(center) <= accuracy_radius_km
+            })
+            .collect()
     }
 
+    /// Over a footprint that covers the whole disk, localisation is the
+    /// oracle's disc, which grows with the radius and keeps the centre cell.
     #[test]
-    fn zero_radius_still_returns_center_cell() {
-        let cells = candidate_hexes(&center(), 0.0, NBM_RESOLUTION);
-        assert_eq!(cells, vec![HexCell::containing(&center(), NBM_RESOLUTION)]);
+    fn localise_over_a_covering_footprint_is_the_candidate_disc() {
+        let center_cell = HexCell::containing(&center(), NBM_RESOLUTION);
+        let everything: BTreeSet<HexCell> = center_cell.grid_disk(30).into_iter().collect();
+        let mut sizes = Vec::new();
+        for radius in [0.0, 0.2, 1.0, 3.0, 5.0, 10.0, MAX_ACCURACY_RADIUS_KM] {
+            let got = localise(&center(), radius, NBM_RESOLUTION, &everything);
+            assert_eq!(
+                got,
+                candidate_hexes(&center(), radius, NBM_RESOLUTION),
+                "radius {radius}"
+            );
+            assert!(got.contains(&center_cell), "radius {radius}");
+            sizes.push(got.len());
+        }
+        assert_eq!(sizes[0], 1);
+        assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "{sizes:?}");
+        assert!(sizes[sizes.len() - 1] > sizes[2], "{sizes:?}");
+    }
+
+    /// The centre cell is kept even when its centroid lies outside the
+    /// radius, but only when the footprint claims it.
+    #[test]
+    fn center_cell_is_kept_inside_the_footprint_only() {
+        let center_cell = HexCell::containing(&center(), NBM_RESOLUTION);
+        // 300 m east of the centroid: still inside the cell, and farther from
+        // the centroid than the radius.
+        let off = center_cell.center().destination(90.0, 300.0);
+        assert_eq!(HexCell::containing(&off, NBM_RESOLUTION), center_cell);
+        let mut footprint: BTreeSet<HexCell> = center_cell.grid_disk(2).into_iter().collect();
+        for radius in [0.0, 0.1] {
+            assert_eq!(
+                localise(&off, radius, NBM_RESOLUTION, &footprint),
+                vec![center_cell],
+                "radius {radius}"
+            );
+        }
+        footprint.remove(&center_cell);
+        assert!(localise(&off, 0.1, NBM_RESOLUTION, &footprint).is_empty());
+    }
+
+    /// The bound the goldens pin: cells within the radius but beyond grid
+    /// distance `k` are never localised, even when the footprint claims them.
+    #[test]
+    fn localisation_keeps_the_grid_disk_bound() {
+        let radius = 10.0;
+        let center_cell = HexCell::containing(&center(), NBM_RESOLUTION);
+        let k = (radius / (NBM_RESOLUTION.hex_size_km() * 3.0_f64.sqrt())).ceil() as usize;
+        let disk: BTreeSet<HexCell> = center_cell.grid_disk(k).into_iter().collect();
+        let wider: BTreeSet<HexCell> = center_cell.grid_disk(k + 5).into_iter().collect();
+        let dropped: Vec<&HexCell> = wider
+            .iter()
+            .filter(|c| !disk.contains(c) && c.center().haversine_km(&center()) <= radius)
+            .collect();
+        assert!(
+            !dropped.is_empty(),
+            "no in-radius cell beyond grid distance {k}"
+        );
+        let got = localise(&center(), radius, NBM_RESOLUTION, &wider);
+        assert!(!got.is_empty());
+        assert!(got.iter().all(|c| disk.contains(c)));
     }
 
     fn attribute(
@@ -321,8 +395,9 @@ mod tests {
         assert!(attributed.is_empty());
     }
 
-    /// The pre-parallelism algorithm, kept verbatim as the reference:
-    /// iterate tests outermost, providers innermost.
+    /// The pre-parallelism, disc-first algorithm, kept verbatim as the
+    /// reference: enumerate each test's candidate disc, then probe each
+    /// provider's footprint; tests outermost, providers innermost.
     fn attribute_reference(
         mlab: &MlabDataset,
         provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
@@ -377,16 +452,19 @@ mod tests {
         };
         let mut pa: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
         let mut ch: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
-        // Six providers on three shared ASNs, footprints at staggered offsets;
-        // provider 5 has an ASN but no claimed footprint.
+        // Six providers on three shared ASNs, footprints at staggered offsets,
+        // 8-20 km in radius and missing about three cells in four, so that disc
+        // columns end both on and off a claimed cell; provider 5 has an ASN
+        // but no claimed footprint.
         for p in 0..6u32 {
             pa.insert(ProviderId(p), BTreeSet::from([Asn(64500 + p % 3)]));
             if p < 5 {
                 let c = LatLng::new(37.0 + p as f64 * 0.05, -80.4 - p as f64 * 0.03);
                 ch.insert(
                     ProviderId(p),
-                    candidate_hexes(&c, 4.0, NBM_RESOLUTION)
+                    candidate_hexes(&c, 8.0 + p as f64 * 3.0, NBM_RESOLUTION)
                         .into_iter()
+                        .filter(|_| uniform() < 0.25)
                         .collect(),
                 );
             }
@@ -397,9 +475,11 @@ mod tests {
                 // ASN 64503 maps to no provider.
                 let asn = 64500 + (uniform() * 4.0) as u32;
                 let c = LatLng::new(37.0 + uniform() * 0.25, -80.55 + uniform() * 0.2);
-                // A tail above the 20 km usability filter.
+                // Usable radii reach k = 22 grid steps, where the disk's
+                // truncated corners lie, plus a tail above the 20 km
+                // usability filter.
                 let radius = if uniform() < 0.95 {
-                    0.3 + uniform() * 2.7
+                    uniform() * MAX_ACCURACY_RADIUS_KM
                 } else {
                     25.0 + uniform() * 15.0
                 };
@@ -410,6 +490,10 @@ mod tests {
         let reference = attribute_reference(&mlab, &pa, &ch, NBM_RESOLUTION);
         assert!(!reference.is_empty());
         assert!(mlab.usable_tests().count() < n, "no unusable tests drawn");
+        assert!(
+            mlab.usable_tests().any(|t| t.accuracy_radius_km > 19.0),
+            "no usable disc near the 20 km limit"
+        );
 
         for split in [1, 7, 511, 512, TEST_BLOCK, 2 * TEST_BLOCK + 123, n] {
             for workers in [1, 2, 3] {

@@ -19,7 +19,7 @@ pub mod coverage;
 pub mod mlab;
 pub mod ookla;
 
-pub use attribution::{candidate_hexes, MlabAttributor, ProviderHexTests};
+pub use attribution::{MlabAttributor, ProviderHexTests};
 pub use coverage::{coverage_scores, CoverageScore};
 pub use mlab::{MlabDataset, MlabTest, MAX_ACCURACY_RADIUS_KM};
 pub use ookla::{aggregate_records_into, OoklaDataset, OoklaHexAggregate, OoklaTileRecord};

@@ -16,8 +16,9 @@
 //! `--trace-out FILE` appends the run's JSONL trace events (per-stage spans
 //! plus strided per-shard drain events) to FILE. `--out FILE` writes each
 //! stage's wall, shard count and peak as `BENCH_*.json` metrics, stamped with
-//! the host's `nproc` and the commit (`git rev-parse HEAD`, with `-dirty`
-//! when tracked files differ from it, or `unknown` outside a checkout).
+//! the host's `nproc`, the commit (`git rev-parse HEAD`, with `-dirty` when
+//! tracked files differ from it, or `unknown` outside a checkout) and the
+//! `rustc` version, the same stamp as every criterion bench report.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -171,12 +172,9 @@ fn main() {
             "entries",
         );
         push("dataset_rows", run.matrix.dataset.n_rows() as f64, "rows");
-        // Stamp the host and the code, so records from different machines
-        // or commits are never compared as if they were one series.
-        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
         let bench_json = format!(
-            "{{\n  \"nproc\": {nproc},\n  \"commit\": \"{}\",\n  \"benchmarks\": [],\n  \"metrics\": [\n{metrics}\n  ]\n}}\n",
-            commit()
+            "{{\n{}  \"benchmarks\": [],\n  \"metrics\": [\n{metrics}\n  ]\n}}\n",
+            criterion::report_stamp()
         );
         std::fs::write(&path, bench_json).unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
@@ -184,30 +182,5 @@ fn main() {
         });
         // stderr so `--json` stdout stays one parseable document.
         eprintln!("wrote {path}");
-    }
-}
-
-/// `git rev-parse HEAD` of the working directory, suffixed `-dirty` when
-/// tracked files differ from it, or `unknown` outside a checkout.
-fn commit() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map(|text| text.trim().to_string())
-    };
-    match git(&["rev-parse", "HEAD"]) {
-        Some(sha) if !sha.is_empty() => {
-            let status = git(&["status", "--porcelain", "--untracked-files=no"]);
-            if status.is_some_and(|s| !s.is_empty()) {
-                format!("{sha}-dirty")
-            } else {
-                sha
-            }
-        }
-        _ => "unknown".into(),
     }
 }
