@@ -1,11 +1,9 @@
-//! Criterion benches of the inference kernels and the split-search
-//! strategies: recursive walk vs flat scalar vs block-batched vs quantised
-//! traversal (rows/sec at several block sizes), and training wall-clock
-//! under the column-scan vs histogram split accumulation.
+//! Criterion benches of the inference kernels and of training: recursive
+//! walk vs flat scalar vs block-batched vs quantised traversal (rows/sec at
+//! several block sizes), and the wall-clock of one `GbdtModel::fit`.
 //!
-//! Every kernel and both strategies are bit-identical — these numbers are
-//! pure throughput, which is why the comparison is honest: same bits out,
-//! different seconds.
+//! Every kernel is bit-identical — these numbers are pure throughput, which
+//! is why the comparison is honest: same bits out, different seconds.
 //!
 //! Regenerate the committed report with (from the workspace root; the path
 //! must be absolute because cargo runs the bench binary with `crates/bench`
@@ -19,7 +17,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
-use ml::{FlatForest, GbdtModel, QuantForest, SplitStrategy};
+use ml::{FlatForest, GbdtModel, QuantForest};
 use redsus_bench::bench_suite;
 use redsus_core::model::default_params;
 
@@ -159,27 +157,12 @@ fn bench_inference(c: &mut Criterion) {
         "x",
     );
 
-    // Training: the histogram split accumulation vs the legacy column scan,
-    // same params the pipeline bench trains with — both fit bit-identical
-    // models, so the delta is pure split-search memory traffic.
+    // Training: one fit with the params the paper pipeline trains with.
     let params = default_params(1);
-    let scan_secs = best_seconds(2, || {
-        black_box(GbdtModel::fit_with_strategy(
-            dataset,
-            params,
-            SplitStrategy::ColumnScan,
-        ));
+    let fit_secs = best_seconds(2, || {
+        black_box(GbdtModel::fit(dataset, params));
     });
-    let hist_secs = best_seconds(2, || {
-        black_box(GbdtModel::fit_with_strategy(
-            dataset,
-            params,
-            SplitStrategy::Histogram,
-        ));
-    });
-    report_metric("train/column_scan_ms", scan_secs * 1e3, "ms");
-    report_metric("train/histogram_ms", hist_secs * 1e3, "ms");
-    report_metric("train/histogram_speedup", scan_secs / hist_secs, "x");
+    report_metric("train/histogram_ms", fit_secs * 1e3, "ms");
 }
 
 criterion_group!(benches, bench_inference);

@@ -7,7 +7,8 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::Dataset;
 use crate::metrics::log_loss;
 use crate::tree::{
-    sample_features, sample_rows, Binner, RegressionTree, SplitStrategy, TreeParams,
+    grow, sample_features, sample_rows, split_workers, Binner, FitContext, RegressionTree,
+    TreeParams,
 };
 
 /// Hyper-parameters of the boosted ensemble. Defaults follow XGBoost's
@@ -68,6 +69,15 @@ impl GbdtParams {
     }
 }
 
+/// Logistic-loss gradients and hessians of every row at the current margins.
+fn logistic_gradients(train: &Dataset, margins: &[f64], grad: &mut [f32], hess: &mut [f32]) {
+    for (i, &margin) in margins.iter().enumerate() {
+        let p = sigmoid(margin);
+        grad[i] = (p - train.label(i) as f64) as f32;
+        hess[i] = (p * (1.0 - p)).max(1e-8) as f32;
+    }
+}
+
 /// A fitted gradient-boosted tree ensemble for binary classification.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GbdtModel {
@@ -92,29 +102,11 @@ impl GbdtModel {
         Self::fit_with_validation(train, None, params)
     }
 
-    /// Fit with an explicit split-search strategy. The strategies are
-    /// bit-identical (see [`SplitStrategy`]); this entry point exists so
-    /// benchmarks can time them against each other.
-    pub fn fit_with_strategy(train: &Dataset, params: GbdtParams, strategy: SplitStrategy) -> Self {
-        Self::fit_with_validation_strategy(train, None, params, strategy)
-    }
-
     /// Fit with an optional validation set used for early stopping.
     pub fn fit_with_validation(
         train: &Dataset,
         validation: Option<&Dataset>,
         params: GbdtParams,
-    ) -> Self {
-        Self::fit_with_validation_strategy(train, validation, params, SplitStrategy::default())
-    }
-
-    /// [`GbdtModel::fit_with_validation`] with an explicit split-search
-    /// strategy.
-    pub fn fit_with_validation_strategy(
-        train: &Dataset,
-        validation: Option<&Dataset>,
-        params: GbdtParams,
-        strategy: SplitStrategy,
     ) -> Self {
         assert!(!train.is_empty(), "cannot fit on an empty dataset");
         let mut rng = StdRng::seed_from_u64(params.seed);
@@ -136,28 +128,29 @@ impl GbdtModel {
         let mut trees: Vec<RegressionTree> = Vec::with_capacity(params.n_estimators);
         let mut grad = vec![0.0f32; n];
         let mut hess = vec![0.0f32; n];
+        let workers = split_workers();
         for _round in 0..params.n_estimators {
-            for i in 0..n {
-                let p = sigmoid(margins[i]);
-                grad[i] = (p - train.label(i) as f64) as f32;
-                hess[i] = (p * (1.0 - p)).max(1e-8) as f32;
-            }
+            logistic_gradients(train, &margins, &mut grad, &mut hess);
             let rows = sample_rows(n, params.subsample, &mut rng);
             let features = sample_features(train.n_features(), params.colsample_bytree, &mut rng);
-            let mut tree = RegressionTree::fit_with_strategy(
-                train,
-                &binner,
-                &binned,
-                &grad,
-                &hess,
-                &rows,
-                &features,
-                params.tree_params(),
-                strategy,
-            );
+            let ctx = FitContext {
+                binned: &binned,
+                n_features: train.n_features(),
+                grad: &grad,
+                hess: &hess,
+                binner: &binner,
+                params: params.tree_params(),
+            };
+            let (mut tree, leaf_of) = grow(&ctx, &rows, &features, workers);
             tree.scale_values(params.learning_rate);
-            for (i, margin) in margins.iter_mut().enumerate().take(n) {
-                *margin += tree.predict_row(train.row(i));
+            // A grown row's binned route reaches the leaf its raw values
+            // would (`bin <= b` exactly when `v <= cuts[b]`), so only the
+            // rows subsampling left out walk the tree.
+            for (r, (margin, leaf)) in margins.iter_mut().zip(&leaf_of).enumerate() {
+                *margin += match *leaf {
+                    Some(leaf) => tree.nodes()[leaf].value(),
+                    None => tree.predict_row(train.row(r)),
+                };
             }
             if let (Some(val), Some(vm)) = (validation, val_margins.as_mut()) {
                 for (i, margin) in vm.iter_mut().enumerate().take(val.n_rows()) {
@@ -268,28 +261,71 @@ mod tests {
     use super::*;
     use crate::metrics::roc_auc;
 
-    /// The histogram split search must reproduce the column scan exactly:
-    /// whole fitted models predict bit-identically.
+    /// Routing grown rows' margins by their recorded leaf must equal walking
+    /// every row through the tree. The test replays a subsampled fit with
+    /// the walk: every recorded leaf must end the row's raw decision path,
+    /// the two margin updates must agree to the bit each round, and the
+    /// replay must grow the fitted model's trees.
     #[test]
-    fn split_strategies_fit_identical_models() {
-        let d = make_data(300, 11);
-        let params = GbdtParams {
-            n_estimators: 15,
-            max_depth: 4,
-            subsample: 0.8,
-            colsample_bytree: 0.8,
-            ..GbdtParams::default()
-        };
-        let scan = GbdtModel::fit_with_strategy(&d, params, SplitStrategy::ColumnScan);
-        let hist = GbdtModel::fit_with_strategy(&d, params, SplitStrategy::Histogram);
-        assert_eq!(scan.n_trees(), hist.n_trees());
-        for r in 0..d.n_rows() {
-            assert_eq!(
-                scan.predict_margin(d.row(r)).to_bits(),
-                hist.predict_margin(d.row(r)).to_bits(),
-                "margin drift at row {r}"
-            );
+    fn leaf_routing_matches_the_tree_walk() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut train = Dataset::new(vec!["x0".into(), "x1".into(), "noise".into()]);
+        for _ in 0..400 {
+            let mut row = [0.0f32; 3];
+            for v in &mut row {
+                *v = if rng.gen_range(0.0..1.0) < 0.15 {
+                    f32::NAN
+                } else {
+                    rng.gen_range(0.0..1.0)
+                };
+            }
+            let label = (row[0] > 0.6 && (row[1].is_nan() || row[1] >= 0.3)) || row[1] > 0.85;
+            train.push_row(&row, label as u8 as f32);
         }
+        let params = GbdtParams {
+            n_estimators: 20,
+            max_depth: 4,
+            subsample: 0.7,
+            ..quick_params()
+        };
+        let model = GbdtModel::fit(&train, params);
+
+        let n = train.n_rows();
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let binner = Binner::fit(&train, &(0..n).collect::<Vec<_>>(), params.max_bins);
+        let binned = binner.bin_matrix(&train);
+        let (mut grad, mut hess) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let mut margins = vec![model.base_margin(); n];
+        let mut routed = 0;
+        for (round, fitted) in model.trees().iter().enumerate() {
+            logistic_gradients(&train, &margins, &mut grad, &mut hess);
+            let rows = sample_rows(n, params.subsample, &mut rng);
+            let features = sample_features(train.n_features(), params.colsample_bytree, &mut rng);
+            let ctx = FitContext {
+                binned: &binned,
+                n_features: train.n_features(),
+                grad: &grad,
+                hess: &hess,
+                binner: &binner,
+                params: params.tree_params(),
+            };
+            let (mut tree, leaf_of) = grow(&ctx, &rows, &features, 1);
+            tree.scale_values(params.learning_rate);
+            assert_eq!(format!("{tree:?}"), format!("{fitted:?}"), "round {round}");
+            assert_eq!(leaf_of.iter().flatten().count(), rows.len());
+            for (r, margin) in margins.iter_mut().enumerate() {
+                let walked = tree.predict_row(train.row(r));
+                if let Some(leaf) = leaf_of[r] {
+                    assert_eq!(tree.decision_path(train.row(r)).last(), Some(&leaf));
+                    assert_eq!(tree.nodes()[leaf].value().to_bits(), walked.to_bits());
+                    routed += 1;
+                }
+                *margin += walked;
+            }
+        }
+        assert_eq!(model.n_trees(), 20);
+        assert!(routed > 0);
     }
 
     /// Two informative features plus one noise feature; labels depend on a

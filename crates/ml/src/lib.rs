@@ -10,7 +10,8 @@
 //! * [`dataset`] — dense feature matrices with missing values (NaN),
 //! * [`tree`] — histogram-based regression trees with second-order gradient
 //!   splits, L2 regularisation, minimum-split-loss (γ) pruning and learned
-//!   default directions for missing values,
+//!   default directions for missing values, grown one depth at a time with
+//!   one split-search fan-out per depth,
 //! * [`gbdt`] — the boosting loop with logistic loss, learning-rate shrinkage,
 //!   row/column subsampling and optional early stopping,
 //! * [`metrics`] — ROC curves/AUC, precision/recall/F1, confusion matrices,
@@ -58,4 +59,4 @@ pub use metrics::{
 };
 pub use quant::QuantForest;
 pub use split::{group_holdout, stratified_kfold, stratified_split, train_test_split};
-pub use tree::{RegressionTree, SplitStrategy, TreeParams};
+pub use tree::{RegressionTree, TreeParams};

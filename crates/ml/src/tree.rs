@@ -12,6 +12,15 @@
 //! is chosen. Missing values (NaN) are routed to whichever side yields the
 //! higher gain ("sparsity-aware" default directions). Leaf weights are
 //! `-G/(H+λ)`.
+//!
+//! Trees grow one depth at a time. Every node of a depth is split-searched in
+//! one fan-out: each worker owns one contiguous chunk of the candidate
+//! features and builds that chunk's histograms for every node of the level,
+//! so a tree opens at most `max_depth` thread scopes, not one per node. Each
+//! node's chunk winners are reduced in feature order with a strict `>`, so a
+//! gain tie goes to the lowest feature and every worker count grows the same
+//! tree. The finished nodes are numbered in depth-first pre-order (root, left
+//! subtree, right subtree).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -44,27 +53,6 @@ impl Default for TreeParams {
             min_child_weight: 1.0,
         }
     }
-}
-
-/// How `find_best_split` accumulates per-bin gradient/hessian statistics
-/// from the pre-binned matrix.
-///
-/// Both strategies feed every `(feature, bin)` accumulator the same values
-/// in the same row order, so the resulting f64 sums — and therefore every
-/// split decision and fitted tree — are **bit-identical**; the existing
-/// training goldens pin this. They differ only in memory traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitStrategy {
-    /// Legacy kernel: one strided pass over the row-major bin matrix *per
-    /// feature* (`binned[r * n_features + f]` with `r` varying), re-reading
-    /// each row's gradient/hessian once per candidate feature.
-    ColumnScan,
-    /// Histogram kernel: a single contiguous pass over the rows accumulates
-    /// *all* candidate features' histograms at once — each row's bins are
-    /// adjacent bytes and its gradient/hessian are read once, into one flat
-    /// scratch buffer instead of two allocations per feature per node.
-    #[default]
-    Histogram,
 }
 
 /// Quantile binner mapping raw feature values to small bin indices.
@@ -183,14 +171,16 @@ pub struct RegressionTree {
     nodes: Vec<Node>,
 }
 
-struct FitContext<'a> {
-    binned: &'a [u8],
-    n_features: usize,
-    grad: &'a [f32],
-    hess: &'a [f32],
-    binner: &'a Binner,
-    params: TreeParams,
-    strategy: SplitStrategy,
+/// What one tree fit reads: the pre-binned training matrix (row-major,
+/// `n_features` bins per row), the round's per-row gradients and hessians,
+/// and the tree's hyper-parameters.
+pub(crate) struct FitContext<'a> {
+    pub(crate) binned: &'a [u8],
+    pub(crate) n_features: usize,
+    pub(crate) grad: &'a [f32],
+    pub(crate) hess: &'a [f32],
+    pub(crate) binner: &'a Binner,
+    pub(crate) params: TreeParams,
 }
 
 #[derive(Clone, Copy)]
@@ -219,34 +209,6 @@ impl RegressionTree {
         features: &[usize],
         params: TreeParams,
     ) -> Self {
-        Self::fit_with_strategy(
-            data,
-            binner,
-            binned,
-            grad,
-            hess,
-            rows,
-            features,
-            params,
-            SplitStrategy::default(),
-        )
-    }
-
-    /// [`RegressionTree::fit`] with an explicit split-search strategy — the
-    /// strategies are bit-identical, so this exists for the benchmark
-    /// comparison, not for behavioural choice.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_with_strategy(
-        data: &Dataset,
-        binner: &Binner,
-        binned: &[u8],
-        grad: &[f32],
-        hess: &[f32],
-        rows: &[usize],
-        features: &[usize],
-        params: TreeParams,
-        strategy: SplitStrategy,
-    ) -> Self {
         assert_eq!(binned.len(), data.n_rows() * data.n_features());
         let ctx = FitContext {
             binned,
@@ -255,68 +217,8 @@ impl RegressionTree {
             hess,
             binner,
             params,
-            strategy,
         };
-        let mut tree = RegressionTree { nodes: Vec::new() };
-        tree.build_node(&ctx, rows.to_vec(), features, 0);
-        tree
-    }
-
-    fn build_node(
-        &mut self,
-        ctx: &FitContext<'_>,
-        rows: Vec<usize>,
-        features: &[usize],
-        depth: usize,
-    ) -> usize {
-        let g: f64 = rows.iter().map(|&r| ctx.grad[r] as f64).sum();
-        let h: f64 = rows.iter().map(|&r| ctx.hess[r] as f64).sum();
-        let value = -g / (h + ctx.params.lambda);
-        let node_id = self.nodes.len();
-        self.nodes.push(Node::Leaf { value, cover: h });
-
-        if depth >= ctx.params.max_depth || rows.len() < 2 {
-            return node_id;
-        }
-        let Some(best) = find_best_split(ctx, &rows, features, g, h) else {
-            return node_id;
-        };
-        if best.gain <= 0.0 {
-            return node_id;
-        }
-
-        // Partition rows.
-        let mut left_rows = Vec::with_capacity(rows.len() / 2);
-        let mut right_rows = Vec::with_capacity(rows.len() / 2);
-        for &r in &rows {
-            let bin = ctx.binned[r * ctx.n_features + best.feature];
-            let go_left = if bin == MISSING_BIN {
-                best.missing_left
-            } else {
-                (bin as usize) <= best.bin
-            };
-            if go_left {
-                left_rows.push(r);
-            } else {
-                right_rows.push(r);
-            }
-        }
-        if left_rows.is_empty() || right_rows.is_empty() {
-            return node_id;
-        }
-
-        let left = self.build_node(ctx, left_rows, features, depth + 1);
-        let right = self.build_node(ctx, right_rows, features, depth + 1);
-        self.nodes[node_id] = Node::Split {
-            feature: best.feature,
-            threshold: ctx.binner.threshold(best.feature, best.bin),
-            default_left: best.missing_left,
-            left,
-            right,
-            value,
-            cover: h,
-        };
-        node_id
+        grow(&ctx, rows, features, split_workers()).0
     }
 
     /// Reassemble a tree from its node array (node 0 is the root) — the
@@ -403,8 +305,8 @@ impl RegressionTree {
         }
     }
 
-    /// The sequence of `(node_index, node)` pairs visited for a row, root to
-    /// leaf — used by the attribution module.
+    /// The indices of the nodes visited for a row, root to leaf — used by the
+    /// attribution module.
     pub fn decision_path(&self, row: &[f32]) -> Vec<usize> {
         let mut path = Vec::new();
         let mut i = 0;
@@ -433,188 +335,416 @@ impl RegressionTree {
     }
 }
 
-fn find_best_split(
-    ctx: &FitContext<'_>,
-    rows: &[usize],
-    features: &[usize],
-    g_total: f64,
-    h_total: f64,
-) -> Option<SplitCandidate> {
-    let n_threads = std::thread::available_parallelism()
+/// Feature count from which split search fans out across workers: below it,
+/// a thread scope costs more than the histograms it would share out.
+const PARALLEL_THRESHOLD: usize = 64;
+
+/// Worker count for split search: the host's parallelism, capped at 8.
+pub(crate) fn split_workers() -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(8);
-    find_best_split_with_threads(ctx, rows, features, g_total, h_total, n_threads)
+        .min(8)
 }
 
-fn find_best_split_with_threads(
+/// A node of the level being grown: its rows, in the order its parent held
+/// them, and their gradient/hessian sums.
+struct OpenNode {
+    /// Index in creation (breadth-first) order.
+    id: usize,
+    rows: Vec<usize>,
+    g: f64,
+    h: f64,
+}
+
+impl OpenNode {
+    /// Sum the rows' gradients and hessians in row order and append the node
+    /// to `nodes` as a leaf carrying its weight `-G/(H+λ)`.
+    fn open(ctx: &FitContext<'_>, nodes: &mut Vec<Node>, rows: Vec<usize>) -> Self {
+        let g: f64 = rows.iter().map(|&r| ctx.grad[r] as f64).sum();
+        let h: f64 = rows.iter().map(|&r| ctx.hess[r] as f64).sum();
+        nodes.push(Node::Leaf {
+            value: -g / (h + ctx.params.lambda),
+            cover: h,
+        });
+        Self {
+            id: nodes.len() - 1,
+            rows,
+            g,
+            h,
+        }
+    }
+}
+
+/// Grow one tree depth by depth over `rows`, splitting on `features` with up
+/// to `workers` split-search threads per level.
+///
+/// Returns the tree, its nodes numbered depth-first, and for every row index
+/// of the matrix the leaf that row ended in (`None` for rows not in `rows`).
+pub(crate) fn grow(
+    ctx: &FitContext<'_>,
+    rows: &[usize],
+    features: &[usize],
+    workers: usize,
+) -> (RegressionTree, Vec<Option<usize>>) {
+    // Nodes in creation (breadth-first) order.
+    let mut nodes = Vec::new();
+    let mut leaf_of = vec![None; ctx.grad.len()];
+    let mut settle = |node: &OpenNode| {
+        for &r in &node.rows {
+            leaf_of[r] = Some(node.id);
+        }
+    };
+    let mut level = vec![OpenNode::open(ctx, &mut nodes, rows.to_vec())];
+    let mut depth = 0;
+    while !level.is_empty() {
+        let (searched, settled): (Vec<_>, Vec<_>) = level
+            .into_iter()
+            .partition(|node| depth < ctx.params.max_depth && node.rows.len() >= 2);
+        settled.iter().for_each(&mut settle);
+        let splits = best_splits(ctx, &searched, features, workers);
+        let mut next = Vec::with_capacity(2 * searched.len());
+        for (node, best) in searched.into_iter().zip(splits) {
+            let Some(best) = best.filter(|b| b.gain > 0.0) else {
+                settle(&node);
+                continue;
+            };
+            let (left_rows, right_rows) = partition(ctx, &node.rows, &best);
+            if left_rows.is_empty() || right_rows.is_empty() {
+                settle(&node);
+                continue;
+            }
+            let left = OpenNode::open(ctx, &mut nodes, left_rows);
+            let right = OpenNode::open(ctx, &mut nodes, right_rows);
+            nodes[node.id] = Node::Split {
+                feature: best.feature,
+                threshold: ctx.binner.threshold(best.feature, best.bin),
+                default_left: best.missing_left,
+                left: left.id,
+                right: right.id,
+                value: nodes[node.id].value(),
+                cover: node.h,
+            };
+            next.push(left);
+            next.push(right);
+        }
+        level = next;
+        depth += 1;
+    }
+
+    // Renumber depth-first (root, left subtree, right subtree), the order a
+    // recursive builder creates nodes in, so node arrays, artifacts and flat
+    // layouts do not depend on the growth order.
+    let mut order = Vec::with_capacity(nodes.len());
+    let mut stack = vec![0];
+    while let Some(i) = stack.pop() {
+        order.push(i);
+        if let Node::Split { left, right, .. } = nodes[i] {
+            stack.push(right);
+            stack.push(left);
+        }
+    }
+    let mut renumbered = vec![0; nodes.len()];
+    for (new, &old) in order.iter().enumerate() {
+        renumbered[old] = new;
+    }
+    let nodes = order
+        .iter()
+        .map(|&old| {
+            let mut node = nodes[old].clone();
+            if let Node::Split { left, right, .. } = &mut node {
+                *left = renumbered[*left];
+                *right = renumbered[*right];
+            }
+            node
+        })
+        .collect();
+    for leaf in leaf_of.iter_mut().flatten() {
+        *leaf = renumbered[*leaf];
+    }
+    (RegressionTree { nodes }, leaf_of)
+}
+
+/// Split `rows` stably into the rows `best` sends left and right.
+fn partition(
+    ctx: &FitContext<'_>,
+    rows: &[usize],
+    best: &SplitCandidate,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut left = Vec::with_capacity(rows.len() / 2);
+    let mut right = Vec::with_capacity(rows.len() / 2);
+    for &r in rows {
+        let bin = ctx.binned[r * ctx.n_features + best.feature];
+        let go_left = if bin == MISSING_BIN {
+            best.missing_left
+        } else {
+            (bin as usize) <= best.bin
+        };
+        if go_left {
+            left.push(r);
+        } else {
+            right.push(r);
+        }
+    }
+    (left, right)
+}
+
+/// The best split of every node in `level`, one entry per node.
+///
+/// With at least [`PARALLEL_THRESHOLD`] features and more than one worker
+/// this is one fan-out: each worker builds one contiguous feature chunk's
+/// histograms for every node of the level, and the calling thread takes the
+/// first chunk. Each node's chunk winners are then reduced in chunk order
+/// with a strict `>`, so a tie keeps the earlier chunk and goes to the lowest
+/// feature, as in one sequential scan.
+fn best_splits(
+    ctx: &FitContext<'_>,
+    level: &[OpenNode],
+    features: &[usize],
+    workers: usize,
+) -> Vec<Option<SplitCandidate>> {
+    let search = |chunk: &[usize]| -> Vec<Option<SplitCandidate>> {
+        level
+            .iter()
+            .map(|node| best_split_in_chunk(ctx, &node.rows, chunk, node.g, node.h))
+            .collect()
+    };
+    let best = if level.is_empty() || features.len() < PARALLEL_THRESHOLD || workers < 2 {
+        search(features)
+    } else {
+        let search = &search;
+        let mut chunks = features.chunks(features.len().div_ceil(workers));
+        let first = chunks.next().expect("a non-empty feature list has a chunk");
+        let per_chunk: Vec<Vec<Option<SplitCandidate>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .map(|chunk| scope.spawn(move || search(chunk)))
+                .collect();
+            let mut per_chunk = vec![search(first)];
+            per_chunk.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("split worker panicked")),
+            );
+            per_chunk
+        });
+        (0..level.len())
+            .map(|i| {
+                per_chunk
+                    .iter()
+                    .filter_map(|chunk_best| chunk_best[i])
+                    .fold(None::<SplitCandidate>, |acc, cand| match acc {
+                        Some(best) if cand.gain <= best.gain => Some(best),
+                        _ => Some(cand),
+                    })
+            })
+            .collect()
+    };
+    // Sanity: children partition each parent's gradient mass.
+    for (node, b) in level.iter().zip(&best) {
+        if let Some(b) = b {
+            debug_assert!((b.gl + b.gr - node.g).abs() < 1e-6 * (1.0 + node.g.abs()));
+            debug_assert!((b.hl + b.hr - node.h).abs() < 1e-6 * (1.0 + node.h.abs()));
+        }
+    }
+    best
+}
+
+/// The histogram kernel: the best split of one node over one chunk of
+/// candidate features. A single contiguous pass over the node's rows
+/// accumulates every feature's histogram at once — each row's bins are
+/// adjacent bytes and its gradient/hessian are read once — into one flat
+/// scratch buffer. Features with a single bin have nothing to split on and
+/// are skipped.
+fn best_split_in_chunk(
+    ctx: &FitContext<'_>,
+    rows: &[usize],
+    chunk: &[usize],
+    g_total: f64,
+    h_total: f64,
+) -> Option<SplitCandidate> {
+    let active: Vec<(usize, usize)> = {
+        let mut offset = 0usize;
+        chunk
+            .iter()
+            .filter(|&&f| ctx.binner.n_bins(f) >= 2)
+            .map(|&f| {
+                let entry = (f, offset);
+                offset += ctx.binner.n_bins(f);
+                entry
+            })
+            .collect()
+    };
+    let total_bins = active
+        .last()
+        .map(|&(f, off)| off + ctx.binner.n_bins(f))
+        .unwrap_or(0);
+    let mut g_hist = vec![0.0f64; total_bins];
+    let mut h_hist = vec![0.0f64; total_bins];
+    let mut g_missing = vec![0.0f64; active.len()];
+    let mut h_missing = vec![0.0f64; active.len()];
+    for &r in rows {
+        let row_bins = &ctx.binned[r * ctx.n_features..(r + 1) * ctx.n_features];
+        let g = ctx.grad[r] as f64;
+        let h = ctx.hess[r] as f64;
+        for (j, &(feature, off)) in active.iter().enumerate() {
+            let bin = row_bins[feature];
+            if bin == MISSING_BIN {
+                g_missing[j] += g;
+                h_missing[j] += h;
+            } else {
+                g_hist[off + bin as usize] += g;
+                h_hist[off + bin as usize] += h;
+            }
+        }
+    }
+    let mut best = None;
+    for (j, &(feature, off)) in active.iter().enumerate() {
+        let n_bins = ctx.binner.n_bins(feature);
+        scan_histogram(
+            ctx,
+            (g_total, h_total),
+            feature,
+            (&g_hist[off..off + n_bins], &h_hist[off..off + n_bins]),
+            (g_missing[j], h_missing[j]),
+            &mut best,
+        );
+    }
+    best
+}
+
+/// Cumulative left-to-right scan of one feature's finished histogram, trying
+/// both missing-value directions at every bin boundary. A candidate replaces
+/// `best` only on a strictly higher gain, so ties keep the earlier feature
+/// and bin.
+fn scan_histogram(
+    ctx: &FitContext<'_>,
+    (g_total, h_total): (f64, f64),
+    feature: usize,
+    (g_hist, h_hist): (&[f64], &[f64]),
+    (g_missing, h_missing): (f64, f64),
+    best: &mut Option<SplitCandidate>,
+) {
+    let parent_score = g_total * g_total / (h_total + ctx.params.lambda);
+    let mut gl = 0.0f64;
+    let mut hl = 0.0f64;
+    for bin in 0..g_hist.len() - 1 {
+        gl += g_hist[bin];
+        hl += h_hist[bin];
+        for missing_left in [false, true] {
+            let (gl_eff, hl_eff) = if missing_left {
+                (gl + g_missing, hl + h_missing)
+            } else {
+                (gl, hl)
+            };
+            let gr_eff = g_total - gl_eff;
+            let hr_eff = h_total - hl_eff;
+            if hl_eff < ctx.params.min_child_weight || hr_eff < ctx.params.min_child_weight {
+                continue;
+            }
+            let gain = 0.5
+                * (gl_eff * gl_eff / (hl_eff + ctx.params.lambda)
+                    + gr_eff * gr_eff / (hr_eff + ctx.params.lambda)
+                    - parent_score)
+                - ctx.params.gamma;
+            if best.map(|b| gain > b.gain).unwrap_or(gain > 0.0) {
+                *best = Some(SplitCandidate {
+                    feature,
+                    bin,
+                    gain,
+                    missing_left,
+                    gl: gl_eff,
+                    hl: hl_eff,
+                    gr: gr_eff,
+                    hr: hr_eff,
+                });
+            }
+        }
+    }
+}
+
+/// The column scan the histogram kernel replaced, kept as its oracle: one
+/// strided pass over the row-major bin matrix per feature, re-reading each
+/// row's gradient/hessian once per feature. It feeds every `(feature, bin)`
+/// accumulator the same values in the same row order as the kernel, so the
+/// two must agree to the bit.
+#[cfg(test)]
+fn best_split_column_scan(
     ctx: &FitContext<'_>,
     rows: &[usize],
     features: &[usize],
     g_total: f64,
     h_total: f64,
-    n_threads: usize,
 ) -> Option<SplitCandidate> {
-    let parent_score = g_total * g_total / (h_total + ctx.params.lambda);
-    // Cumulative left-to-right scan of one feature's finished histogram,
-    // trying both missing-value directions at every boundary. Shared by
-    // both accumulation strategies so the decision logic (including the
-    // strict `>` that resolves gain ties to the lowest feature) cannot
-    // drift between them.
-    let scan_histogram = |feature: usize,
-                          g_hist: &[f64],
-                          h_hist: &[f64],
-                          g_missing: f64,
-                          h_missing: f64,
-                          best: &mut Option<SplitCandidate>| {
-        let n_bins = g_hist.len();
-        let mut gl = 0.0f64;
-        let mut hl = 0.0f64;
-        for bin in 0..n_bins - 1 {
-            gl += g_hist[bin];
-            hl += h_hist[bin];
-            for missing_left in [false, true] {
-                let (gl_eff, hl_eff) = if missing_left {
-                    (gl + g_missing, hl + h_missing)
-                } else {
-                    (gl, hl)
-                };
-                let gr_eff = g_total - gl_eff;
-                let hr_eff = h_total - hl_eff;
-                if hl_eff < ctx.params.min_child_weight || hr_eff < ctx.params.min_child_weight {
-                    continue;
-                }
-                let gain = 0.5
-                    * (gl_eff * gl_eff / (hl_eff + ctx.params.lambda)
-                        + gr_eff * gr_eff / (hr_eff + ctx.params.lambda)
-                        - parent_score)
-                    - ctx.params.gamma;
-                if best.map(|b| gain > b.gain).unwrap_or(gain > 0.0) {
-                    *best = Some(SplitCandidate {
-                        feature,
-                        bin,
-                        gain,
-                        missing_left,
-                        gl: gl_eff,
-                        hl: hl_eff,
-                        gr: gr_eff,
-                        hr: hr_eff,
-                    });
-                }
+    let mut best = None;
+    for &feature in features {
+        let n_bins = ctx.binner.n_bins(feature);
+        if n_bins < 2 {
+            continue;
+        }
+        let mut g_hist = vec![0.0f64; n_bins];
+        let mut h_hist = vec![0.0f64; n_bins];
+        let mut g_missing = 0.0f64;
+        let mut h_missing = 0.0f64;
+        for &r in rows {
+            let bin = ctx.binned[r * ctx.n_features + feature];
+            if bin == MISSING_BIN {
+                g_missing += ctx.grad[r] as f64;
+                h_missing += ctx.hess[r] as f64;
+            } else {
+                g_hist[bin as usize] += ctx.grad[r] as f64;
+                h_hist[bin as usize] += ctx.hess[r] as f64;
             }
         }
-    };
-    let evaluate_chunk = |chunk: &[usize]| -> Option<SplitCandidate> {
-        let mut best: Option<SplitCandidate> = None;
-        match ctx.strategy {
-            SplitStrategy::ColumnScan => {
-                for &feature in chunk {
-                    let n_bins = ctx.binner.n_bins(feature);
-                    if n_bins < 2 {
-                        continue;
-                    }
-                    let mut g_hist = vec![0.0f64; n_bins];
-                    let mut h_hist = vec![0.0f64; n_bins];
-                    let mut g_missing = 0.0f64;
-                    let mut h_missing = 0.0f64;
-                    for &r in rows {
-                        let bin = ctx.binned[r * ctx.n_features + feature];
-                        if bin == MISSING_BIN {
-                            g_missing += ctx.grad[r] as f64;
-                            h_missing += ctx.hess[r] as f64;
-                        } else {
-                            g_hist[bin as usize] += ctx.grad[r] as f64;
-                            h_hist[bin as usize] += ctx.hess[r] as f64;
-                        }
-                    }
-                    scan_histogram(feature, &g_hist, &h_hist, g_missing, h_missing, &mut best);
-                }
-            }
-            SplitStrategy::Histogram => {
-                // One flat scratch buffer for the whole chunk; features with
-                // a single bin have nothing to split on and are skipped, as
-                // in the column scan.
-                let active: Vec<(usize, usize)> = {
-                    let mut offset = 0usize;
-                    chunk
-                        .iter()
-                        .filter(|&&f| ctx.binner.n_bins(f) >= 2)
-                        .map(|&f| {
-                            let entry = (f, offset);
-                            offset += ctx.binner.n_bins(f);
-                            entry
-                        })
-                        .collect()
-                };
-                let total_bins = active
-                    .last()
-                    .map(|&(f, off)| off + ctx.binner.n_bins(f))
-                    .unwrap_or(0);
-                let mut g_hist = vec![0.0f64; total_bins];
-                let mut h_hist = vec![0.0f64; total_bins];
-                let mut g_missing = vec![0.0f64; active.len()];
-                let mut h_missing = vec![0.0f64; active.len()];
-                for &r in rows {
-                    let row_bins = &ctx.binned[r * ctx.n_features..(r + 1) * ctx.n_features];
-                    let g = ctx.grad[r] as f64;
-                    let h = ctx.hess[r] as f64;
-                    for (j, &(feature, off)) in active.iter().enumerate() {
-                        let bin = row_bins[feature];
-                        if bin == MISSING_BIN {
-                            g_missing[j] += g;
-                            h_missing[j] += h;
-                        } else {
-                            g_hist[off + bin as usize] += g;
-                            h_hist[off + bin as usize] += h;
-                        }
-                    }
-                }
-                for (j, &(feature, off)) in active.iter().enumerate() {
-                    let n_bins = ctx.binner.n_bins(feature);
-                    scan_histogram(
-                        feature,
-                        &g_hist[off..off + n_bins],
-                        &h_hist[off..off + n_bins],
-                        g_missing[j],
-                        h_missing[j],
-                        &mut best,
-                    );
-                }
-            }
-        }
-        best
-    };
-
-    // Parallelise the per-feature histogram work across threads when there is
-    // enough of it to pay for the spawn overhead (and more than one core to
-    // run it on). Chunk results are reduced in feature order with a strict
-    // `>` comparison, so ties resolve to the lowest feature index —
-    // byte-identical to the sequential scan.
-    const PARALLEL_THRESHOLD: usize = 64;
-    let best = if features.len() >= PARALLEL_THRESHOLD && n_threads > 1 {
-        let chunk_size = features.len().div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = features
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || evaluate_chunk(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("split worker panicked"))
-                .fold(None::<SplitCandidate>, |acc, cand| match acc {
-                    Some(best) if cand.gain <= best.gain => Some(best),
-                    _ => Some(cand),
-                })
-        })
-    } else {
-        evaluate_chunk(features)
-    };
-    // Sanity: children partition the parent's gradient mass.
-    if let Some(b) = &best {
-        debug_assert!((b.gl + b.gr - g_total).abs() < 1e-6 * (1.0 + g_total.abs()));
-        debug_assert!((b.hl + b.hr - h_total).abs() < 1e-6 * (1.0 + h_total.abs()));
+        scan_histogram(
+            ctx,
+            (g_total, h_total),
+            feature,
+            (&g_hist, &h_hist),
+            (g_missing, h_missing),
+            &mut best,
+        );
     }
     best
+}
+
+/// The recursive builder [`grow`] replaced, kept as its reference: one
+/// sequential split search per node, numbering nodes in creation order,
+/// which is depth-first. Returns the node's index in `nodes`.
+#[cfg(test)]
+fn grow_recursively(
+    ctx: &FitContext<'_>,
+    nodes: &mut Vec<Node>,
+    rows: Vec<usize>,
+    features: &[usize],
+    depth: usize,
+) -> usize {
+    let node = OpenNode::open(ctx, nodes, rows);
+    if depth >= ctx.params.max_depth || node.rows.len() < 2 {
+        return node.id;
+    }
+    let Some(best) = best_split_in_chunk(ctx, &node.rows, features, node.g, node.h) else {
+        return node.id;
+    };
+    if best.gain <= 0.0 {
+        return node.id;
+    }
+    let (left_rows, right_rows) = partition(ctx, &node.rows, &best);
+    if left_rows.is_empty() || right_rows.is_empty() {
+        return node.id;
+    }
+    let value = nodes[node.id].value();
+    let left = grow_recursively(ctx, nodes, left_rows, features, depth + 1);
+    let right = grow_recursively(ctx, nodes, right_rows, features, depth + 1);
+    nodes[node.id] = Node::Split {
+        feature: best.feature,
+        threshold: ctx.binner.threshold(best.feature, best.bin),
+        default_left: best.missing_left,
+        left,
+        right,
+        value,
+        cover: node.h,
+    };
+    node.id
 }
 
 /// Sample `k` distinct feature indices out of `n` (column subsampling).
@@ -788,20 +918,172 @@ mod tests {
         assert_eq!(one.len(), 1);
     }
 
-    /// With more features than `PARALLEL_THRESHOLD`, split finding runs on
-    /// scoped threads; the threaded reduction must agree with the sequential
-    /// scan bit-for-bit, including gain ties resolving to the lowest feature
-    /// index. 70 identical copies of a separating column tie bit-for-bit, so
-    /// the chosen split must use feature 0. Thread counts are forced so the
-    /// threaded path is exercised even on single-core hosts.
+    /// A context over a dataset's full bin matrix.
+    fn context<'a>(
+        d: &Dataset,
+        binner: &'a Binner,
+        binned: &'a [u8],
+        grad: &'a [f32],
+        hess: &'a [f32],
+        params: TreeParams,
+    ) -> FitContext<'a> {
+        FitContext {
+            binned,
+            n_features: d.n_features(),
+            grad,
+            hess,
+            binner,
+            params,
+        }
+    }
+
+    struct MixedColumns {
+        d: Dataset,
+        grad: Vec<f32>,
+        hess: Vec<f32>,
+        binner: Binner,
+        binned: Vec<u8>,
+    }
+
+    /// Seeded data with every column shape split search must handle. Column
+    /// `f` is, by `f % 9`: 4 constant (a single bin), 5 two-valued with
+    /// missing values, 6 all missing (a single bin), 7 a copy of column 0 or
+    /// 1 (exact gain ties, spread over the feature range), and otherwise
+    /// uniform with 10% missing. Labels follow columns 0 and 1; gradients
+    /// and hessians are logistic at a random margin.
+    fn mixed_columns(rng: &mut StdRng, n_rows: usize, n_features: usize) -> MixedColumns {
+        use rand::Rng;
+        let mut d = Dataset::new((0..n_features).map(|f| format!("x{f}")).collect());
+        let mut grad = Vec::with_capacity(n_rows);
+        let mut hess = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            let mut row = vec![0.0f32; n_features];
+            for f in 0..n_features {
+                row[f] = match f % 9 {
+                    4 => 1.0,
+                    5 if rng.gen_range(0.0..1.0) < 0.1 => f32::NAN,
+                    5 => (rng.gen_range(0.0..1.0) < 0.5) as u8 as f32,
+                    6 => f32::NAN,
+                    7 => row[(f / 9) % 2],
+                    _ if rng.gen_range(0.0..1.0) < 0.1 => f32::NAN,
+                    _ => rng.gen_range(-1.0..1.0),
+                };
+            }
+            let signal = row[0] > -0.2 && (row[1].is_nan() || row[1] >= 0.4);
+            let label = if signal ^ (rng.gen_range(0.0..1.0) < 0.1) {
+                1.0
+            } else {
+                0.0
+            };
+            d.push_row(&row, label);
+            let p: f64 = 1.0 / (1.0 + (-rng.gen_range(-2.0..2.0f64)).exp());
+            grad.push((p - label as f64) as f32);
+            hess.push((p * (1.0 - p)) as f32);
+        }
+        let rows: Vec<usize> = (0..n_rows).collect();
+        let binner = Binner::fit(&d, &rows, 32);
+        let binned = binner.bin_matrix(&d);
+        MixedColumns {
+            d,
+            grad,
+            hess,
+            binner,
+            binned,
+        }
+    }
+
+    /// The histogram kernel must pick exactly the column scan's split (same
+    /// feature, bin, missing direction and gain bits) on random nodes with
+    /// missing values, tied columns and single-bin features.
+    #[test]
+    fn histogram_kernel_matches_the_column_scan() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5ca1);
+        let mut splits = 0;
+        for case in 0..60 {
+            let n_rows = rng.gen_range(20..300);
+            let n_features = rng.gen_range(2..30);
+            let m = mixed_columns(&mut rng, n_rows, n_features);
+            let params = TreeParams {
+                min_child_weight: rng.gen_range(0.0..3.0),
+                lambda: rng.gen_range(0.0..2.0),
+                ..TreeParams::default()
+            };
+            let ctx = context(&m.d, &m.binner, &m.binned, &m.grad, &m.hess, params);
+            let rows = sample_rows(n_rows, rng.gen_range(0.1..1.0), &mut rng);
+            let features = sample_features(n_features, rng.gen_range(0.3..1.0), &mut rng);
+            let g: f64 = rows.iter().map(|&r| m.grad[r] as f64).sum();
+            let h: f64 = rows.iter().map(|&r| m.hess[r] as f64).sum();
+            let key = |c: Option<SplitCandidate>| {
+                c.map(|c| (c.feature, c.bin, c.missing_left, c.gain.to_bits()))
+            };
+            let kernel = key(best_split_in_chunk(&ctx, &rows, &features, g, h));
+            let oracle = key(best_split_column_scan(&ctx, &rows, &features, g, h));
+            assert_eq!(kernel, oracle, "case {case}");
+            splits += kernel.is_some() as usize;
+        }
+        assert!(splits >= 40, "only {splits} of 60 nodes split");
+    }
+
+    /// Level-wise growth must give the recursive builder's tree node for node
+    /// at every worker count: at least `PARALLEL_THRESHOLD` features so the
+    /// fan-out runs, missing values, tied and one- or two-valued columns, a
+    /// subsampled row list, and stops from both `max_depth` and
+    /// `min_child_weight`.
+    #[test]
+    fn grow_matches_the_recursive_builder() {
+        let mut rng = StdRng::seed_from_u64(0x1e7e1);
+        let n_features = 72;
+        let m = mixed_columns(&mut rng, 600, n_features);
+        let rows = sample_rows(600, 0.7, &mut rng);
+        let features: Vec<usize> = (0..n_features).collect();
+        let depth_stopped = TreeParams {
+            max_depth: 4,
+            ..TreeParams::default()
+        };
+        let weight_stopped = TreeParams {
+            max_depth: 12,
+            min_child_weight: 4.0,
+            ..TreeParams::default()
+        };
+        for params in [depth_stopped, weight_stopped] {
+            let ctx = context(&m.d, &m.binner, &m.binned, &m.grad, &m.hess, params);
+            let mut nodes = Vec::new();
+            grow_recursively(&ctx, &mut nodes, rows.clone(), &features, 0);
+            let reference = RegressionTree { nodes };
+            if params.max_depth == 4 {
+                assert_eq!(reference.depth(), 4, "max_depth must stop growth");
+            } else {
+                assert!(reference.depth() < 12, "min_child_weight must stop growth");
+            }
+            assert!(reference.n_leaves() >= 8);
+            for workers in [1, 2, 3, 7] {
+                let (tree, _) = grow(&ctx, &rows, &features, workers);
+                assert_eq!(tree.nodes().len(), reference.nodes().len());
+                for (i, (a, b)) in tree.nodes().iter().zip(reference.nodes()).enumerate() {
+                    assert_eq!(
+                        format!("{a:?}"),
+                        format!("{b:?}"),
+                        "{workers} workers, node {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// 70 identical copies of a column tie bit for bit at every node, so
+    /// every split must use feature 0 whatever the worker count: the level
+    /// fan-out hands later feature chunks to other workers, and the
+    /// reduction must keep the earliest chunk's winner. The labels alternate
+    /// by quarter, so each level has more than one node to split.
     #[test]
     fn parallel_split_ties_resolve_to_lowest_feature() {
         let n_features = 70;
         let names: Vec<String> = (0..n_features).map(|f| format!("x{f}")).collect();
         let mut d = Dataset::new(names);
-        for i in 0..100 {
-            let x = i as f32 / 100.0;
-            d.push_row(&vec![x; n_features], if x > 0.5 { 1.0 } else { 0.0 });
+        for i in 0..200 {
+            let x = i as f32 / 200.0;
+            d.push_row(&vec![x; n_features], ((i / 50) % 2) as f32);
         }
         let grad: Vec<f32> = d.labels().iter().map(|&y| 0.5 - y).collect();
         let hess = vec![0.25f32; d.n_rows()];
@@ -809,87 +1091,15 @@ mod tests {
         let features: Vec<usize> = (0..n_features).collect();
         let binner = Binner::fit(&d, &rows, 32);
         let binned = binner.bin_matrix(&d);
-        let g: f64 = grad.iter().map(|&g| g as f64).sum();
-        let h: f64 = hess.iter().map(|&h| h as f64).sum();
-
-        let mut per_strategy = Vec::new();
-        for strategy in [SplitStrategy::ColumnScan, SplitStrategy::Histogram] {
-            let ctx = FitContext {
-                binned: &binned,
-                n_features,
-                grad: &grad,
-                hess: &hess,
-                binner: &binner,
-                params: TreeParams::default(),
-                strategy,
-            };
-            let sequential = find_best_split_with_threads(&ctx, &rows, &features, g, h, 1)
-                .expect("separable data must split");
-            assert_eq!(sequential.feature, 0, "tie must resolve to lowest feature");
-            for n_threads in [2, 4, 7] {
-                let parallel =
-                    find_best_split_with_threads(&ctx, &rows, &features, g, h, n_threads)
-                        .expect("separable data must split");
-                assert_eq!(parallel.feature, sequential.feature, "{n_threads} threads");
-                assert_eq!(parallel.bin, sequential.bin);
-                assert_eq!(parallel.gain.to_bits(), sequential.gain.to_bits());
-                assert_eq!(parallel.missing_left, sequential.missing_left);
+        let ctx = context(&d, &binner, &binned, &grad, &hess, TreeParams::default());
+        for workers in [1, 2, 4, 7] {
+            let (tree, _) = grow(&ctx, &rows, &features, workers);
+            assert!(tree.depth() >= 2, "{workers} workers");
+            for (i, node) in tree.nodes().iter().enumerate() {
+                if let Node::Split { feature, .. } = node {
+                    assert_eq!(*feature, 0, "{workers} workers, node {i}");
+                }
             }
-            per_strategy.push(sequential);
-        }
-        // And the two accumulation strategies agree bit for bit.
-        let (a, b) = (per_strategy[0], per_strategy[1]);
-        assert_eq!(a.feature, b.feature);
-        assert_eq!(a.bin, b.bin);
-        assert_eq!(a.gain.to_bits(), b.gain.to_bits());
-        assert_eq!(a.missing_left, b.missing_left);
-    }
-
-    /// Whole trees fitted under the two accumulation strategies must be
-    /// identical node for node — same topology, same thresholds and values
-    /// to the bit — on data with missing values and ties.
-    #[test]
-    fn split_strategies_fit_identical_trees() {
-        let mut rng = StdRng::seed_from_u64(0xbeef);
-        use rand::Rng;
-        let mut d = Dataset::new((0..5).map(|f| format!("x{f}")).collect());
-        for _ in 0..250 {
-            let row: Vec<f32> = (0..5)
-                .map(|_| {
-                    if rng.gen_range(0.0..1.0) < 0.1 {
-                        f32::NAN
-                    } else {
-                        rng.gen_range(-1.0..1.0)
-                    }
-                })
-                .collect();
-            let signal = if row[1].is_nan() { 0.3 } else { row[1] };
-            d.push_row(&row, if signal > 0.0 { 1.0 } else { 0.0 });
-        }
-        let grad: Vec<f32> = d.labels().iter().map(|&y| 0.5 - y).collect();
-        let hess = vec![0.25f32; d.n_rows()];
-        let rows: Vec<usize> = (0..d.n_rows()).collect();
-        let features: Vec<usize> = (0..d.n_features()).collect();
-        let binner = Binner::fit(&d, &rows, 32);
-        let binned = binner.bin_matrix(&d);
-        let fit = |strategy| {
-            RegressionTree::fit_with_strategy(
-                &d,
-                &binner,
-                &binned,
-                &grad,
-                &hess,
-                &rows,
-                &features,
-                TreeParams::default(),
-                strategy,
-            )
-        };
-        let scan = fit(SplitStrategy::ColumnScan);
-        let hist = fit(SplitStrategy::Histogram);
-        assert_eq!(scan.nodes().len(), hist.nodes().len());
-        for (i, (a, b)) in scan.nodes().iter().zip(hist.nodes().iter()).enumerate() {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "node {i} drift");
         }
     }
 
