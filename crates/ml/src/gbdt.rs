@@ -260,12 +260,54 @@ impl GbdtModel {
 mod tests {
     use super::*;
     use crate::metrics::roc_auc;
+    use crate::tree::grow_recursively;
+    use crate::tree::tests::mixed_columns;
+
+    /// Replays the rounds of `model`, fitted on `train` with `params`: each
+    /// round takes the fit's row and feature samples and the gradients at
+    /// the replay's own margins, grows a tree with `grow_round`, scales it by
+    /// the learning rate and adds every row's walked prediction to the
+    /// margins. Returns the scaled trees.
+    fn replay_fit(
+        model: &GbdtModel,
+        train: &Dataset,
+        params: GbdtParams,
+        mut grow_round: impl FnMut(&FitContext<'_>, &[usize], &[usize]) -> RegressionTree,
+    ) -> Vec<RegressionTree> {
+        let n = train.n_rows();
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let binner = Binner::fit(train, &(0..n).collect::<Vec<_>>(), params.max_bins);
+        let binned = binner.bin_matrix(train);
+        let (mut grad, mut hess) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let mut margins = vec![model.base_margin(); n];
+        let mut trees = Vec::with_capacity(model.n_trees());
+        for _ in 0..model.n_trees() {
+            logistic_gradients(train, &margins, &mut grad, &mut hess);
+            let rows = sample_rows(n, params.subsample, &mut rng);
+            let features = sample_features(train.n_features(), params.colsample_bytree, &mut rng);
+            let ctx = FitContext {
+                binned: &binned,
+                n_features: train.n_features(),
+                grad: &grad,
+                hess: &hess,
+                binner: &binner,
+                params: params.tree_params(),
+            };
+            let mut tree = grow_round(&ctx, &rows, &features);
+            tree.scale_values(params.learning_rate);
+            for (r, margin) in margins.iter_mut().enumerate() {
+                *margin += tree.predict_row(train.row(r));
+            }
+            trees.push(tree);
+        }
+        trees
+    }
 
     /// Routing grown rows' margins by their recorded leaf must equal walking
     /// every row through the tree. The test replays a subsampled fit with
-    /// the walk: every recorded leaf must end the row's raw decision path,
-    /// the two margin updates must agree to the bit each round, and the
-    /// replay must grow the fitted model's trees.
+    /// the walk: every recorded leaf must end the row's raw decision path
+    /// with the walked value's bits, and the replay must grow the fitted
+    /// model's trees.
     #[test]
     fn leaf_routing_matches_the_tree_walk() {
         use rand::Rng;
@@ -291,41 +333,62 @@ mod tests {
         };
         let model = GbdtModel::fit(&train, params);
 
-        let n = train.n_rows();
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let binner = Binner::fit(&train, &(0..n).collect::<Vec<_>>(), params.max_bins);
-        let binned = binner.bin_matrix(&train);
-        let (mut grad, mut hess) = (vec![0.0f32; n], vec![0.0f32; n]);
-        let mut margins = vec![model.base_margin(); n];
-        let mut routed = 0;
-        for (round, fitted) in model.trees().iter().enumerate() {
-            logistic_gradients(&train, &margins, &mut grad, &mut hess);
-            let rows = sample_rows(n, params.subsample, &mut rng);
-            let features = sample_features(train.n_features(), params.colsample_bytree, &mut rng);
-            let ctx = FitContext {
-                binned: &binned,
-                n_features: train.n_features(),
-                grad: &grad,
-                hess: &hess,
-                binner: &binner,
-                params: params.tree_params(),
-            };
-            let (mut tree, leaf_of) = grow(&ctx, &rows, &features, 1);
-            tree.scale_values(params.learning_rate);
-            assert_eq!(format!("{tree:?}"), format!("{fitted:?}"), "round {round}");
+        let mut routes = Vec::new();
+        let replayed = replay_fit(&model, &train, params, |ctx, rows, features| {
+            let (tree, leaf_of) = grow(ctx, rows, features, 1);
             assert_eq!(leaf_of.iter().flatten().count(), rows.len());
-            for (r, margin) in margins.iter_mut().enumerate() {
-                let walked = tree.predict_row(train.row(r));
-                if let Some(leaf) = leaf_of[r] {
+            routes.push(leaf_of);
+            tree
+        });
+        let mut routed = 0;
+        for (round, ((tree, leaf_of), fitted)) in
+            replayed.iter().zip(&routes).zip(model.trees()).enumerate()
+        {
+            assert_eq!(format!("{tree:?}"), format!("{fitted:?}"), "round {round}");
+            for (r, leaf) in leaf_of.iter().enumerate() {
+                if let Some(leaf) = *leaf {
+                    let walked = tree.predict_row(train.row(r));
                     assert_eq!(tree.decision_path(train.row(r)).last(), Some(&leaf));
                     assert_eq!(tree.nodes()[leaf].value().to_bits(), walked.to_bits());
                     routed += 1;
                 }
-                *margin += walked;
             }
         }
         assert_eq!(model.n_trees(), 20);
         assert!(routed > 0);
+    }
+
+    /// A fit shaped like the paper's preset — 60 rounds at depth 5,
+    /// subsample 0.9 and colsample 0.8 of 96 mixed columns, so the split
+    /// search fans out on a host with two or more CPUs — must grow, round
+    /// for round, the trees the recursive direct-sum builder grows from the
+    /// same gradients: histogram subtraction must not move a split.
+    #[test]
+    fn fit_matches_the_direct_sum_reference() {
+        let mut rng = StdRng::seed_from_u64(0xd5);
+        let train = mixed_columns(&mut rng, 1500, 96).d;
+        let params = GbdtParams {
+            n_estimators: 60,
+            learning_rate: 0.15,
+            max_depth: 5,
+            subsample: 0.9,
+            colsample_bytree: 0.8,
+            ..GbdtParams::default()
+        };
+        let model = GbdtModel::fit(&train, params);
+        let replayed = replay_fit(&model, &train, params, |ctx, rows, features| {
+            let mut nodes = Vec::new();
+            grow_recursively(ctx, &mut nodes, rows.to_vec(), features, 0);
+            RegressionTree::from_nodes(nodes)
+        });
+        assert_eq!(model.n_trees(), 60);
+        for (round, (fitted, reference)) in model.trees().iter().zip(&replayed).enumerate() {
+            assert_eq!(
+                format!("{fitted:?}"),
+                format!("{reference:?}"),
+                "round {round}"
+            );
+        }
     }
 
     /// Two informative features plus one noise feature; labels depend on a

@@ -11,7 +11,11 @@
 //! * [`tree`] — histogram-based regression trees with second-order gradient
 //!   splits, L2 regularisation, minimum-split-loss (γ) pruning and learned
 //!   default directions for missing values, grown one depth at a time with
-//!   one split-search fan-out per depth,
+//!   one split-search fan-out per depth. Each split builds its smaller
+//!   child's histograms from its rows and derives the larger child's as
+//!   parent − smaller: equal to the direct row sums up to rounding (to the
+//!   bit on the paper's fits), with exact ties kept and nothing depending on
+//!   the worker count,
 //! * [`gbdt`] — the boosting loop with logistic loss, learning-rate shrinkage,
 //!   row/column subsampling and optional early stopping,
 //! * [`metrics`] — ROC curves/AUC, precision/recall/F1, confusion matrices,

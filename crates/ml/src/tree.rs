@@ -15,12 +15,32 @@
 //!
 //! Trees grow one depth at a time. Every node of a depth is split-searched in
 //! one fan-out: each worker owns one contiguous chunk of the candidate
-//! features and builds that chunk's histograms for every node of the level,
+//! features and makes that chunk's histograms for every node of the level,
 //! so a tree opens at most `max_depth` thread scopes, not one per node. Each
 //! node's chunk winners are reduced in feature order with a strict `>`, so a
-//! gain tie goes to the lowest feature and every worker count grows the same
-//! tree. The finished nodes are numbered in depth-first pre-order (root, left
-//! subtree, right subtree).
+//! gain tie goes to the lowest feature. The finished nodes are numbered in
+//! depth-first pre-order (root, left subtree, right subtree).
+//!
+//! Histograms are made by subtraction. A node's histograms over one chunk
+//! are one flat buffer of `[g, h]` slots, each feature's bins followed by its
+//! missing bucket, laid out once per tree. The root's are built from its
+//! rows. At each split, the child with fewer rows (the left child on a tie)
+//! is built from its rows, and the larger child is derived in place from its
+//! parent's buffer as parent − built, so below the root a level's builds
+//! read at most half of its rows. A split node's buffers are kept only when
+//! its larger child will be searched.
+//!
+//! A derived slot equals the larger child's row-order sum up to rounding,
+//! and in practice to the bit: an f64 sum of f32 gradients is exact unless
+//! the slot's values span many binary orders of magnitude. Leaf weights and
+//! covers still come from row-order sums, so a derived histogram can change
+//! a tree only when two candidate gains fall within rounding of each other.
+//! Exact ties survive: identical columns go through identical operations,
+//! and a slot the larger child has no rows in derives to exactly 0.0
+//! whenever its parent's slot is exact, as the root's always are. No slot
+//! depends on the chunking — each sums the same rows in the same order
+//! whichever worker holds its feature — so every worker count grows the same
+//! tree.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -196,31 +216,6 @@ struct SplitCandidate {
 }
 
 impl RegressionTree {
-    /// Fit a tree to the gradients/hessians of the rows in `rows`, considering
-    /// only `features` as split candidates.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit(
-        data: &Dataset,
-        binner: &Binner,
-        binned: &[u8],
-        grad: &[f32],
-        hess: &[f32],
-        rows: &[usize],
-        features: &[usize],
-        params: TreeParams,
-    ) -> Self {
-        assert_eq!(binned.len(), data.n_rows() * data.n_features());
-        let ctx = FitContext {
-            binned,
-            n_features: data.n_features(),
-            grad,
-            hess,
-            binner,
-            params,
-        };
-        grow(&ctx, rows, features, split_workers()).0
-    }
-
     /// Reassemble a tree from its node array (node 0 is the root) — the
     /// deserialisation counterpart of [`RegressionTree::nodes`], used by the
     /// model-artifact reader.
@@ -347,6 +342,82 @@ pub(crate) fn split_workers() -> usize {
         .min(8)
 }
 
+/// One histogram slot: the gradient and hessian sums, in row order, of a
+/// node's rows that fall in one bin of one feature.
+type Slot = [f64; 2];
+
+/// Where one chunk of candidate features keeps its histograms in a flat
+/// [`Slot`] buffer: every feature that has something to split on (two or
+/// more bins), in chunk order, with the offset of its first slot and its bin
+/// count. A feature owns `n_bins + 1` slots, the last its missing bucket.
+struct ChunkLayout {
+    features: Vec<(usize, usize, usize)>,
+    slots: usize,
+}
+
+impl ChunkLayout {
+    fn new(binner: &Binner, chunk: &[usize]) -> Self {
+        let mut slots = 0;
+        let features = chunk
+            .iter()
+            .filter(|&&f| binner.n_bins(f) >= 2)
+            .map(|&f| {
+                let n_bins = binner.n_bins(f);
+                let entry = (f, slots, n_bins);
+                slots += n_bins + 1;
+                entry
+            })
+            .collect();
+        Self { features, slots }
+    }
+
+    /// The histogram kernel's build half: a single contiguous pass over the
+    /// rows accumulates every feature of the chunk at once — each row's bins
+    /// are adjacent bytes and its gradient/hessian are read once.
+    fn build(&self, ctx: &FitContext<'_>, rows: &[usize]) -> Vec<Slot> {
+        let mut hist = vec![[0.0; 2]; self.slots];
+        for &r in rows {
+            let row_bins = &ctx.binned[r * ctx.n_features..(r + 1) * ctx.n_features];
+            let g = ctx.grad[r] as f64;
+            let h = ctx.hess[r] as f64;
+            for &(feature, offset, n_bins) in &self.features {
+                let bin = row_bins[feature];
+                let slot = if bin == MISSING_BIN {
+                    n_bins
+                } else {
+                    bin as usize
+                };
+                let sums = &mut hist[offset + slot];
+                sums[0] += g;
+                sums[1] += h;
+            }
+        }
+        hist
+    }
+
+    /// The kernel's scan half: the best split over the chunk of a node whose
+    /// histograms are `hist` and whose sums are `g_total`, `h_total`.
+    fn scan(
+        &self,
+        ctx: &FitContext<'_>,
+        hist: &[Slot],
+        g_total: f64,
+        h_total: f64,
+    ) -> Option<SplitCandidate> {
+        let mut best = None;
+        for &(feature, offset, n_bins) in &self.features {
+            scan_histogram(
+                ctx,
+                (g_total, h_total),
+                feature,
+                &hist[offset..=offset + n_bins],
+                &mut best,
+            );
+        }
+        best
+    }
+}
+
 /// A node of the level being grown: its rows, in the order its parent held
 /// them, and their gradient/hessian sums.
 struct OpenNode {
@@ -376,6 +447,19 @@ impl OpenNode {
     }
 }
 
+/// A node whose histograms one level makes, and how.
+struct LevelNode {
+    node: OpenNode,
+    /// `None` when the histograms are built from the node's rows: the root,
+    /// or the child of a split with fewer rows (the left child on a tie).
+    /// `Some(p)` for the larger child: parent buffer `p` minus the histograms
+    /// of its sibling, which the level lists just before it.
+    parent: Option<usize>,
+    /// Whether the node's split is searched. A one-row smaller child is not;
+    /// it is built only so that its sibling can be derived.
+    searched: bool,
+}
+
 /// Grow one tree depth by depth over `rows`, splitting on `features` with up
 /// to `workers` split-search threads per level.
 ///
@@ -387,6 +471,16 @@ pub(crate) fn grow(
     features: &[usize],
     workers: usize,
 ) -> (RegressionTree, Vec<Option<usize>>) {
+    let layouts: Vec<ChunkLayout> = if features.len() < PARALLEL_THRESHOLD || workers < 2 {
+        vec![ChunkLayout::new(ctx.binner, features)]
+    } else {
+        features
+            .chunks(features.len().div_ceil(workers))
+            .map(|chunk| ChunkLayout::new(ctx.binner, chunk))
+            .collect()
+    };
+    let searchable =
+        |depth: usize, node: &OpenNode| depth < ctx.params.max_depth && node.rows.len() >= 2;
     // Nodes in creation (breadth-first) order.
     let mut nodes = Vec::new();
     let mut leaf_of = vec![None; ctx.grad.len()];
@@ -395,16 +489,33 @@ pub(crate) fn grow(
             leaf_of[r] = Some(node.id);
         }
     };
-    let mut level = vec![OpenNode::open(ctx, &mut nodes, rows.to_vec())];
+    let root = OpenNode::open(ctx, &mut nodes, rows.to_vec());
+    let mut level = Vec::new();
+    if searchable(0, &root) {
+        level.push(LevelNode {
+            node: root,
+            parent: None,
+            searched: true,
+        });
+    } else {
+        settle(&root);
+    }
+    // Per chunk, the kept histograms of the split nodes the level's larger
+    // children derive from.
+    let mut parents: Vec<Vec<Vec<Slot>>> = vec![Vec::new(); layouts.len()];
     let mut depth = 0;
     while !level.is_empty() {
-        let (searched, settled): (Vec<_>, Vec<_>) = level
-            .into_iter()
-            .partition(|node| depth < ctx.params.max_depth && node.rows.len() >= 2);
-        settled.iter().for_each(&mut settle);
-        let splits = best_splits(ctx, &searched, features, workers);
-        let mut next = Vec::with_capacity(2 * searched.len());
-        for (node, best) in searched.into_iter().zip(splits) {
+        let per_chunk = search_level(ctx, &layouts, &level, parents);
+        let (winners, mut hists): (Vec<_>, Vec<_>) = per_chunk.into_iter().unzip();
+        parents = vec![Vec::new(); layouts.len()];
+        let mut next = Vec::with_capacity(2 * level.len());
+        for (i, LevelNode { node, .. }) in level.into_iter().enumerate() {
+            let best = reduce_chunk_winners(winners.iter().map(|w: &Vec<_>| w[i]));
+            if let Some(b) = best {
+                // Sanity: children partition the parent's gradient mass.
+                debug_assert!((b.gl + b.gr - node.g).abs() < 1e-6 * (1.0 + node.g.abs()));
+                debug_assert!((b.hl + b.hr - node.h).abs() < 1e-6 * (1.0 + node.h.abs()));
+            }
             let Some(best) = best.filter(|b| b.gain > 0.0) else {
                 settle(&node);
                 continue;
@@ -425,8 +536,33 @@ pub(crate) fn grow(
                 value: nodes[node.id].value(),
                 cover: node.h,
             };
-            next.push(left);
-            next.push(right);
+            let (smaller, larger) = if left.rows.len() <= right.rows.len() {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            // The smaller child is searched only if the larger one is, so
+            // the node's histograms are kept exactly when the larger child
+            // will be derived from them.
+            if !searchable(depth + 1, &larger) {
+                settle(&smaller);
+                settle(&larger);
+                continue;
+            }
+            let parent = parents[0].len();
+            for (kept, chunk_hists) in parents.iter_mut().zip(&mut hists) {
+                kept.push(std::mem::take(&mut chunk_hists[i]));
+            }
+            next.push(LevelNode {
+                searched: searchable(depth + 1, &smaller),
+                node: smaller,
+                parent: None,
+            });
+            next.push(LevelNode {
+                node: larger,
+                parent: Some(parent),
+                searched: true,
+            });
         }
         level = next;
         depth += 1;
@@ -489,147 +625,118 @@ fn partition(
     (left, right)
 }
 
-/// The best split of every node in `level`, one entry per node.
-///
-/// With at least [`PARALLEL_THRESHOLD`] features and more than one worker
-/// this is one fan-out: each worker builds one contiguous feature chunk's
-/// histograms for every node of the level, and the calling thread takes the
-/// first chunk. Each node's chunk winners are then reduced in chunk order
-/// with a strict `>`, so a tie keeps the earlier chunk and goes to the lowest
-/// feature, as in one sequential scan.
-fn best_splits(
+/// One level's split search, in one fan-out when there is more than one
+/// chunk: each worker makes one chunk's histograms for every node of the
+/// level, and the calling thread takes the first chunk. `parents` holds each
+/// chunk's retained parent buffers. Returns, per chunk, every level node's
+/// best split in the chunk and its histograms.
+fn search_level(
     ctx: &FitContext<'_>,
-    level: &[OpenNode],
-    features: &[usize],
-    workers: usize,
-) -> Vec<Option<SplitCandidate>> {
-    let search = |chunk: &[usize]| -> Vec<Option<SplitCandidate>> {
-        level
-            .iter()
-            .map(|node| best_split_in_chunk(ctx, &node.rows, chunk, node.g, node.h))
-            .collect()
-    };
-    let best = if level.is_empty() || features.len() < PARALLEL_THRESHOLD || workers < 2 {
-        search(features)
-    } else {
-        let search = &search;
-        let mut chunks = features.chunks(features.len().div_ceil(workers));
-        let first = chunks.next().expect("a non-empty feature list has a chunk");
-        let per_chunk: Vec<Vec<Option<SplitCandidate>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .map(|chunk| scope.spawn(move || search(chunk)))
-                .collect();
-            let mut per_chunk = vec![search(first)];
-            per_chunk.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("split worker panicked")),
-            );
-            per_chunk
-        });
-        (0..level.len())
-            .map(|i| {
-                per_chunk
-                    .iter()
-                    .filter_map(|chunk_best| chunk_best[i])
-                    .fold(None::<SplitCandidate>, |acc, cand| match acc {
-                        Some(best) if cand.gain <= best.gain => Some(best),
-                        _ => Some(cand),
-                    })
-            })
-            .collect()
-    };
-    // Sanity: children partition each parent's gradient mass.
-    for (node, b) in level.iter().zip(&best) {
-        if let Some(b) = b {
-            debug_assert!((b.gl + b.gr - node.g).abs() < 1e-6 * (1.0 + node.g.abs()));
-            debug_assert!((b.hl + b.hr - node.h).abs() < 1e-6 * (1.0 + node.h.abs()));
-        }
+    layouts: &[ChunkLayout],
+    level: &[LevelNode],
+    parents: Vec<Vec<Vec<Slot>>>,
+) -> Vec<ChunkResult> {
+    let mut jobs = layouts.iter().zip(parents);
+    let (first, first_parents) = jobs.next().expect("a tree has at least one feature chunk");
+    if layouts.len() == 1 {
+        return vec![search_chunk(ctx, first, level, first_parents)];
     }
-    best
-}
-
-/// The histogram kernel: the best split of one node over one chunk of
-/// candidate features. A single contiguous pass over the node's rows
-/// accumulates every feature's histogram at once — each row's bins are
-/// adjacent bytes and its gradient/hessian are read once — into one flat
-/// scratch buffer. Features with a single bin have nothing to split on and
-/// are skipped.
-fn best_split_in_chunk(
-    ctx: &FitContext<'_>,
-    rows: &[usize],
-    chunk: &[usize],
-    g_total: f64,
-    h_total: f64,
-) -> Option<SplitCandidate> {
-    let active: Vec<(usize, usize)> = {
-        let mut offset = 0usize;
-        chunk
-            .iter()
-            .filter(|&&f| ctx.binner.n_bins(f) >= 2)
-            .map(|&f| {
-                let entry = (f, offset);
-                offset += ctx.binner.n_bins(f);
-                entry
-            })
-            .collect()
-    };
-    let total_bins = active
-        .last()
-        .map(|&(f, off)| off + ctx.binner.n_bins(f))
-        .unwrap_or(0);
-    let mut g_hist = vec![0.0f64; total_bins];
-    let mut h_hist = vec![0.0f64; total_bins];
-    let mut g_missing = vec![0.0f64; active.len()];
-    let mut h_missing = vec![0.0f64; active.len()];
-    for &r in rows {
-        let row_bins = &ctx.binned[r * ctx.n_features..(r + 1) * ctx.n_features];
-        let g = ctx.grad[r] as f64;
-        let h = ctx.hess[r] as f64;
-        for (j, &(feature, off)) in active.iter().enumerate() {
-            let bin = row_bins[feature];
-            if bin == MISSING_BIN {
-                g_missing[j] += g;
-                h_missing[j] += h;
-            } else {
-                g_hist[off + bin as usize] += g;
-                h_hist[off + bin as usize] += h;
-            }
-        }
-    }
-    let mut best = None;
-    for (j, &(feature, off)) in active.iter().enumerate() {
-        let n_bins = ctx.binner.n_bins(feature);
-        scan_histogram(
-            ctx,
-            (g_total, h_total),
-            feature,
-            (&g_hist[off..off + n_bins], &h_hist[off..off + n_bins]),
-            (g_missing[j], h_missing[j]),
-            &mut best,
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .map(|(layout, parents)| scope.spawn(move || search_chunk(ctx, layout, level, parents)))
+            .collect();
+        let mut per_chunk = vec![search_chunk(ctx, first, level, first_parents)];
+        per_chunk.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("split worker panicked")),
         );
-    }
-    best
+        per_chunk
+    })
 }
 
-/// Cumulative left-to-right scan of one feature's finished histogram, trying
-/// both missing-value directions at every bin boundary. A candidate replaces
-/// `best` only on a strictly higher gain, so ties keep the earlier feature
-/// and bin.
+/// One chunk's share of a level: every level node's best split in the chunk
+/// (`None` for a node that is not searched) and its histograms.
+type ChunkResult = (Vec<Option<SplitCandidate>>, Vec<Vec<Slot>>);
+
+/// Make one chunk's histograms for every node of the level, in level order,
+/// and scan the searched ones. A built node accumulates its rows; a larger
+/// child takes its parent's buffer and subtracts its sibling's, slot by
+/// slot, in place.
+fn search_chunk(
+    ctx: &FitContext<'_>,
+    layout: &ChunkLayout,
+    level: &[LevelNode],
+    mut parents: Vec<Vec<Slot>>,
+) -> ChunkResult {
+    let mut winners = Vec::with_capacity(level.len());
+    let mut hists: Vec<Vec<Slot>> = Vec::with_capacity(level.len());
+    for entry in level {
+        let hist = match entry.parent {
+            None => layout.build(ctx, &entry.node.rows),
+            Some(p) => {
+                let mut hist = std::mem::take(&mut parents[p]);
+                derive(
+                    &mut hist,
+                    hists.last().expect("a derived child follows its sibling"),
+                );
+                hist
+            }
+        };
+        winners.push(if entry.searched {
+            layout.scan(ctx, &hist, entry.node.g, entry.node.h)
+        } else {
+            None
+        });
+        hists.push(hist);
+    }
+    (winners, hists)
+}
+
+/// Turn a parent's histograms into its larger child's: the parent's minus
+/// the smaller child's, slot by slot. A slot the larger child has no rows in
+/// held the same row-order sum in both buffers, so it derives to exactly
+/// 0.0 when the parent's buffer was built from its rows.
+fn derive(parent: &mut [Slot], smaller: &[Slot]) {
+    for (sums, built) in parent.iter_mut().zip(smaller) {
+        sums[0] -= built[0];
+        sums[1] -= built[1];
+    }
+}
+
+/// Reduce one node's chunk winners in chunk order with a strict `>`, so a
+/// tie keeps the earlier chunk and goes to the lowest feature, as in one
+/// sequential scan.
+fn reduce_chunk_winners(
+    winners: impl Iterator<Item = Option<SplitCandidate>>,
+) -> Option<SplitCandidate> {
+    winners
+        .flatten()
+        .fold(None, |acc: Option<SplitCandidate>, cand| match acc {
+            Some(best) if cand.gain <= best.gain => Some(best),
+            _ => Some(cand),
+        })
+}
+
+/// Cumulative left-to-right scan of one feature's finished histogram (its
+/// bins, then its missing bucket), trying both missing-value directions at
+/// every bin boundary. A candidate replaces `best` only on a strictly higher
+/// gain, so ties keep the earlier feature and bin.
 fn scan_histogram(
     ctx: &FitContext<'_>,
     (g_total, h_total): (f64, f64),
     feature: usize,
-    (g_hist, h_hist): (&[f64], &[f64]),
-    (g_missing, h_missing): (f64, f64),
+    hist: &[Slot],
     best: &mut Option<SplitCandidate>,
 ) {
+    let (bins, missing) = hist.split_at(hist.len() - 1);
+    let [g_missing, h_missing] = missing[0];
     let parent_score = g_total * g_total / (h_total + ctx.params.lambda);
     let mut gl = 0.0f64;
     let mut hl = 0.0f64;
-    for bin in 0..g_hist.len() - 1 {
-        gl += g_hist[bin];
-        hl += h_hist[bin];
+    for (bin, &[g, h]) in bins[..bins.len() - 1].iter().enumerate() {
+        gl += g;
+        hl += h;
         for missing_left in [false, true] {
             let (gl_eff, hl_eff) = if missing_left {
                 (gl + g_missing, hl + h_missing)
@@ -662,6 +769,21 @@ fn scan_histogram(
     }
 }
 
+/// The direct kernel: one node's best split over `features`, from
+/// histograms built from its own rows. [`grow`] builds only the root and
+/// the smaller child of each split this way.
+#[cfg(test)]
+fn best_split_direct(
+    ctx: &FitContext<'_>,
+    rows: &[usize],
+    features: &[usize],
+    g_total: f64,
+    h_total: f64,
+) -> Option<SplitCandidate> {
+    let layout = ChunkLayout::new(ctx.binner, features);
+    layout.scan(ctx, &layout.build(ctx, rows), g_total, h_total)
+}
+
 /// The column scan the histogram kernel replaced, kept as its oracle: one
 /// strided pass over the row-major bin matrix per feature, re-reading each
 /// row's gradient/hessian once per feature. It feeds every `(feature, bin)`
@@ -681,37 +803,29 @@ fn best_split_column_scan(
         if n_bins < 2 {
             continue;
         }
-        let mut g_hist = vec![0.0f64; n_bins];
-        let mut h_hist = vec![0.0f64; n_bins];
-        let mut g_missing = 0.0f64;
-        let mut h_missing = 0.0f64;
+        // Bins, then the missing bucket.
+        let mut hist = vec![[0.0f64; 2]; n_bins + 1];
         for &r in rows {
             let bin = ctx.binned[r * ctx.n_features + feature];
-            if bin == MISSING_BIN {
-                g_missing += ctx.grad[r] as f64;
-                h_missing += ctx.hess[r] as f64;
+            let slot = if bin == MISSING_BIN {
+                n_bins
             } else {
-                g_hist[bin as usize] += ctx.grad[r] as f64;
-                h_hist[bin as usize] += ctx.hess[r] as f64;
-            }
+                bin as usize
+            };
+            hist[slot][0] += ctx.grad[r] as f64;
+            hist[slot][1] += ctx.hess[r] as f64;
         }
-        scan_histogram(
-            ctx,
-            (g_total, h_total),
-            feature,
-            (&g_hist, &h_hist),
-            (g_missing, h_missing),
-            &mut best,
-        );
+        scan_histogram(ctx, (g_total, h_total), feature, &hist, &mut best);
     }
     best
 }
 
 /// The recursive builder [`grow`] replaced, kept as its reference: one
-/// sequential split search per node, numbering nodes in creation order,
-/// which is depth-first. Returns the node's index in `nodes`.
+/// sequential split search per node, from histograms summed directly over
+/// the node's rows, numbering nodes in creation order, which is depth-first.
+/// Returns the node's index in `nodes`.
 #[cfg(test)]
-fn grow_recursively(
+pub(crate) fn grow_recursively(
     ctx: &FitContext<'_>,
     nodes: &mut Vec<Node>,
     rows: Vec<usize>,
@@ -722,7 +836,7 @@ fn grow_recursively(
     if depth >= ctx.params.max_depth || node.rows.len() < 2 {
         return node.id;
     }
-    let Some(best) = best_split_in_chunk(ctx, &node.rows, features, node.g, node.h) else {
+    let Some(best) = best_split_direct(ctx, &node.rows, features, node.g, node.h) else {
         return node.id;
     };
     if best.gain <= 0.0 {
@@ -772,7 +886,7 @@ pub(crate) fn sample_rows(n: usize, fraction: f64, rng: &mut StdRng) -> Vec<usiz
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
 
@@ -790,22 +904,25 @@ mod tests {
         (d, grad, hess)
     }
 
-    fn fit_default(d: &Dataset, grad: &[f32], hess: &[f32]) -> (RegressionTree, Binner) {
+    /// Grow one tree over every row and feature of `d`, binned into at most
+    /// `max_bins` bins.
+    fn fit_all(
+        d: &Dataset,
+        grad: &[f32],
+        hess: &[f32],
+        max_bins: usize,
+        params: TreeParams,
+    ) -> RegressionTree {
         let rows: Vec<usize> = (0..d.n_rows()).collect();
         let features: Vec<usize> = (0..d.n_features()).collect();
-        let binner = Binner::fit(d, &rows, 32);
+        let binner = Binner::fit(d, &rows, max_bins);
         let binned = binner.bin_matrix(d);
-        let tree = RegressionTree::fit(
-            d,
-            &binner,
-            &binned,
-            grad,
-            hess,
-            &rows,
-            &features,
-            TreeParams::default(),
-        );
-        (tree, binner)
+        let ctx = context(d, &binner, &binned, grad, hess, params);
+        grow(&ctx, &rows, &features, split_workers()).0
+    }
+
+    fn fit_default(d: &Dataset, grad: &[f32], hess: &[f32]) -> RegressionTree {
+        fit_all(d, grad, hess, 32, TreeParams::default())
     }
 
     #[test]
@@ -830,7 +947,7 @@ mod tests {
     #[test]
     fn tree_learns_separable_data() {
         let (d, grad, hess) = separable();
-        let (tree, _) = fit_default(&d, &grad, &hess);
+        let tree = fit_default(&d, &grad, &hess);
         assert!(tree.depth() >= 1);
         // Positive rows should get positive leaf weights and vice versa.
         let pos_pred = tree.predict_row(&[0.9, 0.0]);
@@ -842,7 +959,7 @@ mod tests {
     #[test]
     fn missing_values_follow_default_direction() {
         let (d, grad, hess) = separable();
-        let (tree, _) = fit_default(&d, &grad, &hess);
+        let tree = fit_default(&d, &grad, &hess);
         // Prediction for a missing feature 0 must equal one of the two sides.
         let miss = tree.predict_row(&[f32::NAN, 0.0]);
         let lo = tree.predict_row(&[0.1, 0.0]);
@@ -853,16 +970,11 @@ mod tests {
     #[test]
     fn max_depth_zero_gives_single_leaf() {
         let (d, grad, hess) = separable();
-        let rows: Vec<usize> = (0..d.n_rows()).collect();
-        let features: Vec<usize> = (0..d.n_features()).collect();
-        let binner = Binner::fit(&d, &rows, 16);
-        let binned = binner.bin_matrix(&d);
         let params = TreeParams {
             max_depth: 0,
             ..TreeParams::default()
         };
-        let tree =
-            RegressionTree::fit(&d, &binner, &binned, &grad, &hess, &rows, &features, params);
+        let tree = fit_all(&d, &grad, &hess, 16, params);
         assert_eq!(tree.n_leaves(), 1);
         assert_eq!(tree.depth(), 0);
     }
@@ -870,23 +982,18 @@ mod tests {
     #[test]
     fn gamma_prunes_weak_splits() {
         let (d, grad, hess) = separable();
-        let rows: Vec<usize> = (0..d.n_rows()).collect();
-        let features: Vec<usize> = (0..d.n_features()).collect();
-        let binner = Binner::fit(&d, &rows, 16);
-        let binned = binner.bin_matrix(&d);
         let params = TreeParams {
             gamma: 1.0e9,
             ..TreeParams::default()
         };
-        let tree =
-            RegressionTree::fit(&d, &binner, &binned, &grad, &hess, &rows, &features, params);
+        let tree = fit_all(&d, &grad, &hess, 16, params);
         assert_eq!(tree.n_leaves(), 1, "a huge gamma must prevent any split");
     }
 
     #[test]
     fn scale_values_scales_predictions() {
         let (d, grad, hess) = separable();
-        let (mut tree, _) = fit_default(&d, &grad, &hess);
+        let mut tree = fit_default(&d, &grad, &hess);
         let before = tree.predict_row(&[0.9, 0.0]);
         tree.scale_values(0.1);
         let after = tree.predict_row(&[0.9, 0.0]);
@@ -896,7 +1003,7 @@ mod tests {
     #[test]
     fn decision_path_starts_at_root_and_ends_at_leaf() {
         let (d, grad, hess) = separable();
-        let (tree, _) = fit_default(&d, &grad, &hess);
+        let tree = fit_default(&d, &grad, &hess);
         let path = tree.decision_path(&[0.9, 0.0]);
         assert_eq!(path[0], 0);
         assert!(matches!(
@@ -937,8 +1044,8 @@ mod tests {
         }
     }
 
-    struct MixedColumns {
-        d: Dataset,
+    pub(crate) struct MixedColumns {
+        pub(crate) d: Dataset,
         grad: Vec<f32>,
         hess: Vec<f32>,
         binner: Binner,
@@ -948,10 +1055,15 @@ mod tests {
     /// Seeded data with every column shape split search must handle. Column
     /// `f` is, by `f % 9`: 4 constant (a single bin), 5 two-valued with
     /// missing values, 6 all missing (a single bin), 7 a copy of column 0 or
-    /// 1 (exact gain ties, spread over the feature range), and otherwise
-    /// uniform with 10% missing. Labels follow columns 0 and 1; gradients
-    /// and hessians are logistic at a random margin.
-    fn mixed_columns(rng: &mut StdRng, n_rows: usize, n_features: usize) -> MixedColumns {
+    /// 1 (exact gain ties, spread over the feature range), 8 uniform with no
+    /// missing values, and otherwise uniform with 10% missing. Labels follow
+    /// columns 0 and 1; gradients and hessians are logistic at a random
+    /// margin.
+    pub(crate) fn mixed_columns(
+        rng: &mut StdRng,
+        n_rows: usize,
+        n_features: usize,
+    ) -> MixedColumns {
         use rand::Rng;
         let mut d = Dataset::new((0..n_features).map(|f| format!("x{f}")).collect());
         let mut grad = Vec::with_capacity(n_rows);
@@ -965,6 +1077,7 @@ mod tests {
                     5 => (rng.gen_range(0.0..1.0) < 0.5) as u8 as f32,
                     6 => f32::NAN,
                     7 => row[(f / 9) % 2],
+                    8 => rng.gen_range(-1.0..1.0),
                     _ if rng.gen_range(0.0..1.0) < 0.1 => f32::NAN,
                     _ => rng.gen_range(-1.0..1.0),
                 };
@@ -1017,7 +1130,7 @@ mod tests {
             let key = |c: Option<SplitCandidate>| {
                 c.map(|c| (c.feature, c.bin, c.missing_left, c.gain.to_bits()))
             };
-            let kernel = key(best_split_in_chunk(&ctx, &rows, &features, g, h));
+            let kernel = key(best_split_direct(&ctx, &rows, &features, g, h));
             let oracle = key(best_split_column_scan(&ctx, &rows, &features, g, h));
             assert_eq!(kernel, oracle, "case {case}");
             splits += kernel.is_some() as usize;
@@ -1025,11 +1138,146 @@ mod tests {
         assert!(splits >= 40, "only {splits} of 60 nodes split");
     }
 
-    /// Level-wise growth must give the recursive builder's tree node for node
-    /// at every worker count: at least `PARALLEL_THRESHOLD` features so the
-    /// fan-out runs, missing values, tied and one- or two-valued columns, a
-    /// subsampled row list, and stops from both `max_depth` and
-    /// `min_child_weight`.
+    /// Histogram subtraction on its own: on random stable partitions of
+    /// random row sets, the parent's buffer minus the smaller child's must
+    /// match the larger child's directly built buffer within
+    /// `1e-9·(1 + parent mass)` in every slot, and be exactly 0.0 wherever
+    /// the larger child has no rows: an empty bin, or the missing bucket of a
+    /// NaN-free column. Gradients and hessians are spread over 40 binary
+    /// orders of magnitude so that the f64 sums round, as logistic ones
+    /// rarely make them.
+    #[test]
+    fn derived_histograms_match_direct_sums() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0xd1ff);
+        let (mut empty_bins, mut empty_missing, mut rounded) = (0, 0, 0);
+        for case in 0..40 {
+            let n_rows = rng.gen_range(20..400);
+            let n_features = rng.gen_range(64..100);
+            let mut m = mixed_columns(&mut rng, n_rows, n_features);
+            for v in m.grad.iter_mut().chain(&mut m.hess) {
+                *v *= 2f32.powi(-rng.gen_range(0..40));
+            }
+            let params = TreeParams::default();
+            let ctx = context(&m.d, &m.binner, &m.binned, &m.grad, &m.hess, params);
+            // Unit gradients and hessians make a histogram of row counts.
+            let ones = vec![1.0f32; n_rows];
+            let counter = context(&m.d, &m.binner, &m.binned, &ones, &ones, params);
+            let layout = ChunkLayout::new(&m.binner, &(0..n_features).collect::<Vec<_>>());
+            let parent = sample_rows(n_rows, rng.gen_range(0.1..1.0), &mut rng);
+            // Even cases cut on one feature's bin, as a split does; odd ones
+            // send each row left with one random probability.
+            let (left, right): (Vec<usize>, Vec<usize>) = if case % 2 == 0 {
+                let feature = rng.gen_range(0..n_features);
+                let bin = rng.gen_range(0..m.binner.n_bins(feature)) as u8;
+                let missing_left = rng.gen_range(0.0..1.0) < 0.5;
+                parent
+                    .iter()
+                    .partition(|&&r| match m.binned[r * n_features + feature] {
+                        MISSING_BIN => missing_left,
+                        b => b <= bin,
+                    })
+            } else {
+                let p_left = rng.gen_range(0.0..1.0);
+                parent
+                    .iter()
+                    .partition(|_| rng.gen_range(0.0..1.0) < p_left)
+            };
+            let (smaller, larger) = if left.len() <= right.len() {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            let mut derived = layout.build(&ctx, &parent);
+            derive(&mut derived, &layout.build(&ctx, &smaller));
+            let direct = layout.build(&ctx, &larger);
+            let counts = layout.build(&counter, &larger);
+            let mass: f64 = parent
+                .iter()
+                .map(|&r| (m.grad[r].abs() + m.hess[r]) as f64)
+                .sum();
+            for &(feature, offset, n_bins) in &layout.features {
+                for slot in offset..=offset + n_bins {
+                    let at = format!("case {case}, feature {feature}, slot {}", slot - offset);
+                    if counts[slot][0] == 0.0 {
+                        assert_eq!(derived[slot].map(f64::to_bits), [0; 2], "{at}");
+                        if slot == offset + n_bins {
+                            empty_missing += 1;
+                        } else {
+                            empty_bins += 1;
+                        }
+                    } else {
+                        for k in 0..2 {
+                            let error = (derived[slot][k] - direct[slot][k]).abs();
+                            assert!(error <= 1e-9 * (1.0 + mass), "{at}: off by {error}");
+                            rounded += (error > 0.0) as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(empty_bins > 0 && empty_missing > 0 && rounded > 0);
+    }
+
+    /// How many splits of a tree take the shapes histogram subtraction
+    /// treats specially. Each counted split has a searched larger child,
+    /// which is derived from the split node's histograms.
+    #[derive(Debug, Default)]
+    struct SplitShapes {
+        /// The smaller child has one row: it is built but never searched.
+        one_row_settled: usize,
+        /// The smaller child was searched, found no split and settled.
+        searched_settled: usize,
+        /// The children have as many rows each; the left one is built.
+        equal: usize,
+    }
+
+    impl SplitShapes {
+        fn count(&mut self, tree: &RegressionTree, d: &Dataset, rows: &[usize], max_depth: usize) {
+            let nodes = tree.nodes();
+            let mut reached = vec![0usize; nodes.len()];
+            let mut depth = vec![0usize; nodes.len()];
+            for &r in rows {
+                for (level, i) in tree.decision_path(d.row(r)).into_iter().enumerate() {
+                    reached[i] += 1;
+                    depth[i] = level;
+                }
+            }
+            let searched = |i: usize| depth[i] < max_depth && reached[i] >= 2;
+            for node in nodes {
+                let Node::Split { left, right, .. } = *node else {
+                    continue;
+                };
+                let (smaller, larger) = if reached[left] <= reached[right] {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                if !searched(larger) {
+                    continue;
+                }
+                let settled = matches!(nodes[smaller], Node::Leaf { .. });
+                if reached[smaller] == 1 {
+                    self.one_row_settled += 1;
+                } else if settled {
+                    self.searched_settled += 1;
+                }
+                if reached[left] == reached[right] {
+                    self.equal += 1;
+                }
+            }
+        }
+    }
+
+    /// Level-wise growth with histogram subtraction must give the recursive
+    /// direct-sum builder's tree node for node at every worker count: at
+    /// least `PARALLEL_THRESHOLD` features so the fan-out runs, missing
+    /// values, tied and one- or two-valued columns, a subsampled row list,
+    /// and stops from `max_depth` and `min_child_weight` (with a zero weight
+    /// bound, single rows split off). The reference trees must hold each
+    /// split shape subtraction treats specially: a smaller child that
+    /// settles beside a searched sibling, with one row or after a search,
+    /// and children of equal size.
     #[test]
     fn grow_matches_the_recursive_builder() {
         let mut rng = StdRng::seed_from_u64(0x1e7e1);
@@ -1046,17 +1294,28 @@ mod tests {
             min_child_weight: 4.0,
             ..TreeParams::default()
         };
-        for params in [depth_stopped, weight_stopped] {
+        let unweighted = TreeParams {
+            max_depth: 8,
+            min_child_weight: 0.0,
+            ..TreeParams::default()
+        };
+        let mut shapes = SplitShapes::default();
+        for params in [depth_stopped, weight_stopped, unweighted] {
             let ctx = context(&m.d, &m.binner, &m.binned, &m.grad, &m.hess, params);
             let mut nodes = Vec::new();
             grow_recursively(&ctx, &mut nodes, rows.clone(), &features, 0);
             let reference = RegressionTree { nodes };
-            if params.max_depth == 4 {
-                assert_eq!(reference.depth(), 4, "max_depth must stop growth");
-            } else {
+            if params.max_depth == 12 {
                 assert!(reference.depth() < 12, "min_child_weight must stop growth");
+            } else {
+                assert_eq!(
+                    reference.depth(),
+                    params.max_depth,
+                    "max_depth must stop growth"
+                );
             }
             assert!(reference.n_leaves() >= 8);
+            shapes.count(&reference, &m.d, &rows, params.max_depth);
             for workers in [1, 2, 3, 7] {
                 let (tree, _) = grow(&ctx, &rows, &features, workers);
                 assert_eq!(tree.nodes().len(), reference.nodes().len());
@@ -1069,6 +1328,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            shapes.one_row_settled > 0 && shapes.searched_settled > 0 && shapes.equal > 0,
+            "{shapes:?}"
+        );
     }
 
     /// 70 identical copies of a column tie bit for bit at every node, so
@@ -1111,7 +1374,7 @@ mod tests {
         }
         let grad: Vec<f32> = d.labels().iter().map(|&y| 0.5 - y).collect();
         let hess = vec![0.25f32; d.n_rows()];
-        let (tree, _) = fit_default(&d, &grad, &hess);
+        let tree = fit_default(&d, &grad, &hess);
         assert_eq!(tree.n_leaves(), 1);
     }
 }
