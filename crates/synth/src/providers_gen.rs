@@ -6,9 +6,12 @@
 //! any worker count. Claim computation consumes no randomness at all and is
 //! likewise fanned per provider.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
+use bdc::stream::ResidencyMeter;
 use bdc::{Frn, LocationId, Provider, ProviderId, Technology};
+use hexgrid::HexCell;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -311,19 +314,19 @@ fn generate_regional(
 const MAX_BSL_SCATTER_KM: f64 = 10.01;
 
 /// Town blocks fetched, regenerated or distance-tested at once: one window of
-/// a claim scan's candidate visits, or of the fabric drain's towns. Every
-/// block of a window is resident together, so this stays at half the
-/// streaming cache's 64-block cap; a constant, so residency and regeneration
-/// counts never depend on the worker count.
+/// a claim scan's candidate towns, or of the fabric drain's towns. Every block
+/// of a window is resident together; a constant, so residency and
+/// regeneration counts never depend on the worker count.
 pub(crate) const TOWN_WINDOW: usize = 32;
 
 /// Per-town access to the fabric's contiguous BSL blocks — the only fabric
 /// access pruned claim scanning needs. The materialised path slices a
 /// resident [`bdc::Fabric`] ([`FabricTownBsls`]); the streaming path
-/// regenerates blocks on demand from the per-town RNG streams.
+/// regenerates each window from the per-town RNG streams.
 pub(crate) trait TownBsls {
-    /// The blocks of one window of visits: entry `i` holds town `towns[i]`'s
-    /// BSLs in location-id order (a town may appear more than once).
+    /// The blocks of one window of towns, replacing the previous window:
+    /// entry `i` holds town `towns[i]`'s BSLs in location-id order. An empty
+    /// window only lets the previous one go.
     fn blocks(&mut self, towns: &[usize]) -> Vec<&[bdc::Bsl]>;
 }
 
@@ -331,28 +334,7 @@ pub(crate) trait TownBsls {
 /// prefix-sum offset (the fabric stores BSLs in generation order).
 struct FabricTownBsls<'a> {
     fabric: &'a bdc::Fabric,
-    towns: &'a [Town],
-    offsets: Vec<u64>,
-}
-
-impl<'a> FabricTownBsls<'a> {
-    fn new(fabric: &'a bdc::Fabric, towns: &'a [Town]) -> Self {
-        let offsets = crate::fabric_gen::town_offsets(towns);
-        let total: u64 = offsets
-            .last()
-            .map(|&o| o + towns.last().map(|t| t.n_bsls as u64).unwrap_or(0))
-            .unwrap_or(0);
-        assert_eq!(
-            total,
-            fabric.len() as u64,
-            "FabricTownBsls requires the fabric generated from this town list"
-        );
-        Self {
-            fabric,
-            towns,
-            offsets,
-        }
-    }
+    scanner: &'a ClaimScanner<'a>,
 }
 
 impl TownBsls for FabricTownBsls<'_> {
@@ -360,38 +342,42 @@ impl TownBsls for FabricTownBsls<'_> {
         towns
             .iter()
             .map(|&t| {
-                let start = self.offsets[t] as usize;
-                &self.fabric.bsls()[start..start + self.towns[t].n_bsls]
+                let start = self.scanner.offsets[t] as usize;
+                &self.fabric.bsls()[start..start + self.scanner.towns[t].n_bsls]
             })
             .collect()
     }
 }
 
-/// Precomputed town geometry for pruned claim scanning: per-state town index
-/// lists in town-index order, which is exactly the fabric's within-state
-/// block order — so a pruned scan visits the same BSLs in the same order as
-/// the old full-state scan, minus towns provably out of claiming range.
-pub struct ClaimScanner<'a> {
+/// Precomputed town geometry for pruned claim scanning: the towns, their
+/// location-id offsets (town `t`'s BSL `j` is location `offsets[t] + 1 + j`)
+/// and per-state town index lists in town-index order, which is exactly the
+/// fabric's within-state block order — so a pruned scan visits the same BSLs
+/// in the same order as a full-state scan, minus towns provably out of
+/// claiming range.
+pub(crate) struct ClaimScanner<'a> {
     towns: &'a [Town],
+    offsets: &'a [u64],
     state_towns: BTreeMap<&'a str, Vec<usize>>,
 }
 
 impl<'a> ClaimScanner<'a> {
-    pub fn new(towns: &'a [Town]) -> Self {
+    pub(crate) fn new(towns: &'a [Town], offsets: &'a [u64]) -> Self {
         let mut state_towns: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, t) in towns.iter().enumerate() {
             state_towns.entry(t.state.as_str()).or_default().push(i);
         }
-        Self { towns, state_towns }
-    }
-
-    pub fn towns(&self) -> &'a [Town] {
-        self.towns
+        Self {
+            towns,
+            offsets,
+            state_towns,
+        }
     }
 }
 
-/// Compute every provider's claims concurrently (claim computation draws no
-/// randomness, so this is a pure fan-out over providers).
+/// Compute every provider's claims concurrently over a resident fabric (claim
+/// computation draws no randomness, so this is a pure fan-out over providers;
+/// each provider's scan runs on its worker's thread).
 pub fn compute_all_claims(
     profiles: &[ProviderProfile],
     towns: &[Town],
@@ -399,164 +385,232 @@ pub fn compute_all_claims(
     config: &SynthConfig,
     workers: usize,
 ) -> BTreeMap<ProviderId, Vec<ClaimTruth>> {
-    let scanner = ClaimScanner::new(towns);
+    assert_eq!(
+        towns.iter().map(|t| t.n_bsls).sum::<usize>(),
+        fabric.len(),
+        "compute_all_claims requires the fabric generated from this town list"
+    );
+    let offsets = crate::fabric_gen::town_offsets(towns);
+    let scanner = ClaimScanner::new(towns, &offsets);
+    // The materialised world keeps no residency budget.
+    let meter = ResidencyMeter::new();
     map_shards(workers, profiles, |_, p| {
-        (p.provider.id, scan_fabric(p, &scanner, fabric, config))
+        let mut blocks = FabricTownBsls {
+            fabric,
+            scanner: &scanner,
+        };
+        let (claims, _) = scan_claims(p, &scanner, &mut blocks, config, 1, TOWN_WINDOW, &meter);
+        (p.provider.id, claims)
     })
     .into_iter()
     .collect()
 }
 
-/// Compute the provider's location-level claims together with their ground
-/// truth, reading the fabric through a resident [`bdc::Fabric`].
-pub fn compute_claims(
-    profile: &ProviderProfile,
-    towns: &[Town],
-    fabric: &bdc::Fabric,
-    config: &SynthConfig,
-) -> Vec<ClaimTruth> {
-    scan_fabric(profile, &ClaimScanner::new(towns), fabric, config)
+/// One `(deployment, scan town, candidate town)` step of a claim scan, and the
+/// run of the hit buffer holding the BSLs it claims first.
+struct Visit {
+    deployment: usize,
+    scan: usize,
+    cand: usize,
+    phantom: bool,
+    hits: Range<usize>,
 }
 
-/// One provider's claims over a resident fabric, on the calling thread: the
-/// materialised path already fans out across providers.
-fn scan_fabric(
-    profile: &ProviderProfile,
-    scanner: &ClaimScanner,
-    fabric: &bdc::Fabric,
-    config: &SynthConfig,
-) -> Vec<ClaimTruth> {
-    let mut access = FabricTownBsls::new(fabric, scanner.towns);
-    compute_claims_observed(
-        profile,
-        scanner,
-        &mut access,
-        config,
-        1,
-        TOWN_WINDOW,
-        &mut |_, _, _| {},
-    )
+/// A BSL claimed by a visit before any other visit of its deployment: the
+/// BSL's index in its town block, whether the visit truly serves it, and its
+/// hex.
+#[derive(Clone, Copy)]
+struct Hit {
+    hex: HexCell,
+    index: u32,
+    truly_served: bool,
+}
+
+/// Where each of a provider's claims lies, in claim order: its BSL's hex and
+/// town, read off a claim scan's hit buffer visit by visit rather than copied
+/// out per claim.
+pub(crate) struct ClaimGeometry {
+    visits: Vec<Visit>,
+    hits: Vec<Hit>,
+}
+
+impl ClaimGeometry {
+    /// `(hex, town)` of every claim, in claim order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (HexCell, usize)> + '_ {
+        self.visits.iter().flat_map(|visit| {
+            self.hits[visit.hits.clone()]
+                .iter()
+                .map(|hit| (hit.hex, visit.cand))
+        })
+    }
+
+    /// Metered entries it holds: one per hit and one per visit.
+    pub(crate) fn entries(&self) -> usize {
+        self.hits.len() + self.visits.len()
+    }
 }
 
 /// Compute the provider's location-level claims together with their ground
 /// truth. A location is *truly served* when it lies within the technology's
 /// true radius of one of the provider's footprint towns; it is *claimed* when
 /// it lies within the (style-inflated) filing radius. The JCC-style provider
-/// additionally claims a broad western sector it does not serve at all.
+/// additionally claims a phantom market it does not serve at all
+/// ([`scan_towns`]).
 ///
 /// The scan is spatially pruned: for each footprint town only same-state
 /// towns whose centre lies within claiming reach (claim radius plus the
-/// maximum BSL scatter) can contain a claimable BSL, so only their blocks
-/// are visited — in town-index order, which keeps the claim list bit-identical
-/// to a full state scan while touching a tiny fraction of a national fabric.
+/// maximum BSL scatter) can contain a claimable BSL. Each such
+/// `(deployment, scan town, candidate town)` triple is a *visit*; visits are
+/// ordered by deployment, then scan town, then candidate town index, and a
+/// BSL claimed by several visits of one deployment belongs to the first,
+/// which also decides `truly_served`.
 ///
-/// Visits are taken `window` at a time: `bsls` supplies the window's blocks,
-/// the in-radius tests fan across `workers`, and the `seen` dedup, the claim
-/// push and `observe` run on the calling thread in visit order — so the claim
-/// list is the same for every `workers` and `window`. `observe` sees every
-/// claim the instant it is produced, together with its BSL and the index of
-/// the town block holding it: the hook the streaming world uses to capture
-/// each claim's hex and state during the scan.
-pub(crate) fn compute_claims_observed(
+/// The scan is town-major: the visits are grouped by candidate town, and each
+/// candidate's block is fetched once, `window` towns at a time, from `bsls`.
+/// The in-radius tests fan across `workers`, one candidate town each, and test
+/// every BSL against the town's visits in visit order. The calling thread
+/// appends each visit's first claims to a compact hit buffer, charging each
+/// hit to `meter` while its window is still resident. Once every window is
+/// folded the claims are emitted in visit order, then block order, into an
+/// exactly sized list, and the hit buffer becomes their [`ClaimGeometry`] —
+/// the same claims and geometry for every `workers` and `window`. The caller
+/// owns the charge of both: one entry per claim and
+/// [`ClaimGeometry::entries`].
+pub(crate) fn scan_claims(
     profile: &ProviderProfile,
     scanner: &ClaimScanner,
     bsls: &mut impl TownBsls,
     config: &SynthConfig,
     workers: usize,
     window: usize,
-    observe: &mut dyn FnMut(&ClaimTruth, &bdc::Bsl, usize),
-) -> Vec<ClaimTruth> {
+    meter: &ResidencyMeter,
+) -> (Vec<ClaimTruth>, ClaimGeometry) {
     let towns = scanner.towns;
-    let mut claims = Vec::new();
     let multiplier = profile.style.overclaim_multiplier() * (1.0 + config.overclaim_fraction / 4.0);
-    // The JCC scenario: the provider also claims an entire neighbouring market
-    // it does not serve at all — modelled as the nearest town (preferably in
-    // the same state) that is *not* part of its real footprint.
-    let phantom_town = if profile.jcc_like {
-        phantom_market(profile, towns)
-    } else {
-        None
-    };
-    // Real footprint towns are scanned first so genuine service takes
-    // precedence; the phantom market (if any) is scanned last and everything
-    // claimed from it is unserved — the misrepresented region of Figure 8.
-    let mut scan_towns: Vec<(usize, bool)> = profile.towns.iter().map(|&t| (t, false)).collect();
-    if let Some(p) = phantom_town {
-        scan_towns.push((p, true));
-    }
-    for deployment in &profile.deployments {
-        let claim_radius = deployment.true_radius_km * multiplier;
-        let phantom_radius = deployment.true_radius_km.max(4.0);
-        // `(scan town, candidate town, is_phantom)` in scan order, produced
-        // lazily one window at a time.
-        let mut visits = scan_towns.iter().flat_map(|&(town_idx, is_phantom)| {
-            let center = towns[town_idx].center;
+    // `(true, claim, phantom)` radius per deployment.
+    let radii: Vec<(f64, f64, f64)> = profile
+        .deployments
+        .iter()
+        .map(|d| {
+            let r = d.true_radius_km;
+            (r, r * multiplier, r.max(4.0))
+        })
+        .collect();
+    let scan_towns = scan_towns(profile, towns);
+    let mut visits: Vec<Visit> = Vec::new();
+    for (deployment, &(_, claim_radius, phantom_radius)) in radii.iter().enumerate() {
+        for &(scan, phantom) in &scan_towns {
+            let center = towns[scan].center;
             // Widest radius at which this scan can claim a BSL; anything in a
             // town whose centre is further than reach can never be claimed
             // (triangle inequality on the great-circle metric).
-            let claim_reach = if is_phantom {
+            let claim_reach = if phantom {
                 phantom_radius
             } else {
                 claim_radius
             };
             let reach = claim_reach + MAX_BSL_SCATTER_KM;
-            scanner.state_towns[towns[town_idx].state.as_str()]
-                .iter()
-                .filter(move |&&cand| towns[cand].center.haversine_km(&center) <= reach)
-                .map(move |&cand| (town_idx, cand, is_phantom))
-        });
-        // Locations claimed so far: one bit per BSL of each visited block.
-        let mut seen: HashMap<usize, Vec<u64>> = HashMap::new();
-        loop {
-            let batch: Vec<(usize, usize, bool)> = visits.by_ref().take(window).collect();
-            if batch.is_empty() {
-                break;
-            }
-            let candidates: Vec<usize> = batch.iter().map(|&(_, cand, _)| cand).collect();
-            let blocks = bsls.blocks(&candidates);
-            // Per visit, the in-radius BSLs as (index in block, truly served).
-            let hits = map_shards(workers, &batch, |i, &(town_idx, _, is_phantom)| {
-                let center = towns[town_idx].center;
-                let mut hits: Vec<(usize, bool)> = Vec::new();
-                for (j, bsl) in blocks[i].iter().enumerate() {
-                    let dist = center.haversine_km(&bsl.position);
-                    let (truly_served, claimed) = if is_phantom {
-                        (false, dist <= phantom_radius)
-                    } else {
-                        (dist <= deployment.true_radius_km, dist <= claim_radius)
-                    };
-                    if claimed {
-                        hits.push((j, truly_served));
-                    }
-                }
-                hits
-            });
-            for ((block, &cand), hits) in blocks.iter().zip(&candidates).zip(hits) {
-                let seen = seen
-                    .entry(cand)
-                    .or_insert_with(|| vec![0; block.len().div_ceil(64)]);
-                for (j, truly_served) in hits {
-                    let bit = 1u64 << (j % 64);
-                    if seen[j / 64] & bit != 0 {
-                        continue;
-                    }
-                    seen[j / 64] |= bit;
-                    let bsl = &block[j];
-                    let claim = ClaimTruth {
-                        location: bsl.id,
-                        technology: deployment.technology,
-                        truly_served,
-                        max_down_mbps: deployment.max_down_mbps,
-                        max_up_mbps: deployment.max_up_mbps,
-                        low_latency: deployment.low_latency,
-                    };
-                    observe(&claim, bsl, cand);
-                    claims.push(claim);
+            for &cand in &scanner.state_towns[towns[scan].state.as_str()] {
+                if towns[cand].center.haversine_km(&center) <= reach {
+                    visits.push(Visit {
+                        deployment,
+                        scan,
+                        cand,
+                        phantom,
+                        hits: 0..0,
+                    });
                 }
             }
         }
     }
-    claims
+    // The visits reaching each candidate town, in visit order (a stable sort).
+    let mut by_town: Vec<usize> = (0..visits.len()).collect();
+    by_town.sort_by_key(|&v| visits[v].cand);
+    meter.acquire(2 * visits.len()); // the visits and their town-major order
+    let groups: Vec<&[usize]> = by_town
+        .chunk_by(|&a, &b| visits[a].cand == visits[b].cand)
+        .collect();
+
+    let mut hits: Vec<Hit> = Vec::new();
+    for window_groups in groups.chunks(window) {
+        let cands: Vec<usize> = window_groups.iter().map(|g| visits[g[0]].cand).collect();
+        let blocks = bsls.blocks(&cands);
+        // Per candidate town, each of its visits' first claims.
+        let found = map_shards(workers, window_groups, |k, group| {
+            let mut runs: Vec<Vec<Hit>> = vec![Vec::new(); group.len()];
+            for (j, bsl) in blocks[k].iter().enumerate() {
+                // The deployment that claimed this BSL last: its later
+                // visits skip it.
+                let mut taken = usize::MAX;
+                for (run, &v) in runs.iter_mut().zip(group.iter()) {
+                    let visit = &visits[v];
+                    if visit.deployment == taken {
+                        continue;
+                    }
+                    let (true_radius, claim_radius, phantom_radius) = radii[visit.deployment];
+                    let dist = towns[visit.scan].center.haversine_km(&bsl.position);
+                    let (truly_served, claimed) = if visit.phantom {
+                        (false, dist <= phantom_radius)
+                    } else {
+                        (dist <= true_radius, dist <= claim_radius)
+                    };
+                    if claimed {
+                        taken = visit.deployment;
+                        run.push(Hit {
+                            hex: bsl.hex,
+                            index: u32::try_from(j).expect("a town block holds under 2^32 BSLs"),
+                            truly_served,
+                        });
+                    }
+                }
+            }
+            runs
+        });
+        let before = hits.len();
+        for (group, runs) in window_groups.iter().zip(found) {
+            for (&v, run) in group.iter().zip(runs) {
+                let start = hits.len();
+                hits.extend(run);
+                visits[v].hits = start..hits.len();
+            }
+        }
+        meter.acquire(hits.len() - before);
+    }
+    bsls.blocks(&[]);
+    drop(groups);
+    drop(by_town);
+    meter.release(visits.len()); // the town-major order
+
+    meter.acquire(hits.len()); // the claim list
+    let mut claims = Vec::with_capacity(hits.len());
+    for visit in &visits {
+        let deployment = &profile.deployments[visit.deployment];
+        let first = scanner.offsets[visit.cand] + 1;
+        claims.extend(hits[visit.hits.clone()].iter().map(|hit| ClaimTruth {
+            location: LocationId(first + u64::from(hit.index)),
+            technology: deployment.technology,
+            truly_served: hit.truly_served,
+            max_down_mbps: deployment.max_down_mbps,
+            max_up_mbps: deployment.max_up_mbps,
+            low_latency: deployment.low_latency,
+        }));
+    }
+    (claims, ClaimGeometry { visits, hits })
+}
+
+/// The towns a provider's claim scan starts from, with whether each is the
+/// phantom market. Real footprint towns come first so genuine service takes
+/// precedence; the JCC scenario's phantom market — the nearest town
+/// (preferably in the same state) that is *not* part of the real footprint,
+/// an entire neighbouring market the provider does not serve at all — comes
+/// last, and everything claimed from it is unserved: the misrepresented
+/// region of Figure 8.
+fn scan_towns(profile: &ProviderProfile, towns: &[Town]) -> Vec<(usize, bool)> {
+    let mut scan: Vec<(usize, bool)> = profile.towns.iter().map(|&t| (t, false)).collect();
+    if profile.jcc_like {
+        scan.extend(phantom_market(profile, towns).map(|p| (p, true)));
+    }
+    scan
 }
 
 /// The nearest town outside the provider's footprint (preferring the same
@@ -586,17 +640,281 @@ fn phantom_market(profile: &ProviderProfile, towns: &[Town]) -> Option<usize> {
     })
 }
 
+/// The visit-major scan [`scan_claims`] replaced, kept as its reference: each
+/// deployment's visits taken `window` at a time in visit order, one block
+/// fetched per visit, and a `seen` bitset per deployment and visited town
+/// letting the first claiming visit take a BSL. Returns the claims, each
+/// claim's hex and town, and the candidate town of every visit in visit
+/// order.
+#[cfg(test)]
+pub(crate) fn visit_major_claims(
+    profile: &ProviderProfile,
+    scanner: &ClaimScanner,
+    fabric: &bdc::Fabric,
+    config: &SynthConfig,
+    workers: usize,
+    window: usize,
+) -> (Vec<ClaimTruth>, Vec<(HexCell, usize)>, Vec<usize>) {
+    use std::collections::HashMap;
+    let towns = scanner.towns;
+    let mut bsls = FabricTownBsls { fabric, scanner };
+    let (mut claims, mut geo, mut visited) = (Vec::new(), Vec::new(), Vec::new());
+    let multiplier = profile.style.overclaim_multiplier() * (1.0 + config.overclaim_fraction / 4.0);
+    let scan_towns = scan_towns(profile, towns);
+    for deployment in &profile.deployments {
+        let claim_radius = deployment.true_radius_km * multiplier;
+        let phantom_radius = deployment.true_radius_km.max(4.0);
+        let mut visits = scan_towns.iter().flat_map(|&(town_idx, is_phantom)| {
+            let center = towns[town_idx].center;
+            let claim_reach = if is_phantom {
+                phantom_radius
+            } else {
+                claim_radius
+            };
+            let reach = claim_reach + MAX_BSL_SCATTER_KM;
+            scanner.state_towns[towns[town_idx].state.as_str()]
+                .iter()
+                .filter(move |&&cand| towns[cand].center.haversine_km(&center) <= reach)
+                .map(move |&cand| (town_idx, cand, is_phantom))
+        });
+        let mut seen: HashMap<usize, Vec<u64>> = HashMap::new();
+        loop {
+            let batch: Vec<(usize, usize, bool)> = visits.by_ref().take(window).collect();
+            if batch.is_empty() {
+                break;
+            }
+            let candidates: Vec<usize> = batch.iter().map(|&(_, cand, _)| cand).collect();
+            visited.extend(&candidates);
+            let blocks = bsls.blocks(&candidates);
+            let hits = map_shards(workers, &batch, |i, &(town_idx, _, is_phantom)| {
+                let center = towns[town_idx].center;
+                let mut hits: Vec<(usize, bool)> = Vec::new();
+                for (j, bsl) in blocks[i].iter().enumerate() {
+                    let dist = center.haversine_km(&bsl.position);
+                    let (truly_served, claimed) = if is_phantom {
+                        (false, dist <= phantom_radius)
+                    } else {
+                        (dist <= deployment.true_radius_km, dist <= claim_radius)
+                    };
+                    if claimed {
+                        hits.push((j, truly_served));
+                    }
+                }
+                hits
+            });
+            for ((block, &cand), hits) in blocks.iter().zip(&candidates).zip(hits) {
+                let seen = seen
+                    .entry(cand)
+                    .or_insert_with(|| vec![0; block.len().div_ceil(64)]);
+                for (j, truly_served) in hits {
+                    let bit = 1u64 << (j % 64);
+                    if seen[j / 64] & bit != 0 {
+                        continue;
+                    }
+                    seen[j / 64] |= bit;
+                    claims.push(ClaimTruth {
+                        location: block[j].id,
+                        technology: deployment.technology,
+                        truly_served,
+                        max_down_mbps: deployment.max_down_mbps,
+                        max_up_mbps: deployment.max_up_mbps,
+                        low_latency: deployment.low_latency,
+                    });
+                    geo.push((block[j].hex, cand));
+                }
+            }
+        }
+    }
+    (claims, geo, visited)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric_gen::{generate_fabric, generate_towns};
+    use crate::fabric_gen::{generate_fabric, generate_towns, town_offsets};
+    use crate::states::STATES;
+    use geoprim::LatLng;
 
     fn world() -> (SynthConfig, Vec<Town>, bdc::Fabric, Vec<ProviderProfile>) {
-        let config = SynthConfig::tiny(13);
+        world_of(SynthConfig::tiny(13))
+    }
+
+    fn world_of(
+        config: SynthConfig,
+    ) -> (SynthConfig, Vec<Town>, bdc::Fabric, Vec<ProviderProfile>) {
         let towns = generate_towns(&config, 1);
         let fabric = generate_fabric(&config, &towns, 1);
         let providers = generate_providers(&config, &towns, 1);
         (config, towns, fabric, providers)
+    }
+
+    /// Six towns of one state and one of another, with three providers built
+    /// for the scan's corner cases.
+    fn hand_built() -> (SynthConfig, Vec<Town>, bdc::Fabric, Vec<ProviderProfile>) {
+        let config = SynthConfig::tiny(91);
+        let origin = LatLng::new(39.0, -105.0);
+        let town = |code: &str, km_east: f64| Town {
+            state_index: STATES.iter().position(|s| s.code == code).unwrap(),
+            state: code.to_string(),
+            center: origin.destination(90.0, km_east * 1000.0),
+            n_bsls: 60,
+        };
+        let towns = vec![
+            town("CO", 0.0),
+            town("CO", 5.0),
+            town("CO", 10.0),
+            town("CO", 15.0),
+            town("CO", 300.0),
+            town("KS", 7.0),
+        ];
+        let fabric = generate_fabric(&config, &towns, 1);
+        let profile = |id: u32,
+                       footprint: Vec<usize>,
+                       deployments: &[(Technology, f64)],
+                       style: ReportingStyle| ProviderProfile {
+            provider: Provider {
+                id: ProviderId(id),
+                name: format!("Hand Built {id}"),
+                brand: format!("Hand{id}"),
+                frns: vec![Frn(2_000_000 + u64::from(id))],
+                technologies: deployments.iter().map(|d| d.0).collect(),
+                major: false,
+                home_state: "CO".to_string(),
+            },
+            towns: footprint,
+            deployments: deployments
+                .iter()
+                .map(|&(technology, true_radius_km)| TechDeployment {
+                    technology,
+                    true_radius_km,
+                    max_down_mbps: 100.0 * true_radius_km,
+                    max_up_mbps: 10.0 * true_radius_km,
+                    low_latency: technology != Technology::Copper,
+                })
+                .collect(),
+            style,
+            methodology: MethodologyKind::ConsultantTemplate,
+            jcc_like: style == ReportingStyle::IntentionalOverclaim,
+        };
+        let profiles = vec![
+            // Town 1 is reached from towns 0, 1 and 2 by both deployments.
+            profile(
+                1,
+                vec![0, 1, 2],
+                &[(Technology::Cable, 2.5), (Technology::Fiber, 6.0)],
+                ReportingStyle::Aggressive,
+            ),
+            // 5 km apart with a 3 km true radius: town 1's western BSLs lie
+            // inside town 0's claim radius but only town 1's true radius.
+            profile(
+                2,
+                vec![0, 1],
+                &[(Technology::Copper, 3.0)],
+                ReportingStyle::Aggressive,
+            ),
+            // The JCC scenario: town 1 is the phantom market.
+            profile(
+                3,
+                vec![0],
+                &[(Technology::Cable, 3.0)],
+                ReportingStyle::IntentionalOverclaim,
+            ),
+        ];
+        (config, towns, fabric, profiles)
+    }
+
+    /// Every claim's location, technology, ground truth, speed bits and
+    /// latency flag.
+    fn claim_bits(claims: &[ClaimTruth]) -> Vec<(LocationId, Technology, bool, u64, u64, bool)> {
+        claims
+            .iter()
+            .map(|c| {
+                (
+                    c.location,
+                    c.technology,
+                    c.truly_served,
+                    c.max_down_mbps.to_bits(),
+                    c.max_up_mbps.to_bits(),
+                    c.low_latency,
+                )
+            })
+            .collect()
+    }
+
+    /// The town-major scan against the visit-major reference, for every
+    /// profile, window and worker count.
+    fn assert_scans_agree(
+        config: &SynthConfig,
+        towns: &[Town],
+        fabric: &bdc::Fabric,
+        profiles: &[ProviderProfile],
+    ) {
+        let offsets = town_offsets(towns);
+        let scanner = ClaimScanner::new(towns, &offsets);
+        for profile in profiles {
+            let (want, want_geo, _) =
+                visit_major_claims(profile, &scanner, fabric, config, 1, TOWN_WINDOW);
+            for window in [1, 7, TOWN_WINDOW] {
+                for workers in [1, 2, 3] {
+                    let meter = ResidencyMeter::new();
+                    let mut blocks = FabricTownBsls {
+                        fabric,
+                        scanner: &scanner,
+                    };
+                    let (got, geo) = scan_claims(
+                        profile,
+                        &scanner,
+                        &mut blocks,
+                        config,
+                        workers,
+                        window,
+                        &meter,
+                    );
+                    let at = format!(
+                        "provider {}, window {window}, {workers} workers",
+                        profile.provider.id.value()
+                    );
+                    assert_eq!(claim_bits(&got), claim_bits(&want), "{at}");
+                    assert_eq!(geo.iter().collect::<Vec<_>>(), want_geo, "{at}");
+                    // The caller is handed the claims' and the geometry's charge.
+                    assert_eq!(meter.current(), got.len() + geo.entries(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn town_major_scan_matches_the_visit_major_reference() {
+        let (config, towns, fabric, providers) = world();
+        assert_scans_agree(&config, &towns, &fabric, &providers);
+        let (config, towns, fabric, providers) = world_of(SynthConfig {
+            n_bsls: 20_000,
+            bsls_per_town: 50,
+            ..SynthConfig::tiny(84)
+        });
+        assert_scans_agree(&config, &towns, &fabric, &providers);
+
+        let (config, towns, fabric, profiles) = hand_built();
+        assert_scans_agree(&config, &towns, &fabric, &profiles);
+        // The corner cases the hand-built profiles exist for.
+        let offsets = town_offsets(&towns);
+        let scanner = ClaimScanner::new(&towns, &offsets);
+        let reference =
+            |p: &ProviderProfile| visit_major_claims(p, &scanner, &fabric, &config, 1, TOWN_WINDOW);
+        let (_, _, visited) = reference(&profiles[0]);
+        assert_eq!(visited.iter().filter(|&&t| t == 1).count(), 6);
+        let (claims, _, _) = reference(&profiles[1]);
+        let km = |c: &ClaimTruth, t: usize| {
+            let bsl = fabric.get(c.location).unwrap();
+            towns[t].center.haversine_km(&bsl.position)
+        };
+        let radius = profiles[1].deployments[0].true_radius_km;
+        assert!(claims
+            .iter()
+            .any(|c| !c.truly_served && km(c, 0) > radius && km(c, 1) <= radius));
+        // Out of town 0's claim reach, so only the phantom market claims it.
+        let (claims, _, _) = reference(&profiles[2]);
+        assert!(claims.iter().any(|c| km(c, 0) > 6.0 && !c.truly_served));
     }
 
     #[test]
@@ -645,13 +963,12 @@ mod tests {
         let (config, towns, fabric, providers) = world();
         let all = compute_all_claims(&providers, &towns, &fabric, &config, 3);
         assert_eq!(all.len(), providers.len());
-        let sample = &providers[providers.len() / 2];
-        let direct = compute_claims(sample, &towns, &fabric, &config);
-        let fanned = &all[&sample.provider.id];
-        assert_eq!(direct.len(), fanned.len());
-        for (a, b) in direct.iter().zip(fanned) {
-            assert_eq!((a.location, a.technology), (b.location, b.technology));
-            assert_eq!(a.truly_served, b.truly_served);
+        let offsets = town_offsets(&towns);
+        let scanner = ClaimScanner::new(&towns, &offsets);
+        for profile in &providers {
+            let (direct, _, _) =
+                visit_major_claims(profile, &scanner, &fabric, &config, 1, TOWN_WINDOW);
+            assert_eq!(claim_bits(&direct), claim_bits(&all[&profile.provider.id]));
         }
     }
 
@@ -671,9 +988,8 @@ mod tests {
         // Find a provider with a non-accurate style and some claims.
         let mut saw_false_claim = false;
         let mut saw_true_claim = false;
-        for profile in &providers {
-            let claims = compute_claims(profile, &towns, &fabric, &config);
-            for c in &claims {
+        for claims in compute_all_claims(&providers, &towns, &fabric, &config, 1).values() {
+            for c in claims {
                 if c.truly_served {
                     saw_true_claim = true;
                 } else {
@@ -688,11 +1004,12 @@ mod tests {
     #[test]
     fn accurate_providers_never_overclaim_much() {
         let (config, towns, fabric, providers) = world();
+        let all = compute_all_claims(&providers, &towns, &fabric, &config, 1);
         for profile in providers
             .iter()
             .filter(|p| p.style == ReportingStyle::Accurate)
         {
-            let claims = compute_claims(profile, &towns, &fabric, &config);
+            let claims = &all[&profile.provider.id];
             if claims.is_empty() {
                 continue;
             }
@@ -709,7 +1026,8 @@ mod tests {
     fn jcc_provider_has_substantial_false_claims() {
         let (config, towns, fabric, providers) = world();
         let jcc = providers.iter().find(|p| p.jcc_like).unwrap();
-        let claims = compute_claims(jcc, &towns, &fabric, &config);
+        let all = compute_all_claims(&providers, &towns, &fabric, &config, 1);
+        let claims = &all[&jcc.provider.id];
         assert!(!claims.is_empty());
         let false_count = claims.iter().filter(|c| !c.truly_served).count();
         assert!(

@@ -289,7 +289,7 @@ pub fn generate_registrations(
 mod tests {
     use super::*;
     use crate::fabric_gen::{generate_fabric, generate_towns};
-    use crate::providers_gen::{compute_claims, generate_providers};
+    use crate::providers_gen::{compute_all_claims, generate_providers};
     use asnmap::ProviderAsnMatcher;
 
     fn build() -> (
@@ -302,16 +302,16 @@ mod tests {
         let towns = generate_towns(&config, 1);
         let fabric = generate_fabric(&config, &towns, 1);
         let profiles = generate_providers(&config, &towns, 1);
-        let claims_count: BTreeMap<ProviderId, usize> = profiles
-            .iter()
-            .map(|p| {
-                let claims = compute_claims(p, &towns, &fabric, &config);
-                let mut locs: Vec<_> = claims.iter().map(|c| c.location).collect();
-                locs.sort_unstable();
-                locs.dedup();
-                (p.provider.id, locs.len())
-            })
-            .collect();
+        let claims_count: BTreeMap<ProviderId, usize> =
+            compute_all_claims(&profiles, &towns, &fabric, &config, 1)
+                .into_iter()
+                .map(|(id, claims)| {
+                    let mut locs: Vec<_> = claims.iter().map(|c| c.location).collect();
+                    locs.sort_unstable();
+                    locs.dedup();
+                    (id, locs.len())
+                })
+                .collect();
         let data = generate_registrations(&config, &profiles, &claims_count, 1);
         (config, profiles, data, claims_count)
     }

@@ -20,9 +20,12 @@
 //!   the [`RemovalSchedule`], per-hex claim aggregates, served-hex sets and
 //!   distinct-location counts.
 //! * Both stages that regenerate town blocks — the hex-table build and the
-//!   claim scans — take them in fixed windows: worker threads regenerate and
+//!   claim scans — take them in fixed windows of `TOWN_WINDOW` towns, and
+//!   hold only the current window: worker threads regenerate and
 //!   distance-test a window's blocks, and the calling thread folds the
-//!   results in the sequential order.
+//!   results in the sequential order. A claim scan is town-major, so each
+//!   candidate town's block is regenerated once per provider, however many
+//!   of the provider's footprint towns and deployments reach it.
 //! * Every collection the orchestrator holds is accounted against a shared
 //!   [`ResidencyMeter`]; each stage's peak is checked against
 //!   [`SynthConfig::max_resident_entries`] and the run fails loudly on the
@@ -54,8 +57,7 @@ use crate::activity_gen::{
 use crate::config::SynthConfig;
 use crate::fabric_gen::{generate_towns, town_bsls, town_offsets, Town};
 use crate::providers_gen::{
-    compute_claims_observed, generate_providers, ClaimScanner, ProviderProfile, TownBsls,
-    TOWN_WINDOW,
+    generate_providers, scan_claims, ClaimScanner, ProviderProfile, TownBsls, TOWN_WINDOW,
 };
 use crate::registration_gen::{generate_registrations, RegistrationData};
 use crate::release_stream::RemovalSchedule;
@@ -300,102 +302,34 @@ impl FabricView for HexTable {
     }
 }
 
-/// [`TownBsls`] that regenerates town blocks on demand, with a small LRU
-/// cache: claim scans revisit the same neighbour towns across deployments and
-/// consecutive footprint towns, so resident blocks absorb some repeat visits.
-/// Cached entries are metered; the cache is capped in entries. A window's
-/// missing blocks are regenerated across `workers` threads, but every cache
-/// decision and meter call happens on the calling thread, so residency and
+/// [`TownBsls`] that regenerates each window of town blocks from the per-town
+/// RNG streams and lets the previous window go. Regeneration fans across
+/// `workers`; the window is metered on the calling thread, so residency and
 /// the regeneration count are the same on every schedule.
-struct CachedTownBsls<'a> {
+struct RegeneratedTownBsls<'a> {
     config: &'a SynthConfig,
     towns: &'a [Town],
     offsets: &'a [u64],
     meter: &'a ResidencyMeter,
     workers: usize,
-    cap: usize,
-    tick: u64,
-    resident: usize,
+    window: Vec<Vec<Bsl>>,
     /// Blocks regenerated so far (the regulatory pass's shard count).
     regenerated: usize,
-    /// Resident blocks by town index, with their last-use tick.
-    blocks: HashMap<usize, (u64, Vec<Bsl>)>,
 }
 
-impl<'a> CachedTownBsls<'a> {
-    fn new(
-        config: &'a SynthConfig,
-        towns: &'a [Town],
-        offsets: &'a [u64],
-        meter: &'a ResidencyMeter,
-        workers: usize,
-    ) -> Self {
-        // Up to 64 resident town blocks (at least one): enough to cover a
-        // footprint town plus every neighbour within claim reach many times
-        // over, and a rounding error against any realistic budget.
-        let cap = config.bsls_per_town.max(1) * 64;
-        Self {
-            config,
-            towns,
-            offsets,
-            meter,
-            workers,
-            cap,
-            tick: 0,
-            resident: 0,
-            regenerated: 0,
-            blocks: HashMap::new(),
-        }
-    }
-}
-
-impl TownBsls for CachedTownBsls<'_> {
+impl TownBsls for RegeneratedTownBsls<'_> {
     fn blocks(&mut self, towns: &[usize]) -> Vec<&[Bsl]> {
-        let mut missing: Vec<usize> = Vec::new();
-        for &t in towns {
-            if !self.blocks.contains_key(&t) && !missing.contains(&t) {
-                missing.push(t);
-            }
-        }
-        // Make room first, evicting least recently used blocks outside this
-        // window, so the cache holds no more than its cap (or one window).
-        let need: usize = missing.iter().map(|&t| self.towns[t].n_bsls).sum();
-        while self.resident + need > self.cap {
-            let Some(oldest) = self
-                .blocks
-                .iter()
-                .filter(|(t, _)| !towns.contains(t))
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(&t, _)| t)
-            else {
-                break;
-            };
-            let (_, evicted) = self.blocks.remove(&oldest).expect("key just found");
-            self.resident -= evicted.len();
-            self.meter.release(evicted.len());
-        }
-        let (config, all_towns, offsets) = (self.config, self.towns, self.offsets);
-        let fresh = map_shards(self.workers, &missing, |_, &t| {
-            town_bsls(config, t, &all_towns[t], offsets[t] + 1)
+        let held: usize = self.window.iter().map(Vec::len).sum();
+        self.window = Vec::new();
+        self.meter.release(held);
+        let (config, all, offsets) = (self.config, self.towns, self.offsets);
+        self.meter
+            .acquire(towns.iter().map(|&t| all[t].n_bsls).sum());
+        self.window = map_shards(self.workers, towns, |_, &t| {
+            town_bsls(config, t, &all[t], offsets[t] + 1)
         });
-        self.meter.acquire(need);
-        self.resident += need;
-        self.regenerated += missing.len();
-        for (t, block) in missing.into_iter().zip(fresh) {
-            self.blocks.insert(t, (0, block));
-        }
-        for &t in towns {
-            self.tick += 1;
-            self.blocks.get_mut(&t).expect("window block is resident").0 = self.tick;
-        }
-        towns.iter().map(|t| self.blocks[t].1.as_slice()).collect()
-    }
-}
-
-impl Drop for CachedTownBsls<'_> {
-    fn drop(&mut self) {
-        self.meter.release(self.resident);
-        self.resident = 0;
+        self.regenerated += towns.len();
+        self.window.iter().map(Vec::as_slice).collect()
     }
 }
 
@@ -490,65 +424,65 @@ impl StreamWorld {
         // Providers stay sequential: scanning two at once would hold both
         // transient claim sets, and the two majors' sets set the run's peak.
         let regenerated = {
-            let scanner = ClaimScanner::new(hex_table.towns());
-            let mut town_blocks = CachedTownBsls::new(
+            let scanner = ClaimScanner::new(hex_table.towns(), hex_table.offsets());
+            let mut town_blocks = RegeneratedTownBsls {
                 config,
-                hex_table.towns(),
-                hex_table.offsets(),
-                &meter,
+                towns: hex_table.towns(),
+                offsets: hex_table.offsets(),
+                meter: &meter,
                 workers,
-            );
+                window: Vec::new(),
+                regenerated: 0,
+            };
             for &pi in &order {
                 let profile = &profiles[pi];
                 let pid = profile.provider.id;
                 methodologies.insert(pid, profile.methodology.text(&profile.provider.brand));
                 meter.pin(2); // methodology + claims-count rows
 
-                // Scan the provider's claims, folding geometry, per-hex claim
-                // aggregates and served-hex sets in the observer so no second
-                // pass over the claims is ever needed.
-                let mut geo: Vec<(HexCell, u16)> = Vec::new();
-                let mut agg: HexTechAgg = HashMap::new();
-                let mut served_p: HashSet<HexCell> = HashSet::new();
-                let claims = compute_claims_observed(
+                // Scan the provider's claims and their geometry (both charged
+                // to the meter), then fold per-hex claim aggregates and
+                // served-hex sets in claim order.
+                let (claims, geo) = scan_claims(
                     profile,
                     &scanner,
                     &mut town_blocks,
                     config,
                     workers,
                     window,
-                    &mut |claim, bsl, town| {
-                        meter.acquire(2); // the claim row + its geometry row
-                        geo.push((bsl.hex, hex_table.town_state(town)));
-                        let before = agg.len();
-                        {
-                            let slot = agg
-                                .entry((bsl.hex, claim.technology))
-                                .or_insert((None, false, 0));
-                            let candidate = (claim.max_down_mbps, claim.max_up_mbps);
-                            let wins = match slot.0 {
-                                None => true,
-                                Some(best) => speed_pair_wins(candidate, best),
-                            };
-                            if wins {
-                                slot.0 = Some(candidate);
-                            }
-                            slot.1 |= claim.low_latency;
-                            slot.2 += 1;
-                        }
-                        if agg.len() > before {
-                            meter.acquire(2);
-                        }
-                        if claim.truly_served {
-                            if served_all.insert(bsl.hex) {
-                                meter.pin(1);
-                            }
-                            if served_p.insert(bsl.hex) {
-                                meter.pin(1);
-                            }
-                        }
-                    },
+                    &meter,
                 );
+                let mut agg: HexTechAgg = HashMap::new();
+                let mut served_p: HashSet<HexCell> = HashSet::new();
+                for (claim, (hex, _)) in claims.iter().zip(geo.iter()) {
+                    let before = agg.len();
+                    {
+                        let slot = agg
+                            .entry((hex, claim.technology))
+                            .or_insert((None, false, 0));
+                        let candidate = (claim.max_down_mbps, claim.max_up_mbps);
+                        let wins = match slot.0 {
+                            None => true,
+                            Some(best) => speed_pair_wins(candidate, best),
+                        };
+                        if wins {
+                            slot.0 = Some(candidate);
+                        }
+                        slot.1 |= claim.low_latency;
+                        slot.2 += 1;
+                    }
+                    if agg.len() > before {
+                        meter.acquire(2);
+                    }
+                    if claim.truly_served {
+                        if served_all.insert(hex) {
+                            meter.pin(1);
+                        }
+                        if served_p.insert(hex) {
+                            meter.pin(1);
+                        }
+                    }
+                }
                 let n_claims = claims.len();
 
                 // Challenges against this provider's claims, then corrections
@@ -557,10 +491,9 @@ impl StreamWorld {
                 let provider_challs = provider_challenges(
                     config,
                     pid,
-                    claims
-                        .iter()
-                        .zip(geo.iter())
-                        .map(|(c, &(hex, state))| (c, hex, hex_table.state_name(state))),
+                    claims.iter().zip(geo.iter()).map(|(c, (hex, town))| {
+                        (c, hex, hex_table.state_name(hex_table.town_state(town)))
+                    }),
                 );
                 meter.acquire(provider_challs.len() * 2); // kept below + key set
                 let mut challenged: BTreeSet<(ProviderId, LocationId, Technology)> =
@@ -574,18 +507,17 @@ impl StreamWorld {
                 meter.acquire(corrections.len());
                 meter.release(provider_challs.len()); // challenged set dropped
                 drop(challenged);
-                // Corrections are an in-order subsequence of the claims, so a
-                // two-pointer walk recovers each corrected location's hex.
-                let mut ci = 0usize;
-                for (p, l, t, k) in &corrections {
-                    schedule.note_correction(*p, *l, *t, *k);
-                    while ci < n_claims
-                        && (claims[ci].location != *l || claims[ci].technology != *t)
-                    {
-                        ci += 1;
+                // Corrections are an in-order subsequence of the claims, so one
+                // walk over the claims recovers each corrected location's hex.
+                {
+                    let mut walk = claims.iter().zip(geo.iter());
+                    for (p, l, t, k) in &corrections {
+                        schedule.note_correction(*p, *l, *t, *k);
+                        let (_, (hex, _)) = walk
+                            .find(|(c, _)| c.location == *l && c.technology == *t)
+                            .expect("correction does not map back to a claim");
+                        pending_loc_hex.insert(*l, hex);
                     }
-                    assert!(ci < n_claims, "correction does not map back to a claim");
-                    pending_loc_hex.insert(*l, geo[ci].0);
                 }
                 meter.release(corrections.len());
                 drop(corrections);
@@ -593,8 +525,8 @@ impl StreamWorld {
 
                 // Distinct claimed locations (what the provider's filing would
                 // report): reuse the claims' storage, then let it all go.
+                meter.release(geo.entries());
                 drop(geo);
-                meter.release(n_claims);
                 let mut locs: Vec<LocationId> = claims.into_iter().map(|c| c.location).collect();
                 locs.sort_unstable();
                 locs.dedup();
@@ -825,6 +757,8 @@ impl RegistrationSource for StreamWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric_gen::generate_fabric;
+    use crate::providers_gen::visit_major_claims;
     use crate::world::SynthUs;
 
     fn stream_and_world(config: &SynthConfig) -> (StreamWorld, SynthUs) {
@@ -953,18 +887,21 @@ mod tests {
             .all(|s| s.peak_resident_entries > 0));
     }
 
+    /// The 50-BSL-town world: 400 towns, so the majors' claim scans span
+    /// many windows of candidate towns.
+    fn many_towns(seed: u64) -> SynthConfig {
+        SynthConfig {
+            n_bsls: 20_000,
+            bsls_per_town: 50,
+            ..SynthConfig::tiny(seed)
+        }
+    }
+
     #[test]
     fn windows_and_workers_change_no_output_and_no_accounting() {
         // The plain tiny world has only 55 towns, so one window holds a large
         // share of its BSLs and the hex-table peak shows whether the window
-        // was charged. With 50-BSL towns the majors' footprints visit far
-        // more than the cache's 64 blocks, so eviction runs inside the
-        // windows too.
-        let evicting = SynthConfig {
-            n_bsls: 20_000,
-            bsls_per_town: 50,
-            ..SynthConfig::tiny(84)
-        };
+        // was charged.
         let rows = |w: &StreamWorld| -> Vec<(&'static str, usize, usize)> {
             w.report
                 .stages
@@ -972,14 +909,29 @@ mod tests {
                 .map(|s| (s.name, s.shards, s.peak_resident_entries))
                 .collect()
         };
-        for (config, evicts) in [(SynthConfig::tiny(84), false), (evicting, true)] {
+        for config in [SynthConfig::tiny(84), many_towns(84)] {
             let reference =
                 StreamWorld::generate(&config, GenMode::Sequential).expect("streamed synth");
+            // The regulatory pass regenerates each candidate town's block
+            // once per provider: the visit-major reference's distinct
+            // `(provider, candidate town)` pairs, fewer than its visits.
+            let towns = reference.hex_table.towns();
+            let fabric = generate_fabric(&config, towns, 1);
+            let scanner = ClaimScanner::new(towns, reference.hex_table.offsets());
+            let (mut pairs, mut visits) = (0, 0);
+            for profile in &reference.profiles {
+                let (_, _, mut visited) =
+                    visit_major_claims(profile, &scanner, &fabric, &config, 1, TOWN_WINDOW);
+                visits += visited.len();
+                visited.sort_unstable();
+                visited.dedup();
+                pairs += visited.len();
+            }
             let regenerated = reference.report.stage("regulatory_pass").unwrap().shards;
-            assert_eq!(
-                regenerated > reference.hex_table.towns().len(),
-                evicts,
-                "{regenerated} blocks regenerated"
+            assert_eq!(regenerated, pairs);
+            assert!(
+                regenerated < visits,
+                "{regenerated} blocks for {visits} visits"
             );
             for window in [1, 7, TOWN_WINDOW] {
                 let mut accounting = None;
@@ -1030,6 +982,57 @@ mod tests {
                 if window == TOWN_WINDOW {
                     assert_eq!(accounting, Some(rows(&reference)));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_claims_are_charged_while_their_window_is_resident() {
+        // While it fetches and folds windows, a scan charges two entries per
+        // visit, its resident window's blocks and one entry per claim
+        // buffered so far, each window's claims before the window is let go.
+        // It ends holding one entry per visit and two per claim (the hit
+        // buffer as geometry, and the claim list).
+        let config = many_towns(86);
+        let towns = generate_towns(&config, 1);
+        let offsets = town_offsets(&towns);
+        let fabric = generate_fabric(&config, &towns, 1);
+        let scanner = ClaimScanner::new(&towns, &offsets);
+        for profile in generate_providers(&config, &towns, 1) {
+            let (claims, geo, visited) =
+                visit_major_claims(&profile, &scanner, &fabric, &config, 1, TOWN_WINDOW);
+            // Every candidate town in town order, with its claim count.
+            let mut per_town: BTreeMap<usize, usize> = visited.iter().map(|&t| (t, 0)).collect();
+            for &(_, t) in &geo {
+                *per_town.get_mut(&t).unwrap() += 1;
+            }
+            let cands: Vec<(usize, usize)> = per_town.into_iter().collect();
+            for window in [1, 7, TOWN_WINDOW, usize::MAX] {
+                let meter = ResidencyMeter::new();
+                let mut blocks = RegeneratedTownBsls {
+                    config: &config,
+                    towns: &towns,
+                    offsets: &offsets,
+                    meter: &meter,
+                    workers: 2,
+                    window: Vec::new(),
+                    regenerated: 0,
+                };
+                let (got, geo) =
+                    scan_claims(&profile, &scanner, &mut blocks, &config, 2, window, &meter);
+                let at = format!("provider {}, window {window}", profile.provider.id.value());
+                assert_eq!(got.len(), claims.len(), "{at}");
+                assert_eq!(blocks.regenerated, cands.len(), "{at}");
+                let (mut buffered, mut folding) = (0, 0);
+                for w in cands.chunks(window) {
+                    buffered += w.iter().map(|&(_, n)| n).sum::<usize>();
+                    let held: usize = w.iter().map(|&(t, _)| towns[t].n_bsls).sum();
+                    folding = folding.max(held + buffered);
+                }
+                let (visits, held) = (visited.len(), visited.len() + 2 * claims.len());
+                assert_eq!(meter.peak(), (2 * visits + folding).max(held), "{at}");
+                assert_eq!(meter.current(), held, "{at}");
+                assert_eq!(geo.entries(), visits + claims.len(), "{at}");
             }
         }
     }
