@@ -279,20 +279,24 @@ impl NbmRelease {
     }
 
     /// The hexes each of `providers` claims with any technology, grouped in
-    /// one pass over the hex claims. A provider with no claims maps to an
-    /// empty set; claims of providers not asked for are skipped.
+    /// one pass over the hex claims: one strictly ascending list per
+    /// provider, each hex once however many technologies claim it. A
+    /// provider with no claims maps to an empty list; claims of providers
+    /// not asked for are skipped.
     pub fn claimed_hexes_by_provider(
         &self,
         providers: impl IntoIterator<Item = ProviderId>,
-    ) -> BTreeMap<ProviderId, BTreeSet<HexCell>> {
-        let mut out: BTreeMap<ProviderId, BTreeSet<HexCell>> = providers
-            .into_iter()
-            .map(|p| (p, BTreeSet::new()))
-            .collect();
+    ) -> BTreeMap<ProviderId, Vec<HexCell>> {
+        let mut out: BTreeMap<ProviderId, Vec<HexCell>> =
+            providers.into_iter().map(|p| (p, Vec::new())).collect();
         for c in &self.hex_claims {
             if let Some(hexes) = out.get_mut(&c.provider) {
-                hexes.insert(c.hex);
+                hexes.push(c.hex);
             }
+        }
+        for hexes in out.values_mut() {
+            hexes.sort_unstable();
+            hexes.dedup();
         }
         out
     }
@@ -520,8 +524,9 @@ mod tests {
 
     #[test]
     fn claimed_hexes_group_like_a_per_provider_filter() {
-        // Two providers far enough apart to claim distinct hexes, a third
-        // asked for with no claims, and a claimant nobody asks for.
+        // Two providers over four hexes, one of provider 1's hexes claimed
+        // under two technologies, a third provider asked for with no claims,
+        // and a claimant nobody asks for.
         let bsls = (0..12u64)
             .map(|i| {
                 let lat = 37.0 + (i % 4) as f64 * 0.05;
@@ -538,6 +543,10 @@ mod tests {
             }
             recs.push(r);
         }
+        // Location 3 is provider 1's fiber claim.
+        let mut copper = record(3, 20.0, 2.0);
+        copper.technology = Technology::Copper;
+        recs.push(copper);
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
@@ -546,16 +555,28 @@ mod tests {
         );
         let asked = [ProviderId(1), ProviderId(2), ProviderId(5)];
         let grouped = rel.claimed_hexes_by_provider(asked);
-        let filtered: BTreeMap<ProviderId, BTreeSet<HexCell>> = asked
+        let filtered: BTreeMap<ProviderId, Vec<HexCell>> = asked
             .iter()
             .map(|&p| {
                 let hexes = rel.hex_claims().iter().filter(|c| c.provider == p);
-                (p, hexes.map(|c| c.hex).collect())
+                let set: BTreeSet<HexCell> = hexes.map(|c| c.hex).collect();
+                (p, set.into_iter().collect())
             })
             .collect();
         assert_eq!(grouped, filtered);
+        for hexes in grouped.values() {
+            assert!(hexes.windows(2).all(|w| w[0] < w[1]), "{hexes:?}");
+        }
         assert!(grouped[&ProviderId(5)].is_empty());
         assert!(grouped[&ProviderId(1)].len() > 1);
+        let provider_1_claims = rel
+            .hex_claims()
+            .iter()
+            .filter(|c| c.provider == ProviderId(1));
+        assert!(
+            provider_1_claims.count() > grouped[&ProviderId(1)].len(),
+            "no hex of provider 1 is claimed under two technologies"
+        );
         assert!(!grouped.contains_key(&ProviderId(9)));
     }
 }

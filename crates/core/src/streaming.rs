@@ -38,7 +38,7 @@
 //! file-backed source.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use asnmap::{FrnRegistration, MatchReport, ProviderAsnMatcher, RegistrationSource, WhoisDb};
 use bdc::source::end_stage;
@@ -303,7 +303,11 @@ pub(crate) fn reproject_ookla<S: ShardStream<Item = OoklaTileRecord>>(
 
 /// `mlab_attribution`: build the matched providers' claimed footprints from
 /// `release`, then fold a test stream into the attributor in shard order.
-/// The footprints are metered while they live; the evidence stays.
+/// The footprints are metered, one entry per claimed cell, while the
+/// attributor owns them; the evidence stays. The stage's three phases land
+/// in `stream_substage_wall_seconds` and `substage` trace events:
+/// `footprints` (the claimed cells and their layout), `localise`, and `fold`
+/// (the serial fold plus `finish`).
 pub(crate) fn attribute_mlab<S: ShardStream<Item = MlabTest>>(
     release: &NbmRelease,
     provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
@@ -311,10 +315,12 @@ pub(crate) fn attribute_mlab<S: ShardStream<Item = MlabTest>>(
     meter: &ResidencyMeter,
     telemetry: &Telemetry,
 ) -> ProviderHexTests {
+    let t = Instant::now();
     let claimed_hexes = release.claimed_hexes_by_provider(provider_asns.keys().copied());
-    let claimed_total: usize = claimed_hexes.values().map(|h| h.len()).sum();
+    let claimed_total: usize = claimed_hexes.values().map(Vec::len).sum();
     meter.acquire(claimed_total);
-    let mut attributor = MlabAttributor::new(provider_asns, &claimed_hexes, NBM_RESOLUTION);
+    let mut attributor = MlabAttributor::new(provider_asns, claimed_hexes, NBM_RESOLUTION);
+    let footprints = t.elapsed();
     let stride = (stream.shard_count() / TRACE_SHARDS_PER_STAGE).max(1);
     drain_shards(stream, meter, |i, tests| {
         attributor.add_tests(&tests);
@@ -322,11 +328,45 @@ pub(crate) fn attribute_mlab<S: ShardStream<Item = MlabTest>>(
             trace_shard(telemetry, "mlab_attribution", i, tests.len(), meter);
         }
     });
+    let (localise, fold) = attributor.walls();
+    let t = Instant::now();
     let mlab_evidence = attributor.finish();
-    drop(claimed_hexes);
+    let fold = fold + t.elapsed();
     meter.release(claimed_total);
     meter.acquire(mlab_evidence.len());
+    observe_substages(
+        telemetry,
+        "mlab_attribution",
+        &[
+            ("footprints", footprints),
+            ("localise", localise),
+            ("fold", fold),
+        ],
+    );
     mlab_evidence
+}
+
+/// Record a stage's phase walls: one `stream_substage_wall_seconds{stage,
+/// phase}` observation and one `substage` trace event per phase.
+fn observe_substages(telemetry: &Telemetry, stage: &str, phases: &[(&str, Duration)]) {
+    for &(phase, wall) in phases {
+        telemetry
+            .histogram(
+                "stream_substage_wall_seconds",
+                "Wall-clock of one phase inside a pipeline-run stage.",
+                &DEFAULT_WALL_BUCKETS,
+                &[("stage", stage), ("phase", phase)],
+            )
+            .observe_duration(wall);
+        telemetry.emit(
+            "substage",
+            stage,
+            &[
+                ("phase", TraceValue::Str(phase)),
+                ("wall_seconds", TraceValue::F64(wall.as_secs_f64())),
+            ],
+        );
+    }
 }
 
 /// One strided per-shard trace event of a drained stage.
@@ -512,6 +552,27 @@ mod tests {
         let peak = registry.gauge("stream_run_peak_resident_entries", "", &[]);
         assert_eq!(peak.value(), run.report.peak_resident_entries as f64);
 
+        // MLab attribution's phases: one observation each, inside the stage.
+        let wall = |name: &str, labels: &[(&str, &str)]| {
+            registry.histogram(name, "", &DEFAULT_WALL_BUCKETS, labels)
+        };
+        let stage = wall(
+            "stream_stage_wall_seconds",
+            &[("stage", "mlab_attribution")],
+        );
+        let mut phase_sum = 0.0;
+        for phase in ["footprints", "localise", "fold"] {
+            let labels = [("stage", "mlab_attribution"), ("phase", phase)];
+            let substage = wall("stream_substage_wall_seconds", &labels);
+            assert_eq!(substage.count(), 1, "phase {phase}");
+            phase_sum += substage.sum();
+        }
+        assert!(
+            phase_sum <= stage.sum(),
+            "phases {phase_sum} s exceed the stage's {} s",
+            stage.sum()
+        );
+
         // Trace: a per-stage timeline with strided shard events and a
         // closing run_end, one strict-JSON object per line.
         let bytes = buf.0.lock().unwrap().clone();
@@ -519,6 +580,10 @@ mod tests {
         assert!(trace.lines().count() > run.report.stages.len());
         assert!(trace.contains("\"kind\":\"shard\""), "{trace}");
         assert!(trace.contains("\"name\":\"run_end\""), "{trace}");
+        let substages = trace
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"substage\""));
+        assert_eq!(substages.count(), 3, "{trace}");
         for line in trace.lines() {
             assert!(
                 line.starts_with("{\"ts_us\":") && line.ends_with('}'),

@@ -23,14 +23,21 @@ impl LatLng {
         }
     }
 
-    /// Great-circle distance to `other` in metres (haversine formula).
+    /// This point with its haversine trigonometry done: see
+    /// [`PreparedLatLng`].
+    pub fn prepare(&self) -> PreparedLatLng {
+        let lat = self.lat.to_radians();
+        PreparedLatLng {
+            lat,
+            lng: self.lng.to_radians(),
+            cos_lat: lat.cos(),
+        }
+    }
+
+    /// Great-circle distance to `other` in metres: the haversine formula of
+    /// [`PreparedLatLng::haversine_m`], over both points prepared here.
     pub fn haversine_m(&self, other: &LatLng) -> f64 {
-        let (lat1, lng1) = (self.lat.to_radians(), self.lng.to_radians());
-        let (lat2, lng2) = (other.lat.to_radians(), other.lng.to_radians());
-        let dlat = lat2 - lat1;
-        let dlng = lng2 - lng1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+        self.prepare().haversine_m(&other.prepare())
     }
 
     /// Great-circle distance to `other` in kilometres.
@@ -82,6 +89,36 @@ impl LatLng {
     }
 }
 
+/// A point prepared for great-circle distances: latitude and longitude in
+/// radians and the latitude's cosine, computed once by [`LatLng::prepare`].
+///
+/// This is the workspace's one haversine formula; [`LatLng::haversine_m`]
+/// prepares both points and calls it. A caller that measures many distances
+/// between the same points (a footprint's centroids against a test centre)
+/// prepares each point once and gets the same bits as `LatLng::haversine_m`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedLatLng {
+    lat: f64,
+    lng: f64,
+    cos_lat: f64,
+}
+
+impl PreparedLatLng {
+    /// Great-circle distance to `other` in metres (haversine formula).
+    pub fn haversine_m(&self, other: &PreparedLatLng) -> f64 {
+        let dlat = other.lat - self.lat;
+        let dlng = other.lng - self.lng;
+        let a =
+            (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlng / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+    }
+
+    /// Great-circle distance to `other` in kilometres.
+    pub fn haversine_km(&self, other: &PreparedLatLng) -> f64 {
+        self.haversine_m(other) / 1000.0
+    }
+}
+
 impl std::fmt::Display for LatLng {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "({:.6}, {:.6})", self.lat, self.lng)
@@ -98,6 +135,77 @@ mod tests {
 
     fn madrid() -> LatLng {
         LatLng::new(40.4168, -3.7038)
+    }
+
+    /// The haversine formula as it stood before [`PreparedLatLng`], kept
+    /// verbatim as the oracle for the prepared form.
+    fn haversine_m_oracle(a: &LatLng, b: &LatLng) -> f64 {
+        let (lat1, lng1) = (a.lat.to_radians(), a.lng.to_radians());
+        let (lat2, lng2) = (b.lat.to_radians(), b.lng.to_radians());
+        let dlat = lat2 - lat1;
+        let dlng = lng2 - lng1;
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+    }
+
+    /// `LatLng::haversine_m` and the prepared form return the oracle's bits
+    /// on 1.05M seeded pairs: uniform over the sphere, within 0.5° of each
+    /// other, identical, at a pole, and across the antimeridian.
+    #[test]
+    fn prepared_haversine_matches_the_oracle_bit_for_bit() {
+        // A seeded SplitMix64 stream of uniforms in [0, 1).
+        let mut state = 0x4A7E_5135u64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
+        // Uniform over the sphere: latitude by inverse sine.
+        fn globe(u: &mut impl FnMut() -> f64) -> LatLng {
+            LatLng::new((2.0 * u() - 1.0).asin().to_degrees(), 360.0 * u() - 180.0)
+        }
+        const PER_KIND: usize = 210_000;
+        for kind in 0..5 {
+            for _ in 0..PER_KIND {
+                let (a, b) = match kind {
+                    0 => (globe(&mut uniform), globe(&mut uniform)),
+                    1 => {
+                        let a = globe(&mut uniform);
+                        let b = LatLng::new(a.lat + uniform() - 0.5, a.lng + uniform() - 0.5);
+                        (a, b)
+                    }
+                    2 => {
+                        let a = globe(&mut uniform);
+                        (a, a)
+                    }
+                    3 => {
+                        let pole = if uniform() < 0.5 { 90.0 } else { -90.0 };
+                        let a = LatLng::new(pole, 360.0 * uniform() - 180.0);
+                        let b = if uniform() < 0.25 {
+                            LatLng::new(-pole, 360.0 * uniform() - 180.0)
+                        } else {
+                            globe(&mut uniform)
+                        };
+                        (a, b)
+                    }
+                    _ => (
+                        LatLng::new(180.0 * uniform() - 90.0, 179.5 + 0.5 * uniform()),
+                        LatLng::new(180.0 * uniform() - 90.0, -180.0 + 0.5 * uniform()),
+                    ),
+                };
+                let want = haversine_m_oracle(&a, &b).to_bits();
+                assert_eq!(a.haversine_m(&b).to_bits(), want, "{a} -> {b}");
+                let (pa, pb) = (a.prepare(), b.prepare());
+                assert_eq!(pa.haversine_m(&pb).to_bits(), want, "{a} -> {b}");
+                assert_eq!(
+                    pa.haversine_km(&pb).to_bits(),
+                    a.haversine_km(&b).to_bits(),
+                    "{a} -> {b}"
+                );
+            }
+        }
     }
 
     #[test]

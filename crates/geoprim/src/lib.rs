@@ -17,7 +17,7 @@ pub mod polygon;
 pub mod projection;
 
 pub use bbox::BoundingBox;
-pub use latlng::LatLng;
+pub use latlng::{LatLng, PreparedLatLng};
 pub use polygon::Polygon;
 pub use projection::{EqualAreaProjection, WebMercator};
 

@@ -6,12 +6,16 @@
 //! is (a) within the geolocation disc, bounded as described below, and (b)
 //! claimed by the provider the test's ASN belongs to.
 //!
-//! Localisation starts from the footprint. The disc is `grid_disk(k)` around
-//! the centre's cell, with `k = ceil(r / (√3·size))`: one grid step moves
-//! √3·size between neighbouring centroids. Each axial column of that disk is
-//! one range query on the provider's ordered footprint, and only the claimed
-//! cells it returns are tested: a cell survives when it is the centre cell or
-//! its centroid lies within the radius.
+//! Localisation starts from the footprint. Each matched provider's claimed
+//! cells are laid out once, in ascending order, as consecutive slots of one
+//! count array, each cell beside its prepared centroid
+//! ([`PreparedLatLng`]). The disc is `grid_disk(k)` around the centre's
+//! cell, with `k = ceil(r / (√3·size))`: one grid step moves √3·size between
+//! neighbouring centroids. Each axial column of that disk is one pair of
+//! binary searches on the provider's sorted cells, and only the claimed cells
+//! it returns are tested: a cell survives when it is the centre cell or its
+//! centroid lies within the radius of the test's centre, which is prepared
+//! once per test. A test's shares are then added to its cells' slots.
 //!
 //! The disc is therefore *not* every cell within the radius. Ring `k + 1`
 //! comes as close as `1.5·(k + 1)·size` to the centre cell (the middle of a
@@ -20,35 +24,39 @@
 //! the disk's corners and are never localised. The golden fingerprints pin
 //! this bound.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
 
 use bdc::{map_shards, Asn, DiffMode, ProviderId};
-use geoprim::LatLng;
+use geoprim::{LatLng, PreparedLatLng};
 use hexgrid::{HexCell, Resolution};
 use serde::{Deserialize, Serialize};
 
 use crate::mlab::MlabTest;
 
 /// Per-provider, per-hex MLab evidence: how many usable tests could have been
-/// run from each hex of the provider's claimed footprint.
+/// run from each hex of the provider's claimed footprint. One entry per
+/// `(provider, hex)` some test reached, sorted by `(provider, hex)` and
+/// looked up by binary search.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ProviderHexTests {
-    counts: HashMap<(ProviderId, HexCell), f64>,
+    counts: Vec<(ProviderId, HexCell, f64)>,
 }
 
 impl ProviderHexTests {
     /// Test count attributed to a provider in a hex (0 when none).
     pub fn count(&self, provider: ProviderId, hex: HexCell) -> f64 {
-        *self.counts.get(&(provider, hex)).unwrap_or(&0.0)
+        self.counts
+            .binary_search_by(|(p, h, _)| (*p, *h).cmp(&(provider, hex)))
+            .map_or(0.0, |i| self.counts[i].2)
     }
 
     /// All hexes with attributed tests for a provider.
     #[cfg(test)]
     fn hexes_for(&self, provider: ProviderId) -> BTreeSet<HexCell> {
-        self.counts
-            .keys()
-            .filter(|(p, _)| *p == provider)
-            .map(|(_, h)| *h)
+        self.iter()
+            .filter(|(p, _, _)| *p == provider)
+            .map(|(_, h, _)| h)
             .collect()
     }
 
@@ -65,42 +73,99 @@ impl ProviderHexTests {
     /// Total attributed test mass for a provider.
     #[cfg(test)]
     fn total_for(&self, provider: ProviderId) -> f64 {
-        self.counts
-            .iter()
-            .filter(|((p, _), _)| *p == provider)
-            .map(|(_, v)| v)
+        self.iter()
+            .filter(|(p, _, _)| *p == provider)
+            .map(|(_, _, v)| v)
             .sum()
     }
 
-    /// Iterate over all `(provider, hex, count)` entries.
+    /// Iterate over all `(provider, hex, count)` entries, in `(provider,
+    /// hex)` order.
     pub fn iter(&self) -> impl Iterator<Item = (ProviderId, HexCell, f64)> + '_ {
-        self.counts.iter().map(|((p, h), c)| (*p, *h, *c))
+        self.counts.iter().copied()
     }
 }
 
-/// Localise a test to one provider's footprint, in ascending cell order: the
-/// claimed cells of `grid_disk(k)` around the centre's cell,
-/// `k = ceil(r / (√3·size))`, that are the centre cell or whose centroid lies
-/// within `accuracy_radius_km` of the centre. Only the claimed cells of each
-/// disk column are visited. The bound is the disk, not the radius: in-radius
-/// cells beyond grid distance `k` are never returned (see the module docs).
-fn localise(
-    center: &LatLng,
-    accuracy_radius_km: f64,
-    res: Resolution,
-    footprint: &BTreeSet<HexCell>,
-) -> Vec<HexCell> {
-    let center_cell = HexCell::containing(center, res);
-    let step_km = res.hex_size_km() * 3.0_f64.sqrt();
-    let k = (accuracy_radius_km / step_km).ceil().max(0.0) as usize;
-    center_cell
-        .grid_disk_columns(k)
-        .flat_map(|(first, last)| footprint.range(first..=last))
-        .filter(|cell| {
-            **cell == center_cell || cell.center().haversine_km(center) <= accuracy_radius_km
-        })
-        .copied()
-        .collect()
+/// One matched provider's claimed footprint, laid out for localisation: its
+/// claimed cells, strictly ascending, each beside its prepared centroid.
+/// Cell `i` is slot `base + i` of the attributor's counts.
+struct Footprint {
+    provider: ProviderId,
+    cells: Vec<HexCell>,
+    centroids: Vec<PreparedLatLng>,
+    base: usize,
+}
+
+impl Footprint {
+    fn new(provider: ProviderId, cells: Vec<HexCell>, base: usize) -> Self {
+        assert!(
+            u32::try_from(cells.len()).is_ok(),
+            "a footprint's slot positions must fit u32"
+        );
+        assert!(
+            cells.windows(2).all(|w| w[0] < w[1]),
+            "a footprint's cells must be strictly ascending"
+        );
+        let centroids = cells.iter().map(|c| c.center().prepare()).collect();
+        Self {
+            provider,
+            cells,
+            centroids,
+            base,
+        }
+    }
+}
+
+/// A test's geolocation disc, prepared once per test: its centre cell, the
+/// bound `k = ceil(r / (√3·size))` and its prepared centre.
+struct Disc {
+    center: PreparedLatLng,
+    center_cell: HexCell,
+    radius_km: f64,
+    k: usize,
+}
+
+impl Disc {
+    fn new(center: &LatLng, accuracy_radius_km: f64, res: Resolution) -> Self {
+        let step_km = res.hex_size_km() * 3.0_f64.sqrt();
+        Self {
+            center: center.prepare(),
+            center_cell: HexCell::containing(center, res),
+            radius_km: accuracy_radius_km,
+            k: (accuracy_radius_km / step_km).ceil().max(0.0) as usize,
+        }
+    }
+}
+
+/// Localise a test to one provider's footprint: append to `positions`, in
+/// ascending cell order, the positions of the claimed cells of `grid_disk(k)`
+/// around the disc's centre cell that are the centre cell or whose prepared
+/// centroid lies within the radius of the disc's centre. Each disk column is
+/// found with a pair of binary searches on the footprint's sorted cells, so
+/// only claimed cells are visited. The bound is the disk, not the radius:
+/// in-radius cells beyond grid distance `k` are never returned (see the
+/// module docs).
+fn localise(disc: &Disc, footprint: &Footprint, positions: &mut Vec<u32>) {
+    let cells = footprint.cells.as_slice();
+    for (first, last) in disc.center_cell.grid_disk_columns(disc.k) {
+        let lo = cells.partition_point(|c| *c < first);
+        let hi = cells.partition_point(|c| *c <= last);
+        positions.extend((lo..hi).filter_map(|i| {
+            let kept = cells[i] == disc.center_cell
+                || footprint.centroids[i].haversine_km(&disc.center) <= disc.radius_km;
+            kept.then_some(i as u32)
+        }));
+    }
+}
+
+/// One worker's localised share of a block, in (test, provider) order. Each
+/// pair that reached a claimed cell is one `(base, len)` segment: the next
+/// `len` entries of `positions`, positions in the footprint whose first slot
+/// is `base`.
+#[derive(Default)]
+struct Localised {
+    positions: Vec<u32>,
+    segments: Vec<(usize, usize)>,
 }
 
 /// Usable, mapped tests per block below which fanning the block's
@@ -108,58 +173,81 @@ fn localise(
 /// paths fold identically (see module tests).
 const PARALLEL_MIN_TESTS: usize = 512;
 
-/// Tests per block: one block's localised hexes (per test and provider, only
-/// the claimed cells of each disc) are all that is ever materialised,
-/// bounding peak memory at `O(TEST_BLOCK × providers per test × claimed
-/// hexes per disc)` regardless of dataset size.
+/// Tests per block: one block's localised slot positions (per test and
+/// provider, only the claimed cells of each disc) are all that is ever
+/// materialised, bounding peak memory at `O(TEST_BLOCK × providers per test ×
+/// claimed hexes per disc)` regardless of dataset size.
 const TEST_BLOCK: usize = 4096;
 
 /// Attribute MLab tests to providers and localise them to hexes (§4.2.2).
 ///
 /// * `provider_asns` — the provider→ASN mapping from the `asnmap` matcher.
-/// * `claimed_hexes` — each provider's claimed footprint in the NBM.
+/// * `claimed_hexes` — each provider's claimed cells, strictly ascending, as
+///   [`NbmRelease::claimed_hexes_by_provider`](bdc::NbmRelease::claimed_hexes_by_provider)
+///   returns them.
 ///
 /// A test whose ASN maps to several providers contributes to each of them (the
 /// paper notes shared ASNs are usually corporate siblings or wholesale
 /// transit). Tests are split evenly across the hexes they localise to in the
 /// provider's footprint, so that each test contributes one unit of mass.
 ///
-/// Tests are fed in dataset order, batch by batch: the materialised pipeline
-/// feeds the whole dataset at once, the streaming runner one shard at a time.
-/// Within a batch, each block of `TEST_BLOCK` tests localises every mapped
-/// test to each of its providers' footprints (read-only, shared by the
-/// workers) across scoped workers when it holds enough usable mapped tests.
-/// The serial fold then adds the `1/len` shares in (test, provider,
-/// ascending hex) order. Every count therefore accumulates in ascending test
-/// order, so any batch split and any worker count is bit-identical.
-pub struct MlabAttributor<'a> {
-    asn_to_providers: BTreeMap<Asn, Vec<ProviderId>>,
-    claimed_hexes: &'a BTreeMap<ProviderId, BTreeSet<HexCell>>,
+/// The attributor owns the footprints: each matched provider's cells and
+/// their prepared centroids, laid out once as consecutive slots of one dense
+/// count array. Tests are fed in dataset order, batch by batch: the
+/// materialised pipeline feeds the whole dataset at once, the streaming
+/// runner one shard at a time. Within a batch, each block of `TEST_BLOCK`
+/// tests localises every mapped test to each of its providers' footprints
+/// (read-only, shared by the workers) across scoped workers when it holds
+/// enough usable mapped tests. The serial fold then adds the `1/len` shares
+/// to the slots in (test, provider, ascending hex) order. Every count
+/// therefore accumulates in ascending test order, so any batch split and any
+/// worker count is bit-identical.
+pub struct MlabAttributor {
+    /// Each mapped ASN's footprints, by index, in provider order.
+    asn_to_footprints: BTreeMap<Asn, Vec<usize>>,
+    footprints: Vec<Footprint>,
     res: Resolution,
     workers: usize,
-    counts: HashMap<(ProviderId, HexCell), f64>,
+    /// One test count per footprint slot.
+    counts: Vec<f64>,
+    localise_wall: Duration,
+    fold_wall: Duration,
 }
 
-impl<'a> MlabAttributor<'a> {
+impl MlabAttributor {
     /// Set up an attributor over a provider→ASN mapping and per-provider
-    /// claimed footprints.
+    /// claimed cells. Only providers with both an ASN and an entry in
+    /// `claimed_hexes` can be reached; their footprints are laid out here.
     pub fn new(
         provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
-        claimed_hexes: &'a BTreeMap<ProviderId, BTreeSet<HexCell>>,
+        mut claimed_hexes: BTreeMap<ProviderId, Vec<HexCell>>,
         res: Resolution,
     ) -> Self {
-        let mut asn_to_providers: BTreeMap<Asn, Vec<ProviderId>> = BTreeMap::new();
+        let mut asn_to_footprints: BTreeMap<Asn, Vec<usize>> = BTreeMap::new();
+        let mut footprints: Vec<Footprint> = Vec::new();
+        let mut slots = 0;
         for (provider, asns) in provider_asns {
+            let Some(cells) = claimed_hexes.remove(provider) else {
+                continue;
+            };
             for asn in asns {
-                asn_to_providers.entry(*asn).or_default().push(*provider);
+                asn_to_footprints
+                    .entry(*asn)
+                    .or_default()
+                    .push(footprints.len());
             }
+            let footprint = Footprint::new(*provider, cells, slots);
+            slots += footprint.cells.len();
+            footprints.push(footprint);
         }
         Self {
-            asn_to_providers,
-            claimed_hexes,
+            asn_to_footprints,
+            footprints,
             res,
             workers: DiffMode::Parallel.worker_count(),
-            counts: HashMap::new(),
+            counts: vec![0.0; slots],
+            localise_wall: Duration::ZERO,
+            fold_wall: Duration::ZERO,
         }
     }
 
@@ -172,44 +260,85 @@ impl<'a> MlabAttributor<'a> {
     }
 
     /// Fold a batch of tests in, in order. Unusable tests and tests whose
-    /// ASN maps to no provider are skipped.
+    /// ASN maps to no footprint are skipped.
     pub fn add_tests(&mut self, tests: &[MlabTest]) {
-        let (claimed_hexes, res) = (self.claimed_hexes, self.res);
+        let (footprints, res) = (&self.footprints, self.res);
         for block in tests.chunks(TEST_BLOCK) {
-            let mapped: Vec<(&MlabTest, &[ProviderId])> = block
+            let started = Instant::now();
+            let mapped: Vec<(&MlabTest, &[usize])> = block
                 .iter()
                 .filter(|t| t.usable())
-                .filter_map(|t| Some((t, self.asn_to_providers.get(&t.asn)?.as_slice())))
+                .filter_map(|t| Some((t, self.asn_to_footprints.get(&t.asn)?.as_slice())))
                 .collect();
             let workers = if mapped.len() >= PARALLEL_MIN_TESTS {
                 self.workers
             } else {
                 1
             };
-            let localised = map_shards(workers, &mapped, |_, (t, providers)| {
-                providers
-                    .iter()
-                    .filter_map(|provider| {
-                        let footprint = claimed_hexes.get(provider)?;
-                        let hexes = localise(&t.geo_center, t.accuracy_radius_km, res, footprint);
-                        (!hexes.is_empty()).then_some((*provider, hexes))
-                    })
-                    .collect::<Vec<_>>()
+            // One contiguous run of tests per worker, each localised into
+            // one flat buffer.
+            let runs: Vec<_> = mapped
+                .chunks(mapped.len().div_ceil(workers).max(1))
+                .collect();
+            let localised = map_shards(workers, &runs, |_, run| {
+                let mut out = Localised::default();
+                for (t, reached) in *run {
+                    let disc = Disc::new(&t.geo_center, t.accuracy_radius_km, res);
+                    for footprint in reached.iter().map(|&f| &footprints[f]) {
+                        let start = out.positions.len();
+                        localise(&disc, footprint, &mut out.positions);
+                        let len = out.positions.len() - start;
+                        if len > 0 {
+                            out.segments.push((footprint.base, len));
+                        }
+                    }
+                }
+                out
             });
-            for (provider, hexes) in localised.iter().flatten() {
-                let share = 1.0 / hexes.len() as f64;
-                for hex in hexes {
-                    *self.counts.entry((*provider, *hex)).or_insert(0.0) += share;
+            let localised_at = Instant::now();
+            self.localise_wall += localised_at - started;
+            for run in &localised {
+                let mut positions = run.positions.as_slice();
+                for &(base, len) in &run.segments {
+                    let (segment, rest) = positions.split_at(len);
+                    let share = 1.0 / len as f64;
+                    let slots = &mut self.counts[base..];
+                    for &i in segment {
+                        slots[i as usize] += share;
+                    }
+                    positions = rest;
                 }
             }
+            self.fold_wall += localised_at.elapsed();
         }
     }
 
-    /// The accumulated evidence.
-    pub fn finish(self) -> ProviderHexTests {
-        ProviderHexTests {
-            counts: self.counts,
+    /// The wall-clock spent so far localising and folding, each summed block
+    /// by block: `(localise, fold)`.
+    pub fn walls(&self) -> (Duration, Duration) {
+        (self.localise_wall, self.fold_wall)
+    }
+
+    /// The accumulated evidence: one entry per slot some test reached, at
+    /// exact capacity. Shares are positive, so those are exactly the non-zero
+    /// slots, and the footprints' provider order and ascending cells give
+    /// the evidence its `(provider, hex)` order.
+    pub fn finish(mut self) -> ProviderHexTests {
+        // The centroids go before the evidence is built.
+        for footprint in &mut self.footprints {
+            footprint.centroids = Vec::new();
         }
+        let reached = self.counts.iter().filter(|&&c| c != 0.0).count();
+        let mut counts = Vec::with_capacity(reached);
+        for footprint in &self.footprints {
+            let slots = &self.counts[footprint.base..][..footprint.cells.len()];
+            for (cell, &count) in footprint.cells.iter().zip(slots) {
+                if count != 0.0 {
+                    counts.push((footprint.provider, *cell, count));
+                }
+            }
+        }
+        ProviderHexTests { counts }
     }
 }
 
@@ -219,6 +348,7 @@ mod tests {
     use crate::mlab::{MlabDataset, MAX_ACCURACY_RADIUS_KM};
     use bdc::DayStamp;
     use hexgrid::NBM_RESOLUTION;
+    use std::collections::HashMap;
 
     fn center() -> LatLng {
         LatLng::new(37.2296, -80.4139)
@@ -254,15 +384,41 @@ mod tests {
             .collect()
     }
 
+    /// `cells` as `NbmRelease::claimed_hexes_by_provider` returns a
+    /// provider's claims: sorted and deduplicated.
+    fn claimed(cells: impl IntoIterator<Item = HexCell>) -> Vec<HexCell> {
+        let mut cells: Vec<HexCell> = cells.into_iter().collect();
+        cells.sort_unstable();
+        cells.dedup();
+        cells
+    }
+
+    /// A footprint over `cells`, laid out as `MlabAttributor::new` lays
+    /// one out.
+    fn footprint(cells: impl IntoIterator<Item = HexCell>) -> Footprint {
+        Footprint::new(ProviderId(0), claimed(cells), 0)
+    }
+
+    /// The cells `localise` keeps for a test's disc, in its order.
+    fn localised(center: &LatLng, radius: f64, footprint: &Footprint) -> Vec<HexCell> {
+        let disc = Disc::new(center, radius, NBM_RESOLUTION);
+        let mut positions = Vec::new();
+        localise(&disc, footprint, &mut positions);
+        positions
+            .into_iter()
+            .map(|i| footprint.cells[i as usize])
+            .collect()
+    }
+
     /// Over a footprint that covers the whole disk, localisation is the
     /// oracle's disc, which grows with the radius and keeps the centre cell.
     #[test]
     fn localise_over_a_covering_footprint_is_the_candidate_disc() {
         let center_cell = HexCell::containing(&center(), NBM_RESOLUTION);
-        let everything: BTreeSet<HexCell> = center_cell.grid_disk(30).into_iter().collect();
+        let everything = footprint(center_cell.grid_disk(30));
         let mut sizes = Vec::new();
         for radius in [0.0, 0.2, 1.0, 3.0, 5.0, 10.0, MAX_ACCURACY_RADIUS_KM] {
-            let got = localise(&center(), radius, NBM_RESOLUTION, &everything);
+            let got = localised(&center(), radius, &everything);
             assert_eq!(
                 got,
                 candidate_hexes(&center(), radius, NBM_RESOLUTION),
@@ -285,16 +441,17 @@ mod tests {
         // the centroid than the radius.
         let off = center_cell.center().destination(90.0, 300.0);
         assert_eq!(HexCell::containing(&off, NBM_RESOLUTION), center_cell);
-        let mut footprint: BTreeSet<HexCell> = center_cell.grid_disk(2).into_iter().collect();
+        let disk = center_cell.grid_disk(2);
+        let with_center = footprint(disk.iter().copied());
         for radius in [0.0, 0.1] {
             assert_eq!(
-                localise(&off, radius, NBM_RESOLUTION, &footprint),
+                localised(&off, radius, &with_center),
                 vec![center_cell],
                 "radius {radius}"
             );
         }
-        footprint.remove(&center_cell);
-        assert!(localise(&off, 0.1, NBM_RESOLUTION, &footprint).is_empty());
+        let without_center = footprint(disk.into_iter().filter(|c| *c != center_cell));
+        assert!(localised(&off, 0.1, &without_center).is_empty());
     }
 
     /// The bound the goldens pin: cells within the radius but beyond grid
@@ -314,7 +471,7 @@ mod tests {
             !dropped.is_empty(),
             "no in-radius cell beyond grid distance {k}"
         );
-        let got = localise(&center(), radius, NBM_RESOLUTION, &wider);
+        let got = localised(&center(), radius, &footprint(wider.iter().copied()));
         assert!(!got.is_empty());
         assert!(got.iter().all(|c| disk.contains(c)));
     }
@@ -322,9 +479,10 @@ mod tests {
     fn attribute(
         mlab: &MlabDataset,
         provider_asns: &BTreeMap<ProviderId, BTreeSet<Asn>>,
-        claimed_hexes: &BTreeMap<ProviderId, BTreeSet<HexCell>>,
+        claimed_hexes: &BTreeMap<ProviderId, Vec<HexCell>>,
     ) -> ProviderHexTests {
-        let mut attributor = MlabAttributor::new(provider_asns, claimed_hexes, NBM_RESOLUTION);
+        let mut attributor =
+            MlabAttributor::new(provider_asns, claimed_hexes.clone(), NBM_RESOLUTION);
         attributor.add_tests(mlab.tests());
         attributor.finish()
     }
@@ -332,10 +490,10 @@ mod tests {
     fn maps(
         provider: u32,
         asn: u32,
-        footprint: BTreeSet<HexCell>,
+        footprint: Vec<HexCell>,
     ) -> (
         BTreeMap<ProviderId, BTreeSet<Asn>>,
-        BTreeMap<ProviderId, BTreeSet<HexCell>>,
+        BTreeMap<ProviderId, Vec<HexCell>>,
     ) {
         let mut pa = BTreeMap::new();
         pa.insert(ProviderId(provider), BTreeSet::from([Asn(asn)]));
@@ -346,9 +504,7 @@ mod tests {
 
     #[test]
     fn test_attributed_to_claimed_footprint_only() {
-        let footprint: BTreeSet<HexCell> = candidate_hexes(&center(), 2.0, NBM_RESOLUTION)
-            .into_iter()
-            .collect();
+        let footprint = claimed(candidate_hexes(&center(), 2.0, NBM_RESOLUTION));
         let (pa, ch) = maps(1, 64500, footprint.clone());
         let mlab = MlabDataset::new(vec![test_at(64500, center(), 5.0)]);
         let attributed = attribute(&mlab, &pa, &ch);
@@ -363,9 +519,7 @@ mod tests {
 
     #[test]
     fn unusable_or_unmapped_tests_are_ignored() {
-        let footprint: BTreeSet<HexCell> = candidate_hexes(&center(), 2.0, NBM_RESOLUTION)
-            .into_iter()
-            .collect();
+        let footprint = claimed(candidate_hexes(&center(), 2.0, NBM_RESOLUTION));
         let (pa, ch) = maps(1, 64500, footprint);
         let mlab = MlabDataset::new(vec![
             test_at(64500, center(), 50.0), // radius too large
@@ -386,9 +540,7 @@ mod tests {
     fn test_outside_footprint_contributes_nothing() {
         // Footprint far away from the test's geolocation disc.
         let far = LatLng::new(45.0, -93.0);
-        let footprint: BTreeSet<HexCell> = candidate_hexes(&far, 2.0, NBM_RESOLUTION)
-            .into_iter()
-            .collect();
+        let footprint = claimed(candidate_hexes(&far, 2.0, NBM_RESOLUTION));
         let (pa, ch) = maps(1, 64500, footprint);
         let mlab = MlabDataset::new(vec![test_at(64500, center(), 5.0)]);
         let attributed = attribute(&mlab, &pa, &ch);
@@ -410,7 +562,7 @@ mod tests {
                 asn_to_providers.entry(*asn).or_default().push(*provider);
             }
         }
-        let mut out = ProviderHexTests::default();
+        let mut out: HashMap<(ProviderId, HexCell), f64> = HashMap::new();
         for test in mlab.usable_tests() {
             let Some(providers) = asn_to_providers.get(&test.asn) else {
                 continue;
@@ -429,11 +581,14 @@ mod tests {
                 }
                 let share = 1.0 / localized.len() as f64;
                 for hex in localized {
-                    *out.counts.entry((*provider, *hex)).or_insert(0.0) += share;
+                    *out.entry((*provider, *hex)).or_insert(0.0) += share;
                 }
             }
         }
-        out
+        // Evidence is sorted by `(provider, hex)` for its binary-search lookups.
+        let mut counts: Vec<_> = out.into_iter().map(|((p, h), c)| (p, h, c)).collect();
+        counts.sort_by_key(|&(p, h, _)| (p, h));
+        ProviderHexTests { counts }
     }
 
     /// Every batch split and every forced worker count — across the
@@ -451,24 +606,27 @@ mod tests {
             (z ^ (z >> 31)) as f64 / 2f64.powi(64)
         };
         let mut pa: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
-        let mut ch: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
-        // Six providers on three shared ASNs, footprints at staggered offsets,
-        // 8-20 km in radius and missing about three cells in four, so that disc
-        // columns end both on and off a claimed cell; provider 5 has an ASN
-        // but no claimed footprint.
-        for p in 0..6u32 {
+        let mut ch: BTreeMap<ProviderId, Vec<HexCell>> = BTreeMap::new();
+        // Seven providers on three shared ASNs, footprints at staggered
+        // offsets, 8-20 km in radius and missing about three cells in four, so
+        // that disc columns end both on and off a claimed cell; provider 5 has
+        // an ASN but no entry, and provider 6 an ASN and an empty cell list,
+        // as the runner passes every matched provider without claims.
+        for p in 0..7u32 {
             pa.insert(ProviderId(p), BTreeSet::from([Asn(64500 + p % 3)]));
             if p < 5 {
                 let c = LatLng::new(37.0 + p as f64 * 0.05, -80.4 - p as f64 * 0.03);
-                ch.insert(
-                    ProviderId(p),
-                    candidate_hexes(&c, 8.0 + p as f64 * 3.0, NBM_RESOLUTION)
-                        .into_iter()
-                        .filter(|_| uniform() < 0.25)
-                        .collect(),
-                );
+                let cells = candidate_hexes(&c, 8.0 + p as f64 * 3.0, NBM_RESOLUTION);
+                let kept = cells.into_iter().filter(|_| uniform() < 0.25);
+                ch.insert(ProviderId(p), claimed(kept));
+            } else if p == 6 {
+                ch.insert(ProviderId(p), Vec::new());
             }
         }
+        let footprint_sets: BTreeMap<ProviderId, BTreeSet<HexCell>> = ch
+            .iter()
+            .map(|(p, cells)| (*p, cells.iter().copied().collect()))
+            .collect();
         let n = 2 * TEST_BLOCK + 1000;
         let tests: Vec<MlabTest> = (0..n)
             .map(|_| {
@@ -487,7 +645,7 @@ mod tests {
             })
             .collect();
         let mlab = MlabDataset::new(tests.clone());
-        let reference = attribute_reference(&mlab, &pa, &ch, NBM_RESOLUTION);
+        let reference = attribute_reference(&mlab, &pa, &footprint_sets, NBM_RESOLUTION);
         assert!(!reference.is_empty());
         assert!(mlab.usable_tests().count() < n, "no unusable tests drawn");
         assert!(
@@ -498,7 +656,7 @@ mod tests {
         for split in [1, 7, 511, 512, TEST_BLOCK, 2 * TEST_BLOCK + 123, n] {
             for workers in [1, 2, 3] {
                 let mut attributor =
-                    MlabAttributor::new(&pa, &ch, NBM_RESOLUTION).with_workers(workers);
+                    MlabAttributor::new(&pa, ch.clone(), NBM_RESOLUTION).with_workers(workers);
                 for batch in tests.chunks(split) {
                     attributor.add_tests(batch);
                 }
@@ -521,13 +679,11 @@ mod tests {
 
     #[test]
     fn shared_asn_contributes_to_both_providers() {
-        let footprint: BTreeSet<HexCell> = candidate_hexes(&center(), 2.0, NBM_RESOLUTION)
-            .into_iter()
-            .collect();
+        let footprint = claimed(candidate_hexes(&center(), 2.0, NBM_RESOLUTION));
         let mut pa: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
         pa.insert(ProviderId(1), BTreeSet::from([Asn(64500)]));
         pa.insert(ProviderId(2), BTreeSet::from([Asn(64500)]));
-        let mut ch: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
+        let mut ch: BTreeMap<ProviderId, Vec<HexCell>> = BTreeMap::new();
         ch.insert(ProviderId(1), footprint.clone());
         ch.insert(ProviderId(2), footprint);
         let mlab = MlabDataset::new(vec![test_at(64500, center(), 5.0)]);
