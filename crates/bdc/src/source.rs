@@ -30,7 +30,7 @@ use crate::diff::ClaimChange;
 use crate::fabric::FabricView;
 use crate::ids::ProviderId;
 use crate::nbm::NbmRelease;
-use crate::stream::{ResidencyMeter, ShardStream, SpeedTestStream};
+use crate::stream::{ResidencyMeter, ShardStream};
 
 /// Timing and residency of one streaming stage (source generation/ingest
 /// half or pipeline-runner half — both report through the same row type).
@@ -184,12 +184,16 @@ pub trait WorldSource {
     type OoklaItem: Send;
     /// Item type of the MLab-style test stream.
     type MlabItem: Send;
-    /// The tile stream, borrowing from the source.
-    type OoklaStream<'a>: SpeedTestStream<Item = Self::OoklaItem> + 'a
+    /// The tile stream, borrowing from the source. Shards arrive in the
+    /// dataset's canonical order (sorted hexes), so collecting the stream
+    /// reproduces the materialised tiles byte for byte.
+    type OoklaStream<'a>: ShardStream<Item = Self::OoklaItem> + 'a
     where
         Self: 'a;
-    /// The speed-test stream, borrowing from the source.
-    type MlabStream<'a>: SpeedTestStream<Item = Self::MlabItem> + 'a
+    /// The speed-test stream, borrowing from the source. Shards arrive in
+    /// provider order, so collecting the stream reproduces the materialised
+    /// tests byte for byte.
+    type MlabStream<'a>: ShardStream<Item = Self::MlabItem> + 'a
     where
         Self: 'a;
 
@@ -251,8 +255,6 @@ impl<T: Send> ShardStream for EmptyStream<T> {
         0
     }
 }
-
-impl<T: Send> SpeedTestStream for EmptyStream<T> {}
 
 #[cfg(test)]
 mod tests {

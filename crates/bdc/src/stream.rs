@@ -3,8 +3,8 @@
 //! * [`ClaimEntry`] — the compact `(claim key, speeds)` projection of an
 //!   availability record that [`MapDiff::between`](crate::MapDiff::between)
 //!   merges, with the one duplicate-key rule ([`ClaimEntry::wins_over`]).
-//! * [`ShardStream`] and [`SpeedTestStream`] — sources regenerated or read
-//!   shard by shard on demand, drained by [`drain_shards`] or collected by
+//! * [`ShardStream`] — sources regenerated or read shard by shard on
+//!   demand, drained by [`drain_shards`] or collected by
 //!   [`collect_shards`]; [`SliceShards`] streams records already resident.
 //! * [`ResidencyMeter`] — honest peak-residency accounting shared by every
 //!   streaming stage, mirrored into telemetry by [`MeterInstruments`].
@@ -222,20 +222,12 @@ pub trait ShardStream: Sync {
     }
 }
 
-/// A shard-streamed source of speed-test records (Ookla tiles, MLab tests —
-/// the item type is the implementor's). A marker refinement of
-/// [`ShardStream`]: implementors promise shards arrive in the canonical
-/// generation order of the dataset (sorted-hex order for tiles, provider
-/// order for tests), so collecting the stream reproduces the materialised
-/// dataset byte for byte.
-pub trait SpeedTestStream: ShardStream {}
-
 /// Entries per [`SliceShards`] shard: the MLab attributor's test block, so a
 /// resident source's test shards are exactly the blocks the attributor fans
 /// out.
 const SLICE_CHUNK: usize = 4096;
 
-/// Records that are already resident, handed out as a [`SpeedTestStream`] in
+/// Records that are already resident, handed out as a [`ShardStream`] in
 /// 4096-entry shards, in slice order. The slice stays resident in its owner,
 /// so `resident_entries` admits all of it: the meter charges what is
 /// actually held, not what a shard happens to hand out.
@@ -267,8 +259,6 @@ impl<T: Clone + Send + Sync> ShardStream for SliceShards<'_, T> {
         self.items.len()
     }
 }
-
-impl<T: Clone + Send + Sync> SpeedTestStream for SliceShards<'_, T> {}
 
 /// Materialise a shard stream: pull every shard through [`map_shards`] and
 /// concatenate in shard order. This is the thin adapter that turns any

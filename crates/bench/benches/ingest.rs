@@ -1,13 +1,12 @@
 //! Criterion bench of the CSV ingest readers on a ~100×-scaled replica of
 //! the committed `bdc_sample` fixture (~30k availability rows).
 //!
-//! The headline comparison is the perf satellite of the ingest PR: the
-//! scratch-buffer reader (`CsvRows`, one line buffer + one bounds vector
-//! reused for every row) against the naive per-row-allocating baseline
-//! (`AllocCsvRows`, a fresh `Vec<String>` per row). Both split identically;
-//! the delta is pure allocator traffic. Alongside wall-clock, the bench
-//! reports rows/s for both readers (and for the full typed availability
-//! parse on top of the scratch reader) as metrics.
+//! The headline comparison: the scratch-buffer reader (`CsvRows`, one line
+//! buffer + one bounds vector reused for every row) against the same reader
+//! copying every row into a fresh `Vec<String>`. Both rows run the one
+//! production splitter, so the delta is pure allocator traffic. Alongside
+//! wall-clock, the bench reports rows/s for both (and for the full typed
+//! availability parse on top of the scratch reader) as metrics.
 //!
 //! Regenerate the committed report with (from the workspace root; the path
 //! must be absolute because cargo runs the bench binary with `crates/bench`
@@ -18,7 +17,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
-use redsus_ingest::{AllocCsvRows, AvailabilityReader, CsvRows};
+use redsus_ingest::{AvailabilityReader, CsvRows};
 use std::hint::black_box;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -73,12 +72,16 @@ fn drain_scratch(path: &Path) -> usize {
     n
 }
 
-/// Drain the allocating baseline, touching every field.
+/// Drain the scratch reader into a fresh `Vec<String>` per row, touching
+/// every field: the per-row-allocating baseline.
 fn drain_alloc(path: &Path) -> usize {
-    let mut rows = AllocCsvRows::open(path).expect("open");
+    let mut rows = CsvRows::open(path).expect("open");
     let mut n = 0usize;
     while let Some(fields) = rows.next_row().expect("row") {
-        for field in &fields {
+        let owned: Vec<String> = (0..fields.len())
+            .map(|i| fields.get(i).to_string())
+            .collect();
+        for field in &owned {
             black_box(field.as_str());
         }
         n += 1;

@@ -1,10 +1,8 @@
-//! Criterion benches of the serving subsystem: artifact encode/decode/load,
-//! flattened vs recursive traversal and the batch scorer's worker sweep.
-//!
-//! Alongside wall-clock, the bench reports rows/sec throughput metrics for
-//! the recursive and flattened paths — the number that matters for a
-//! scoring service — plus the artifact's size on the wire. Request latency
-//! on a live server is `perfbench`'s `serve` workload.
+//! Criterion bench of the model artifact: encode, decode, and what a
+//! serving process pays at startup (decode + flatten), plus the artifact's
+//! size on the wire. Scoring throughput is the inference bench's kernel
+//! matrix; request latency on a live server is `perfbench`'s `serve`
+//! workload.
 //!
 //! Regenerate the committed report with (from the workspace root; the path
 //! must be absolute because cargo runs the bench binary with `crates/bench`
@@ -15,37 +13,29 @@
 //! ```
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
-use ml::FlatForest;
-use redsus_bench::bench_suite;
-use redsus_serve::{
-    decode_model, encode_model, score_dataset, ScoreMode, ScoreOutput, ServedModel,
-};
-
-/// Best-of-N wall-clock of one closure, in seconds.
-fn best_seconds(n: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
+use redsus_core::experiments::ExperimentSuite;
+use redsus_serve::{decode_model, encode_model, ServedModel};
+use synth::SynthConfig;
 
 fn bench_serving(c: &mut Criterion) {
-    let suite = bench_suite(5);
+    let suite = ExperimentSuite::prepare(&SynthConfig::tiny(5));
     let model = &suite.observation_holdout.model;
-    let data = &suite.matrix.dataset;
-    let forest = FlatForest::from_model(model);
     let bytes = encode_model(model);
+    let served = ServedModel::from_bytes(&bytes).expect("load");
 
     report_metric("serving/artifact_bytes", bytes.len() as f64, "bytes");
-    report_metric("serving/forest_trees", forest.n_trees() as f64, "trees");
-    report_metric("serving/forest_nodes", forest.n_nodes() as f64, "nodes");
-    report_metric("serving/scored_rows", data.n_rows() as f64, "rows");
+    report_metric(
+        "serving/forest_trees",
+        served.forest().n_trees() as f64,
+        "trees",
+    );
+    report_metric(
+        "serving/forest_nodes",
+        served.forest().n_nodes() as f64,
+        "nodes",
+    );
 
     let mut group = c.benchmark_group("serving_artifact");
     group.sample_size(20);
@@ -54,64 +44,9 @@ fn bench_serving(c: &mut Criterion) {
         b.iter(|| black_box(decode_model(&bytes).expect("decode")))
     });
     group.bench_function("load_and_flatten", |b| {
-        // What a serving process pays at startup: decode + FlatForest.
         b.iter(|| black_box(ServedModel::from_bytes(&bytes).expect("load")))
     });
     group.finish();
-
-    let mut group = c.benchmark_group("serving_scoring");
-    group.sample_size(10);
-    group.bench_function("recursive_predict_dataset", |b| {
-        b.iter(|| black_box(model.predict_dataset(data)))
-    });
-    group.bench_function("flat_sequential", |b| {
-        b.iter(|| {
-            black_box(score_dataset(
-                &forest,
-                data,
-                ScoreOutput::Probability,
-                ScoreMode::Sequential,
-            ))
-        })
-    });
-    // Worker sweep: on multicore hosts the fan-out shrinks wall-clock; on
-    // the 1-core CI container it documents the (bit-identical) overhead of
-    // forcing workers.
-    for workers in [2usize, 4] {
-        group.bench_function(format!("flat_threads{workers}"), |b| {
-            b.iter(|| {
-                black_box(score_dataset(
-                    &forest,
-                    data,
-                    ScoreOutput::Probability,
-                    ScoreMode::Threads(workers),
-                ))
-            })
-        });
-    }
-    group.finish();
-
-    // Throughput metrics: rows/sec at best-of-10, the number a capacity
-    // plan starts from.
-    let n_rows = data.n_rows() as f64;
-    let recursive = best_seconds(10, || {
-        black_box(model.predict_dataset(data));
-    });
-    let flat = best_seconds(10, || {
-        black_box(score_dataset(
-            &forest,
-            data,
-            ScoreOutput::Probability,
-            ScoreMode::Sequential,
-        ));
-    });
-    report_metric(
-        "serving/recursive_rows_per_sec",
-        n_rows / recursive,
-        "rows/s",
-    );
-    report_metric("serving/flat_rows_per_sec", n_rows / flat, "rows/s");
-    report_metric("serving/flat_speedup", recursive / flat, "x");
 }
 
 criterion_group!(benches, bench_serving);

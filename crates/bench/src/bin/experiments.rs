@@ -2,10 +2,9 @@
 //! print them in the order they appear in the paper.
 //!
 //! ```text
-//! cargo run --release -p redsus-bench --bin experiments -- [seed] [--scale tiny|default|large]
+//! cargo run --release -p redsus_bench --bin experiments -- [seed] [--scale tiny|default|large]
 //! ```
 
-use redsus_bench::{bench_config, experiment_config};
 use redsus_core::experiments as exp;
 use redsus_core::features::FeatureConfig;
 use redsus_core::pipeline::AnalysisContext;
@@ -25,9 +24,9 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("tiny");
     let config: SynthConfig = match scale {
-        "default" => experiment_config(seed),
+        "default" => SynthConfig::experiment(seed),
         "large" => SynthConfig::large(seed),
-        _ => bench_config(seed),
+        _ => SynthConfig::tiny(seed),
     };
 
     eprintln!(

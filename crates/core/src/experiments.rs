@@ -1,7 +1,7 @@
 //! One function per table and figure of the paper's evaluation.
 //!
 //! Every experiment returns a plain result structure with a `render()` method
-//! that prints the same rows/series the paper reports; the `redsus-bench`
+//! that prints the same rows/series the paper reports; the `redsus_bench`
 //! crate's `experiments` binary regenerates all of them (see the README's
 //! "Quickstart").
 

@@ -2,16 +2,10 @@
 //! actually publish: comma-separated, optional double quotes around fields,
 //! one header row, no embedded newlines.
 //!
-//! Two readers share the parsing code:
-//!
-//! * [`CsvRows`] — the production reader. One `String` line buffer and one
-//!   `Vec` of field bounds are allocated per *file* and reused for every
-//!   row; [`Fields::get`] hands out `&str` slices into the shared buffer,
-//!   so steady-state row reading allocates nothing.
-//! * [`AllocCsvRows`] — the naive baseline that allocates a fresh
-//!   `Vec<String>` per row. It exists only so `benches/ingest.rs` can
-//!   document the rows/s cost of per-row allocation against the scratch
-//!   reader; production code must not use it.
+//! [`CsvRows`] allocates one `String` line buffer and one `Vec` of field
+//! bounds per *file* and reuses them for every row; [`Fields::get`] hands
+//! out `&str` slices into the shared buffer, so steady-state row reading
+//! allocates nothing.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -161,69 +155,6 @@ impl<R: BufRead> CsvRows<R> {
     }
 }
 
-/// The per-row-allocating baseline reader: same parsing rules as
-/// [`CsvRows`], but every row materialises a fresh `Vec<String>`.
-/// Bench-comparison only.
-pub struct AllocCsvRows<R> {
-    reader: R,
-    file: String,
-    line_no: usize,
-}
-
-impl AllocCsvRows<BufReader<File>> {
-    pub fn open(path: &Path) -> Result<Self, IngestError> {
-        let file = File::open(path).map_err(|e| IngestError::io(path, e))?;
-        Ok(Self {
-            reader: BufReader::new(file),
-            file: path.display().to_string(),
-            line_no: 0,
-        })
-    }
-}
-
-impl<R: BufRead> AllocCsvRows<R> {
-    pub fn from_reader(reader: R, file: String) -> Self {
-        Self {
-            reader,
-            file,
-            line_no: 0,
-        }
-    }
-
-    /// Read the next row as owned strings. Returns `Ok(None)` at end of
-    /// file; blank lines are skipped.
-    pub fn next_row(&mut self) -> Result<Option<Vec<String>>, IngestError> {
-        loop {
-            let mut line = String::new();
-            let read = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| IngestError::Io {
-                    path: self.file.clone(),
-                    message: e.to_string(),
-                })?;
-            if read == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            if line.is_empty() {
-                continue;
-            }
-            let mut bounds = Vec::new();
-            split_into_bounds(&line, &mut bounds);
-            return Ok(Some(
-                bounds
-                    .iter()
-                    .map(|&(s, e)| line[s..e].to_string())
-                    .collect(),
-            ));
-        }
-    }
-}
-
 /// Validate a header row against the expected column list: duplicates first,
 /// then missing, then unknown, then exact order. The split matters — a
 /// shuffled header with all the right columns must report
@@ -292,23 +223,6 @@ mod tests {
         }
         assert!(rows.next_row().unwrap().is_none());
         assert_eq!(rows.line_no(), 4);
-    }
-
-    #[test]
-    fn alloc_reader_parses_identically() {
-        let data = "a,b\n\"x,y\",z\n";
-        let mut scratch = CsvRows::from_reader(Cursor::new(data), "mem".into());
-        let mut alloc = AllocCsvRows::from_reader(Cursor::new(data), "mem".into());
-        loop {
-            let owned = alloc.next_row().unwrap();
-            let Some(borrowed) = scratch.next_row().unwrap() else {
-                assert!(owned.is_none());
-                break;
-            };
-            let owned = owned.expect("same row count");
-            let fields: Vec<&str> = (0..borrowed.len()).map(|i| borrowed.get(i)).collect();
-            assert_eq!(fields, owned);
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   `ResidencyMeter` with per-stage budget enforcement, same as synth
 //!   generation.
 //! * **Scratch-buffer parsing.** The CSV layer reuses one line buffer and
-//!   one bounds vector per file ([`CsvRows`]); the allocating baseline
-//!   ([`AllocCsvRows`]) exists only for the bench comparison.
+//!   one bounds vector per file ([`CsvRows`]).
 
 pub mod availability;
 pub mod csv;
@@ -31,7 +30,7 @@ pub mod source;
 pub use availability::{
     parse_availability_filename, AvailabilityReader, AvailabilityRow, AVAILABILITY_COLUMNS,
 };
-pub use csv::{validate_header, AllocCsvRows, CsvRows, Fields};
+pub use csv::{validate_header, CsvRows, Fields};
 pub use error::IngestError;
 pub use ookla::{OoklaReader, OOKLA_COLUMNS};
 pub use source::{FileWorld, IngestOptions};

@@ -25,12 +25,11 @@
 //!   A pure index permutation: per-row predictions, leaf values and path
 //!   *contents* are untouched, which the bit-identity tests pin.
 //! * **Block-batched traversal.** [`FlatForest::predict_margin_rows_into`]
-//!   descends [`DEFAULT_BLOCK_ROWS`] rows through each tree level-
-//!   synchronously, giving the CPU a block's worth of independent
-//!   node-fetch chains instead of one serial pointer chase per row. Each
-//!   row's margin is still folded tree-by-tree in model order from `0.0`
-//!   with the base margin added last, so batched output is bit-identical to
-//!   the scalar walk.
+//!   descends 64-row blocks through each tree level-synchronously, giving
+//!   the CPU a block's worth of independent node-fetch chains instead of
+//!   one serial pointer chase per row. Each row's margin is still folded
+//!   tree-by-tree in model order from `0.0` with the base margin added
+//!   last, so batched output is bit-identical to the scalar walk.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -40,10 +39,10 @@ use crate::tree::Node;
 /// Sentinel value of [`FlatNode::feature`] marking a leaf.
 pub const LEAF_FEATURE: u32 = u32::MAX;
 
-/// Rows per traversal block of the batched kernel: big enough to keep many
+/// Rows per traversal block of the batched kernels: big enough to keep many
 /// independent descent chains in flight, small enough that the per-row
 /// cursor state stays in registers/L1.
-pub const DEFAULT_BLOCK_ROWS: usize = 64;
+pub(crate) const BLOCK_ROWS: usize = 64;
 
 /// One lowered tree node. Splits carry the routing fields; leaves carry only
 /// `value` and tag `feature` with [`LEAF_FEATURE`].
@@ -289,9 +288,9 @@ impl FlatForest {
     /// Batched margins for a row-major block of rows, written into `out` —
     /// bit-identical to calling [`FlatForest::predict_margin`] per row.
     ///
-    /// Rows are processed in `block_rows`-sized blocks that descend each
-    /// tree level-synchronously: one sweep advances every still-descending
-    /// row in the block by one level, so the block's node fetches are
+    /// Rows are processed in 64-row blocks that descend each tree
+    /// level-synchronously: one sweep advances every still-descending row
+    /// in the block by one level, so the block's node fetches are
     /// independent loads the CPU can overlap instead of one serial chain
     /// per row. Per row, leaf values are still accumulated tree-by-tree in
     /// model order from `0.0`; the base margin joins by one final add,
@@ -301,7 +300,7 @@ impl FlatForest {
     /// # Panics
     /// Panics when `data` is not a whole number of rows or `out` does not
     /// hold exactly one slot per row.
-    pub fn predict_margin_rows_into(&self, data: &[f32], out: &mut [f64], block_rows: usize) {
+    pub fn predict_margin_rows_into(&self, data: &[f32], out: &mut [f64]) {
         let width = self.n_features();
         assert_eq!(
             data.len() % width,
@@ -310,21 +309,12 @@ impl FlatForest {
             data.len()
         );
         assert_eq!(out.len(), data.len() / width, "one output slot per row");
-        let block_rows = block_rows.max(1);
-        let mut cursors = vec![0u32; block_rows];
-        for (block, out_chunk) in out.chunks_mut(block_rows).enumerate() {
-            let start = block * block_rows;
+        let mut cursors = [0u32; BLOCK_ROWS];
+        for (block, out_chunk) in out.chunks_mut(BLOCK_ROWS).enumerate() {
+            let start = block * BLOCK_ROWS;
             let rows = &data[start * width..(start + out_chunk.len()) * width];
             self.margin_block(rows, out_chunk, &mut cursors[..out_chunk.len()]);
         }
-    }
-
-    /// Batched margins with the default block size, as a fresh vector.
-    pub fn predict_margin_rows(&self, data: &[f32]) -> Vec<f64> {
-        let width = self.n_features();
-        let mut out = vec![0.0f64; data.len() / width.max(1)];
-        self.predict_margin_rows_into(data, &mut out, DEFAULT_BLOCK_ROWS);
-        out
     }
 
     /// One block's level-synchronous descent. `cursors` carries the current
@@ -598,14 +588,14 @@ mod tests {
     /// Seeded-loop property test of the tentpole contract: the block-batched
     /// kernel ≡ the scalar flat walk ≡ the recursive model, bit for bit,
     /// over random forests (random depths incl. degenerate single-leaf
-    /// trees, NaN feature values) and the block sizes that stress the
-    /// chunking: 1, 63, 64 (default), 65 and 256.
+    /// trees, NaN feature values) and the row counts that stress the 64-row
+    /// chunking: 1, 63, 64, 65, 129 and 256.
     #[test]
     fn batched_margins_bit_identical_to_scalar_and_recursive() {
         for seed in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(0xb10c + seed);
             let n_features = rng.gen_range(2..6usize);
-            let n_rows = 130 + seed as usize * 7;
+            let n_rows = 256;
             let data = random_dataset(&mut rng, n_rows, n_features);
             let model = GbdtModel::fit(
                 &data,
@@ -631,25 +621,20 @@ mod tests {
             let expected: Vec<f64> = (0..n_rows)
                 .map(|r| model.predict_margin(&block[r * n_features..(r + 1) * n_features]))
                 .collect();
-            for block_rows in [1usize, 63, 64, 65, 256] {
-                let mut out = vec![0.0f64; n_rows];
-                forest.predict_margin_rows_into(&block, &mut out, block_rows);
+            for (r, want) in expected.iter().enumerate() {
+                let scalar = forest.predict_margin(&block[r * n_features..(r + 1) * n_features]);
+                assert_eq!(scalar.to_bits(), want.to_bits(), "scalar drift at row {r}");
+            }
+            for rows in [1usize, 63, 64, 65, 129, 256] {
+                let mut out = vec![0.0f64; rows];
+                forest.predict_margin_rows_into(&block[..rows * n_features], &mut out);
                 for (r, (a, b)) in out.iter().zip(&expected).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "batched drift at seed {seed} row {r} block_rows {block_rows}"
+                        "batched drift at seed {seed} row {r} of {rows}"
                     );
-                    let scalar =
-                        forest.predict_margin(&block[r * n_features..(r + 1) * n_features]);
-                    assert_eq!(scalar.to_bits(), b.to_bits(), "scalar drift at row {r}");
                 }
-            }
-            // The convenience wrapper uses the default block size.
-            let out = forest.predict_margin_rows(&block);
-            assert_eq!(out.len(), n_rows);
-            for (a, b) in out.iter().zip(&expected) {
-                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

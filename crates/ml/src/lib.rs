@@ -55,7 +55,7 @@ pub use attribution::{
 };
 pub use baseline::RandomBaseline;
 pub use dataset::Dataset;
-pub use flat::{FlatForest, FlatNode, DEFAULT_BLOCK_ROWS};
+pub use flat::{FlatForest, FlatNode};
 pub use gbdt::{GbdtModel, GbdtParams};
 pub use metrics::{
     accuracy, confusion_matrix, f1_score, log_loss, precision_recall_f1, roc_auc, roc_curve,

@@ -28,7 +28,7 @@
 //! stay byte-identical to [`GbdtModel::predict_margin`] no matter what,
 //! which the seeded-loop tests and the served-scores golden pin.
 
-use crate::flat::{FlatForest, DEFAULT_BLOCK_ROWS, LEAF_FEATURE};
+use crate::flat::{FlatForest, BLOCK_ROWS, LEAF_FEATURE};
 use crate::gbdt::{sigmoid, GbdtModel};
 
 /// Quantised row value reserved for missing (NaN) features; real ranks are
@@ -229,7 +229,7 @@ impl QuantForest {
     /// # Panics
     /// Panics when `data` is not a whole number of rows or `out` does not
     /// hold exactly one slot per row.
-    pub fn predict_margin_rows_into(&self, data: &[f32], out: &mut [f64], block_rows: usize) {
+    pub fn predict_margin_rows_into(&self, data: &[f32], out: &mut [f64]) {
         let width = self.n_features();
         assert_eq!(
             data.len() % width,
@@ -238,12 +238,11 @@ impl QuantForest {
             data.len()
         );
         assert_eq!(out.len(), data.len() / width, "one output slot per row");
-        let block_rows = block_rows.max(1);
-        let mut cursors = vec![0u32; block_rows];
-        let mut qblock = vec![0u16; block_rows * width];
-        for (block, out_chunk) in out.chunks_mut(block_rows).enumerate() {
+        let mut cursors = [0u32; BLOCK_ROWS];
+        let mut qblock = vec![0u16; BLOCK_ROWS * width];
+        for (block, out_chunk) in out.chunks_mut(BLOCK_ROWS).enumerate() {
             let n = out_chunk.len();
-            let start = block * block_rows;
+            let start = block * BLOCK_ROWS;
             let rows = &data[start * width..(start + n) * width];
             // Feature-major quantisation: one feature's cut slice stays hot
             // while the whole block binary-searches against it, instead of
@@ -260,13 +259,6 @@ impl QuantForest {
             }
             self.margin_block(rows, &qblock[..n * width], out_chunk, &mut cursors[..n]);
         }
-    }
-
-    /// Batched margins with the default block size, as a fresh vector.
-    pub fn predict_margin_rows(&self, data: &[f32]) -> Vec<f64> {
-        let mut out = vec![0.0f64; data.len() / self.n_features().max(1)];
-        self.predict_margin_rows_into(data, &mut out, DEFAULT_BLOCK_ROWS);
-        out
     }
 
     fn margin_block(&self, rows: &[f32], qrows: &[u16], out: &mut [f64], cursors: &mut [u32]) {
@@ -368,13 +360,14 @@ mod tests {
 
     /// The tentpole exactness property: quantised scalar and batched
     /// margins equal the recursive model bit for bit over random forests
-    /// (random depths, NaNs, single-leaf trees) and stress block sizes.
+    /// (random depths, NaNs, single-leaf trees) and the row counts that
+    /// stress the 64-row chunking.
     #[test]
     fn quantised_margins_bit_identical_to_recursive() {
         for seed in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(0x9a47 + seed);
             let n_features = rng.gen_range(2..6usize);
-            let n_rows = 140;
+            let n_rows = 256;
             let data = random_dataset(&mut rng, n_rows, n_features);
             let model = GbdtModel::fit(
                 &data,
@@ -410,14 +403,14 @@ mod tests {
                     "scalar quant drift at seed {seed} row {r}"
                 );
             }
-            for block_rows in [1usize, 63, 64, 65, 256] {
-                let mut out = vec![0.0f64; n_rows];
-                quant.predict_margin_rows_into(&block, &mut out, block_rows);
+            for rows in [1usize, 63, 64, 65, 129, 256] {
+                let mut out = vec![0.0f64; rows];
+                quant.predict_margin_rows_into(&block[..rows * n_features], &mut out);
                 for (r, (a, b)) in out.iter().zip(&expected).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "batched quant drift at seed {seed} row {r} block {block_rows}"
+                        "batched quant drift at seed {seed} row {r} of {rows}"
                     );
                 }
             }
@@ -524,7 +517,7 @@ mod tests {
                 "fallback drift at v={v}"
             );
             let mut out = [0.0f64];
-            quant.predict_margin_rows_into(&row, &mut out, 64);
+            quant.predict_margin_rows_into(&row, &mut out);
             assert_eq!(out[0].to_bits(), model.predict_margin(&row).to_bits());
         }
     }

@@ -9,20 +9,19 @@
 //! stages already honour. [`ScoreMode`] *is* that shared enum.
 //!
 //! Inside a shard, rows run through the **block-batched** traversal kernel
-//! ([`FlatForest::predict_margin_rows_into`], or its [`QuantForest`]
-//! counterpart via [`score_rows_quantised`]) — margins are bit-identical to
-//! the per-row walk at any block size, so the kernel choice never shows in
-//! the output bits. Inputs that fit a single shard, or schedules with one
-//! effective worker, **short-circuit** past the shard/worker machinery
-//! entirely: spawning is pure overhead unless there are both multiple shards
-//! and multiple workers. Even then it barely pays on small inputs: on a
-//! 2-CPU host, six runs of the serving bench over its 1,214-row dataset (two
-//! shards, the second 190 rows) showed no consistent gain from `Threads(2)`
-//! or `Threads(4)` over sequential (`BENCH_serve.json`).
+//! ([`FlatForest::predict_margin_rows_into`]); its margins are bit-identical
+//! to the per-row walk, and so are those of the [`QuantForest`] counterpart
+//! behind [`score_rows_quantised`]. Inputs that fit a single shard, or
+//! schedules with one effective worker, **short-circuit** past the
+//! shard/worker machinery entirely: spawning is pure overhead unless there
+//! are both multiple shards and multiple workers. Even then it barely pays
+//! on small inputs: on a 2-CPU host, scoring a 1,214-row dataset (two
+//! shards, the second 190 rows) took 1.22 ms sequential against 1.38 ms
+//! under `Threads(2)` and 1.32 ms under `Threads(4)`.
 
 use bdc::stream::map_shards;
 use ml::gbdt::sigmoid;
-use ml::{Dataset, FlatForest, QuantForest, DEFAULT_BLOCK_ROWS};
+use ml::{Dataset, FlatForest, QuantForest};
 
 /// The scheduling mode of a batch scoring call — the workspace's shared
 /// scheduling enum (`bdc::stream::DiffMode`, re-exported by the generator as
@@ -63,16 +62,12 @@ impl ScoreOutput {
     }
 }
 
-/// Which traversal kernel a scoring call runs on. Both produce
-/// bit-identical scores — the kernel is a throughput decision, reported by
-/// the HTTP endpoint and the quickstart example so dispatch is observable.
+/// The traversal kernel a served model scores on, reported by the HTTP
+/// endpoint and the quickstart example.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreKernel {
     /// Block-batched level-synchronous traversal of the flat forest.
     Batched,
-    /// Block-batched traversal on u16-quantised thresholds (exact trees
-    /// only; inexact trees fall back to the flat walk inside the kernel).
-    Quantised,
 }
 
 impl ScoreKernel {
@@ -80,7 +75,6 @@ impl ScoreKernel {
     pub fn name(self) -> &'static str {
         match self {
             ScoreKernel::Batched => "batched",
-            ScoreKernel::Quantised => "quantised",
         }
     }
 }
@@ -99,13 +93,14 @@ pub fn score_rows(
     mode: ScoreMode,
 ) -> Vec<f64> {
     score_rows_with(forest.n_features(), data, output, mode, |rows, out| {
-        forest.predict_margin_rows_into(rows, out, DEFAULT_BLOCK_ROWS)
+        forest.predict_margin_rows_into(rows, out)
     })
 }
 
 /// [`score_rows`] on the quantised kernel: identical output bits (the
 /// quantised compare is exact by construction, with per-tree fallback),
-/// fewer bytes touched per node.
+/// fewer bytes touched per node, but slower than [`score_rows`] on the
+/// pipeline's 60-tree depth-5 forests (`BENCH_infer.json`).
 ///
 /// # Panics
 /// Panics when `data.len()` is not a multiple of the forest's feature count.
@@ -116,7 +111,7 @@ pub fn score_rows_quantised(
     mode: ScoreMode,
 ) -> Vec<f64> {
     score_rows_with(forest.n_features(), data, output, mode, |rows, out| {
-        forest.predict_margin_rows_into(rows, out, DEFAULT_BLOCK_ROWS)
+        forest.predict_margin_rows_into(rows, out)
     })
 }
 

@@ -28,11 +28,9 @@
 //!
 //! Inference runs on [`ml::FlatForest`], the recursive trees lowered into
 //! breadth-first contiguous node arrays and traversed by a block-batched
-//! kernel — or on [`ml::QuantForest`], the same forest with thresholds
-//! quantised to u16 ranks, when every tree quantises exactly. Both are
-//! proven bit-identical to [`GbdtModel::predict_margin`] — so a score
-//! served over the wire equals the score the experiments computed
-//! in-process, to the last bit, whichever kernel dispatched it.
+//! kernel, proven bit-identical to [`GbdtModel::predict_margin`] — so a
+//! score served over the wire equals the score the experiments computed
+//! in-process, to the last bit.
 
 pub mod artifact;
 pub mod batch;
@@ -107,30 +105,24 @@ impl ServedModel {
         self.quant.flat()
     }
 
-    /// The quantised inference engine.
+    /// The quantised inference engine, for [`score_rows_quantised`];
+    /// [`ServedModel::score_block`] does not use it.
     pub fn quant_forest(&self) -> &QuantForest {
         &self.quant
     }
 
-    /// The kernel [`ServedModel::score_block`] dispatches to: quantised when
-    /// every tree passed the exactness checks, otherwise the batched flat
-    /// walk. Never changes the output bits — only the bytes touched.
+    /// The kernel [`ServedModel::score_block`] runs on: always the batched
+    /// flat walk. The quantised kernel gives the same bits but is slower on
+    /// the pipeline's 60-tree depth-5 forests; it only pulls ahead on
+    /// forests far larger than any workload serves (`BENCH_infer.json`).
     pub fn kernel(&self) -> ScoreKernel {
-        if self.quant.is_fully_quantised() {
-            ScoreKernel::Quantised
-        } else {
-            ScoreKernel::Batched
-        }
+        ScoreKernel::Batched
     }
 
-    /// Score a row-major block on the best available kernel (see
-    /// [`ServedModel::kernel`]). Bit-identical to
+    /// Score a row-major block with [`score_rows`]. Bit-identical to
     /// [`GbdtModel::predict_margin`] / `predict_proba` per row.
     pub fn score_block(&self, data: &[f32], output: ScoreOutput, mode: ScoreMode) -> Vec<f64> {
-        match self.kernel() {
-            ScoreKernel::Quantised => score_rows_quantised(&self.quant, data, output, mode),
-            ScoreKernel::Batched => score_rows(self.forest(), data, output, mode),
-        }
+        score_rows(self.forest(), data, output, mode)
     }
 
     /// The artifact content fingerprint.

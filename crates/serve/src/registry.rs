@@ -67,7 +67,7 @@ pub struct ModelInfo {
     pub trees: usize,
     /// Width of the feature schema.
     pub features: usize,
-    /// The kernel `score_block` dispatches to for this model.
+    /// The kernel `score_block` runs on for this model.
     pub kernel: ScoreKernel,
     /// Whether this is the default version.
     pub is_default: bool,

@@ -9,7 +9,9 @@ use std::time::Duration;
 use ml::{Dataset, GbdtModel, GbdtParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redsus_serve::{ScoreServer, ServeConfig, ServedModel};
+use redsus_serve::{
+    score_rows, ScoreKernel, ScoreMode, ScoreOutput, ScoreServer, ServeConfig, ServedModel,
+};
 
 fn trained_model() -> (GbdtModel, Dataset) {
     let mut rng = StdRng::seed_from_u64(0x5e12e);
@@ -124,6 +126,56 @@ fn healthz_reports_the_model() {
         "{body}"
     );
     assert!(body.contains("\"fingerprint\":\"0x"), "{body}");
+    server.shutdown();
+}
+
+/// A forest shaped like the paper's (60 trees, depth 5, the pipeline's
+/// sampling) quantises exactly, yet it is served on the batched flat
+/// kernel, which scores such forests faster; `/healthz` names that kernel
+/// and `score_block` gives `score_rows`' bits.
+#[test]
+fn quantisable_paper_forest_is_served_on_the_batched_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x6a7e);
+    let width = 12;
+    let mut d = Dataset::new((0..width).map(|f| format!("f{f}")).collect());
+    for _ in 0..1300 {
+        let row: Vec<f32> = (0..width).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let label = if row[0] + 0.5 * row[3] > 0.8 {
+            1.0
+        } else {
+            0.0
+        };
+        d.push_row(&row, label);
+    }
+    let model = GbdtModel::fit(
+        &d,
+        GbdtParams {
+            n_estimators: 60,
+            learning_rate: 0.15,
+            max_depth: 5,
+            subsample: 0.9,
+            colsample_bytree: 0.8,
+            seed: 1,
+            ..GbdtParams::default()
+        },
+    );
+    let served = ServedModel::from_model(model);
+    assert!(served.quant_forest().is_fully_quantised());
+    assert_eq!(served.kernel(), ScoreKernel::Batched);
+    for output in [ScoreOutput::Probability, ScoreOutput::Margin] {
+        for mode in [ScoreMode::Sequential, ScoreMode::Threads(2)] {
+            let block = served.score_block(d.data(), output, mode);
+            let flat = score_rows(served.forest(), d.data(), output, mode);
+            assert_eq!(block.len(), d.n_rows());
+            for (i, (a, b)) in block.iter().zip(&flat).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i} ({output:?}, {mode:?})");
+            }
+        }
+    }
+    let server = ScoreServer::start(served, ServeConfig::default()).expect("bind loopback");
+    let (status, body) = request(&server, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"kernel\":\"batched\""), "{body}");
     server.shutdown();
 }
 

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bdc::{Asn, DayStamp, Fabric, ProviderId, ShardStream, SpeedTestStream, Technology};
+use bdc::{Asn, DayStamp, Fabric, ProviderId, ShardStream, Technology};
 use geoprim::LatLng;
 use hexgrid::{HexCell, QuadTile, OOKLA_ZOOM};
 use rand::Rng;
@@ -67,7 +67,7 @@ pub fn ookla_hex_record(
     })
 }
 
-/// A [`SpeedTestStream`] of Ookla tiles over a sorted occupied-hex table
+/// A [`ShardStream`] of Ookla tiles over a sorted occupied-hex table
 /// (`(hex, bsl count, truly served)` per entry): shard `i` regenerates hex
 /// `i`'s tile on demand. Only the hex table stays resident — which the
 /// streaming path already holds for label construction, so the Ookla stage
@@ -103,8 +103,6 @@ impl ShardStream for OoklaEmitter<'_> {
         self.hexes.len()
     }
 }
-
-impl SpeedTestStream for OoklaEmitter<'_> {}
 
 /// Generate the Ookla open-data tiles. Each occupied hex contributes one tile
 /// centred on the hex; the tile's device count reflects whether the hex is
@@ -183,7 +181,7 @@ pub fn mlab_provider_tests(
     out
 }
 
-/// A [`SpeedTestStream`] of MLab tests, one shard per ASN-matched provider
+/// A [`ShardStream`] of MLab tests, one shard per ASN-matched provider
 /// (in provider-id order, as [`generate_mlab`] has always sharded). Resident
 /// state is the provider → ASN and provider → served-hex maps the caller
 /// already holds; each shard's tests are regenerated on demand.
@@ -233,8 +231,6 @@ impl ShardStream for MlabEmitter<'_> {
                 .sum::<usize>()
     }
 }
-
-impl SpeedTestStream for MlabEmitter<'_> {}
 
 /// Generate MLab NDT7 tests for every provider that has at least one ASN, in
 /// the hexes that provider genuinely serves. One shard (and one RNG stream)

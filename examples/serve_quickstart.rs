@@ -57,16 +57,7 @@ fn main() {
         served.forest().n_nodes(),
         served.forest().n_trees()
     );
-    // Which traversal kernel will answer queries: "quantised" when every
-    // tree's thresholds lowered exactly to u16 bins, else the batched flat
-    // walk — always bit-identical, so this is a throughput report, and the
-    // example doubles as a smoke check of kernel dispatch.
-    println!(
-        "scoring kernel: {} ({} of {} trees quantised exactly)",
-        served.kernel().name(),
-        served.quant_forest().n_exact_trees(),
-        served.forest().n_trees()
-    );
+    println!("scoring kernel: {}", served.kernel().name());
 
     // Query 1: in-process batch scoring over the hold-out rows.
     let test = suite
