@@ -1,9 +1,9 @@
-//! Criterion benches of the inference kernels and of training: recursive
-//! walk vs flat scalar vs block-batched vs quantised traversal (rows/sec)
-//! on the bench suite's 60-tree depth-5 forest, block-batched vs quantised
-//! on a 500-tree depth-8 forest, and the wall-clock of one `GbdtModel::fit`.
+//! Criterion benches of the inference kernels and of training: the
+//! block-batched flat kernel (the one production kernel) vs the quantised
+//! one (rows/sec) on the bench suite's 60-tree depth-5 forest and on a
+//! 500-tree depth-8 forest, and the wall-clock of one `GbdtModel::fit`.
 //!
-//! Every kernel is bit-identical — these numbers are pure throughput, which
+//! Both kernels are bit-identical — these numbers are pure throughput, which
 //! is why the comparison is honest: same bits out, different seconds. The
 //! 500 × 8 forest outgrows L2, the one shape where the quantised kernel's
 //! smaller nodes could win; the `*_500x8` rows are the evidence for which
@@ -35,15 +35,6 @@ fn best_seconds(n: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-/// One per-row scoring pass over a row-major block.
-fn scalar_pass(data: &[f32], width: usize, predict: impl Fn(&[f32]) -> f64) -> f64 {
-    let mut acc = 0.0;
-    for row in data.chunks_exact(width) {
-        acc += predict(row);
-    }
-    black_box(acc)
 }
 
 /// A dataset's rows tiled to about 50k: a small matrix's scoring pass sits
@@ -110,37 +101,11 @@ fn bench_inference(c: &mut Criterion) {
     let suite = ExperimentSuite::prepare(&SynthConfig::tiny(5));
     let model = &suite.observation_holdout.model;
     let dataset = &suite.matrix.dataset;
-    let width = dataset.n_features();
     let data = tiled_rows(dataset);
-    let n_rows = data.len() / width;
-    let forest = FlatForest::from_model(model);
 
-    // Criterion wall-clock groups, margins everywhere so the kernels do the
-    // same arithmetic.
+    // Both kernels write raw margins, so they do the same arithmetic.
     let mut group = c.benchmark_group("inference_kernels");
     group.sample_size(10);
-    group.bench_function("recursive", |b| {
-        b.iter(|| scalar_pass(&data, width, |row| model.predict_margin(row)))
-    });
-    group.bench_function("flat_scalar", |b| {
-        b.iter(|| scalar_pass(&data, width, |row| forest.predict_margin(row)))
-    });
-    let recursive = best_seconds(10, || {
-        scalar_pass(&data, width, |row| model.predict_margin(row));
-    });
-    let flat_scalar = best_seconds(10, || {
-        scalar_pass(&data, width, |row| forest.predict_margin(row));
-    });
-    report_metric(
-        "infer/recursive_rows_per_sec",
-        n_rows as f64 / recursive,
-        "rows/s",
-    );
-    report_metric(
-        "infer/flat_scalar_rows_per_sec",
-        n_rows as f64 / flat_scalar,
-        "rows/s",
-    );
     block_kernels(&mut group, model, &data, "");
 
     // The deciding case for the serving kernel: 500 trees at depth 8, fit

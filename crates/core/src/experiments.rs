@@ -399,9 +399,9 @@ fn breakdown_for_rows(
     let f_down = ds.feature_index("max_adv_download_mbps");
     let f_up = ds.feature_index("max_adv_upload_mbps");
     // Classify each row into TN/TP/FN/FP.
+    let probs = model.predict_dataset(&ds.subset(rows));
     let mut acc: BTreeMap<&'static str, (usize, f64, f64, f64, f64)> = BTreeMap::new();
-    for &r in rows {
-        let p = model.predict_proba(ds.row(r));
+    for (&r, &p) in rows.iter().zip(&probs) {
         let y = ds.label(r);
         let class = match (y == 1.0, p >= 0.5) {
             (true, true) => "TP",
@@ -796,8 +796,8 @@ pub fn figure8(world: &SynthUs, ctx: &AnalysisContext) -> Option<Figure8> {
     let mut over_total = 0usize;
     let mut served_flagged = 0usize;
     let mut served_total = 0usize;
-    for (i, obs) in jcc_claims.iter().enumerate() {
-        let p = outcome.model.predict_proba(jcc_matrix.dataset.row(i));
+    let probs = outcome.model.predict_dataset(&jcc_matrix.dataset);
+    for (obs, &p) in jcc_claims.iter().zip(&probs) {
         let flagged = p >= 0.5;
         if jcc.overclaimed_hexes.contains(&obs.hex) {
             over_total += 1;

@@ -58,9 +58,13 @@ pub fn explain_with_forest(forest: &FlatForest, row: &[f32]) -> Explanation {
     let n_features = forest.n_features();
     let mut contributions = vec![0.0f64; n_features];
     let mut base_value = forest.base_margin();
+    // The margin folds each path's leaf in tree order from 0.0 and adds the
+    // base margin last, as the batched kernel does.
+    let mut leaf_sum = 0.0f64;
     for tree in 0..forest.n_trees() {
         let path = forest.decision_path(tree, row);
         base_value += forest.node(path[0]).value;
+        leaf_sum += forest.node(path[path.len() - 1]).value;
         for w in path.windows(2) {
             let parent = forest.node(w[0]);
             let child = forest.node(w[1]);
@@ -69,7 +73,7 @@ pub fn explain_with_forest(forest: &FlatForest, row: &[f32]) -> Explanation {
             }
         }
     }
-    let margin = forest.predict_margin(row);
+    let margin = forest.base_margin() + leaf_sum;
     Explanation {
         base_value,
         contributions,

@@ -1,39 +1,41 @@
 //! Flattened forest inference: the recursive
 //! [`RegressionTree`](crate::RegressionTree) boxes lowered into one
-//! contiguous node array for cache-friendly traversal at serving time.
+//! contiguous node array, and the one production scoring kernel over it.
 //!
-//! [`GbdtModel::predict_margin`] walks a `Vec<Node>` per tree through an enum
-//! match; fine for training-time evaluation, but the serving hot path wants a
-//! branch-predictable loop over a flat struct-of-fields node. [`FlatForest`]
-//! stores every tree's nodes back-to-back (absolute child indices, leaves
-//! tagged with a sentinel feature), so a whole model is two allocations and a
-//! prediction never chases a discriminant.
+//! A fitted tree is a `Vec<Node>` walked through an enum match — fine for
+//! fitting, but scoring wants a branch-predictable loop over a flat
+//! struct-of-fields node. [`FlatForest`] stores every tree's nodes
+//! back-to-back (absolute child indices, leaves tagged with a sentinel
+//! feature), so a whole model is two allocations and a prediction never
+//! chases a discriminant.
 //!
-//! The load-bearing contract: **flat traversal is bit-identical to the
-//! recursive path.** Same node semantics (`NaN` follows `default_left`,
-//! otherwise `v <= threshold` goes left), same left-to-right tree order, same
-//! `f64` summation order — so `FlatForest::predict_margin` equals
-//! `GbdtModel::predict_margin` to the last bit, a property pinned by the
-//! tests below and reused by the attribution module (which walks the same
-//! flat paths) and by the `redsus_serve` batch/online scorers.
+//! [`FlatForest::predict_margin_rows_into`] scores everything that scores:
+//! [`GbdtModel::predict_dataset`] (and so every hold-out AUC), the
+//! experiments' tables and figures, and the `redsus_serve` scorers. The
+//! load-bearing contract: **it is bit-identical to the recursive walk.**
+//! Same node semantics (`NaN` follows `default_left`, otherwise
+//! `v <= threshold` goes left), same left-to-right tree order, same `f64`
+//! summation order. The recursive per-row walk survives only as the test
+//! oracle the kernel is pinned against, and the attribution module walks the
+//! same flat paths.
 //!
-//! Two layout/traversal decisions target the serving hot path specifically:
+//! Two layout/traversal decisions target the hot path specifically:
 //!
 //! * **Breadth-first node order.** `from_model` permutes each tree's nodes
 //!   level by level (children stay absolute u32 indices), so the top of every
 //!   tree — the levels every row visits — packs into the fewest cache lines.
 //!   A pure index permutation: per-row predictions, leaf values and path
 //!   *contents* are untouched, which the bit-identity tests pin.
-//! * **Block-batched traversal.** [`FlatForest::predict_margin_rows_into`]
-//!   descends 64-row blocks through each tree level-synchronously, giving
-//!   the CPU a block's worth of independent node-fetch chains instead of
-//!   one serial pointer chase per row. Each row's margin is still folded
-//!   tree-by-tree in model order from `0.0` with the base margin added
-//!   last, so batched output is bit-identical to the scalar walk.
+//! * **Block-batched traversal.** The kernel descends 64-row blocks through
+//!   each tree level-synchronously, giving the CPU a block's worth of
+//!   independent node-fetch chains instead of one serial pointer chase per
+//!   row. Each row's margin is still folded tree-by-tree in model order from
+//!   `0.0` with the base margin added last, so batched output is
+//!   bit-identical to the per-row walk.
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::gbdt::{sigmoid, GbdtModel};
+use crate::gbdt::GbdtModel;
 use crate::tree::Node;
 
 /// Sentinel value of [`FlatNode::feature`] marking a leaf.
@@ -246,9 +248,10 @@ impl FlatForest {
         self.tree_depths[tree]
     }
 
-    /// The leaf weight one tree contributes for a row.
+    /// The leaf weight one tree contributes for a row: the quantised
+    /// kernel's fallback for a tree it cannot quantise exactly.
     #[inline]
-    pub fn tree_leaf_value(&self, tree: usize, row: &[f32]) -> f64 {
+    pub(crate) fn tree_leaf_value(&self, tree: usize, row: &[f32]) -> f64 {
         let mut i = self.tree_roots[tree] as usize;
         loop {
             let n = &self.nodes[i];
@@ -265,28 +268,8 @@ impl FlatForest {
         }
     }
 
-    /// Raw additive margin (log-odds) for a feature row — bit-identical to
-    /// [`GbdtModel::predict_margin`]: the trees are folded left to right
-    /// from `0.0` and the base margin is added last, exactly as the
-    /// recursive path's `iter().sum::<f64>()` does.
-    ///
-    /// # Panics
-    /// Panics when `row` is narrower than the model's feature count.
-    pub fn predict_margin(&self, row: &[f32]) -> f64 {
-        let mut sum = 0.0f64;
-        for tree in 0..self.n_trees() {
-            sum += self.tree_leaf_value(tree, row);
-        }
-        self.base_margin + sum
-    }
-
-    /// Probability of the positive (suspicious / likely-unserved) class.
-    pub fn predict_proba(&self, row: &[f32]) -> f64 {
-        sigmoid(self.predict_margin(row))
-    }
-
-    /// Batched margins for a row-major block of rows, written into `out` —
-    /// bit-identical to calling [`FlatForest::predict_margin`] per row.
+    /// Raw additive margins (log-odds) for a row-major block of rows,
+    /// written into `out` — bit-identical to the recursive per-row walk.
     ///
     /// Rows are processed in 64-row blocks that descend each tree
     /// level-synchronously: one sweep advances every still-descending row
@@ -294,7 +277,7 @@ impl FlatForest {
     /// independent loads the CPU can overlap instead of one serial chain
     /// per row. Per row, leaf values are still accumulated tree-by-tree in
     /// model order from `0.0`; the base margin joins by one final add,
-    /// which IEEE addition commutes bit-exactly with the scalar path's
+    /// which IEEE addition commutes bit-exactly with the recursive walk's
     /// `base + sum`.
     ///
     /// # Panics
@@ -353,10 +336,8 @@ impl FlatForest {
     }
 
     /// The absolute node indices one tree visits for a row, root to leaf —
-    /// the path structure the attribution module walks. Identical (up to the
-    /// tree's base offset) to [`RegressionTree::decision_path`].
-    ///
-    /// [`RegressionTree::decision_path`]: crate::tree::RegressionTree::decision_path
+    /// the path structure the attribution module walks. It visits the nodes
+    /// the recursive tree walk visits, step for step.
     pub fn decision_path(&self, tree: usize, row: &[f32]) -> Vec<u32> {
         let mut path = Vec::new();
         let mut i = self.tree_roots[tree];
@@ -424,7 +405,7 @@ pub fn build_name_index(names: &[String]) -> HashMap<String, usize> {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::gbdt::GbdtParams;
+    use crate::gbdt::{sigmoid, GbdtParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -453,8 +434,8 @@ mod tests {
     }
 
     /// Seeded-loop property test: for random models and random rows
-    /// (including NaNs), the flat traversal reproduces the recursive margin
-    /// bit for bit, tree by tree.
+    /// (including NaNs), the flat per-tree walk — the quantised kernel's
+    /// fallback — reproduces the recursive tree's leaf value bit for bit.
     #[test]
     fn flat_predictions_bit_identical_to_recursive() {
         for seed in 0..6u64 {
@@ -476,27 +457,20 @@ mod tests {
             let forest = FlatForest::from_model(&model);
             assert_eq!(forest.n_trees(), model.n_trees());
             assert_eq!(forest.n_features(), model.feature_names().len());
-            for r in 0..data.n_rows() {
-                let row = data.row(r);
-                assert_eq!(
-                    forest.predict_margin(row).to_bits(),
-                    model.predict_margin(row).to_bits(),
-                    "margin drift at seed {seed} row {r}"
-                );
+            // All-missing rows exercise every default direction.
+            let missing = vec![f32::NAN; n_features];
+            for row in (0..data.n_rows())
+                .map(|r| data.row(r))
+                .chain([&missing[..]])
+            {
                 for (t, tree) in model.trees().iter().enumerate() {
                     assert_eq!(
                         forest.tree_leaf_value(t, row).to_bits(),
                         tree.predict_row(row).to_bits(),
-                        "tree {t} drift at seed {seed} row {r}"
+                        "tree {t} drift at seed {seed} on row {row:?}"
                     );
                 }
             }
-            // All-missing rows exercise every default direction.
-            let missing = vec![f32::NAN; n_features];
-            assert_eq!(
-                forest.predict_margin(&missing).to_bits(),
-                model.predict_margin(&missing).to_bits()
-            );
         }
     }
 
@@ -585,13 +559,14 @@ mod tests {
         }
     }
 
-    /// Seeded-loop property test of the tentpole contract: the block-batched
-    /// kernel ≡ the scalar flat walk ≡ the recursive model, bit for bit,
-    /// over random forests (random depths incl. degenerate single-leaf
-    /// trees, NaN feature values) and the row counts that stress the 64-row
-    /// chunking: 1, 63, 64, 65, 129 and 256.
+    /// Seeded-loop property test of the one production kernel: the
+    /// block-batched margins ≡ the recursive oracle, and
+    /// [`GbdtModel::predict_dataset`] ≡ `sigmoid` of it, bit for bit, over
+    /// random forests (random depths incl. degenerate single-leaf trees, NaN
+    /// feature values) and the row counts that stress the 64-row chunking:
+    /// 1, 63, 64, 65, 129 and 256.
     #[test]
-    fn batched_margins_bit_identical_to_scalar_and_recursive() {
+    fn batched_margins_and_predict_dataset_bit_identical_to_recursive() {
         for seed in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(0xb10c + seed);
             let n_features = rng.gen_range(2..6usize);
@@ -611,28 +586,33 @@ mod tests {
             );
             let forest = FlatForest::from_model(&model);
             // Row-major block with extra NaNs sprinkled in.
-            let mut block: Vec<f32> = Vec::with_capacity(n_rows * n_features);
-            for r in 0..n_rows {
-                block.extend_from_slice(data.row(r));
-            }
+            let mut block = data.data().to_vec();
             for v in block.iter_mut().step_by(13) {
                 *v = f32::NAN;
             }
-            let expected: Vec<f64> = (0..n_rows)
-                .map(|r| model.predict_margin(&block[r * n_features..(r + 1) * n_features]))
+            let expected: Vec<f64> = block
+                .chunks_exact(n_features)
+                .map(|row| model.predict_margin(row))
                 .collect();
-            for (r, want) in expected.iter().enumerate() {
-                let scalar = forest.predict_margin(&block[r * n_features..(r + 1) * n_features]);
-                assert_eq!(scalar.to_bits(), want.to_bits(), "scalar drift at row {r}");
-            }
             for rows in [1usize, 63, 64, 65, 129, 256] {
                 let mut out = vec![0.0f64; rows];
                 forest.predict_margin_rows_into(&block[..rows * n_features], &mut out);
-                for (r, (a, b)) in out.iter().zip(&expected).enumerate() {
+                let mut dataset = Dataset::new(data.feature_names().to_vec());
+                for row in block.chunks_exact(n_features).take(rows) {
+                    dataset.push_row(row, 0.0);
+                }
+                let probs = model.predict_dataset(&dataset);
+                assert_eq!(probs.len(), rows);
+                for (r, ((a, p), b)) in out.iter().zip(&probs).zip(&expected).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
                         "batched drift at seed {seed} row {r} of {rows}"
+                    );
+                    assert_eq!(
+                        p.to_bits(),
+                        sigmoid(*b).to_bits(),
+                        "predict_dataset drift at seed {seed} row {r} of {rows}"
                     );
                 }
             }

@@ -5,6 +5,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
+use crate::flat::FlatForest;
 use crate::metrics::log_loss;
 use crate::tree::{
     grow, sample_features, sample_rows, split_workers, Binner, FitContext, RegressionTree,
@@ -212,22 +213,38 @@ impl GbdtModel {
         }
     }
 
-    /// Raw additive margin (log-odds) for a feature row.
-    pub fn predict_margin(&self, row: &[f32]) -> f64 {
+    /// Test oracle: the raw additive margin (log-odds) of one row, walked
+    /// tree by tree through the recursive node arrays.
+    #[cfg(test)]
+    pub(crate) fn predict_margin(&self, row: &[f32]) -> f64 {
         self.base_margin + self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
     }
 
-    /// Probability that the row belongs to the positive class (the claim is
-    /// suspicious / likely unserved).
-    pub fn predict_proba(&self, row: &[f32]) -> f64 {
+    /// Test oracle: `sigmoid` of [`GbdtModel::predict_margin`].
+    #[cfg(test)]
+    pub(crate) fn predict_proba(&self, row: &[f32]) -> f64 {
         sigmoid(self.predict_margin(row))
     }
 
-    /// Probabilities for every row of a dataset.
+    /// Probability of the positive class (the claim is suspicious / likely
+    /// unserved) for every row of a dataset: the model is lowered once into
+    /// a [`FlatForest`] and the dataset's row-major matrix is scored by its
+    /// block-batched kernel, the one the score server runs.
+    ///
+    /// # Panics
+    /// Panics when the dataset width differs from the model's feature count.
     pub fn predict_dataset(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_rows())
-            .map(|i| self.predict_proba(data.row(i)))
-            .collect()
+        assert_eq!(
+            data.n_features(),
+            self.feature_names.len(),
+            "dataset width does not match the model schema"
+        );
+        let mut scores = vec![0.0f64; data.n_rows()];
+        FlatForest::from_model(self).predict_margin_rows_into(data.data(), &mut scores);
+        for s in &mut scores {
+            *s = sigmoid(*s);
+        }
+        scores
     }
 
     /// Number of trees in the ensemble.

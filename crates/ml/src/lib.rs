@@ -29,14 +29,15 @@
 //!   exactly to the prediction margin) powering the paper's Figure 10/11
 //!   analyses,
 //! * [`flat`] — the recursive trees lowered into breadth-first contiguous
-//!   node arrays ([`FlatForest`]) with a block-batched level-synchronous
-//!   traversal kernel, proven bit-identical to
-//!   [`GbdtModel::predict_margin`] and shared by the attribution walk and
-//!   the `redsus_serve` scorers,
+//!   node arrays ([`FlatForest`]) with the block-batched level-synchronous
+//!   traversal kernel, the one production scoring kernel:
+//!   [`GbdtModel::predict_dataset`], the attribution walk and the
+//!   `redsus_serve` scorers all run on it, and tests pin it bit-identical
+//!   to the recursive per-row walk,
 //! * [`quant`] — the flat forest with thresholds quantised to u16 bin
 //!   ranks ([`QuantForest`]): exact by a rank-ordering argument, verified
 //!   at construction, falling back per-tree when a tree cannot be
-//!   quantised exactly,
+//!   quantised exactly; a bench baseline, not a production path,
 //! * [`baseline`] — the random-guessing baseline the paper compares against.
 
 pub mod attribution;

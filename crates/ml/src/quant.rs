@@ -24,16 +24,20 @@
 //! table must fit u16 ranks (≤ 65534 distinct thresholds per feature, the
 //! last rank reserved for the NaN sentinel), and thresholds must be
 //! orderable (non-NaN). Any tree that fails a check is marked inexact and
-//! **falls back per-tree** to the [`FlatForest`] f32 walk — predictions
-//! stay byte-identical to [`GbdtModel::predict_margin`] no matter what,
-//! which the seeded-loop tests and the served-scores golden pin.
+//! **falls back per-tree** to the [`FlatForest`] f32 walk — margins stay
+//! byte-identical to [`FlatForest::predict_margin_rows_into`] and the
+//! recursive walk no matter what, which the seeded-loop tests pin.
+//!
+//! Nothing in production scores on it: on the pipeline's 60-tree depth-5
+//! forests the batched flat kernel is faster, so `redsus_serve` builds a
+//! [`QuantForest`] only when asked for one.
 
 use crate::flat::{FlatForest, BLOCK_ROWS, LEAF_FEATURE};
-use crate::gbdt::{sigmoid, GbdtModel};
+use crate::gbdt::GbdtModel;
 
 /// Quantised row value reserved for missing (NaN) features; real ranks are
 /// capped below it at construction time.
-pub const QUANT_MISSING: u16 = u16::MAX;
+const QUANT_MISSING: u16 = u16::MAX;
 
 /// Most distinct thresholds one feature may carry: ranks run `0..=len`, and
 /// the top code point is the NaN sentinel.
@@ -61,7 +65,7 @@ struct QuantNode {
 }
 
 /// A [`FlatForest`] with thresholds quantised to u16 ranks, plus the flat
-/// forest itself for per-tree fallback, schema access and attribution.
+/// forest itself for per-tree fallback and schema access.
 #[derive(Debug, Clone)]
 pub struct QuantForest {
     flat: FlatForest,
@@ -132,12 +136,6 @@ impl QuantForest {
         }
     }
 
-    /// The flat forest behind the quantised one — fallback path, schema,
-    /// attribution walks.
-    pub fn flat(&self) -> &FlatForest {
-        &self.flat
-    }
-
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.flat.n_trees()
@@ -165,64 +163,9 @@ impl QuantForest {
         self.cuts[feature].len() + 1
     }
 
-    /// Quantise one row into per-feature ranks ([`QUANT_MISSING`] for NaN).
-    pub fn quantise_row_into(&self, row: &[f32], out: &mut [u16]) {
-        for (f, (&v, slot)) in row.iter().zip(out.iter_mut()).enumerate() {
-            *slot = if v.is_nan() {
-                QUANT_MISSING
-            } else {
-                self.cuts[f].partition_point(|&t| t < v) as u16
-            };
-        }
-    }
-
-    /// The leaf weight one tree contributes for a quantised row (callers
-    /// guarantee the tree is exact).
-    #[inline]
-    fn tree_leaf_value_quantised(&self, tree: usize, qrow: &[u16]) -> f64 {
-        let mut i = self.flat.tree_root(tree) as usize;
-        loop {
-            let n = &self.nodes[i];
-            if n.feature == LEAF_FEATURE {
-                return n.value;
-            }
-            let q = qrow[n.feature as usize];
-            let go_left = if q == QUANT_MISSING {
-                n.default_left
-            } else {
-                q <= n.bin
-            };
-            i = if go_left { n.left } else { n.right } as usize;
-        }
-    }
-
-    /// Raw additive margin for one row — bit-identical to
-    /// [`GbdtModel::predict_margin`]: exact trees route through the
-    /// quantised compare, inexact trees fall back to the flat f32 walk, and
-    /// the per-row fold order (trees left to right from `0.0`, base margin
-    /// last) never changes.
-    pub fn predict_margin(&self, row: &[f32]) -> f64 {
-        let mut qrow = vec![0u16; self.n_features()];
-        self.quantise_row_into(row, &mut qrow);
-        let mut sum = 0.0f64;
-        for tree in 0..self.n_trees() {
-            sum += if self.exact[tree] {
-                self.tree_leaf_value_quantised(tree, &qrow)
-            } else {
-                self.flat.tree_leaf_value(tree, row)
-            };
-        }
-        self.flat.base_margin() + sum
-    }
-
-    /// Probability of the positive class.
-    pub fn predict_proba(&self, row: &[f32]) -> f64 {
-        sigmoid(self.predict_margin(row))
-    }
-
     /// Batched margins for a row-major block, written into `out` — the
     /// quantised counterpart of [`FlatForest::predict_margin_rows_into`]
-    /// and bit-identical to it (and so to the recursive model). Each block
+    /// and bit-identical to it (and so to the recursive walk). Each block
     /// is quantised once (one binary search per cell), then every tree
     /// level-synchronously descends the whole block on u16 compares.
     ///
@@ -358,10 +301,10 @@ mod tests {
         d
     }
 
-    /// The tentpole exactness property: quantised scalar and batched
-    /// margins equal the recursive model bit for bit over random forests
-    /// (random depths, NaNs, single-leaf trees) and the row counts that
-    /// stress the 64-row chunking.
+    /// The exactness property: quantised batched margins equal the
+    /// recursive model bit for bit over random forests (random depths, NaNs,
+    /// single-leaf trees) and the row counts that stress the 64-row
+    /// chunking, one-row blocks included.
     #[test]
     fn quantised_margins_bit_identical_to_recursive() {
         for seed in 0..5u64 {
@@ -395,14 +338,6 @@ mod tests {
             let expected: Vec<f64> = (0..n_rows)
                 .map(|r| model.predict_margin(&block[r * n_features..(r + 1) * n_features]))
                 .collect();
-            for (r, want) in expected.iter().enumerate() {
-                let row = &block[r * n_features..(r + 1) * n_features];
-                assert_eq!(
-                    quant.predict_margin(row).to_bits(),
-                    want.to_bits(),
-                    "scalar quant drift at seed {seed} row {r}"
-                );
-            }
             for rows in [1usize, 63, 64, 65, 129, 256] {
                 let mut out = vec![0.0f64; rows];
                 quant.predict_margin_rows_into(&block[..rows * n_features], &mut out);
@@ -511,14 +446,13 @@ mod tests {
         assert_eq!(quant.n_exact_trees(), 1);
         for v in [-3.0f32, 0.0, 0.5, 0.7, f32::NAN] {
             let row = [v];
+            let mut out = [0.0f64];
+            quant.predict_margin_rows_into(&row, &mut out);
             assert_eq!(
-                quant.predict_margin(&row).to_bits(),
+                out[0].to_bits(),
                 model.predict_margin(&row).to_bits(),
                 "fallback drift at v={v}"
             );
-            let mut out = [0.0f64];
-            quant.predict_margin_rows_into(&row, &mut out);
-            assert_eq!(out[0].to_bits(), model.predict_margin(&row).to_bits());
         }
     }
 

@@ -274,8 +274,10 @@ impl RegressionTree {
         }
     }
 
-    /// Predict the weight for a raw feature row.
-    pub fn predict_row(&self, row: &[f32]) -> f64 {
+    /// The weight of the leaf a raw feature row reaches. Fitting walks the
+    /// rows subsampling left out and the validation rows through it;
+    /// scoring goes through [`crate::FlatForest`].
+    pub(crate) fn predict_row(&self, row: &[f32]) -> f64 {
         let mut i = 0;
         loop {
             match &self.nodes[i] {
@@ -300,9 +302,10 @@ impl RegressionTree {
         }
     }
 
-    /// The indices of the nodes visited for a row, root to leaf — used by the
-    /// attribution module.
-    pub fn decision_path(&self, row: &[f32]) -> Vec<usize> {
+    /// Test oracle: the indices of the nodes visited for a row, root to
+    /// leaf, which [`crate::FlatForest::decision_path`] must reproduce.
+    #[cfg(test)]
+    pub(crate) fn decision_path(&self, row: &[f32]) -> Vec<usize> {
         let mut path = Vec::new();
         let mut i = 0;
         loop {

@@ -26,7 +26,7 @@ mod metrics;
 mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, MetricKind, MetricsRegistry, DEFAULT_LATENCY_BUCKETS,
+    escape_json, Counter, Gauge, Histogram, MetricKind, MetricsRegistry, DEFAULT_LATENCY_BUCKETS,
     DEFAULT_WALL_BUCKETS,
 };
 pub use trace::{TraceSink, TraceValue};

@@ -766,8 +766,10 @@ fn push_json_number(out: &mut String, v: f64) {
     }
 }
 
-/// JSON string escaping.
-pub(crate) fn escape_json(s: &str) -> String {
+/// The body of a JSON string literal holding `s`: quotes, backslashes and
+/// control characters escaped. Shared by the metrics snapshot, the trace
+/// sink and the score server's responses.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -9,19 +9,19 @@
 //! stages already honour. [`ScoreMode`] *is* that shared enum.
 //!
 //! Inside a shard, rows run through the **block-batched** traversal kernel
-//! ([`FlatForest::predict_margin_rows_into`]); its margins are bit-identical
-//! to the per-row walk, and so are those of the [`QuantForest`] counterpart
-//! behind [`score_rows_quantised`]. Inputs that fit a single shard, or
-//! schedules with one effective worker, **short-circuit** past the
-//! shard/worker machinery entirely: spawning is pure overhead unless there
-//! are both multiple shards and multiple workers. Even then it barely pays
-//! on small inputs: on a 2-CPU host, scoring a 1,214-row dataset (two
-//! shards, the second 190 rows) took 1.22 ms sequential against 1.38 ms
-//! under `Threads(2)` and 1.32 ms under `Threads(4)`.
+//! ([`FlatForest::predict_margin_rows_into`]), the one
+//! [`ml::GbdtModel::predict_dataset`] runs; the [`QuantForest`] counterpart
+//! behind [`score_rows_quantised`] gives the same bits. Inputs that fit a
+//! single shard, or schedules with one effective worker, **short-circuit**
+//! past the shard/worker machinery entirely: spawning is pure overhead
+//! unless there are both multiple shards and multiple workers. Even then it
+//! barely pays on small inputs: on a 2-CPU host, scoring a 1,214-row
+//! dataset (two shards, the second 190 rows) took 1.22 ms sequential
+//! against 1.38 ms under `Threads(2)` and 1.32 ms under `Threads(4)`.
 
 use bdc::stream::map_shards;
 use ml::gbdt::sigmoid;
-use ml::{Dataset, FlatForest, QuantForest};
+use ml::{FlatForest, QuantForest};
 
 /// The scheduling mode of a batch scoring call — the workspace's shared
 /// scheduling enum (`bdc::stream::DiffMode`, re-exported by the generator as
@@ -115,28 +115,6 @@ pub fn score_rows_quantised(
     })
 }
 
-/// Score every row of a dataset (labels ignored) — the in-process
-/// counterpart the end-to-end equivalence tests compare the served path
-/// against.
-///
-/// # Panics
-/// Panics when the dataset width differs from the forest's feature count.
-pub fn score_dataset(
-    forest: &FlatForest,
-    data: &Dataset,
-    output: ScoreOutput,
-    mode: ScoreMode,
-) -> Vec<f64> {
-    assert_eq!(
-        data.n_features(),
-        forest.n_features(),
-        "dataset width does not match the model schema"
-    );
-    // The dataset's matrix is already contiguous row-major — score it as
-    // one block, no per-row copies.
-    score_rows(forest, data.data(), output, mode)
-}
-
 /// The shared scoring skeleton: validate the block, shard it (or
 /// short-circuit), run `margins_into` per shard, then apply the output
 /// transform element-wise. `margins_into` fills raw margins for a row-major
@@ -190,7 +168,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml::{GbdtModel, GbdtParams};
+    use ml::{Dataset, GbdtModel, GbdtParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -223,6 +201,17 @@ mod tests {
         (model, rows)
     }
 
+    /// The model's probabilities for a row-major block, through
+    /// `GbdtModel::predict_dataset`.
+    fn predicted(model: &GbdtModel, rows: &[f32]) -> Vec<f64> {
+        let names = model.feature_names().to_vec();
+        let mut d = Dataset::new(names);
+        for row in rows.chunks_exact(d.n_features()) {
+            d.push_row(row, 0.0);
+        }
+        model.predict_dataset(&d)
+    }
+
     /// The acceptance contract: batch scoring is bit-identical across every
     /// schedule, including shard counts that don't divide evenly.
     #[test]
@@ -252,22 +241,23 @@ mod tests {
         }
     }
 
-    /// Shard fan-out must agree with the model's own per-row predictions.
+    /// Shard fan-out must agree with the model's own predictions, and each
+    /// margin with its row scored as a one-row block.
     #[test]
     fn matches_per_row_model_predictions() {
-        let (model, rows) = model_and_rows(2, 100);
+        // 2500 rows → three shards, fanned out over two workers.
+        let (model, rows) = model_and_rows(2, 2500);
         let forest = FlatForest::from_model(&model);
-        let probs = score_rows(
-            &forest,
-            &rows,
-            ScoreOutput::Probability,
-            ScoreMode::Parallel,
-        );
-        let margins = score_rows(&forest, &rows, ScoreOutput::Margin, ScoreMode::Parallel);
-        for i in 0..100 {
-            let row = &rows[i * 3..(i + 1) * 3];
-            assert_eq!(probs[i].to_bits(), model.predict_proba(row).to_bits());
-            assert_eq!(margins[i].to_bits(), model.predict_margin(row).to_bits());
+        let mode = ScoreMode::Threads(2);
+        let probs = score_rows(&forest, &rows, ScoreOutput::Probability, mode);
+        let margins = score_rows(&forest, &rows, ScoreOutput::Margin, mode);
+        let expected = predicted(&model, &rows);
+        assert_eq!(probs.len(), expected.len());
+        for (i, row) in rows.chunks_exact(3).enumerate() {
+            let mut one = [0.0f64];
+            forest.predict_margin_rows_into(row, &mut one);
+            assert_eq!(probs[i].to_bits(), expected[i].to_bits(), "row {i}");
+            assert_eq!(margins[i].to_bits(), one[0].to_bits(), "row {i}");
         }
     }
 
@@ -319,9 +309,8 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        for (i, s) in seq.iter().enumerate() {
-            let row = &rows[i * 3..(i + 1) * 3];
-            assert_eq!(s.to_bits(), model.predict_proba(row).to_bits());
+        for (s, p) in seq.iter().zip(&predicted(&model, &rows)) {
+            assert_eq!(s.to_bits(), p.to_bits());
         }
     }
 

@@ -59,7 +59,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, Telemetry, TraceValue, DEFAULT_LATENCY_BUCKETS,
+    escape_json, Counter, Gauge, Histogram, MetricsRegistry, Telemetry, TraceValue,
+    DEFAULT_LATENCY_BUCKETS,
 };
 
 use crate::batch::{ScoreMode, ScoreOutput};
@@ -510,6 +511,7 @@ struct Request {
 /// many request bytes the client may still be sending (so the connection
 /// can be drained before the close instead of resetting under the error
 /// response).
+#[derive(Debug, PartialEq)]
 struct HttpError {
     status: u16,
     message: String,
@@ -1023,9 +1025,7 @@ fn stats_body(shared: &Shared) -> String {
 /// Resolve the request's `?model=<fingerprint>` selector (default model
 /// when absent) to a pinned `Arc` for the rest of the request.
 fn resolve_model(request: &Request, shared: &Shared) -> Result<Arc<ServedModel>, HttpError> {
-    let selector = model_param(request.query.as_deref()).map_err(|bad| {
-        HttpError::new(400, format!("model selector {bad:?} is not a fingerprint"))
-    })?;
+    let selector = model_param(request.query.as_deref())?;
     shared.registry.get(selector).ok_or_else(|| match selector {
         Some(fp) => HttpError::new(
             404,
@@ -1036,15 +1036,7 @@ fn resolve_model(request: &Request, shared: &Shared) -> Result<Arc<ServedModel>,
 }
 
 fn score_route(request: &Request, shared: &Shared) -> Result<String, HttpError> {
-    let output = match output_param(request.query.as_deref()) {
-        Ok(output) => output,
-        Err(bad) => {
-            return Err(HttpError::new(
-                400,
-                format!("output must be \"probability\" or \"margin\", not {bad:?}"),
-            ))
-        }
-    };
+    let output = output_param(request.query.as_deref())?;
     // One Arc clone up front: the fingerprint echoed below and the forest
     // that scores are the same object even if the registry swaps mid-call.
     let served = resolve_model(request, shared)?;
@@ -1089,29 +1081,39 @@ fn score_route(request: &Request, shared: &Shared) -> Result<String, HttpError> 
     Ok(body)
 }
 
-fn output_param(query: Option<&str>) -> Result<ScoreOutput, String> {
+/// Parse the `output=` selector (`probability` when absent); an unknown
+/// name is a 400 that quotes it.
+fn output_param(query: Option<&str>) -> Result<ScoreOutput, HttpError> {
     let Some(query) = query else {
         return Ok(ScoreOutput::Probability);
     };
     for pair in query.split('&') {
         if let Some(value) = pair.strip_prefix("output=") {
-            return ScoreOutput::from_name(value).ok_or_else(|| value.to_string());
+            return ScoreOutput::from_name(value).ok_or_else(|| {
+                HttpError::new(
+                    400,
+                    format!("output must be \"probability\" or \"margin\", not {value:?}"),
+                )
+            });
         }
     }
     Ok(ScoreOutput::Probability)
 }
 
 /// Parse the `model=<fingerprint>` selector: `0x`-prefixed or bare hex.
-/// `Ok(None)` when the query names no model.
-fn model_param(query: Option<&str>) -> Result<Option<u64>, String> {
+/// `Ok(None)` when the query names no model; anything but hex is a 400
+/// that quotes it.
+fn model_param(query: Option<&str>) -> Result<Option<u64>, HttpError> {
     let Some(query) = query else { return Ok(None) };
     for pair in query.split('&') {
         if let Some(value) = pair.strip_prefix("model=") {
             let hex = value.strip_prefix("0x").unwrap_or(value);
-            return match u64::from_str_radix(hex, 16) {
-                Ok(fp) => Ok(Some(fp)),
-                Err(_) => Err(value.to_string()),
-            };
+            return u64::from_str_radix(hex, 16).map(Some).map_err(|_| {
+                HttpError::new(
+                    400,
+                    format!("model selector {value:?} is not a fingerprint"),
+                )
+            });
         }
     }
     Ok(None)
@@ -1185,7 +1187,7 @@ fn model_body(request: &Request, shared: &Shared) -> Result<String, HttpError> {
 }
 
 fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", json_escape(message))
+    format!("{{\"error\":\"{}\"}}", escape_json(message))
 }
 
 fn push_json_str_array(out: &mut String, items: &[String]) {
@@ -1195,26 +1197,10 @@ fn push_json_str_array(out: &mut String, items: &[String]) {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&json_escape(item));
+        out.push_str(&escape_json(item));
         out.push('"');
     }
     out.push(']');
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn status_reason(status: u16) -> &'static str {
@@ -1304,8 +1290,8 @@ mod tests {
 
     #[test]
     fn json_escaping_covers_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -1317,7 +1303,13 @@ mod tests {
             Ok(ScoreOutput::Probability)
         );
         assert_eq!(output_param(Some("a=b")), Ok(ScoreOutput::Probability));
-        assert_eq!(output_param(Some("output=shap")), Err("shap".to_string()));
+        assert_eq!(
+            output_param(Some("output=shap")),
+            Err(HttpError::new(
+                400,
+                "output must be \"probability\" or \"margin\", not \"shap\""
+            ))
+        );
     }
 
     #[test]
@@ -1333,6 +1325,14 @@ mod tests {
             model_param(Some("output=margin&model=0x12")),
             Ok(Some(0x12))
         );
-        assert_eq!(model_param(Some("model=zebra")), Err("zebra".to_string()));
+        for bad in ["zebra", "0xzebra"] {
+            assert_eq!(
+                model_param(Some(&format!("model={bad}"))),
+                Err(HttpError::new(
+                    400,
+                    format!("model selector {bad:?} is not a fingerprint")
+                ))
+            );
+        }
     }
 }

@@ -28,8 +28,8 @@
 //!
 //! Inference runs on [`ml::FlatForest`], the recursive trees lowered into
 //! breadth-first contiguous node arrays and traversed by a block-batched
-//! kernel, proven bit-identical to [`GbdtModel::predict_margin`] — so a
-//! score served over the wire equals the score the experiments computed
+//! kernel — the same kernel [`GbdtModel::predict_dataset`] runs, so a score
+//! served over the wire equals the score the experiments computed
 //! in-process, to the last bit.
 
 pub mod artifact;
@@ -43,8 +43,7 @@ pub use artifact::{
     DecodedArtifact, ARTIFACT_MAGIC, ARTIFACT_VERSION,
 };
 pub use batch::{
-    score_dataset, score_rows, score_rows_quantised, ScoreKernel, ScoreMode, ScoreOutput,
-    SCORE_SHARD_ROWS,
+    score_rows, score_rows_quantised, ScoreKernel, ScoreMode, ScoreOutput, SCORE_SHARD_ROWS,
 };
 pub use frame::{AlignedBlock, FeatureFrame, FrameError};
 pub use http::{ScoreServer, ServeConfig, ServerStats};
@@ -53,16 +52,19 @@ pub use obs::Telemetry;
 pub use registry::{DirWatcher, ModelInfo, ModelRegistry, ScanReport};
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use ml::{FlatForest, GbdtModel, QuantForest};
 
-/// A model prepared for serving: the source model, its quantised inference
-/// engine (which owns the flattened forest), and the artifact content
-/// fingerprint that identifies it.
+/// A model prepared for serving: the source model, its flattened inference
+/// engine, and the artifact content fingerprint that identifies it. The
+/// quantised engine is built only on the first [`ServedModel::quant_forest`]
+/// call; loading and scoring never build it.
 #[derive(Debug, Clone)]
 pub struct ServedModel {
     model: GbdtModel,
-    quant: QuantForest,
+    forest: FlatForest,
+    quant: OnceLock<QuantForest>,
     fingerprint: u64,
 }
 
@@ -71,23 +73,22 @@ impl ServedModel {
     /// encoding it through the artifact format).
     pub fn from_model(model: GbdtModel) -> Self {
         let fingerprint = model_fingerprint(&model);
-        let quant = QuantForest::from_model(&model);
-        Self {
-            model,
-            quant,
-            fingerprint,
-        }
+        Self::prepared(model, fingerprint)
     }
 
     /// Decode artifact bytes and prepare the model for serving.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let decoded = decode_model(bytes)?;
-        let quant = QuantForest::from_model(&decoded.model);
-        Ok(Self {
-            model: decoded.model,
-            quant,
-            fingerprint: decoded.fingerprint,
-        })
+        Ok(Self::prepared(decoded.model, decoded.fingerprint))
+    }
+
+    fn prepared(model: GbdtModel, fingerprint: u64) -> Self {
+        Self {
+            forest: FlatForest::from_model(&model),
+            model,
+            quant: OnceLock::new(),
+            fingerprint,
+        }
     }
 
     /// Load an artifact file and prepare the model for serving.
@@ -100,15 +101,16 @@ impl ServedModel {
         &self.model
     }
 
-    /// The flattened inference engine (owned by the quantised one).
+    /// The flattened inference engine [`ServedModel::score_block`] runs on.
     pub fn forest(&self) -> &FlatForest {
-        self.quant.flat()
+        &self.forest
     }
 
-    /// The quantised inference engine, for [`score_rows_quantised`];
-    /// [`ServedModel::score_block`] does not use it.
+    /// The quantised inference engine, for [`score_rows_quantised`], built
+    /// on the first call; [`ServedModel::score_block`] does not use it.
     pub fn quant_forest(&self) -> &QuantForest {
-        &self.quant
+        self.quant
+            .get_or_init(|| QuantForest::from_forest(self.forest.clone()))
     }
 
     /// The kernel [`ServedModel::score_block`] runs on: always the batched
@@ -119,8 +121,8 @@ impl ServedModel {
         ScoreKernel::Batched
     }
 
-    /// Score a row-major block with [`score_rows`]. Bit-identical to
-    /// [`GbdtModel::predict_margin`] / `predict_proba` per row.
+    /// Score a row-major block with [`score_rows`]; its probabilities are
+    /// the bits [`GbdtModel::predict_dataset`] gives for those rows.
     pub fn score_block(&self, data: &[f32], output: ScoreOutput, mode: ScoreMode) -> Vec<f64> {
         score_rows(self.forest(), data, output, mode)
     }
@@ -133,5 +135,53 @@ impl ServedModel {
     /// The fingerprint as the `0x…` string the endpoint and CLI report.
     pub fn fingerprint_hex(&self) -> String {
         format!("{:#018x}", self.fingerprint)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ml::{Dataset, GbdtParams};
+
+    /// Loading builds the flat engine only: the quantised one waits for the
+    /// first `quant_forest()` call, and `score_block` never builds it.
+    #[test]
+    fn quantised_engine_is_built_only_on_demand() {
+        let mut data = Dataset::new(vec!["a".into(), "b".into()]);
+        for i in 0..300 {
+            let a = if i % 23 == 0 {
+                f32::NAN
+            } else {
+                (i % 17) as f32 / 17.0
+            };
+            let b = (i % 5) as f32;
+            data.push_row(&[a, b], if a > 0.5 || b > 3.0 { 1.0 } else { 0.0 });
+        }
+        let params = GbdtParams {
+            n_estimators: 10,
+            max_depth: 3,
+            ..GbdtParams::default()
+        };
+        let model = GbdtModel::fit(&data, params);
+        let bytes = encode_model(&model);
+        let loaded = ServedModel::from_bytes(&bytes).expect("decode");
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let mode = ScoreMode::Sequential;
+        for served in [ServedModel::from_model(model), loaded] {
+            assert!(served.quant.get().is_none(), "loading built a QuantForest");
+            let outputs = [ScoreOutput::Probability, ScoreOutput::Margin];
+            let scored: Vec<Vec<f64>> = outputs
+                .iter()
+                .map(|&output| served.score_block(data.data(), output, mode))
+                .collect();
+            assert!(served.quant.get().is_none(), "scoring built a QuantForest");
+            for (&output, scored) in outputs.iter().zip(&scored) {
+                let flat = score_rows(served.forest(), data.data(), output, mode);
+                let quant = score_rows_quantised(served.quant_forest(), data.data(), output, mode);
+                assert_eq!(bits(scored), bits(&flat));
+                assert_eq!(bits(scored), bits(&quant));
+            }
+            assert!(served.quant.get().is_some());
+        }
     }
 }

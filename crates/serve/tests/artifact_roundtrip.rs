@@ -6,7 +6,8 @@ use ml::{Dataset, FlatForest, GbdtModel, GbdtParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redsus_serve::{
-    decode_model, encode_model, model_fingerprint, ArtifactError, ServedModel, ARTIFACT_MAGIC,
+    decode_model, encode_model, model_fingerprint, score_rows, ArtifactError, ScoreMode,
+    ScoreOutput, ServedModel, ARTIFACT_MAGIC,
 };
 
 fn random_model(seed: u64) -> (GbdtModel, Dataset) {
@@ -46,9 +47,9 @@ fn random_model(seed: u64) -> (GbdtModel, Dataset) {
     (GbdtModel::fit(&d, params), d)
 }
 
-/// Round trip is lossless: decoded models predict bit-identically (both the
-/// recursive and the flattened paths) on every training row and on
-/// all-missing rows, and the artifact fingerprint is stable.
+/// Round trip is lossless: decoded models score bit-identical margins on
+/// every training row and on all-missing rows, and the artifact
+/// fingerprint is stable.
 #[test]
 fn random_models_round_trip_bit_identically() {
     for seed in 0..10u64 {
@@ -64,26 +65,21 @@ fn random_models_round_trip_bit_identically() {
         );
         assert_eq!(decoded.model.feature_names(), model.feature_names());
 
-        let flat = FlatForest::from_model(&decoded.model);
-        for r in 0..data.n_rows() {
-            let row = data.row(r);
-            let expected = model.predict_margin(row);
+        let margins = |model: &GbdtModel, rows: &[f32]| -> Vec<u64> {
+            let forest = FlatForest::from_model(model);
+            score_rows(&forest, rows, ScoreOutput::Margin, ScoreMode::Sequential)
+                .iter()
+                .map(|m| m.to_bits())
+                .collect()
+        };
+        let missing = vec![f32::NAN; data.n_features()];
+        for rows in [data.data(), &missing] {
             assert_eq!(
-                decoded.model.predict_margin(row).to_bits(),
-                expected.to_bits(),
-                "seed {seed} row {r}: recursive margin drift after round trip"
-            );
-            assert_eq!(
-                flat.predict_margin(row).to_bits(),
-                expected.to_bits(),
-                "seed {seed} row {r}: flat margin drift after round trip"
+                margins(&decoded.model, rows),
+                margins(&model, rows),
+                "seed {seed}: margin drift after round trip"
             );
         }
-        let missing = vec![f32::NAN; data.n_features()];
-        assert_eq!(
-            decoded.model.predict_margin(&missing).to_bits(),
-            model.predict_margin(&missing).to_bits()
-        );
 
         // Canonical: encoding is a pure function of the model, so encode ∘
         // decode ∘ encode is the identity on bytes.
@@ -169,10 +165,10 @@ fn served_model_load_round_trip() {
     std::fs::remove_file(&path).ok();
     assert_eq!(served.fingerprint(), fp);
     assert_eq!(served.fingerprint_hex(), format!("{fp:#018x}"));
-    for r in (0..data.n_rows()).step_by(13) {
-        assert_eq!(
-            served.forest().predict_proba(data.row(r)).to_bits(),
-            model.predict_proba(data.row(r)).to_bits()
-        );
+    let scores = served.score_block(data.data(), ScoreOutput::Probability, ScoreMode::Sequential);
+    let expected = model.predict_dataset(&data);
+    assert_eq!(scores.len(), expected.len());
+    for (s, e) in scores.iter().zip(&expected) {
+        assert_eq!(s.to_bits(), e.to_bits());
     }
 }

@@ -5,8 +5,8 @@
 
 use std::process::Command;
 
-use ml::{Dataset, GbdtModel, GbdtParams};
-use redsus_serve::write_artifact;
+use ml::{Dataset, FlatForest, GbdtModel, GbdtParams};
+use redsus_serve::{score_rows, write_artifact, ScoreMode, ScoreOutput};
 
 fn exe() -> &'static str {
     env!("CARGO_BIN_EXE_redsus-score")
@@ -80,7 +80,12 @@ fn score_writes_one_score_per_row_bit_identically() {
     }
     std::fs::write(&matrix, csv).expect("write csv");
 
-    for (flags, margin) in [(vec![], false), (vec!["--margin", "--workers", "3"], true)] {
+    let rows = &data.data()[..10 * data.n_features()];
+    let forest = FlatForest::from_model(&model);
+    for (flags, kind) in [
+        (vec![], ScoreOutput::Probability),
+        (vec!["--margin", "--workers", "3"], ScoreOutput::Margin),
+    ] {
         let output = Command::new(exe())
             .arg("score")
             .arg(&artifact)
@@ -95,16 +100,12 @@ fn score_writes_one_score_per_row_bit_identically() {
             .map(|l| l.parse().expect("score line"))
             .collect();
         assert_eq!(scores.len(), 10);
-        for (r, score) in scores.iter().enumerate() {
-            let expected = if margin {
-                model.predict_margin(data.row(r))
-            } else {
-                model.predict_proba(data.row(r))
-            };
+        let expected = score_rows(&forest, rows, kind, ScoreMode::Sequential);
+        for (r, (score, expected)) in scores.iter().zip(&expected).enumerate() {
             assert_eq!(
                 score.to_bits(),
                 expected.to_bits(),
-                "row {r} drifted through the CLI (margin={margin})"
+                "row {r} drifted through the CLI ({kind:?})"
             );
         }
     }

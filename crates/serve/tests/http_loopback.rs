@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ml::{Dataset, GbdtModel, GbdtParams};
+use ml::{Dataset, FlatForest, GbdtModel, GbdtParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redsus_serve::{
@@ -202,19 +202,23 @@ fn served_scores_equal_in_process_predictions() {
     assert_eq!(status, 200, "{response}");
     let scores = parse_scores(&response);
     assert_eq!(scores.len(), 40);
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(
-            scores[i].to_bits(),
-            model.predict_proba(row).to_bits(),
-            "row {i} drifted over the wire"
-        );
+    let expected = model.predict_dataset(&data);
+    for (i, (s, e)) in scores.iter().zip(&expected).enumerate() {
+        assert_eq!(s.to_bits(), e.to_bits(), "row {i} drifted over the wire");
     }
     // Margins too.
     let (status, response) = post_score(&server, "?output=margin", &body);
     assert_eq!(status, 200);
     let margins = parse_scores(&response);
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(margins[i].to_bits(), model.predict_margin(row).to_bits());
+    let expected = score_rows(
+        &FlatForest::from_model(&model),
+        &data.data()[..40 * data.n_features()],
+        ScoreOutput::Margin,
+        ScoreMode::Sequential,
+    );
+    assert_eq!(margins.len(), 40);
+    for (m, e) in margins.iter().zip(&expected) {
+        assert_eq!(m.to_bits(), e.to_bits());
     }
     let stats = server.shutdown();
     assert_eq!(stats.scored_rows, 80);
@@ -228,12 +232,13 @@ fn columns_align_by_name() {
     let (server, model, data) = start_server();
     // Header order (tests, down) + an unknown column; "up" missing.
     let mut body = String::from("tests,extraneous,down\n");
-    let mut expected = Vec::new();
+    let mut aligned = Dataset::new(data.feature_names().to_vec());
     for r in 0..10 {
         let row = data.row(r);
         body.push_str(&format!("{},{},{}\n", row[2], 42.0, row[0]));
-        expected.push(model.predict_proba(&[row[0], f32::NAN, row[2]]));
+        aligned.push_row(&[row[0], f32::NAN, row[2]], 0.0);
     }
+    let expected = model.predict_dataset(&aligned);
     let (status, response) = post_score(&server, "", &body);
     assert_eq!(status, 200, "{response}");
     let scores = parse_scores(&response);
@@ -337,9 +342,9 @@ fn oversized_bodies_are_refused() {
 fn concurrent_clients_get_consistent_answers() {
     let (server, model, data) = start_server();
     let body = csv_body(data.feature_names(), &[data.row(0), data.row(1)]);
-    let expected: Vec<u64> = [data.row(0), data.row(1)]
+    let expected: Vec<u64> = model.predict_dataset(&data)[..2]
         .iter()
-        .map(|r| model.predict_proba(r).to_bits())
+        .map(|p| p.to_bits())
         .collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)

@@ -45,6 +45,17 @@ fn csv(salt: usize) -> String {
     body
 }
 
+/// The in-process probabilities of a [`csv`] body's rows, through
+/// `GbdtModel::predict_dataset`.
+fn expected_scores(reference: &ServedModel, body: &str) -> Vec<f64> {
+    let mut rows = Dataset::new(vec!["a".into(), "b".into()]);
+    for line in body.lines().skip(1) {
+        let (a, b) = line.split_once(',').expect("two cells");
+        rows.push_row(&[a.parse().unwrap(), b.parse().unwrap()], 0.0);
+    }
+    reference.model().predict_dataset(&rows)
+}
+
 fn start(config: ServeConfig) -> (ScoreServer, ServedModel) {
     let served = model(1);
     let clone = ServedModel::from_model(served.model().clone());
@@ -96,17 +107,11 @@ fn one_connection_serves_a_hundred_pipelined_requests() {
         assert_strict_json(&response.body);
         // Responses come back in request order: the scores must be the
         // in-process predictions for *this* request's rows.
-        let frame = csv(i);
         let scores = response.scores();
         assert_eq!(scores.len(), 4);
-        for (r, line) in frame.lines().skip(1).enumerate() {
-            let (a, b) = line.split_once(',').expect("two cells");
-            let row = [a.parse::<f32>().unwrap(), b.parse::<f32>().unwrap()];
-            assert_eq!(
-                scores[r].to_bits(),
-                reference.model().predict_proba(&row).to_bits(),
-                "request {i} row {r} drifted"
-            );
+        let expected = expected_scores(&reference, &csv(i));
+        for (r, (s, e)) in scores.iter().zip(&expected).enumerate() {
+            assert_eq!(s.to_bits(), e.to_bits(), "request {i} row {r} drifted");
         }
     }
 
@@ -320,12 +325,12 @@ fn hot_reload_swaps_mid_stream_without_mixing_versions() {
             assert_eq!(fingerprint, fp2, "request {i} served after the publish");
         }
         let scores = response.scores();
-        for (r, line) in body.lines().skip(1).enumerate() {
-            let (a, b) = line.split_once(',').unwrap();
-            let row = [a.parse::<f32>().unwrap(), b.parse::<f32>().unwrap()];
+        assert_eq!(scores.len(), 4);
+        let expected = expected_scores(reference, &body);
+        for (r, (s, e)) in scores.iter().zip(&expected).enumerate() {
             assert_eq!(
-                scores[r].to_bits(),
-                reference.model().predict_proba(&row).to_bits(),
+                s.to_bits(),
+                e.to_bits(),
                 "request {i} row {r}: scores do not match the claimed version"
             );
         }
@@ -381,11 +386,9 @@ fn models_are_listed_and_selectable_by_fingerprint() {
     let response = client.read_response().expect("v1 scores");
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(response.fingerprint(), fp1);
-    let (a, b) = body.lines().nth(1).unwrap().split_once(',').unwrap();
-    let row = [a.parse::<f32>().unwrap(), b.parse::<f32>().unwrap()];
     assert_eq!(
         response.scores()[0].to_bits(),
-        ref1.model().predict_proba(&row).to_bits()
+        expected_scores(&ref1, &body)[0].to_bits()
     );
 
     // The same schema endpoint takes the selector too.

@@ -21,12 +21,9 @@ fn main() {
 
     // Score every labelled observation in the target state with the
     // state-holdout model (so the state itself was never trained on).
-    let mut ranked: Vec<(usize, f64)> = suite
-        .matrix
-        .rows_where(|o| o.state == state)
-        .into_iter()
-        .map(|r| (r, model.predict_proba(suite.matrix.dataset.row(r))))
-        .collect();
+    let rows = suite.matrix.rows_where(|o| o.state == state);
+    let probs = model.predict_dataset(&suite.matrix.dataset.subset(&rows));
+    let mut ranked: Vec<(usize, f64)> = rows.into_iter().zip(probs).collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
 
     println!(

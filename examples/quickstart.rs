@@ -36,7 +36,7 @@ fn main() {
     let p = suite
         .observation_holdout
         .model
-        .predict_proba(suite.matrix.dataset.row(row));
+        .predict_dataset(&suite.matrix.dataset.subset(&[row]))[0];
     println!(
         "example claim: provider {} / {} / hex {} -> P(claim fails challenge) = {:.2}",
         obs.provider, obs.technology, obs.hex, p

@@ -9,7 +9,7 @@ use red_is_sus::core::pipeline::{AnalysisContext, DatasetRun, PipelineEngine};
 use red_is_sus::ml::FlatForest;
 use red_is_sus::obs::Telemetry;
 use red_is_sus::serve::{
-    encode_model, score_dataset, ScoreMode, ScoreOutput, ScoreServer, ServeConfig, ServedModel,
+    encode_model, score_rows, ScoreMode, ScoreOutput, ScoreServer, ServeConfig, ServedModel,
 };
 use red_is_sus::synth::{GenMode, SynthConfig, SynthStage, SynthUs};
 
@@ -166,11 +166,16 @@ fn pipeline_end_to_end_beats_baseline() {
         let served = ServedModel::load(&artifact.path).expect("load artifact");
         assert_eq!(served.fingerprint(), artifact.fingerprint);
         assert_eq!(served.model().n_trees(), outcome.model.n_trees());
-        for &r in outcome.test_rows.iter().take(25) {
-            let row = suite.matrix.dataset.row(r);
+        let rows = &outcome.test_rows[..outcome.test_rows.len().min(25)];
+        let test = suite.matrix.dataset.subset(rows);
+        let scores =
+            served.score_block(test.data(), ScoreOutput::Probability, ScoreMode::Sequential);
+        let expected = outcome.model.predict_dataset(&test);
+        assert_eq!(scores.len(), expected.len());
+        for (s, e) in scores.iter().zip(&expected) {
             assert_eq!(
-                served.forest().predict_proba(row).to_bits(),
-                outcome.model.predict_proba(row).to_bits(),
+                s.to_bits(),
+                e.to_bits(),
                 "{name} drifted through the artifact"
             );
         }
@@ -211,15 +216,15 @@ fn served_scores_match_in_process_predictions() {
         h.finish()
     );
 
-    // The flattened batch scorer reproduces the recursive predictions under
-    // every schedule.
+    // The sharded batch scorer reproduces `predict_dataset` under every
+    // schedule.
     let forest = FlatForest::from_model(model);
     for mode in [
         ScoreMode::Sequential,
         ScoreMode::Parallel,
         ScoreMode::Threads(3),
     ] {
-        let scores = score_dataset(&forest, &test, ScoreOutput::Probability, mode);
+        let scores = score_rows(&forest, test.data(), ScoreOutput::Probability, mode);
         assert_eq!(scores.len(), expected.len());
         for (i, (a, b)) in scores.iter().zip(&expected).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "row {i} drifted under {mode:?}");
