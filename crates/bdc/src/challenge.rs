@@ -172,11 +172,6 @@ impl Challenge {
     pub fn observation_key(&self) -> (ProviderId, HexCell, Technology) {
         (self.provider, self.hex, self.technology)
     }
-
-    /// Days the challenge took to resolve.
-    pub fn resolution_days(&self) -> u32 {
-        self.filed.days_between(&self.resolved)
-    }
 }
 
 /// Count challenges by outcome (Table 2's rows).
@@ -273,9 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn resolution_days_positive() {
+    fn fcc_upheld_is_fcc_adjudicated() {
         let c = challenge(ChallengeOutcome::FccUpheld, "VA");
-        assert!(c.resolution_days() > 0);
         assert!(c.is_fcc_adjudicated());
     }
 

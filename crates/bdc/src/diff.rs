@@ -9,20 +9,24 @@
 //! claims and the latest map; locations *removed* from a claim are treated as
 //! additional "unserved" evidence.
 //!
-//! [`MapDiff::between`] is the one comparison of two releases: a merge-join
-//! over both releases' claims sorted by claim key. [`DiffChain`] keeps what
-//! labelling needs of a timeline, the claims of the initial release absent
-//! from the latest one. Intermediate releases never reach that evidence: a
-//! claim removed and later restored is not evidence, and neither is one
-//! added and removed again.
+//! A diff compares record sets, not [`NbmRelease`](crate::NbmRelease)s: a
+//! release is only the per-hex view, while the changes live at location
+//! level. Each side of a diff is a release's version and the
+//! [`AvailabilityRecord`]s it carries, borrowed from whoever owns them.
+//! [`MapDiff::between`] is the one comparison of two such sets: a
+//! merge-join over both sides' claims sorted by claim key. [`DiffChain`]
+//! keeps what labelling needs of a timeline, the claims of the initial
+//! release absent from the latest one. Intermediate releases never reach
+//! that evidence: a claim removed and later restored is not evidence, and
+//! neither is one added and removed again.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::filing::AvailabilityRecord;
 use crate::ids::{LocationId, ProviderId};
-use crate::nbm::{ClaimKey, NbmRelease, ReleaseVersion};
+use crate::nbm::{ClaimKey, ReleaseVersion};
 use crate::stream::ClaimEntry;
 use crate::tech::Technology;
 
@@ -65,7 +69,7 @@ impl ClaimChange {
     }
 }
 
-/// The difference between two NBM releases.
+/// The difference between the record sets of two NBM releases.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MapDiff {
     /// Version of the older release.
@@ -75,16 +79,14 @@ pub struct MapDiff {
     changes: Vec<ClaimChange>,
 }
 
-/// A release's claims as one canonical entry per claim key, in ascending
+/// A record set's claims as one canonical entry per claim key, in ascending
 /// key order: each run of duplicate keys collapses to its
 /// [`ClaimEntry::wins_over`] winner. Records come grouped by provider in long
 /// ascending runs, which the stable sort merges instead of re-partitioning.
-fn canonical_entries(release: &NbmRelease) -> Vec<ClaimEntry> {
-    let mut entries: Vec<ClaimEntry> = release
-        .records()
-        .iter()
-        .map(ClaimEntry::from_record)
-        .collect();
+fn canonical_entries<'a>(
+    records: impl IntoIterator<Item = &'a AvailabilityRecord>,
+) -> Vec<ClaimEntry> {
+    let mut entries: Vec<ClaimEntry> = records.into_iter().map(ClaimEntry::from_record).collect();
     entries.sort_by_key(|e| e.key);
     entries.dedup_by(|next, kept| {
         let duplicate = next.key == kept.key;
@@ -97,15 +99,25 @@ fn canonical_entries(release: &NbmRelease) -> Vec<ClaimEntry> {
 }
 
 impl MapDiff {
-    /// Compute the difference between two releases.
+    /// Compute the difference between two releases, each given as its
+    /// version and the records it carries.
     ///
-    /// Duplicate claim keys within one release are canonicalised
+    /// Duplicate claim keys within one record set are canonicalised
     /// deterministically (the record with the lexicographically greatest
     /// `(down, up)` pair wins), and speeds are compared by exact bit pattern
     /// — so a NaN speed equals an identical NaN instead of flagging the
     /// claim `Modified` on every diff. Changes come out in ascending
     /// claim-key order, one per key.
-    pub fn between(old: &NbmRelease, new: &NbmRelease) -> Self {
+    pub fn between<'a, 'b>(
+        (from, old): (
+            ReleaseVersion,
+            impl IntoIterator<Item = &'a AvailabilityRecord>,
+        ),
+        (to, new): (
+            ReleaseVersion,
+            impl IntoIterator<Item = &'b AvailabilityRecord>,
+        ),
+    ) -> Self {
         let (olds, news) = (canonical_entries(old), canonical_entries(new));
         let (mut i, mut j) = (0, 0);
         let mut changes = Vec::new();
@@ -133,11 +145,7 @@ impl MapDiff {
                 }
             }
         }
-        Self {
-            from: old.version,
-            to: new.version,
-            changes,
-        }
+        Self { from, to, changes }
     }
 
     /// All changes.
@@ -167,15 +175,6 @@ impl MapDiff {
         (added, removed, modified)
     }
 
-    /// Removals grouped by provider.
-    pub fn removals_by_provider(&self) -> BTreeMap<ProviderId, Vec<&ClaimChange>> {
-        let mut out: BTreeMap<ProviderId, Vec<&ClaimChange>> = BTreeMap::new();
-        for c in self.removed() {
-            out.entry(c.provider).or_default().push(c);
-        }
-        out
-    }
-
     /// True when nothing changed between the releases.
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
@@ -198,9 +197,19 @@ pub struct DiffChain {
 }
 
 impl DiffChain {
-    /// The evidence between a timeline's `initial` and `latest` releases:
-    /// one [`MapDiff::between`] of the two.
-    pub fn between(initial: &NbmRelease, latest: &NbmRelease) -> Self {
+    /// The evidence between a timeline's `initial` and `latest` releases,
+    /// each given as its version and records: one [`MapDiff::between`] of
+    /// the two.
+    pub fn between<'a, 'b>(
+        initial: (
+            ReleaseVersion,
+            impl IntoIterator<Item = &'a AvailabilityRecord>,
+        ),
+        latest: (
+            ReleaseVersion,
+            impl IntoIterator<Item = &'b AvailabilityRecord>,
+        ),
+    ) -> Self {
         let diff = MapDiff::between(initial, latest);
         let keys = |kind: ClaimChangeKind| {
             diff.changes()
@@ -277,26 +286,7 @@ impl DiffChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{Bsl, Fabric};
-    use crate::filing::{AvailabilityRecord, ServiceType};
-    use crate::nbm::ReleaseVersion;
-    use crate::time::DayStamp;
-    use geoprim::LatLng;
-
-    fn fabric() -> Fabric {
-        let bsls = (0..5u64)
-            .map(|i| {
-                Bsl::new(
-                    LocationId(i),
-                    LatLng::new(37.0 + i as f64 * 0.01, -80.0),
-                    1,
-                    false,
-                    "VA",
-                )
-            })
-            .collect();
-        Fabric::new(bsls)
-    }
+    use crate::filing::ServiceType;
 
     fn rec(loc: u64, down: f64) -> AvailabilityRecord {
         AvailabilityRecord {
@@ -310,20 +300,22 @@ mod tests {
         }
     }
 
-    fn release(records: Vec<AvailabilityRecord>, minor: u32) -> NbmRelease {
-        NbmRelease::from_records(
-            ReleaseVersion { major: 1, minor },
-            DayStamp::initial_nbm_release().plus_days(14 * minor),
-            records,
-            &fabric(),
-        )
+    /// A release of the timeline as a diff side: its version and records.
+    type Release = (ReleaseVersion, Vec<AvailabilityRecord>);
+
+    fn release(records: Vec<AvailabilityRecord>, minor: u32) -> Release {
+        (ReleaseVersion { major: 1, minor }, records)
+    }
+
+    fn side(release: &Release) -> (ReleaseVersion, &[AvailabilityRecord]) {
+        (release.0, &release.1)
     }
 
     #[test]
     fn detects_removals_additions_and_modifications() {
         let old = release(vec![rec(0, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
         let new = release(vec![rec(0, 100.0), rec(2, 300.0), rec(3, 100.0)], 1);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         let (added, removed, modified) = diff.counts();
         assert_eq!(added, 1);
         assert_eq!(removed, 1);
@@ -336,25 +328,15 @@ mod tests {
     fn identical_releases_produce_empty_diff() {
         let old = release(vec![rec(0, 100.0), rec(1, 100.0)], 0);
         let new = release(vec![rec(0, 100.0), rec(1, 100.0)], 1);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         assert!(diff.is_empty());
-    }
-
-    #[test]
-    fn removals_grouped_by_provider() {
-        let old = release(vec![rec(0, 100.0), rec(1, 100.0)], 0);
-        let new = release(vec![], 1);
-        let diff = MapDiff::between(&old, &new);
-        let grouped = diff.removals_by_provider();
-        assert_eq!(grouped.len(), 1);
-        assert_eq!(grouped[&ProviderId(1)].len(), 2);
     }
 
     #[test]
     fn diff_records_versions() {
         let old = release(vec![rec(0, 100.0)], 0);
         let new = release(vec![rec(0, 100.0)], 3);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         assert_eq!(diff.from.minor, 0);
         assert_eq!(diff.to.minor, 3);
     }
@@ -365,7 +347,7 @@ mod tests {
         // the two sides used to diff as Modified (last writer won the index).
         let old = release(vec![rec(0, 10.0), rec(0, 100.0)], 0);
         let new = release(vec![rec(0, 100.0), rec(0, 10.0)], 1);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         assert!(diff.is_empty(), "{:?}", diff.changes());
     }
 
@@ -373,14 +355,14 @@ mod tests {
     fn nan_speeds_do_not_flag_modified_forever() {
         let old = release(vec![rec(0, f64::NAN)], 0);
         let new = release(vec![rec(0, f64::NAN)], 1);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         assert!(
             diff.is_empty(),
             "identical NaN speeds must compare equal by bit pattern"
         );
         // A NaN appearing (or clearing) is still a modification.
         let cleared = release(vec![rec(0, 100.0)], 2);
-        let diff = MapDiff::between(&new, &cleared);
+        let diff = MapDiff::between(side(&new), side(&cleared));
         let (_, _, modified) = diff.counts();
         assert_eq!(modified, 1);
     }
@@ -391,7 +373,7 @@ mod tests {
         fiber.technology = Technology::Fiber;
         let old = release(vec![rec(0, 100.0), fiber.clone()], 0);
         let new = release(vec![fiber], 1);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         let (_, removed, _) = diff.counts();
         assert_eq!(removed, 1);
         assert_eq!(diff.removed().next().unwrap().technology, Technology::Cable);
@@ -401,9 +383,9 @@ mod tests {
     fn chain_between_keeps_initial_minus_latest() {
         let initial = release(vec![rec(0, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
         let latest = release(vec![rec(0, 100.0), rec(2, 300.0), rec(3, 100.0)], 4);
-        let chain = DiffChain::between(&initial, &latest);
-        assert_eq!(chain.from_version(), initial.version);
-        assert_eq!(chain.to_version(), latest.version);
+        let chain = DiffChain::between(side(&initial), side(&latest));
+        assert_eq!(chain.from_version(), initial.0);
+        assert_eq!(chain.to_version(), latest.0);
         assert_eq!(chain.removal_count(), 1);
         let evidence = chain.removal_evidence();
         assert_eq!(evidence.len(), 1);
@@ -419,9 +401,8 @@ mod tests {
         let initial = release(vec![rec(0, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
         let latest = release(vec![rec(1, 100.0)], 2);
         let key = |loc: u64| (ProviderId(1), LocationId(loc), Technology::Cable);
-        let scheduled =
-            DiffChain::from_removed(initial.version, latest.version, [key(2), key(0), key(2)]);
-        let diffed = DiffChain::between(&initial, &latest);
+        let scheduled = DiffChain::from_removed(initial.0, latest.0, [key(2), key(0), key(2)]);
+        let diffed = DiffChain::between(side(&initial), side(&latest));
         assert_eq!(scheduled.removal_evidence(), diffed.removal_evidence());
         let fold = |chain: &DiffChain| {
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -435,7 +416,7 @@ mod tests {
     fn changes_come_out_in_ascending_claim_key_order() {
         let old = release(vec![rec(4, 100.0), rec(1, 100.0), rec(2, 100.0)], 0);
         let new = release(vec![rec(3, 100.0), rec(2, 300.0), rec(0, 100.0)], 1);
-        let diff = MapDiff::between(&old, &new);
+        let diff = MapDiff::between(side(&old), side(&new));
         let locations: Vec<u64> = diff.changes().iter().map(|c| c.location.0).collect();
         assert_eq!(locations, [0, 1, 2, 3, 4]);
     }

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use geoprim::LatLng;
-use hexgrid::{HexCell, Resolution, NBM_RESOLUTION};
+use hexgrid::{HexCell, NBM_RESOLUTION};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::LocationId;
@@ -95,12 +95,11 @@ impl FabricView for Fabric {
     }
 }
 
-/// The full fabric with lookup indices by hex and by state.
+/// The full fabric with lookup indices by hex and by location id.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Fabric {
     bsls: Vec<Bsl>,
     by_hex: HashMap<HexCell, Vec<LocationId>>,
-    by_state: HashMap<String, Vec<LocationId>>,
     by_id: HashMap<LocationId, usize>,
 }
 
@@ -108,17 +107,14 @@ impl Fabric {
     /// Build a fabric from a list of BSLs.
     pub fn new(bsls: Vec<Bsl>) -> Self {
         let mut by_hex: HashMap<HexCell, Vec<LocationId>> = HashMap::new();
-        let mut by_state: HashMap<String, Vec<LocationId>> = HashMap::new();
         let mut by_id = HashMap::with_capacity(bsls.len());
         for (i, bsl) in bsls.iter().enumerate() {
             by_hex.entry(bsl.hex).or_default().push(bsl.id);
-            by_state.entry(bsl.state.clone()).or_default().push(bsl.id);
             by_id.insert(bsl.id, i);
         }
         Self {
             bsls,
             by_hex,
-            by_state,
             by_id,
         }
     }
@@ -153,21 +149,9 @@ impl Fabric {
         self.locations_in_hex(hex).len()
     }
 
-    /// Location ids in a given state.
-    pub fn locations_in_state(&self, state: &str) -> &[LocationId] {
-        self.by_state.get(state).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// All hex cells that contain at least one BSL.
     pub fn hexes(&self) -> impl Iterator<Item = &HexCell> {
         self.by_hex.keys()
-    }
-
-    /// All states present in the fabric.
-    pub fn states(&self) -> Vec<String> {
-        let mut s: Vec<String> = self.by_state.keys().cloned().collect();
-        s.sort();
-        s
     }
 
     /// Distribution of BSL counts per occupied hex (sorted ascending).
@@ -186,12 +170,6 @@ impl Fabric {
         } else {
             counts[counts.len() / 2]
         }
-    }
-
-    /// Re-derive hex assignments at a different resolution (used in tests and
-    /// the fabric-churn ablation; the NBM itself always uses resolution 8).
-    pub fn hex_for(&self, id: LocationId, res: Resolution) -> Option<HexCell> {
-        self.get(id).map(|b| HexCell::containing(&b.position, res))
     }
 }
 
@@ -226,14 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn state_index() {
-        let f = small_fabric();
-        assert_eq!(f.locations_in_state("VA").len(), 20);
-        assert!(f.locations_in_state("NC").is_empty());
-        assert_eq!(f.states(), vec!["VA".to_string()]);
-    }
-
-    #[test]
     fn bsl_hex_matches_position() {
         let f = small_fabric();
         for b in f.bsls() {
@@ -251,14 +221,5 @@ mod tests {
     fn median_counts_occupied_hexes_only() {
         let f = small_fabric();
         assert!(f.median_bsls_per_hex() >= 1);
-    }
-
-    #[test]
-    fn hex_for_alternate_resolution() {
-        let f = small_fabric();
-        let coarse = f
-            .hex_for(LocationId(0), Resolution::new(5).unwrap())
-            .unwrap();
-        assert_eq!(coarse.resolution().level(), 5);
     }
 }

@@ -21,14 +21,6 @@ pub enum ServiceType {
     Both,
 }
 
-impl ServiceType {
-    /// True when the offering is available to residential (mass-market)
-    /// subscribers.
-    pub fn serves_residential(&self) -> bool {
-        matches!(self, ServiceType::Residential | ServiceType::Both)
-    }
-}
-
 /// One row of a BDC availability filing: a claim that `provider` can serve
 /// `location` with `technology` at the stated speeds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,41 +87,10 @@ impl AvailabilityRecord {
         Ok(())
     }
 
-    /// Download speed as it appears in the public NBM: values below 10 Mbps
-    /// are reported as 0 (Table 1, note on download speed).
-    pub fn nbm_reported_down_mbps(&self) -> f64 {
-        if self.max_down_mbps < 10.0 {
-            0.0
-        } else {
-            self.max_down_mbps
-        }
-    }
-
-    /// Upload speed as it appears in the public NBM: values below 1 Mbps are
-    /// reported as 0.
-    pub fn nbm_reported_up_mbps(&self) -> f64 {
-        if self.max_up_mbps < 1.0 {
-            0.0
-        } else {
-            self.max_up_mbps
-        }
-    }
-
     /// The key identifying which claim this record is about; a provider files
     /// (at most) one record per location per technology.
     pub fn claim_key(&self) -> (ProviderId, LocationId, Technology) {
         (self.provider, self.location, self.technology)
-    }
-
-    /// Whether the claim meets the FCC's 25/3 Mbps broadband benchmark.
-    pub fn meets_25_3(&self) -> bool {
-        self.max_down_mbps >= 25.0 && self.max_up_mbps >= 3.0
-    }
-
-    /// Whether the claim meets the 100/20 Mbps BEAD "reliable broadband"
-    /// benchmark.
-    pub fn meets_100_20(&self) -> bool {
-        self.max_down_mbps >= 100.0 && self.max_up_mbps >= 20.0
     }
 }
 
@@ -173,11 +134,6 @@ impl Filing {
         t.dedup();
         t
     }
-
-    /// Records for one technology.
-    pub fn records_for(&self, tech: Technology) -> impl Iterator<Item = &AvailabilityRecord> {
-        self.records.iter().filter(move |r| r.technology == tech)
-    }
 }
 
 #[cfg(test)]
@@ -197,29 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn nbm_floor_rules() {
-        assert_eq!(rec(9.9, 0.9).nbm_reported_down_mbps(), 0.0);
-        assert_eq!(rec(9.9, 0.9).nbm_reported_up_mbps(), 0.0);
-        assert_eq!(rec(10.0, 1.0).nbm_reported_down_mbps(), 10.0);
-        assert_eq!(rec(10.0, 1.0).nbm_reported_up_mbps(), 1.0);
-    }
-
-    #[test]
-    fn benchmark_checks() {
-        assert!(rec(100.0, 20.0).meets_100_20());
-        assert!(!rec(100.0, 10.0).meets_100_20());
-        assert!(rec(25.0, 3.0).meets_25_3());
-        assert!(!rec(24.0, 3.0).meets_25_3());
-    }
-
-    #[test]
-    fn service_type_residential() {
-        assert!(ServiceType::Both.serves_residential());
-        assert!(ServiceType::Residential.serves_residential());
-        assert!(!ServiceType::Business.serves_residential());
-    }
-
-    #[test]
     fn filing_counts_distinct_locations() {
         let mut f = Filing::new(ProviderId(1), DayStamp::initial_filing_deadline(), "m");
         f.records.push(rec(100.0, 10.0));
@@ -231,7 +164,6 @@ mod tests {
         f.records.push(other);
         assert_eq!(f.claimed_location_count(), 2);
         assert_eq!(f.technologies(), vec![Technology::Cable, Technology::Fiber]);
-        assert_eq!(f.records_for(Technology::Cable).count(), 2);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   structures providers may claim service at,
 //! * per-location **availability filings** ([`filing`], Table 1 of the paper),
 //! * **providers** and their free-text filing methodologies ([`provider`]),
-//! * aggregated **NBM releases** and the public per-hex view ([`nbm`]),
-//! * the **release diff** that recovers non-archived changes between a
-//!   timeline's initial and latest releases ([`diff`], §4.1.3),
+//! * **NBM releases**, the public per-hex view aggregated from filings
+//!   ([`nbm`]),
+//! * the **release diff** that recovers non-archived changes between the
+//!   records of a timeline's initial and latest releases ([`diff`], §4.1.3),
 //! * the **challenge process** with its outcomes and reasons ([`challenge`],
 //!   Tables 2 and 3),
 //! * the [`WorldSource`] seam the streaming runner consumes ([`source`]), with

@@ -5,6 +5,11 @@
 //! resolution-8 cell the BSL falls in. Major releases follow each filing
 //! deadline; minor releases every two weeks fold in challenge results and
 //! provider corrections.
+//!
+//! An [`NbmRelease`] is that public per-hex view and nothing more. The
+//! location-level records it is aggregated from stay with their owner (a
+//! world's filings, an ingest buffer), and the release diff compares those
+//! record sets directly (see [`crate::diff`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -12,7 +17,7 @@ use hexgrid::HexCell;
 use serde::{Deserialize, Serialize};
 
 use crate::fabric::Fabric;
-use crate::filing::{AvailabilityRecord, Filing};
+use crate::filing::AvailabilityRecord;
 use crate::ids::{LocationId, ProviderId};
 use crate::tech::Technology;
 use crate::time::DayStamp;
@@ -47,11 +52,6 @@ impl ReleaseVersion {
             major: self.major + 1,
             minor: 0,
         }
-    }
-
-    /// True for the first release of a filing period.
-    pub fn is_major_release(&self) -> bool {
-        self.minor == 0
     }
 }
 
@@ -102,40 +102,25 @@ impl HexClaim {
 /// The key of a location-level claim, used by the release diff.
 pub type ClaimKey = (ProviderId, LocationId, Technology);
 
-/// One release of the National Broadband Map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One release of the National Broadband Map: its public per-hex claims.
+#[derive(Debug, Clone)]
 pub struct NbmRelease {
     pub version: ReleaseVersion,
     pub published: DayStamp,
-    /// Location-level availability records underlying the release.
-    records: Vec<AvailabilityRecord>,
     /// Aggregated per-hex claims (the public view).
     hex_claims: Vec<HexClaim>,
-    #[serde(skip)]
+    /// Position of each claim by observation key, derived from `hex_claims`.
     claim_index: HashMap<(ProviderId, HexCell, Technology), usize>,
 }
 
 impl NbmRelease {
-    /// Aggregate a set of provider filings into a release using the fabric to
-    /// resolve locations to hexes.
-    pub fn from_filings(
+    /// Aggregate location-level records into a release, resolving each
+    /// location to its hex through the fabric. The records are only read:
+    /// a world passes its filings' records, an ingest run its buffer.
+    pub fn from_records<'a>(
         version: ReleaseVersion,
         published: DayStamp,
-        filings: &[Filing],
-        fabric: &Fabric,
-    ) -> Self {
-        let records: Vec<AvailabilityRecord> = filings
-            .iter()
-            .flat_map(|f| f.records.iter().cloned())
-            .collect();
-        Self::from_records(version, published, records, fabric)
-    }
-
-    /// Aggregate raw location-level records into a release.
-    pub fn from_records(
-        version: ReleaseVersion,
-        published: DayStamp,
-        records: Vec<AvailabilityRecord>,
+        records: impl IntoIterator<Item = &'a AvailabilityRecord>,
         fabric: &Fabric,
     ) -> Self {
         // Group records by (provider, hex, technology) keeping the best-speed
@@ -151,7 +136,7 @@ impl NbmRelease {
             locations: BTreeSet<LocationId>,
         }
         let mut groups: BTreeMap<(ProviderId, HexCell, Technology), Agg> = BTreeMap::new();
-        for rec in &records {
+        for rec in records {
             let Some(bsl) = fabric.get(rec.location) else {
                 // Claims for locations absent from the fabric are dropped by
                 // the FCC; mirror that behaviour.
@@ -191,21 +176,15 @@ impl NbmRelease {
                 }
             })
             .collect();
-        Self::from_parts(version, published, records, hex_claims)
+        Self::from_parts(version, published, hex_claims)
     }
 
-    /// Assemble a release from already-aggregated parts, (re)building the
-    /// claim index — the single constructor every path funnels through, so a
-    /// release can never exist with a stale or empty index.
-    ///
-    /// This is also the deserialisation entry point: `claim_index` is
-    /// `#[serde(skip)]`, so any wire decoder must route through here (or
-    /// [`NbmRelease::rebuild_index`]) rather than populating the struct
-    /// field-by-field.
+    /// Assemble a release from already-aggregated per-hex claims, building
+    /// the claim index — the single constructor every path funnels through,
+    /// so a release can never exist with a stale or empty index.
     pub fn from_parts(
         version: ReleaseVersion,
         published: DayStamp,
-        records: Vec<AvailabilityRecord>,
         hex_claims: Vec<HexClaim>,
     ) -> Self {
         let claim_index = hex_claims
@@ -216,29 +195,9 @@ impl NbmRelease {
         Self {
             version,
             published,
-            records,
             hex_claims,
             claim_index,
         }
-    }
-
-    /// Decompose the release into its serialisable parts (the inverse of
-    /// [`NbmRelease::from_parts`]; the claim index is derived state and is
-    /// not part of the wire representation).
-    pub fn into_parts(
-        self,
-    ) -> (
-        ReleaseVersion,
-        DayStamp,
-        Vec<AvailabilityRecord>,
-        Vec<HexClaim>,
-    ) {
-        (self.version, self.published, self.records, self.hex_claims)
-    }
-
-    /// The location-level records underlying the release.
-    pub fn records(&self) -> &[AvailabilityRecord] {
-        &self.records
     }
 
     /// The public per-hex claims.
@@ -263,21 +222,6 @@ impl NbmRelease {
             .map(|&i| &self.hex_claims[i])
     }
 
-    /// The set of location-level claim keys.
-    pub fn claim_keys(&self) -> BTreeSet<ClaimKey> {
-        self.records.iter().map(|r| r.claim_key()).collect()
-    }
-
-    /// Per-provider count of distinct claimed locations (used for Figure 4's
-    /// CDF of locations claimed).
-    pub fn locations_claimed_by_provider(&self) -> HashMap<ProviderId, usize> {
-        let mut sets: HashMap<ProviderId, BTreeSet<LocationId>> = HashMap::new();
-        for r in &self.records {
-            sets.entry(r.provider).or_default().insert(r.location);
-        }
-        sets.into_iter().map(|(p, s)| (p, s.len())).collect()
-    }
-
     /// The hexes each of `providers` claims with any technology, grouped in
     /// one pass over the hex claims: one strictly ascending list per
     /// provider, each hex once however many technologies claim it. A
@@ -299,18 +243,6 @@ impl NbmRelease {
             hexes.dedup();
         }
         out
-    }
-
-    /// Rebuild the claim index after deserialisation (serde skips it).
-    /// Prefer constructing through [`NbmRelease::from_parts`], which cannot
-    /// forget to call this.
-    pub fn rebuild_index(&mut self) {
-        self.claim_index = self
-            .hex_claims
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.observation_key(), i))
-            .collect();
     }
 }
 
@@ -356,7 +288,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         // Both locations share a hex at this spacing, or occupy at most two.
@@ -378,7 +310,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         assert_eq!(rel.claim_count(), 0);
@@ -391,7 +323,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         for c in rel.hex_claims() {
@@ -408,7 +340,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         let claim = &rel.hex_claims()[0];
@@ -423,10 +355,8 @@ mod tests {
     #[test]
     fn version_navigation() {
         let v = ReleaseVersion::initial();
-        assert!(v.is_major_release());
-        assert_eq!(v.next_minor().minor, 1);
-        assert_eq!(v.next_major().major, 2);
-        assert!(!v.next_minor().is_major_release());
+        assert_eq!(v.next_minor(), ReleaseVersion { major: 1, minor: 1 });
+        assert_eq!(v.next_major(), ReleaseVersion { major: 2, minor: 0 });
         assert_eq!(format!("{v}"), "v1.0");
     }
 
@@ -439,7 +369,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         let max_claim = rel
@@ -461,7 +391,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         assert_eq!(rel.claim_count(), 1);
@@ -471,18 +401,16 @@ mod tests {
     }
 
     #[test]
-    fn parts_round_trip_rebuilds_claim_index() {
-        // Stands in for a serde round trip while the vendored serde is a
-        // no-op stub: the wire representation is exactly the four parts
-        // (`claim_index` is derived state), and `from_parts` is the
-        // constructor any real decoder must route through — so a decoded
-        // release can never answer `claim_for` with a stale `None`.
+    fn from_parts_rebuilds_claim_index() {
+        // The per-hex claims are the whole of a release (`claim_index` is
+        // derived state), so reassembling them answers every lookup the
+        // aggregated release answers.
         let f = fabric();
         let recs = vec![record(0, 100.0, 10.0), record(5, 250.0, 25.0)];
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         let keys: Vec<_> = rel
@@ -491,35 +419,15 @@ mod tests {
             .map(|c| c.observation_key())
             .collect();
         assert!(!keys.is_empty());
-        let (version, published, records, hex_claims) = rel.clone().into_parts();
-        let decoded = NbmRelease::from_parts(version, published, records, hex_claims);
-        assert_eq!(decoded.version, rel.version);
-        assert_eq!(decoded.published, rel.published);
-        assert_eq!(decoded.records(), rel.records());
-        assert_eq!(decoded.hex_claims(), rel.hex_claims());
+        let rebuilt = NbmRelease::from_parts(rel.version, rel.published, rel.hex_claims().to_vec());
+        assert_eq!(rebuilt.hex_claims(), rel.hex_claims());
         for (provider, hex, tech) in keys {
             assert_eq!(
-                decoded.claim_for(provider, hex, tech),
+                rebuilt.claim_for(provider, hex, tech),
                 rel.claim_for(provider, hex, tech),
                 "claim index not rebuilt for {provider:?}/{tech:?}"
             );
         }
-    }
-
-    #[test]
-    fn locations_claimed_by_provider_counts_distinct() {
-        let f = fabric();
-        let mut recs = vec![record(0, 100.0, 10.0), record(1, 100.0, 10.0)];
-        let mut copper = record(0, 20.0, 2.0);
-        copper.technology = Technology::Copper;
-        recs.push(copper);
-        let rel = NbmRelease::from_records(
-            ReleaseVersion::initial(),
-            DayStamp::initial_nbm_release(),
-            recs,
-            &f,
-        );
-        assert_eq!(rel.locations_claimed_by_provider()[&ProviderId(1)], 2);
     }
 
     #[test]
@@ -550,7 +458,7 @@ mod tests {
         let rel = NbmRelease::from_records(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            recs,
+            &recs,
             &f,
         );
         let asked = [ProviderId(1), ProviderId(2), ProviderId(5)];

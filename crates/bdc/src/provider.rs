@@ -28,15 +28,6 @@ pub struct Provider {
     pub home_state: String,
 }
 
-impl Provider {
-    /// True when the provider only files satellite technologies; such
-    /// providers claim nearly every location in the country and are excluded
-    /// from the model (§5.1).
-    pub fn satellite_only(&self) -> bool {
-        !self.technologies.is_empty() && self.technologies.iter().all(Technology::is_satellite)
-    }
-}
-
 /// Registry of all providers, with lookups by id and brand.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ProviderRegistry {
@@ -79,14 +70,6 @@ impl ProviderRegistry {
     pub fn major_providers(&self) -> Vec<&Provider> {
         self.providers.iter().filter(|p| p.major).collect()
     }
-
-    /// Providers that file only satellite technologies.
-    pub fn satellite_only_providers(&self) -> Vec<&Provider> {
-        self.providers
-            .iter()
-            .filter(|p| p.satellite_only())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,16 +97,6 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert!(reg.get(ProviderId(1)).is_some());
         assert!(reg.get(ProviderId(3)).is_none());
-    }
-
-    #[test]
-    fn satellite_only_detection() {
-        let sat = provider(2, vec![Technology::GsoSatellite], false);
-        let mixed = provider(3, vec![Technology::GsoSatellite, Technology::Fiber], false);
-        let none = provider(4, vec![], false);
-        assert!(sat.satellite_only());
-        assert!(!mixed.satellite_only());
-        assert!(!none.satellite_only());
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl Technology {
         !matches!(self, Technology::GsoSatellite | Technology::NgsoSatellite)
     }
 
-    /// True for either satellite category. Satellite providers claim service
-    /// essentially everywhere, which is why the paper excludes them.
-    pub fn is_satellite(&self) -> bool {
-        !self.is_terrestrial()
-    }
-
     /// Short label used in tables (matches the paper's Table 7 labels).
     pub fn label(&self) -> &'static str {
         match self {
@@ -175,8 +169,8 @@ mod tests {
         for t in Technology::TERRESTRIAL {
             assert!(t.is_terrestrial());
         }
-        assert!(Technology::GsoSatellite.is_satellite());
-        assert!(Technology::NgsoSatellite.is_satellite());
+        assert!(!Technology::GsoSatellite.is_terrestrial());
+        assert!(!Technology::NgsoSatellite.is_terrestrial());
         assert!(Technology::Fiber.is_terrestrial());
         assert!(Technology::LicensedByRuleFixedWireless.is_terrestrial());
         assert!(Technology::Other.is_terrestrial());

@@ -67,7 +67,7 @@ fn main() {
         )
     );
     println!("{}", exp::figure7(world, ctx).render());
-    match exp::figure8(world, ctx) {
+    match exp::figure8(&suite) {
         Some(f8) => println!("{}", f8.render()),
         None => println!("Figure 8: JCC scenario disabled in this configuration\n"),
     }

@@ -617,17 +617,22 @@ pub struct Figure4 {
     pub n_unmatched: usize,
 }
 
-/// Compute Figure 4.
+/// Compute Figure 4 from the filings: each provider's distinct claimed
+/// locations, skipping providers that filed none.
 pub fn figure4(world: &SynthUs, ctx: &AnalysisContext) -> Figure4 {
-    let claims = world.initial_release().locations_claimed_by_provider();
-    let mut all: Vec<usize> = claims.values().copied().collect();
+    let claims: Vec<(u32, usize)> = world
+        .filings
+        .iter()
+        .map(|f| (f.provider.value(), f.claimed_location_count()))
+        .filter(|&(_, count)| count > 0)
+        .collect();
+    let mut all: Vec<usize> = claims.iter().map(|&(_, count)| count).collect();
     all.sort_unstable();
-    let matched: std::collections::BTreeSet<u32> =
-        ctx.match_report.provider_to_asns.keys().copied().collect();
+    let matched = &ctx.match_report.provider_to_asns;
     let mut unmatched: Vec<usize> = claims
         .iter()
-        .filter(|(p, _)| !matched.contains(&p.value()))
-        .map(|(_, c)| *c)
+        .filter(|(p, _)| !matched.contains_key(p))
+        .map(|&(_, count)| count)
         .collect();
     unmatched.sort_unstable();
     let q = |v: &[usize], f: f64| -> usize { percentile(v, f).unwrap_or(0) };
@@ -764,15 +769,14 @@ pub struct Figure8 {
     pub served_hexes: usize,
 }
 
-/// Compute Figure 8: train with the JCC provider's home and neighbouring
-/// states excluded, then score every hex the provider claims.
-pub fn figure8(world: &SynthUs, ctx: &AnalysisContext) -> Option<Figure8> {
+/// Compute Figure 8: train on the suite's matrix with the JCC provider's
+/// home and neighbouring states excluded, then score every hex the provider
+/// claims.
+pub fn figure8(suite: &ExperimentSuite) -> Option<Figure8> {
+    let (world, ctx) = (&suite.world, &suite.ctx);
     let jcc = world.jcc.as_ref()?;
-    let (features, mode) = (FeatureConfig::default(), LabelMode::Parallel);
-    let observations = stage_label_construction(world, ctx, &LabelingOptions::default(), mode);
-    let matrix = stage_feature_engineering(world, ctx, &observations, &features, mode);
     let outcome = run_holdout(
-        &matrix,
+        &suite.matrix,
         &HoldoutStrategy::States(jcc.excluded_states.clone()),
         default_params(world.config.seed + 9),
     );
@@ -791,7 +795,9 @@ pub fn figure8(world: &SynthUs, ctx: &AnalysisContext) -> Option<Figure8> {
             source: LabelSource::LikelyServed,
         })
         .collect();
-    let jcc_matrix = stage_feature_engineering(world, ctx, &jcc_claims, &features, mode);
+    let features = FeatureConfig::default();
+    let jcc_matrix =
+        stage_feature_engineering(world, ctx, &jcc_claims, &features, LabelMode::Parallel);
     let mut over_flagged = 0usize;
     let mut over_total = 0usize;
     let mut served_flagged = 0usize;
@@ -1053,13 +1059,31 @@ mod tests {
     }
 
     #[test]
+    fn figure4_is_pinned_and_skips_providers_without_records() {
+        let mut world = SynthUs::generate(&SynthConfig::tiny(21));
+        let ctx = AnalysisContext::prepare(&world);
+        let pinned = |f4: &Figure4| {
+            let all = [f4.median_all, f4.p90_all];
+            let unmatched = [f4.median_unmatched, f4.p90_unmatched, f4.n_unmatched];
+            assert_eq!((all, unmatched), ([195, 542], [40, 67, 8]));
+        };
+        pinned(&figure4(&world, &ctx));
+        // A provider that filed no records is not part of either
+        // distribution, matched or not.
+        let as_of = DayStamp::initial_filing_deadline();
+        let silent = bdc::Filing::new(bdc::ProviderId(u32::MAX), as_of, "no records");
+        world.filings.push(silent);
+        pinned(&figure4(&world, &ctx));
+    }
+
+    #[test]
     fn ablation_and_case_study_shapes() {
         // Seed re-pinned when world generation moved to sharded RNG streams.
-        let world = SynthUs::generate(&SynthConfig::tiny(9));
-        let ctx = AnalysisContext::prepare(&world);
+        let suite = ExperimentSuite::prepare(&SynthConfig::tiny(9));
+        let (world, ctx) = (&suite.world, &suite.ctx);
 
         // Figure 7: the full dataset beats challenges-only on F1.
-        let f7 = figure7(&world, &ctx);
+        let f7 = figure7(world, ctx);
         assert_eq!(f7.rows.len(), 4);
         let f1_of = |label: &str| {
             f7.rows
@@ -1077,7 +1101,7 @@ mod tests {
 
         // Figure 8: the over-claimed region is flagged far more often than the
         // genuinely served region.
-        let f8 = figure8(&world, &ctx).expect("JCC scenario enabled");
+        let f8 = figure8(&suite).expect("JCC scenario enabled");
         assert!(f8.overclaimed_hexes > 0);
         assert!(
             f8.overclaimed_flagged_pct > f8.served_flagged_pct,

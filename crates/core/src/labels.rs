@@ -752,8 +752,7 @@ mod tests {
             challenge(1, "VA", ChallengeOutcome::ProviderConceded),
             second,
         ];
-        let release =
-            NbmRelease::from_filings(ReleaseVersion::initial(), DayStamp(0), &[], &fabric);
+        let release = NbmRelease::from_parts(ReleaseVersion::initial(), DayStamp(0), Vec::new());
         let inputs = LabelInputs {
             fabric: &fabric,
             initial_release: &release,

@@ -3,7 +3,10 @@
 use std::collections::HashSet;
 
 use ml::metrics::classification_report;
-use ml::{f1_score, roc_auc, roc_curve, train_test_split, GbdtModel, GbdtParams, RandomBaseline};
+use ml::{
+    f1_score, group_holdout, roc_auc, roc_curve, train_test_split, GbdtModel, GbdtParams,
+    RandomBaseline,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::features::FeatureMatrix;
@@ -77,7 +80,7 @@ pub fn evaluate(
 ) -> EvaluationResult {
     let test = matrix.dataset.subset(rows);
     let probs = model.predict_dataset(&test);
-    let baseline = RandomBaseline::fit(&test, seed).predict_dataset(&test);
+    let baseline = RandomBaseline::new(seed).predict_dataset(&test);
     EvaluationResult {
         auc: roc_auc(test.labels(), &probs),
         f1: f1_score(test.labels(), &probs, 0.5),
@@ -112,18 +115,8 @@ pub fn run_holdout(
             (train, test)
         }
         HoldoutStrategy::States(states) => {
-            let held: HashSet<&str> = states.iter().map(String::as_str).collect();
-            let groups = matrix.states();
-            let mut train = Vec::new();
-            let mut test = Vec::new();
-            for (i, g) in groups.iter().enumerate() {
-                if held.contains(g.as_str()) {
-                    test.push(i);
-                } else {
-                    train.push(i);
-                }
-            }
-            (train, test)
+            let held: HashSet<String> = states.iter().cloned().collect();
+            group_holdout(&matrix.states(), &held)
         }
     };
     let train = matrix.dataset.subset(&train_rows);

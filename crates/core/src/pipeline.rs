@@ -652,21 +652,18 @@ mod tests {
         let chain = stage_release_diff(&world, DiffMode::Sequential);
         let emitter = world.release_emitter();
         let last = emitter.release(emitter.n_releases() - 1);
-        let initial = world.initial_release();
-        let kept = initial
-            .records()
-            .iter()
-            .filter(|r| last.is_live(&r.claim_key()));
-        let (version, published) = (last.version(), last.published());
-        let latest =
-            NbmRelease::from_records(version, published, kept.cloned().collect(), &world.fabric);
-        let batch = bdc::MapDiff::between(initial, &latest);
+        let filed = || world.filings.iter().flat_map(|f| &f.records);
+        let kept = filed().filter(|r| last.is_live(&r.claim_key()));
+        let batch = bdc::MapDiff::between(
+            (world.initial_release().version, filed()),
+            (last.version(), kept),
+        );
         let batch_removed: Vec<bdc::ClaimChange> = batch.removed().copied().collect();
         assert_eq!(
             chain.removal_evidence(),
             batch_removed,
             "schedule-built evidence must equal the batch initial-vs-latest removals"
         );
-        assert_eq!(chain.to_version(), latest.version);
+        assert_eq!(chain.to_version(), last.version());
     }
 }

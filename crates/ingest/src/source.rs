@@ -21,8 +21,10 @@
 //! configured budget is enforced per stage with the exact same breach
 //! semantics, and the per-stage report lands in front of the runner's
 //! pipeline stages. The removal evidence is one [`DiffChain::between`] of
-//! the initial and latest releases, as §4.1.3 defines it, so it has the same
-//! shape as the evidence a synthetic world reads off its removal schedule.
+//! the initial and latest releases' records, as §4.1.3 defines it, so it has
+//! the same shape as the evidence a synthetic world reads off its removal
+//! schedule. Once the diff has run, no record stays resident: the world keeps
+//! the initial release's per-hex view and the evidence.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -166,27 +168,28 @@ impl FileWorld {
         end_stage(&mut stages, &meter, budget, "fabric_assembly", started, 1)
             .map_err(budget_breach)?;
 
-        // Stage 4: aggregate the initial and latest releases' records into
-        // NbmReleases; biannual filings are successive major versions. Their
-        // record buffers move into the releases, so residency carries over
-        // unchanged. The release diff reads only those two, so the records of
-        // every release in between are dropped here.
+        // Stage 4: the release diff reads only the initial and latest
+        // releases' records, so the records of every release in between are
+        // dropped here; biannual filings are successive major versions. The
+        // initial records are aggregated into the public per-hex view labels
+        // run against, metered as its claims plus their index.
         let started = Instant::now();
         let release_count = per_release.len();
-        let mut built: Vec<(NbmRelease, usize)> = Vec::new();
+        let mut ends: Vec<(ReleaseVersion, DayStamp, Vec<AvailabilityRecord>)> = Vec::new();
         let mut version = ReleaseVersion::initial();
         for (i, (published, records)) in per_release.into_iter().enumerate() {
             if i > 0 {
                 version = version.next_major();
             }
-            let count = records.len();
             if i == 0 || i + 1 == release_count {
-                let release = NbmRelease::from_records(version, published, records, &fabric);
-                built.push((release, count));
+                ends.push((version, published, records));
             } else {
-                meter.release(count);
+                meter.release(records.len());
             }
         }
+        let initial = &ends[0];
+        let initial_release = NbmRelease::from_records(initial.0, initial.1, &initial.2, &fabric);
+        meter.pin(2 * initial_release.claim_count());
         end_stage(
             &mut stages,
             &meter,
@@ -197,22 +200,20 @@ impl FileWorld {
         )
         .map_err(budget_breach)?;
 
-        // Stage 5: diff the initial release against the latest. The diff
-        // sorts a copy of both releases' claims, so that transient copy is
-        // metered around it; afterwards only the initial release (the public
-        // view labels run against) and the removal evidence stay resident.
+        // Stage 5: diff the initial release's records against the latest's.
+        // The diff sorts a copy of both sides' claims, so that transient copy
+        // is metered around it. Both record buffers are dropped afterwards:
+        // only the per-hex view and the removal evidence stay resident.
         let started = Instant::now();
-        let (initial, latest) = (&built[0], &built[built.len() - 1]);
-        let transient = initial.1 + latest.1;
+        let (initial, latest) = (&ends[0], &ends[ends.len() - 1]);
+        let transient = initial.2.len() + latest.2.len();
         meter.acquire(transient);
-        let chain = DiffChain::between(&initial.0, &latest.0);
+        let chain = DiffChain::between((initial.0, &initial.2), (latest.0, &latest.2));
         meter.release(transient);
         let removal_evidence = chain.removal_evidence();
         meter.pin(removal_evidence.len());
-        let mut drain = built.into_iter();
-        let (initial_release, _) = drain.next().expect("discovery guarantees >= 1 release");
-        for (_, count) in drain {
-            meter.release(count);
+        for (_, _, records) in ends {
+            meter.release(records.len());
         }
         end_stage(&mut stages, &meter, budget, "release_diff", started, 1)
             .map_err(budget_breach)?;

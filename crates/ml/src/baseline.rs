@@ -8,26 +8,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
-/// A baseline that assigns uniformly random scores (optionally biased by the
-/// training positive rate when predicting hard labels).
+/// A baseline that assigns uniformly random scores.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomBaseline {
     seed: u64,
-    positive_rate: f64,
 }
 
 impl RandomBaseline {
-    /// Create a baseline calibrated to a training set's class balance.
-    pub fn fit(train: &Dataset, seed: u64) -> Self {
-        Self {
-            seed,
-            positive_rate: train.positive_rate(),
-        }
-    }
-
-    /// The memorised training positive rate.
-    pub fn positive_rate(&self) -> f64 {
-        self.positive_rate
+    /// A baseline drawing its scores from `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self { seed }
     }
 
     /// Uniformly random scores for every row of a dataset; expected ROC AUC
@@ -36,21 +26,6 @@ impl RandomBaseline {
         let mut rng = StdRng::seed_from_u64(self.seed);
         (0..data.n_rows())
             .map(|_| rng.gen_range(0.0..1.0))
-            .collect()
-    }
-
-    /// Hard 0/1 predictions drawn with probability equal to the training
-    /// positive rate.
-    pub fn predict_labels(&self, data: &Dataset) -> Vec<f32> {
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
-        (0..data.n_rows())
-            .map(|_| {
-                if rng.gen_bool(self.positive_rate.clamp(0.0, 1.0)) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
             .collect()
     }
 }
@@ -71,26 +46,17 @@ mod tests {
     #[test]
     fn auc_close_to_half() {
         let d = data(2000);
-        let baseline = RandomBaseline::fit(&d, 9);
+        let baseline = RandomBaseline::new(9);
         let scores = baseline.predict_dataset(&d);
         let auc = roc_auc(d.labels(), &scores);
         assert!((auc - 0.5).abs() < 0.05, "baseline AUC {auc}");
     }
 
     #[test]
-    fn label_rate_tracks_training_balance() {
-        let d = data(3000);
-        let baseline = RandomBaseline::fit(&d, 9);
-        let labels = baseline.predict_labels(&d);
-        let rate = labels.iter().filter(|&&l| l == 1.0).count() as f64 / labels.len() as f64;
-        assert!((rate - baseline.positive_rate()).abs() < 0.05);
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let d = data(100);
-        let a = RandomBaseline::fit(&d, 1).predict_dataset(&d);
-        let b = RandomBaseline::fit(&d, 1).predict_dataset(&d);
+        let a = RandomBaseline::new(1).predict_dataset(&d);
+        let b = RandomBaseline::new(1).predict_dataset(&d);
         assert_eq!(a, b);
     }
 }

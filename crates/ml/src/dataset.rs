@@ -111,11 +111,6 @@ impl Dataset {
         self.labels.iter().filter(|&&l| l == 1.0).count()
     }
 
-    /// Number of negative (label 0) rows.
-    pub fn negatives(&self) -> usize {
-        self.n_rows() - self.positives()
-    }
-
     /// Fraction of positive rows (0 when empty).
     pub fn positive_rate(&self) -> f64 {
         if self.is_empty() {
@@ -187,24 +182,6 @@ impl Dataset {
             labels,
         }
     }
-
-    /// Mean of a feature over rows where it is present (ignores NaN).
-    pub fn feature_mean(&self, feature: usize) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for r in 0..self.n_rows() {
-            let v = self.get(r, feature);
-            if !v.is_nan() {
-                sum += v as f64;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +212,6 @@ mod tests {
     fn class_counts() {
         let d = toy();
         assert_eq!(d.positives(), 2);
-        assert_eq!(d.negatives(), 1);
         assert!((d.positive_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -322,13 +298,6 @@ mod tests {
         let mut base = Dataset::new(vec!["a".into(), "b".into()]);
         let shard = Dataset::new(vec!["a".into(), "c".into()]);
         base.extend_from(&shard);
-    }
-
-    #[test]
-    fn feature_mean_ignores_missing() {
-        let d = toy();
-        assert!((d.feature_mean(1) - 4.0).abs() < 1e-9);
-        assert!((d.feature_mean(0) - 3.0).abs() < 1e-9);
     }
 
     #[test]

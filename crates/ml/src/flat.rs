@@ -236,12 +236,6 @@ impl FlatForest {
         self.tree_roots[tree]
     }
 
-    /// Absolute root indices of every tree, in model order — the array the
-    /// batched kernels iterate instead of re-deriving roots per tree.
-    pub fn tree_roots(&self) -> &[u32] {
-        &self.tree_roots
-    }
-
     /// Maximum root-to-leaf edge count of one tree (0 for a single-leaf
     /// tree) — the exact sweep count a level-synchronous descent needs.
     pub fn tree_depth(&self, tree: usize) -> u32 {

@@ -5,7 +5,8 @@
 //! predict which NBM availability claims would fail a challenge (§5.2), tunes
 //! it with Bayesian hyper-parameter optimisation, evaluates it with ROC-AUC /
 //! F1 on several hold-out strategies (§6.2) and interprets it with SHAP
-//! (Appendix E). This crate reimplements that stack natively:
+//! (Appendix E). This crate reimplements that stack natively; in place of
+//! the tuning, the experiments train with one fixed parameter set:
 //!
 //! * [`dataset`] — dense feature matrices with missing values (NaN),
 //! * [`tree`] — histogram-based regression trees with second-order gradient
@@ -20,10 +21,7 @@
 //!   row/column subsampling and optional early stopping,
 //! * [`metrics`] — ROC curves/AUC, precision/recall/F1, confusion matrices,
 //!   log-loss,
-//! * [`split`] — seeded train/test, stratified and group-holdout splitting and
-//!   k-fold cross-validation,
-//! * [`hyperopt`] — random search plus a coarse-to-fine successive-refinement
-//!   search standing in for Bayesian optimisation,
+//! * [`split`] — seeded train/test and group-holdout splitting,
 //! * [`attribution`] — per-prediction feature contributions (Saabas-style
 //!   path attribution, the fast TreeSHAP approximation; contributions sum
 //!   exactly to the prediction margin) powering the paper's Figure 10/11
@@ -45,7 +43,6 @@ pub mod baseline;
 pub mod dataset;
 pub mod flat;
 pub mod gbdt;
-pub mod hyperopt;
 pub mod metrics;
 pub mod quant;
 pub mod split;
@@ -63,5 +60,5 @@ pub use metrics::{
     ClassMetrics, ClassificationReport, ConfusionMatrix,
 };
 pub use quant::QuantForest;
-pub use split::{group_holdout, stratified_kfold, stratified_split, train_test_split};
+pub use split::{group_holdout, train_test_split};
 pub use tree::{RegressionTree, TreeParams};

@@ -159,7 +159,8 @@ impl QuantForest {
     }
 
     /// Distinct bin boundaries of one feature.
-    pub fn n_bins(&self, feature: usize) -> usize {
+    #[cfg(test)]
+    fn n_bins(&self, feature: usize) -> usize {
         self.cuts[feature].len() + 1
     }
 

@@ -1,5 +1,4 @@
-//! Seeded dataset splitting: train/test, stratified, k-fold and group
-//! holdouts.
+//! Seeded dataset splitting: train/test and group holdouts.
 //!
 //! The paper evaluates with three hold-out strategies (§6.2): random
 //! observation hold-outs, hold-outs restricted to FCC-adjudicated challenges
@@ -24,64 +23,6 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>,
     let test = idx[..n_test].to_vec();
     let train = idx[n_test..].to_vec();
     (train, test)
-}
-
-/// Stratified train/test split preserving the label balance in both parts.
-pub fn stratified_split(labels: &[f32], test_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    assert!((0.0..=1.0).contains(&test_fraction));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for class in [0.0f32, 1.0f32] {
-        let mut class_idx: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == class)
-            .map(|(i, _)| i)
-            .collect();
-        class_idx.shuffle(&mut rng);
-        let n_test = ((class_idx.len() as f64) * test_fraction).round() as usize;
-        test.extend_from_slice(&class_idx[..n_test]);
-        train.extend_from_slice(&class_idx[n_test..]);
-    }
-    train.sort_unstable();
-    test.sort_unstable();
-    (train, test)
-}
-
-/// Stratified k-fold cross-validation: returns `k` `(train, validation)`
-/// index pairs with class balance preserved per fold.
-pub fn stratified_kfold(labels: &[f32], k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2, "k-fold needs k >= 2");
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Assign each row to a fold, round-robin within its class after shuffling.
-    let mut fold_of = vec![0usize; labels.len()];
-    for class in [0.0f32, 1.0f32] {
-        let mut class_idx: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == class)
-            .map(|(i, _)| i)
-            .collect();
-        class_idx.shuffle(&mut rng);
-        for (pos, idx) in class_idx.into_iter().enumerate() {
-            fold_of[idx] = pos % k;
-        }
-    }
-    (0..k)
-        .map(|fold| {
-            let mut train = Vec::new();
-            let mut val = Vec::new();
-            for (i, &f) in fold_of.iter().enumerate() {
-                if f == fold {
-                    val.push(i);
-                } else {
-                    train.push(i);
-                }
-            }
-            (train, val)
-        })
-        .collect()
 }
 
 /// Group holdout: rows whose group is in `held_out` become the test set, all
@@ -124,38 +65,6 @@ mod tests {
             train_test_split(50, 0.2, 7).1,
             train_test_split(50, 0.2, 8).1
         );
-    }
-
-    #[test]
-    fn stratified_split_preserves_balance() {
-        // 20% positives.
-        let labels: Vec<f32> = (0..200)
-            .map(|i| if i % 5 == 0 { 1.0 } else { 0.0 })
-            .collect();
-        let (train, test) = stratified_split(&labels, 0.25, 1);
-        let rate = |idx: &[usize]| {
-            idx.iter().filter(|&&i| labels[i] == 1.0).count() as f64 / idx.len() as f64
-        };
-        assert!((rate(&train) - 0.2).abs() < 0.02);
-        assert!((rate(&test) - 0.2).abs() < 0.02);
-        assert_eq!(train.len() + test.len(), 200);
-    }
-
-    #[test]
-    fn kfold_covers_every_row_exactly_once_as_validation() {
-        let labels: Vec<f32> = (0..60)
-            .map(|i| if i % 3 == 0 { 1.0 } else { 0.0 })
-            .collect();
-        let folds = stratified_kfold(&labels, 5, 3);
-        assert_eq!(folds.len(), 5);
-        let mut seen = vec![0usize; 60];
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 60);
-            for &i in val {
-                seen[i] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
     }
 
     #[test]

@@ -232,8 +232,8 @@ impl EmittedRelease<'_> {
     }
 
     /// True unless the removal schedule has dropped the claim `key` by this
-    /// release. Filtering the initial release's records with it yields this
-    /// release's records, in the same order.
+    /// release. Filtering the filed records (the initial release's) with it
+    /// yields this release's records, in the same order.
     pub fn is_live(&self, key: &ClaimKey) -> bool {
         self.emitter.alive_at(key, self.index)
     }
@@ -256,67 +256,69 @@ mod tests {
     use crate::config::SynthConfig;
     use crate::fabric_gen::{generate_fabric, generate_towns};
     use crate::providers_gen::{compute_all_claims, generate_providers};
-    use crate::shard::map_shards;
-    use bdc::{
-        AvailabilityRecord, ClaimChange, Fabric, LocationId, MapDiff, NbmRelease, Technology,
-    };
+    use bdc::{AvailabilityRecord, ClaimChange, LocationId, MapDiff, Technology};
     use std::collections::BTreeSet;
 
-    /// The oracle: build the initial release plus `n_minor_releases` minor
-    /// releases, removing successfully-challenged claims (once resolved) and
-    /// silent corrections over time. Draws no randomness; each release is an
-    /// independent shard.
+    /// One release of the oracle timeline: its version, publication date and
+    /// the filed records it keeps.
+    struct OracleRelease {
+        version: ReleaseVersion,
+        published: DayStamp,
+        records: Vec<AvailabilityRecord>,
+    }
+
+    /// The oracle: the initial release plus `n_minor_releases` minor
+    /// releases as record sets, filtering successfully-challenged claims
+    /// (once resolved) and silent corrections out of the filed records.
+    /// Draws no randomness.
     fn build_releases(
         config: &SynthConfig,
         filings: &[Filing],
-        fabric: &Fabric,
         challenges: &[Challenge],
         corrections: &[(ProviderId, LocationId, Technology, usize)],
-        workers: usize,
-    ) -> Vec<NbmRelease> {
-        let initial_records: Vec<AvailabilityRecord> = filings
-            .iter()
-            .flat_map(|f| f.records.iter().cloned())
-            .collect();
-        let release_indices: Vec<usize> = (0..=config.n_minor_releases).collect();
-        map_shards(workers, &release_indices, |_, &k| {
-            let mut version = ReleaseVersion::initial();
-            for _ in 0..k {
-                version = version.next_minor();
-            }
-            if k == 0 {
-                return NbmRelease::from_records(
+    ) -> Vec<OracleRelease> {
+        let filed = || filings.iter().flat_map(|f| &f.records);
+        (0..=config.n_minor_releases)
+            .map(|k| {
+                let mut version = ReleaseVersion::initial();
+                for _ in 0..k {
+                    version = version.next_minor();
+                }
+                if k == 0 {
+                    let published = DayStamp::initial_nbm_release();
+                    let records = filed().cloned().collect();
+                    return OracleRelease {
+                        version,
+                        published,
+                        records,
+                    };
+                }
+                let published = minor_release_published(k);
+                let mut removed: BTreeSet<ClaimKey> = BTreeSet::new();
+                for c in challenges {
+                    if c.is_successful() && c.resolved <= published {
+                        removed.insert((c.provider, c.location, c.technology));
+                    }
+                }
+                for (p, l, t, idx) in corrections {
+                    if *idx <= k {
+                        removed.insert((*p, *l, *t));
+                    }
+                }
+                let kept = filed().filter(|r| !removed.contains(&r.claim_key()));
+                OracleRelease {
                     version,
-                    DayStamp::initial_nbm_release(),
-                    initial_records.clone(),
-                    fabric,
-                );
-            }
-            let published = minor_release_published(k);
-            let mut removed: BTreeSet<(ProviderId, LocationId, Technology)> = BTreeSet::new();
-            for c in challenges {
-                if c.is_successful() && c.resolved <= published {
-                    removed.insert((c.provider, c.location, c.technology));
+                    published,
+                    records: kept.cloned().collect(),
                 }
-            }
-            for (p, l, t, idx) in corrections {
-                if *idx <= k {
-                    removed.insert((*p, *l, *t));
-                }
-            }
-            let records: Vec<AvailabilityRecord> = initial_records
-                .iter()
-                .filter(|r| !removed.contains(&r.claim_key()))
-                .cloned()
-                .collect();
-            NbmRelease::from_records(version, published, records, fabric)
-        })
+            })
+            .collect()
     }
 
     struct Timeline {
         emitter: ReleaseEmitter,
         chain: DiffChain,
-        releases: Vec<NbmRelease>,
+        releases: Vec<OracleRelease>,
     }
 
     fn timeline(config: &SynthConfig) -> Timeline {
@@ -331,7 +333,7 @@ mod tests {
             .map(|c| (c.provider, c.location, c.technology))
             .collect();
         let corrections = generate_corrections(config, &claims, &challenged, 1);
-        let releases = build_releases(config, &filings, &fabric, &challenges, &corrections, 1);
+        let releases = build_releases(config, &filings, &challenges, &corrections);
         let emitter =
             ReleaseEmitter::new(config.n_minor_releases, &filings, &challenges, &corrections);
         let chain =
@@ -369,14 +371,15 @@ mod tests {
             let t = timeline(&config);
             assert_eq!(t.emitter.n_releases(), t.releases.len(), "{case}");
             removal_counts.insert(t.emitter.scheduled_removals().min(1));
-            let initial = t.releases[0].records();
+            let initial = &t.releases[0];
             for (k, release) in t.releases.iter().enumerate() {
                 let emitted = t.emitter.release(k);
                 let live: Vec<&AvailabilityRecord> = initial
+                    .records
                     .iter()
                     .filter(|r| emitted.is_live(&r.claim_key()))
                     .collect();
-                let expected: Vec<&AvailabilityRecord> = release.records().iter().collect();
+                let expected: Vec<&AvailabilityRecord> = release.records.iter().collect();
                 assert_eq!(live, expected, "{case}: release {k} records");
                 assert_eq!(emitted.live_claims(), expected.len(), "{case}: release {k}");
                 assert_eq!(emitted.version(), release.version, "{case}: release {k}");
@@ -388,7 +391,10 @@ mod tests {
             }
             // The schedule-built chain is the batch diff of the two ends.
             let latest = t.releases.last().unwrap();
-            let batch = MapDiff::between(&t.releases[0], latest);
+            let batch = MapDiff::between(
+                (initial.version, &initial.records),
+                (latest.version, &latest.records),
+            );
             let batch_removed: Vec<ClaimChange> = batch.removed().copied().collect();
             assert_eq!(t.chain.removal_evidence(), batch_removed, "{case}");
             assert_eq!(
@@ -396,7 +402,7 @@ mod tests {
                 0,
                 "{case}: the timeline never adds claims"
             );
-            assert_eq!(t.chain.from_version(), t.releases[0].version, "{case}");
+            assert_eq!(t.chain.from_version(), initial.version, "{case}");
             assert_eq!(t.chain.to_version(), latest.version, "{case}");
         }
         assert_eq!(

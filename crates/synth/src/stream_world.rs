@@ -610,7 +610,6 @@ impl StreamWorld {
         let initial_release = NbmRelease::from_parts(
             ReleaseVersion::initial(),
             DayStamp::initial_nbm_release(),
-            Vec::new(),
             hex_claims,
         );
         meter.pin(n_hex_claims); // the claim index from_parts rebuilds
@@ -800,15 +799,12 @@ mod tests {
         let (stream, world) = stream_and_world(&config);
         let emitter = world.release_emitter();
         let last = emitter.release(emitter.n_releases() - 1);
-        let initial = world.initial_release();
-        let kept = initial
-            .records()
-            .iter()
-            .filter(|r| last.is_live(&r.claim_key()));
-        let (version, published) = (last.version(), last.published());
-        let latest =
-            NbmRelease::from_records(version, published, kept.cloned().collect(), &world.fabric);
-        let batch = bdc::MapDiff::between(initial, &latest);
+        let filed = || world.filings.iter().flat_map(|f| &f.records);
+        let kept = filed().filter(|r| last.is_live(&r.claim_key()));
+        let batch = bdc::MapDiff::between(
+            (world.initial_release().version, filed()),
+            (last.version(), kept),
+        );
         let removals: Vec<ClaimChange> = batch.removed().copied().collect();
         assert!(!removals.is_empty());
         assert_eq!(stream.removal_evidence, removals);

@@ -178,10 +178,10 @@ impl SynthUs {
             generate_corrections(config, &claims, &challenged_keys, workers)
         });
         let initial_release = timed(&mut stages, SynthStage::Releases, 1, || {
-            NbmRelease::from_filings(
+            NbmRelease::from_records(
                 ReleaseVersion::initial(),
                 DayStamp::initial_nbm_release(),
-                &filings,
+                filings.iter().flat_map(|f| &f.records),
                 &fabric,
             )
         });
@@ -389,7 +389,7 @@ impl SynthUs {
                 f(r.max_up_mbps, &mut h);
             }
         }
-        // Each release folds as its materialised form would: the initial
+        // Each release folds as its materialised form would: the filed
         // records it keeps, in filing order, then its per-hex claim count.
         let emitter = self.release_emitter();
         emitter.n_releases().hash(&mut h);
@@ -397,7 +397,7 @@ impl SynthUs {
             let rel = emitter.release(k);
             (rel.version(), rel.published(), rel.live_claims()).hash(&mut h);
             let mut hex_claims = BTreeSet::new();
-            let records = self.initial_release.records().iter();
+            let records = self.filings.iter().flat_map(|f| &f.records);
             for r in records.filter(|r| rel.is_live(&r.claim_key())) {
                 (r.provider, r.location, r.technology).hash(&mut h);
                 let hex = self.fabric.get(r.location).map(|bsl| bsl.hex);
@@ -547,15 +547,12 @@ mod tests {
         let w = tiny_world();
         let emitter = w.release_emitter();
         let last = emitter.release(emitter.n_releases() - 1);
-        let initial = w.initial_release();
-        let kept = initial
-            .records()
-            .iter()
-            .filter(|r| last.is_live(&r.claim_key()));
-        let (version, published) = (last.version(), last.published());
-        let latest =
-            NbmRelease::from_records(version, published, kept.cloned().collect(), &w.fabric);
-        let diff = MapDiff::between(initial, &latest);
+        let filed = || w.filings.iter().flat_map(|f| &f.records);
+        let kept = filed().filter(|r| last.is_live(&r.claim_key()));
+        let diff = MapDiff::between(
+            (w.initial_release().version, filed()),
+            (last.version(), kept),
+        );
         let (added, removed, _) = diff.counts();
         assert!(removed > 0, "expected removals in the diff");
         assert_eq!(added, 0, "the synthetic timeline never adds claims");

@@ -8,13 +8,12 @@
 //! cargo run --release --example audit_provider
 //! ```
 
-use red_is_sus::core::experiments::figure8;
-use red_is_sus::core::pipeline::AnalysisContext;
-use red_is_sus::synth::{SynthConfig, SynthUs};
+use red_is_sus::core::experiments::{figure8, ExperimentSuite};
+use red_is_sus::synth::SynthConfig;
 
 fn main() {
-    let world = SynthUs::generate(&SynthConfig::tiny(42));
-    let ctx = AnalysisContext::prepare(&world);
+    let suite = ExperimentSuite::prepare(&SynthConfig::tiny(42));
+    let world = &suite.world;
 
     let Some(jcc) = world.jcc.as_ref() else {
         println!("the JCC scenario is disabled in this configuration");
@@ -35,7 +34,7 @@ fn main() {
         jcc.overclaimed_hexes.len()
     );
 
-    match figure8(&world, &ctx) {
+    match figure8(&suite) {
         Some(result) => {
             println!("{}", result.render());
             if result.overclaimed_flagged_pct > result.served_flagged_pct {
