@@ -126,14 +126,6 @@ impl Filing {
         ids.dedup();
         ids.len()
     }
-
-    /// Technologies the provider files under.
-    pub fn technologies(&self) -> Vec<Technology> {
-        let mut t: Vec<Technology> = self.records.iter().map(|r| r.technology).collect();
-        t.sort();
-        t.dedup();
-        t
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +155,6 @@ mod tests {
         other.location = LocationId(11);
         f.records.push(other);
         assert_eq!(f.claimed_location_count(), 2);
-        assert_eq!(f.technologies(), vec![Technology::Cable, Technology::Fiber]);
     }
 
     #[test]

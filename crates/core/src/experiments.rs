@@ -37,15 +37,6 @@ pub struct ExperimentSuite {
     pub state_holdout: crate::model::HoldoutOutcome,
 }
 
-/// A streaming-run counterpart of [`ExperimentSuite`]: the finished
-/// source-agnostic run (source, matrix, stage report) plus the
-/// random-observation hold-out evaluated on it. Produced by
-/// [`ExperimentSuite::prepare_streaming`] for any `WorldSource`.
-pub struct StreamingSuite<W = synth::StreamWorld> {
-    pub run: crate::streaming::StreamingDatasetRun<W>,
-    pub observation_holdout: crate::model::HoldoutOutcome,
-}
-
 impl ExperimentSuite {
     /// Generate the world and run all eight pipeline stages over it with the
     /// engine, recording no telemetry.
@@ -88,38 +79,6 @@ impl ExperimentSuite {
             adjudicated_holdout,
             state_holdout,
         }
-    }
-
-    /// Run the streaming pipeline over any
-    /// [`WorldSource`](bdc::WorldSource) — synthetic or file-backed — and
-    /// evaluate a random-observation hold-out on the resulting matrix. The
-    /// source-agnostic counterpart of [`ExperimentSuite::prepare`]: where
-    /// `prepare` materialises a [`SynthUs`], this entry only needs what the
-    /// source streams, so it is how real-data runs (and national-scale synth
-    /// runs) enter the experiment layer. Records no telemetry.
-    pub fn prepare_streaming<W: crate::streaming::StreamableSource>(
-        source: W,
-        seed: u64,
-        options: &LabelingOptions,
-        features: &FeatureConfig,
-        mode: bdc::DiffMode,
-    ) -> Result<StreamingSuite<W>, String> {
-        let run = crate::streaming::run_streaming_to_dataset_with(
-            source,
-            options,
-            features,
-            mode,
-            &obs::Telemetry::disabled(),
-        )?;
-        let observation_holdout = run_holdout(
-            &run.matrix,
-            &HoldoutStrategy::RandomObservations { fraction: 0.1 },
-            default_params(seed),
-        );
-        Ok(StreamingSuite {
-            run,
-            observation_holdout,
-        })
     }
 
     /// The three hold-out models by stable name, in export order.

@@ -80,11 +80,6 @@ impl BoundingBox {
         )
     }
 
-    /// Extent in degrees (`lat_span`, `lng_span`).
-    pub fn span_deg(&self) -> (f64, f64) {
-        (self.max_lat - self.min_lat, self.max_lng - self.min_lng)
-    }
-
     /// Expand the box by `margin_deg` degrees on every side (clamped/normalised
     /// by the [`LatLng`] constructor when later used as coordinates).
     pub fn expanded(&self, margin_deg: f64) -> BoundingBox {

@@ -28,18 +28,6 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 pub const EARTH_AREA_KM2: f64 =
     4.0 * std::f64::consts::PI * (EARTH_RADIUS_M / 1000.0) * (EARTH_RADIUS_M / 1000.0);
 
-/// Convert degrees to radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Convert radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
-}
-
 /// Normalise a longitude in degrees into the interval `[-180, 180)`.
 pub fn normalize_lng(lng: f64) -> f64 {
     let mut l = (lng + 180.0) % 360.0;

@@ -59,12 +59,6 @@ impl Resolution {
         (2.0 * self.avg_cell_area_km2() / (3.0 * 3.0_f64.sqrt())).sqrt()
     }
 
-    /// Approximate edge length in kilometres (equals the circumradius for a
-    /// regular hexagon).
-    pub fn edge_length_km(&self) -> f64 {
-        self.hex_size_km()
-    }
-
     /// The next coarser resolution, or `None` at level 0.
     pub fn coarser(&self) -> Option<Resolution> {
         self.0.checked_sub(1).map(Resolution)

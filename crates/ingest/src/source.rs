@@ -23,8 +23,10 @@
 //! pipeline stages. The removal evidence is one [`DiffChain::between`] of
 //! the initial and latest releases' records, as §4.1.3 defines it, so it has
 //! the same shape as the evidence a synthetic world reads off its removal
-//! schedule. Once the diff has run, no record stays resident: the world keeps
-//! the initial release's per-hex view and the evidence.
+//! schedule. Only those two releases' records are kept while ingest reads:
+//! a release in between feeds the location, brand and FRN side tables and is
+//! dropped row by row. Once the diff has run, no record stays resident: the
+//! world keeps the initial release's per-hex view and the evidence.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -34,8 +36,7 @@ use asnmap::{FrnRegistration, RegistrationSource, WhoisDb};
 use bdc::source::{end_stage, SourceMeta, StreamReport, WorldSource};
 use bdc::{
     AvailabilityRecord, Bsl, Challenge, ClaimChange, DayStamp, DiffChain, EmptyStream, Fabric,
-    FabricView, HexClaim, LocationId, NbmRelease, ProviderId, ReleaseVersion, ResidencyMeter,
-    SliceShards,
+    FabricView, LocationId, NbmRelease, ProviderId, ReleaseVersion, ResidencyMeter, SliceShards,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabTest, OoklaTileRecord};
@@ -116,21 +117,28 @@ impl FileWorld {
         )
         .map_err(budget_breach)?;
 
-        // Stage 2: parse every availability file. Rows stay resident (the
-        // release assembly consumes them) and are metered one by one; the
-        // side tables capture first-seen location geometry plus the brand
-        // and FRN metadata the registration matcher runs over.
+        // Stage 2: parse every availability file. The side tables capture
+        // first-seen location geometry plus the brand and FRN metadata the
+        // registration matcher runs over, from every release. The diff reads
+        // only the initial and latest releases, so only their rows stay
+        // resident, metered one by one; biannual filings are successive
+        // major versions.
         let started = Instant::now();
-        let mut per_release: Vec<(DayStamp, Vec<AvailabilityRecord>)> = Vec::new();
+        let release_count = releases.len();
+        let mut ends: Vec<(ReleaseVersion, DayStamp, Vec<AvailabilityRecord>)> = Vec::new();
+        let mut version = ReleaseVersion::initial();
         let mut locations: BTreeMap<LocationId, (HexCell, String)> = BTreeMap::new();
         let mut brands: BTreeMap<ProviderId, BTreeSet<String>> = BTreeMap::new();
         let mut frn_brands: BTreeMap<(u64, u32), String> = BTreeMap::new();
-        for release in &releases {
+        for (i, release) in releases.iter().enumerate() {
+            if i > 0 {
+                version = version.next_major();
+            }
+            let kept = i == 0 || i + 1 == release_count;
             let mut records = Vec::new();
             for path in &release.files {
                 let mut reader = AvailabilityReader::open(path)?;
                 while let Some(row) = reader.next_record()? {
-                    meter.acquire(1);
                     locations
                         .entry(row.record.location)
                         .or_insert_with(|| (row.hex, row.state.clone()));
@@ -141,10 +149,15 @@ impl FileWorld {
                     frn_brands
                         .entry((row.frn, row.record.provider.value()))
                         .or_insert(row.brand_name);
-                    records.push(row.record);
+                    if kept {
+                        meter.acquire(1);
+                        records.push(row.record);
+                    }
                 }
             }
-            per_release.push((release.published, records));
+            if kept {
+                ends.push((version, release.published, records));
+            }
         }
         end_stage(
             &mut stages,
@@ -168,25 +181,9 @@ impl FileWorld {
         end_stage(&mut stages, &meter, budget, "fabric_assembly", started, 1)
             .map_err(budget_breach)?;
 
-        // Stage 4: the release diff reads only the initial and latest
-        // releases' records, so the records of every release in between are
-        // dropped here; biannual filings are successive major versions. The
-        // initial records are aggregated into the public per-hex view labels
-        // run against, metered as its claims plus their index.
+        // Stage 4: the initial records are aggregated into the public per-hex
+        // view labels run against, metered as its claims plus their index.
         let started = Instant::now();
-        let release_count = per_release.len();
-        let mut ends: Vec<(ReleaseVersion, DayStamp, Vec<AvailabilityRecord>)> = Vec::new();
-        let mut version = ReleaseVersion::initial();
-        for (i, (published, records)) in per_release.into_iter().enumerate() {
-            if i > 0 {
-                version = version.next_major();
-            }
-            if i == 0 || i + 1 == release_count {
-                ends.push((version, published, records));
-            } else {
-                meter.release(records.len());
-            }
-        }
         let initial = &ends[0];
         let initial_release = NbmRelease::from_records(initial.0, initial.1, &initial.2, &fabric);
         meter.pin(2 * initial_release.claim_count());
@@ -287,16 +284,6 @@ impl FileWorld {
     /// The ingested Ookla tiles (in file, then row order).
     pub fn tiles(&self) -> &[OoklaTileRecord] {
         &self.tiles
-    }
-
-    /// The ingested fabric.
-    pub fn fabric_ref(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// The initial release's public per-hex claims.
-    pub fn initial_claims(&self) -> &[HexClaim] {
-        self.initial_release.hex_claims()
     }
 }
 
@@ -525,7 +512,7 @@ business_residential_code,state_usps,block_geoid,h3_res8_id";
         write_fixture(tmp.path());
         let world = FileWorld::load(tmp.path(), &IngestOptions::default()).expect("fixture loads");
 
-        assert_eq!(world.fabric_ref().len(), 3);
+        assert_eq!(world.fabric.len(), 3);
         assert_eq!(world.release_count, 2);
         assert_eq!(world.provider_count, 1);
         // The dropped location surfaces as exactly one removal.
@@ -550,6 +537,37 @@ business_residential_code,state_usps,block_geoid,h3_res8_id";
                 "missing stage {name}"
             );
         }
+    }
+
+    #[test]
+    fn a_middle_release_feeds_only_the_side_tables() {
+        // The same fixture with its first release repeated as a middle one:
+        // the middle rows are read but neither kept nor metered.
+        let (two, three) = (TempDir::new("two"), TempDir::new("three"));
+        write_fixture(two.path());
+        write_fixture(three.path());
+        let middle = three.path().join("bdc/2023-09-30");
+        fs::create_dir_all(&middle).unwrap();
+        let file = "bdc_NE_50_fixed_broadband.csv";
+        fs::copy(
+            three.path().join("bdc/2023-06-30").join(file),
+            middle.join(file),
+        )
+        .unwrap();
+        let load = |dir: &TempDir| FileWorld::load(dir.path(), &IngestOptions::default()).unwrap();
+        let (two, three) = (load(&two), load(&three));
+        assert_eq!(three.release_count, 3);
+        let peak = |w: &FileWorld| {
+            let stage = w.source_report().stage("availability_ingest");
+            stage.unwrap().peak_resident_entries
+        };
+        assert_eq!(peak(&three), peak(&two));
+        let bsls = |w: &FileWorld| -> Vec<(LocationId, HexCell, String)> {
+            let bsls = w.fabric.bsls().iter();
+            bsls.map(|b| (b.id, b.hex, b.state.clone())).collect()
+        };
+        assert_eq!(bsls(&three), bsls(&two));
+        assert_eq!(three.removal_evidence(), two.removal_evidence());
     }
 
     #[test]

@@ -332,9 +332,9 @@ pub(crate) trait TownBsls {
 
 /// [`TownBsls`] over a resident fabric: town `i`'s block is the slice at its
 /// prefix-sum offset (the fabric stores BSLs in generation order).
-struct FabricTownBsls<'a> {
-    fabric: &'a bdc::Fabric,
-    scanner: &'a ClaimScanner<'a>,
+pub(crate) struct FabricTownBsls<'a> {
+    pub(crate) fabric: &'a bdc::Fabric,
+    pub(crate) scanner: &'a ClaimScanner<'a>,
 }
 
 impl TownBsls for FabricTownBsls<'_> {
@@ -375,37 +375,6 @@ impl<'a> ClaimScanner<'a> {
     }
 }
 
-/// Compute every provider's claims concurrently over a resident fabric (claim
-/// computation draws no randomness, so this is a pure fan-out over providers;
-/// each provider's scan runs on its worker's thread).
-pub fn compute_all_claims(
-    profiles: &[ProviderProfile],
-    towns: &[Town],
-    fabric: &bdc::Fabric,
-    config: &SynthConfig,
-    workers: usize,
-) -> BTreeMap<ProviderId, Vec<ClaimTruth>> {
-    assert_eq!(
-        towns.iter().map(|t| t.n_bsls).sum::<usize>(),
-        fabric.len(),
-        "compute_all_claims requires the fabric generated from this town list"
-    );
-    let offsets = crate::fabric_gen::town_offsets(towns);
-    let scanner = ClaimScanner::new(towns, &offsets);
-    // The materialised world keeps no residency budget.
-    let meter = ResidencyMeter::new();
-    map_shards(workers, profiles, |_, p| {
-        let mut blocks = FabricTownBsls {
-            fabric,
-            scanner: &scanner,
-        };
-        let (claims, _) = scan_claims(p, &scanner, &mut blocks, config, 1, TOWN_WINDOW, &meter);
-        (p.provider.id, claims)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// One `(deployment, scan town, candidate town)` step of a claim scan, and the
 /// run of the hit buffer holding the BSLs it claims first.
 struct Visit {
@@ -432,6 +401,8 @@ struct Hit {
 pub(crate) struct ClaimGeometry {
     visits: Vec<Visit>,
     hits: Vec<Hit>,
+    /// BSLs claimed by any deployment: the provider's distinct locations.
+    locations: usize,
 }
 
 impl ClaimGeometry {
@@ -447,6 +418,12 @@ impl ClaimGeometry {
     /// Metered entries it holds: one per hit and one per visit.
     pub(crate) fn entries(&self) -> usize {
         self.hits.len() + self.visits.len()
+    }
+
+    /// Distinct locations claimed, counted while the scan tested each BSL
+    /// (a location claimed under two technologies counts once).
+    pub(crate) fn locations(&self) -> usize {
+        self.locations
     }
 }
 
@@ -472,8 +449,9 @@ impl ClaimGeometry {
 /// appends each visit's first claims to a compact hit buffer, charging each
 /// hit to `meter` while its window is still resident. Once every window is
 /// folded the claims are emitted in visit order, then block order, into an
-/// exactly sized list, and the hit buffer becomes their [`ClaimGeometry`] —
-/// the same claims and geometry for every `workers` and `window`. The caller
+/// exactly sized list, and the hit buffer becomes their [`ClaimGeometry`],
+/// which also counts the BSLs any visit claimed — the same claims and
+/// geometry for every `workers` and `window`. The caller
 /// owns the charge of both: one entry per claim and
 /// [`ClaimGeometry::entries`].
 pub(crate) fn scan_claims(
@@ -532,12 +510,15 @@ pub(crate) fn scan_claims(
         .collect();
 
     let mut hits: Vec<Hit> = Vec::new();
+    let mut locations = 0;
     for window_groups in groups.chunks(window) {
         let cands: Vec<usize> = window_groups.iter().map(|g| visits[g[0]].cand).collect();
         let blocks = bsls.blocks(&cands);
-        // Per candidate town, each of its visits' first claims.
+        // Per candidate town, each of its visits' first claims and how many
+        // of its BSLs any visit claims.
         let found = map_shards(workers, window_groups, |k, group| {
             let mut runs: Vec<Vec<Hit>> = vec![Vec::new(); group.len()];
+            let mut claimed = 0;
             for (j, bsl) in blocks[k].iter().enumerate() {
                 // The deployment that claimed this BSL last: its later
                 // visits skip it.
@@ -563,11 +544,13 @@ pub(crate) fn scan_claims(
                         });
                     }
                 }
+                claimed += usize::from(taken != usize::MAX);
             }
-            runs
+            (runs, claimed)
         });
         let before = hits.len();
-        for (group, runs) in window_groups.iter().zip(found) {
+        for (group, (runs, claimed)) in window_groups.iter().zip(found) {
+            locations += claimed;
             for (&v, run) in group.iter().zip(runs) {
                 let start = hits.len();
                 hits.extend(run);
@@ -595,7 +578,12 @@ pub(crate) fn scan_claims(
             low_latency: deployment.low_latency,
         }));
     }
-    (claims, ClaimGeometry { visits, hits })
+    let geometry = ClaimGeometry {
+        visits,
+        hits,
+        locations,
+    };
+    (claims, geometry)
 }
 
 /// The towns a provider's claim scan starts from, with whether each is the
@@ -823,6 +811,22 @@ mod tests {
         (config, towns, fabric, profiles)
     }
 
+    /// Every provider's claims, in profile order, from the visit-major
+    /// reference scan.
+    fn reference_claims(
+        config: &SynthConfig,
+        towns: &[Town],
+        fabric: &bdc::Fabric,
+        providers: &[ProviderProfile],
+    ) -> Vec<Vec<ClaimTruth>> {
+        let offsets = town_offsets(towns);
+        let scanner = ClaimScanner::new(towns, &offsets);
+        providers
+            .iter()
+            .map(|p| visit_major_claims(p, &scanner, fabric, config, 1, TOWN_WINDOW).0)
+            .collect()
+    }
+
     /// Every claim's location, technology, ground truth, speed bits and
     /// latency flag.
     fn claim_bits(claims: &[ClaimTruth]) -> Vec<(LocationId, Technology, bool, u64, u64, bool)> {
@@ -876,6 +880,10 @@ mod tests {
                     );
                     assert_eq!(claim_bits(&got), claim_bits(&want), "{at}");
                     assert_eq!(geo.iter().collect::<Vec<_>>(), want_geo, "{at}");
+                    let mut locations: Vec<LocationId> = want.iter().map(|c| c.location).collect();
+                    locations.sort_unstable();
+                    locations.dedup();
+                    assert_eq!(geo.locations(), locations.len(), "{at}");
                     // The caller is handed the claims' and the geometry's charge.
                     assert_eq!(meter.current(), got.len() + geo.entries(), "{at}");
                 }
@@ -959,20 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_claims_match_per_provider_claims() {
-        let (config, towns, fabric, providers) = world();
-        let all = compute_all_claims(&providers, &towns, &fabric, &config, 3);
-        assert_eq!(all.len(), providers.len());
-        let offsets = town_offsets(&towns);
-        let scanner = ClaimScanner::new(&towns, &offsets);
-        for profile in &providers {
-            let (direct, _, _) =
-                visit_major_claims(profile, &scanner, &fabric, &config, 1, TOWN_WINDOW);
-            assert_eq!(claim_bits(&direct), claim_bits(&all[&profile.provider.id]));
-        }
-    }
-
-    #[test]
     fn provider_ids_unique() {
         let (_, _, _, providers) = world();
         let mut ids: Vec<u32> = providers.iter().map(|p| p.provider.id.value()).collect();
@@ -988,7 +982,7 @@ mod tests {
         // Find a provider with a non-accurate style and some claims.
         let mut saw_false_claim = false;
         let mut saw_true_claim = false;
-        for claims in compute_all_claims(&providers, &towns, &fabric, &config, 1).values() {
+        for claims in reference_claims(&config, &towns, &fabric, &providers) {
             for c in claims {
                 if c.truly_served {
                     saw_true_claim = true;
@@ -1004,13 +998,9 @@ mod tests {
     #[test]
     fn accurate_providers_never_overclaim_much() {
         let (config, towns, fabric, providers) = world();
-        let all = compute_all_claims(&providers, &towns, &fabric, &config, 1);
-        for profile in providers
-            .iter()
-            .filter(|p| p.style == ReportingStyle::Accurate)
-        {
-            let claims = &all[&profile.provider.id];
-            if claims.is_empty() {
+        let all = reference_claims(&config, &towns, &fabric, &providers);
+        for (profile, claims) in providers.iter().zip(&all) {
+            if profile.style != ReportingStyle::Accurate || claims.is_empty() {
                 continue;
             }
             let false_rate =
@@ -1025,9 +1015,9 @@ mod tests {
     #[test]
     fn jcc_provider_has_substantial_false_claims() {
         let (config, towns, fabric, providers) = world();
-        let jcc = providers.iter().find(|p| p.jcc_like).unwrap();
-        let all = compute_all_claims(&providers, &towns, &fabric, &config, 1);
-        let claims = &all[&jcc.provider.id];
+        let all = reference_claims(&config, &towns, &fabric, &providers);
+        let jcc = providers.iter().position(|p| p.jcc_like).unwrap();
+        let claims = &all[jcc];
         assert!(!claims.is_empty());
         let false_count = claims.iter().filter(|c| !c.truly_served).count();
         assert!(

@@ -288,8 +288,7 @@ pub fn generate_registrations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric_gen::{generate_fabric, generate_towns};
-    use crate::providers_gen::{compute_all_claims, generate_providers};
+    use crate::SynthUs;
     use asnmap::ProviderAsnMatcher;
 
     fn build() -> (
@@ -299,21 +298,14 @@ mod tests {
         BTreeMap<ProviderId, usize>,
     ) {
         let config = SynthConfig::tiny(41);
-        let towns = generate_towns(&config, 1);
-        let fabric = generate_fabric(&config, &towns, 1);
-        let profiles = generate_providers(&config, &towns, 1);
-        let claims_count: BTreeMap<ProviderId, usize> =
-            compute_all_claims(&profiles, &towns, &fabric, &config, 1)
-                .into_iter()
-                .map(|(id, claims)| {
-                    let mut locs: Vec<_> = claims.iter().map(|c| c.location).collect();
-                    locs.sort_unstable();
-                    locs.dedup();
-                    (id, locs.len())
-                })
-                .collect();
-        let data = generate_registrations(&config, &profiles, &claims_count, 1);
-        (config, profiles, data, claims_count)
+        let world = SynthUs::generate(&config);
+        let claims_count: BTreeMap<ProviderId, usize> = world
+            .filings
+            .iter()
+            .map(|f| (f.provider, f.claimed_location_count()))
+            .collect();
+        let data = generate_registrations(&config, &world.profiles, &claims_count, 1);
+        (config, world.profiles, data, claims_count)
     }
 
     #[test]

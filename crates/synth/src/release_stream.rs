@@ -252,10 +252,8 @@ impl EmittedRelease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity_gen::{build_filings, generate_challenges, generate_corrections};
     use crate::config::SynthConfig;
-    use crate::fabric_gen::{generate_fabric, generate_towns};
-    use crate::providers_gen::{compute_all_claims, generate_providers};
+    use crate::SynthUs;
     use bdc::{AvailabilityRecord, ClaimChange, LocationId, MapDiff, Technology};
     use std::collections::BTreeSet;
 
@@ -321,27 +319,14 @@ mod tests {
         releases: Vec<OracleRelease>,
     }
 
+    /// A generated world's timeline: its emitter, its schedule's chain and
+    /// the oracle's releases from its regulatory record.
     fn timeline(config: &SynthConfig) -> Timeline {
-        let towns = generate_towns(config, 1);
-        let fabric = generate_fabric(config, &towns, 1);
-        let profiles = generate_providers(config, &towns, 1);
-        let claims = compute_all_claims(&profiles, &towns, &fabric, config, 1);
-        let filings = build_filings(&profiles, &claims);
-        let challenges = generate_challenges(config, &fabric, &claims, 1);
-        let challenged: BTreeSet<_> = challenges
-            .iter()
-            .map(|c| (c.provider, c.location, c.technology))
-            .collect();
-        let corrections = generate_corrections(config, &claims, &challenged, 1);
-        let releases = build_releases(config, &filings, &challenges, &corrections);
-        let emitter =
-            ReleaseEmitter::new(config.n_minor_releases, &filings, &challenges, &corrections);
-        let chain =
-            RemovalSchedule::build(config.n_minor_releases, &challenges, &corrections).diff_chain();
+        let w = SynthUs::generate(config);
         Timeline {
-            emitter,
-            chain,
-            releases,
+            emitter: w.release_emitter(),
+            chain: w.removal_schedule().diff_chain(),
+            releases: build_releases(config, &w.filings, &w.challenges, &w.corrections),
         }
     }
 

@@ -10,8 +10,8 @@
 //!
 //! The pieces:
 //!
-//! * [`SynthStage`] names the generation stages (towns, fabric, providers, …)
-//!   and doubles as the stage tag of the stream derivation.
+//! * [`SynthStage`] names the generator's random streams (towns, fabric,
+//!   providers, challenges, …): the stage tag of the stream derivation.
 //! * [`stream_seed`]/[`shard_rng`] derive an independent seeded [`StdRng`]
 //!   per `(seed, stage, shard)` via two rounds of SplitMix64 mixing.
 //! * [`GenMode`] selects the schedule: sequential, parallel (one worker per
@@ -23,10 +23,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The named stages of world generation, in canonical (sequential) execution
-/// order. Each stage draws only from streams tagged with its own
-/// discriminant, so inserting draws into one stage can never shift the
-/// streams of another.
+/// The generator's random streams, one per stage that draws. Each stage draws
+/// only from streams tagged with its own discriminant, so inserting draws into
+/// one stage can never shift the streams of another. Stages that draw nothing
+/// (the claim scan, the per-hex fold, the release and ground-truth assembly)
+/// have no tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SynthStage {
     /// Town centres placed per state (sharded by state index).
@@ -35,84 +36,48 @@ pub enum SynthStage {
     Fabric,
     /// Provider population and footprints (sharded by provider sequence).
     Providers,
-    /// Location-level claims with ground truth (sharded by provider; no RNG).
-    Claims,
-    /// One BDC filing per provider (no RNG).
-    Filings,
     /// The challenge wave against the initial release (sharded by provider).
     Challenges,
     /// The later, much smaller wave (sharded by fixed-size challenge chunks).
     LaterChallenges,
     /// Silent corrections in minor releases (sharded by provider).
     Corrections,
-    /// The initial NBM release (one shard; no RNG). The minor releases are
-    /// streamed by `ReleaseEmitter`, not generated.
-    Releases,
     /// FRN registrations and WHOIS (sharded by provider, assembled in order).
     Registrations,
     /// Ookla open-data tiles (sharded by occupied-hex index).
     Ookla,
     /// MLab NDT7 tests (sharded by provider).
     Mlab,
-    /// Ground truth, JCC scenario and registry assembly (no RNG).
-    GroundTruth,
 }
 
 impl SynthStage {
-    /// All stages in canonical order.
-    pub const ALL: [SynthStage; 13] = [
+    /// Every stream, in generation order.
+    #[cfg(test)]
+    const ALL: [SynthStage; 9] = [
         SynthStage::Towns,
         SynthStage::Fabric,
         SynthStage::Providers,
-        SynthStage::Claims,
-        SynthStage::Filings,
         SynthStage::Challenges,
         SynthStage::LaterChallenges,
         SynthStage::Corrections,
-        SynthStage::Releases,
         SynthStage::Registrations,
         SynthStage::Ookla,
         SynthStage::Mlab,
-        SynthStage::GroundTruth,
     ];
 
-    /// Stable snake_case name, used in reports and benchmarks.
-    pub fn name(self) -> &'static str {
-        match self {
-            SynthStage::Towns => "towns",
-            SynthStage::Fabric => "fabric",
-            SynthStage::Providers => "providers",
-            SynthStage::Claims => "claims",
-            SynthStage::Filings => "filings",
-            SynthStage::Challenges => "challenges",
-            SynthStage::LaterChallenges => "later_challenges",
-            SynthStage::Corrections => "corrections",
-            SynthStage::Releases => "releases",
-            SynthStage::Registrations => "registrations",
-            SynthStage::Ookla => "ookla",
-            SynthStage::Mlab => "mlab",
-            SynthStage::GroundTruth => "ground_truth",
-        }
-    }
-
-    /// The stage's stream tag (stable across reorderings of [`ALL`]).
-    ///
-    /// [`ALL`]: SynthStage::ALL
+    /// The stage's stream tag: fixed per variant, so neither reordering nor
+    /// removing a variant moves another stage's streams.
     fn tag(self) -> u64 {
         match self {
             SynthStage::Towns => 0x01,
             SynthStage::Fabric => 0x02,
             SynthStage::Providers => 0x03,
-            SynthStage::Claims => 0x04,
-            SynthStage::Filings => 0x05,
             SynthStage::Challenges => 0x06,
             SynthStage::LaterChallenges => 0x07,
             SynthStage::Corrections => 0x08,
-            SynthStage::Releases => 0x09,
             SynthStage::Registrations => 0x0a,
             SynthStage::Ookla => 0x0b,
             SynthStage::Mlab => 0x0c,
-            SynthStage::GroundTruth => 0x0d,
         }
     }
 }
@@ -318,10 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_names_and_tags_are_unique() {
-        let names: std::collections::BTreeSet<_> =
-            SynthStage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), SynthStage::ALL.len());
+    fn stage_tags_are_unique() {
         let tags: std::collections::BTreeSet<_> = SynthStage::ALL.iter().map(|s| s.tag()).collect();
         assert_eq!(tags.len(), SynthStage::ALL.len());
     }

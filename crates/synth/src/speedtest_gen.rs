@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bdc::{Asn, DayStamp, Fabric, ProviderId, ShardStream, Technology};
+use bdc::{Asn, DayStamp, Fabric, ProviderId, ShardStream};
 use geoprim::LatLng;
 use hexgrid::{HexCell, QuadTile, OOKLA_ZOOM};
 use rand::Rng;
@@ -245,80 +245,37 @@ pub fn generate_mlab(
     MlabDataset::new(bdc::collect_shards(&emitter, workers))
 }
 
-/// Derive the hex-level ground truth sets from location-level claims:
-/// `(truly served hexes overall, truly served hexes per provider)`.
-pub fn served_hex_sets(
-    fabric: &Fabric,
-    claims: &BTreeMap<ProviderId, Vec<crate::providers_gen::ClaimTruth>>,
-) -> (BTreeSet<HexCell>, BTreeMap<ProviderId, BTreeSet<HexCell>>) {
-    let mut overall = BTreeSet::new();
-    let mut per_provider: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
-    for (provider, provider_claims) in claims {
-        for c in provider_claims {
-            if !c.truly_served {
-                continue;
-            }
-            if let Some(bsl) = fabric.get(c.location) {
-                overall.insert(bsl.hex);
-                per_provider.entry(*provider).or_default().insert(bsl.hex);
-            }
-        }
-    }
-    (overall, per_provider)
-}
-
-/// Hex-level ground truth for every claimed observation: `(provider, hex,
-/// technology) -> truly served?` where a hex counts as truly served when at
-/// least one claimed BSL inside it is genuinely served.
-pub fn hex_observation_truth(
-    fabric: &Fabric,
-    claims: &BTreeMap<ProviderId, Vec<crate::providers_gen::ClaimTruth>>,
-) -> BTreeMap<(ProviderId, HexCell, Technology), bool> {
-    let mut truth: BTreeMap<(ProviderId, HexCell, Technology), bool> = BTreeMap::new();
-    for (provider, provider_claims) in claims {
-        for c in provider_claims {
-            if let Some(bsl) = fabric.get(c.location) {
-                let entry = truth
-                    .entry((*provider, bsl.hex, c.technology))
-                    .or_insert(false);
-                *entry |= c.truly_served;
-            }
-        }
-    }
-    truth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric_gen::{generate_fabric, generate_towns};
-    use crate::providers_gen::{compute_all_claims, generate_providers};
+    use crate::SynthUs;
 
+    /// A generated world with the truly served hexes, overall and per
+    /// provider, read off its hex-level ground truth.
     fn world() -> (
-        SynthConfig,
-        Fabric,
-        BTreeMap<ProviderId, Vec<crate::providers_gen::ClaimTruth>>,
+        SynthUs,
+        BTreeSet<HexCell>,
+        BTreeMap<ProviderId, BTreeSet<HexCell>>,
     ) {
-        let config = SynthConfig::tiny(31);
-        let towns = generate_towns(&config, 1);
-        let fabric = generate_fabric(&config, &towns, 1);
-        let profiles = generate_providers(&config, &towns, 1);
-        let claims = compute_all_claims(&profiles, &towns, &fabric, &config, 1);
-        (config, fabric, claims)
+        let world = SynthUs::generate(&SynthConfig::tiny(31));
+        let mut per_provider: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
+        for (&(provider, hex, _), _) in world.ground_truth.iter().filter(|(_, &truly)| truly) {
+            per_provider.entry(provider).or_default().insert(hex);
+        }
+        let served = per_provider.values().flatten().copied().collect();
+        (world, served, per_provider)
     }
 
     #[test]
     fn ookla_density_tracks_ground_truth() {
-        let (config, fabric, claims) = world();
-        let (served, _) = served_hex_sets(&fabric, &claims);
-        let ookla = generate_ookla(&config, &fabric, &served, 1);
-        assert!(!ookla.is_empty());
+        let (world, served, _) = world();
+        assert!(!world.ookla.is_empty());
         // Average devices per BSL should be clearly higher in served hexes.
-        let agg = ookla.aggregate_to_hexes(hexgrid::NBM_RESOLUTION);
+        let agg = world.ookla.aggregate_to_hexes(hexgrid::NBM_RESOLUTION);
         let mut served_ratio = Vec::new();
         let mut unserved_ratio = Vec::new();
         for (hex, a) in &agg {
-            let bsls = fabric.bsl_count_in_hex(hex);
+            let bsls = world.fabric.bsl_count_in_hex(hex);
             if bsls == 0 {
                 continue;
             }
@@ -341,18 +298,24 @@ mod tests {
 
     #[test]
     fn mlab_tests_only_in_provider_served_hexes() {
-        let (config, fabric, claims) = world();
-        let (_, per_provider) = served_hex_sets(&fabric, &claims);
+        let (world, _, per_provider) = world();
         // Give the first two providers an ASN each.
         let mut provider_asns: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
         for (i, p) in per_provider.keys().take(2).enumerate() {
             provider_asns.insert(*p, BTreeSet::from([Asn(64500 + i as u32)]));
         }
-        let mlab = generate_mlab(&config, &provider_asns, &per_provider, 1);
+        let mlab = generate_mlab(&world.config, &provider_asns, &per_provider, 1);
         assert!(!mlab.is_empty());
-        // Every test's ASN belongs to one of the two providers.
+        // Every test's ASN belongs to one of the two providers, and its
+        // geolocation lies within the 3 km jitter of one of that provider's
+        // served hexes.
         for t in mlab.tests() {
             assert!(t.asn.value() == 64500 || t.asn.value() == 64501);
+            let provider = per_provider.keys().nth((t.asn.value() - 64500) as usize);
+            let hexes = &per_provider[provider.unwrap()];
+            assert!(hexes
+                .iter()
+                .any(|h| h.center().haversine_km(&t.geo_center) <= 3.0 + 1e-6));
         }
         // A small fraction of tests is deliberately unusable (radius > 20 km).
         let unusable = mlab.tests().iter().filter(|t| !t.usable()).count();
@@ -362,25 +325,24 @@ mod tests {
 
     #[test]
     fn providers_without_asns_generate_no_tests() {
-        let (config, fabric, claims) = world();
-        let (_, per_provider) = served_hex_sets(&fabric, &claims);
+        let (world, _, per_provider) = world();
         let provider_asns: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
-        let mlab = generate_mlab(&config, &provider_asns, &per_provider, 1);
+        let mlab = generate_mlab(&world.config, &provider_asns, &per_provider, 1);
         assert!(mlab.is_empty());
     }
 
     #[test]
     fn speed_tests_are_worker_count_invariant() {
-        let (config, fabric, claims) = world();
-        let (served, per_provider) = served_hex_sets(&fabric, &claims);
+        let (world, served, per_provider) = world();
+        let config = world.config;
         let mut provider_asns: BTreeMap<ProviderId, BTreeSet<Asn>> = BTreeMap::new();
         for (i, p) in per_provider.keys().take(4).enumerate() {
             provider_asns.insert(*p, BTreeSet::from([Asn(64500 + i as u32)]));
         }
-        let ookla_base = generate_ookla(&config, &fabric, &served, 1);
+        let ookla_base = generate_ookla(&config, &world.fabric, &served, 1);
         let mlab_base = generate_mlab(&config, &provider_asns, &per_provider, 1);
         for workers in [2, 5] {
-            let ookla = generate_ookla(&config, &fabric, &served, workers);
+            let ookla = generate_ookla(&config, &world.fabric, &served, workers);
             assert_eq!(
                 ookla.records(),
                 ookla_base.records(),
@@ -394,24 +356,5 @@ mod tests {
                 assert_eq!(a.geo_center.lat.to_bits(), b.geo_center.lat.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn hex_truth_is_or_over_locations() {
-        let (_, fabric, claims) = world();
-        let truth = hex_observation_truth(&fabric, &claims);
-        assert!(!truth.is_empty());
-        // There must be both served and unserved observations.
-        let served = truth.values().filter(|&&v| v).count();
-        let unserved = truth.len() - served;
-        assert!(served > 0 && unserved > 0);
-    }
-
-    #[test]
-    fn served_hex_sets_consistent() {
-        let (_, fabric, claims) = world();
-        let (overall, per_provider) = served_hex_sets(&fabric, &claims);
-        let union: BTreeSet<HexCell> = per_provider.values().flatten().copied().collect();
-        assert_eq!(overall, union);
     }
 }

@@ -13,12 +13,14 @@
 //!   and feature construction run unchanged). Individual BSLs can still be
 //!   resolved on demand by regenerating their town's shard from its
 //!   `(seed, stage, shard)` RNG stream.
-//! * Providers are processed one at a time in provider-id order — exactly the
-//!   `BTreeMap` order the materialised path iterates — and each provider's
-//!   claims live only for the duration of its own pass. The pass derives
-//!   everything the pipeline needs downstream: challenge waves, corrections,
-//!   the [`RemovalSchedule`], per-hex claim aggregates, served-hex sets and
-//!   distinct-location counts.
+//! * Providers are processed one at a time in provider-id order — the order
+//!   the materialised world assembles its providers' records in — and each
+//!   provider's claims live only for the duration of its own pass. Each scan
+//!   is folded by the same function the materialised world calls (see
+//!   [`crate::activity_gen`]) into the provider's per-hex claims, served
+//!   hexes, challenges, corrections and distinct-location count; this world
+//!   adds only the [`RemovalSchedule`] and the location→hex side map it
+//!   builds from the challenges and corrections.
 //! * Both stages that regenerate town blocks — the hex-table build and the
 //!   claim scans — take them in fixed windows of `TOWN_WINDOW` towns, and
 //!   hold only the current window: worker threads regenerate and
@@ -34,7 +36,7 @@
 //!
 //! Determinism contract: every artefact this module produces is bit-identical
 //! to the corresponding artefact of the materialised world — same RNG streams
-//! per `(seed, stage, shard)`, same iteration orders, same float accumulation
+//! per `(seed, stage, shard)`, same claim scan and fold, same iteration
 //! orders. `tests/streaming_world.rs` pins the equivalence on small worlds.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -42,18 +44,15 @@ use std::time::Instant;
 
 use asnmap::{FrnRegistration, RegistrationSource, WhoisDb};
 use bdc::source::{end_stage, SourceMeta, WorldSource};
-use bdc::stream::{map_shards, speed_pair_wins, ResidencyMeter};
+use bdc::stream::{map_shards, ResidencyMeter};
 use bdc::{
     Bsl, Challenge, ClaimChange, DayStamp, FabricView, HexClaim, LocationId, NbmRelease,
-    ProviderId, ReleaseVersion, Technology,
+    ProviderId, ReleaseVersion,
 };
 use hexgrid::HexCell;
 use speedtest::{MlabTest, OoklaTileRecord};
 
-use crate::activity_gen::{
-    later_challenge_chunk, later_wave_shard_count, provider_challenges, provider_corrections,
-    LATER_WAVE_CHUNK,
-};
+use crate::activity_gen::{generate_later_challenges, later_wave_shard_count, regulatory_record};
 use crate::config::SynthConfig;
 use crate::fabric_gen::{generate_towns, town_bsls, town_offsets, Town};
 use crate::providers_gen::{
@@ -62,13 +61,6 @@ use crate::providers_gen::{
 use crate::registration_gen::{generate_registrations, RegistrationData};
 use crate::release_stream::RemovalSchedule;
 use crate::shard::GenMode;
-
-/// Per-`(hex, technology)` release-aggregate accumulator for one provider:
-/// best `(down, up)` speed pair, low-latency flag, distinct-location count —
-/// the same fold `NbmRelease::from_records` runs, kept per provider so
-/// location-level claims never outlive the provider's scan. Drained in sorted
-/// key order.
-type HexTechAgg = HashMap<(HexCell, Technology), (Option<(f64, f64)>, bool, u32)>;
 
 // The stage/report rows and the budget-enforcing `end_stage` now live in
 // `bdc::source` (they are shared by every `WorldSource`); re-exported here so
@@ -92,8 +84,6 @@ pub struct HexTable {
     hexes: Vec<(HexCell, u32, bool)>,
     /// Interned state codes; indices are stable for the table's lifetime.
     state_names: Vec<String>,
-    /// Interned state of each town (every BSL carries its town's state).
-    town_states: Vec<u16>,
     /// CSR offsets into `state_items`, one extra entry at the end.
     state_offsets: Vec<u32>,
     /// `(state_index, bsl_count)` runs per hex.
@@ -120,7 +110,6 @@ impl HexTable {
         let offsets = town_offsets(&towns);
         let mut accum: HashMap<HexCell, (u32, Vec<(u16, u32)>)> = HashMap::new();
         let mut state_names: Vec<String> = Vec::new();
-        let mut town_states: Vec<u16> = Vec::with_capacity(towns.len());
         let mut metered = 0usize;
         for (w, batch) in towns.chunks(window).enumerate() {
             // Charge every block of the window up front: however the workers
@@ -144,6 +133,7 @@ impl HexTable {
                 counts
             });
             for (town, counts) in batch.iter().zip(counts) {
+                // Every BSL carries its town's state.
                 let si = match state_names.iter().position(|s| *s == town.state) {
                     Some(i) => i as u16,
                     None => {
@@ -151,7 +141,6 @@ impl HexTable {
                         (state_names.len() - 1) as u16
                     }
                 };
-                town_states.push(si);
                 for (hex, n) in counts {
                     let slot = accum.entry(hex).or_insert_with(|| (0, Vec::new()));
                     slot.0 += n;
@@ -189,7 +178,7 @@ impl HexTable {
         // Swap the accumulator's metering for the final arrays' (towns and
         // offsets are pinned by the caller when the town stage runs).
         meter.release(metered);
-        meter.pin(hexes.len() + state_items.len() + town_states.len());
+        meter.pin(hexes.len() + state_items.len());
 
         Self {
             config: *config,
@@ -198,7 +187,6 @@ impl HexTable {
             total_locations,
             hexes,
             state_names,
-            town_states,
             state_offsets,
             state_items,
             loc_hex: HashMap::new(),
@@ -230,16 +218,6 @@ impl HexTable {
     /// Number of occupied hexes.
     pub fn occupied_hexes(&self) -> usize {
         self.hexes.len()
-    }
-
-    /// Interned index of the state of town `town_index`'s BSLs.
-    fn town_state(&self, town_index: usize) -> u16 {
-        self.town_states[town_index]
-    }
-
-    /// The state code behind an interned index.
-    pub fn state_name(&self, index: u16) -> &str {
-        &self.state_names[index as usize]
     }
 
     fn hex_index(&self, hex: &HexCell) -> Option<usize> {
@@ -441,8 +419,7 @@ impl StreamWorld {
                 meter.pin(2); // methodology + claims-count rows
 
                 // Scan the provider's claims and their geometry (both charged
-                // to the meter), then fold per-hex claim aggregates and
-                // served-hex sets in claim order.
+                // to the meter) and fold them into its regulatory record.
                 let (claims, geo) = scan_claims(
                     profile,
                     &scanner,
@@ -452,114 +429,46 @@ impl StreamWorld {
                     window,
                     &meter,
                 );
-                let mut agg: HexTechAgg = HashMap::new();
-                let mut served_p: HashSet<HexCell> = HashSet::new();
-                for (claim, (hex, _)) in claims.iter().zip(geo.iter()) {
-                    let before = agg.len();
-                    {
-                        let slot = agg
-                            .entry((hex, claim.technology))
-                            .or_insert((None, false, 0));
-                        let candidate = (claim.max_down_mbps, claim.max_up_mbps);
-                        let wins = match slot.0 {
-                            None => true,
-                            Some(best) => speed_pair_wins(candidate, best),
-                        };
-                        if wins {
-                            slot.0 = Some(candidate);
-                        }
-                        slot.1 |= claim.low_latency;
-                        slot.2 += 1;
-                    }
-                    if agg.len() > before {
-                        meter.acquire(2);
-                    }
-                    if claim.truly_served {
-                        if served_all.insert(hex) {
-                            meter.pin(1);
-                        }
-                        if served_p.insert(hex) {
-                            meter.pin(1);
-                        }
+                let record =
+                    regulatory_record(config, pid, &claims, &geo, hex_table.towns(), &hex_table);
+                // The fold's high-water mark, charged while the scan is still
+                // held: its per-hex table (two entries a group), the served
+                // hexes, the challenges with their key set, and the
+                // corrections. Hexes new to the world's served set are pinned.
+                let folding = 2 * record.hex_claims.len()
+                    + record.served.len()
+                    + 2 * record.challenges.len()
+                    + record.corrections.len();
+                meter.acquire(folding);
+                for &hex in &record.served {
+                    if served_all.insert(hex) {
+                        meter.pin(1);
                     }
                 }
-                let n_claims = claims.len();
+                meter.release(folding + geo.entries() + claims.len());
+                drop((claims, geo));
 
-                // Challenges against this provider's claims, then corrections
-                // for what survived unchallenged — both keyed by provider id,
-                // so per-provider generation is the materialised generation.
-                let provider_challs = provider_challenges(
-                    config,
-                    pid,
-                    claims.iter().zip(geo.iter()).map(|(c, (hex, town))| {
-                        (c, hex, hex_table.state_name(hex_table.town_state(town)))
-                    }),
-                );
-                meter.acquire(provider_challs.len() * 2); // kept below + key set
-                let mut challenged: BTreeSet<(ProviderId, LocationId, Technology)> =
-                    BTreeSet::new();
-                for c in &provider_challs {
-                    challenged.insert((c.provider, c.location, c.technology));
+                // Keep the per-hex claims, the served hexes and the
+                // challenges; the corrections only feed the removal schedule
+                // and the location→hex side map.
+                meter.pin(record.hex_claims.len() + record.served.len() + record.challenges.len());
+                for c in &record.challenges {
                     schedule.note_challenge(c);
                     pending_loc_hex.insert(c.location, c.hex);
                 }
-                let corrections = provider_corrections(config, pid, &claims, &challenged);
-                meter.acquire(corrections.len());
-                meter.release(provider_challs.len()); // challenged set dropped
-                drop(challenged);
-                // Corrections are an in-order subsequence of the claims, so one
-                // walk over the claims recovers each corrected location's hex.
-                {
-                    let mut walk = claims.iter().zip(geo.iter());
-                    for (p, l, t, k) in &corrections {
-                        schedule.note_correction(*p, *l, *t, *k);
-                        let (_, (hex, _)) = walk
-                            .find(|(c, _)| c.location == *l && c.technology == *t)
-                            .expect("correction does not map back to a claim");
-                        pending_loc_hex.insert(*l, hex);
-                    }
+                for (p, l, t, k, hex) in record.corrections {
+                    schedule.note_correction(p, l, t, k);
+                    pending_loc_hex.insert(l, hex);
                 }
-                meter.release(corrections.len());
-                drop(corrections);
-                challenges.extend(provider_challs);
-
-                // Distinct claimed locations (what the provider's filing would
-                // report): reuse the claims' storage, then let it all go.
-                meter.release(geo.entries());
-                drop(geo);
-                let mut locs: Vec<LocationId> = claims.into_iter().map(|c| c.location).collect();
-                locs.sort_unstable();
-                locs.dedup();
-                claims_count.insert(pid, locs.len());
-                drop(locs);
-                meter.release(n_claims);
-
-                // Fold the provider's per-hex aggregates into the global claim
-                // table. `(provider, hex, tech)` keys order by provider first,
-                // so appending per-provider sorted drains in provider order
-                // reproduces the materialised release's global group order.
-                let agg_len = agg.len();
-                let mut rows: Vec<_> = agg.into_iter().collect();
-                rows.sort_unstable_by_key(|&(key, _)| key);
-                for ((hex, technology), (best, low_latency, locations)) in rows {
-                    let (max_down_mbps, max_up_mbps) = best.unwrap_or((0.0, 0.0));
-                    hex_claims.push(HexClaim {
-                        provider: pid,
-                        hex,
-                        technology,
-                        max_down_mbps,
-                        max_up_mbps,
-                        low_latency,
-                        locations_claimed: locations as usize,
-                        total_bsls_in_hex: hex_table.bsl_count_in_hex(&hex),
-                    });
-                    meter.pin(1);
+                challenges.extend(record.challenges);
+                // `(provider, hex, tech)` keys order by provider first, so
+                // appending each provider's `(hex, tech)`-ordered claims in
+                // provider order gives the release's global order.
+                hex_claims.extend(record.hex_claims.into_iter().map(|(claim, _)| claim));
+                if !record.served.is_empty() {
+                    served_hexes_by_provider.insert(pid, record.served);
                 }
-                meter.release(agg_len * 2);
-
-                if !served_p.is_empty() {
-                    served_hexes_by_provider.insert(pid, served_p.into_iter().collect());
-                }
+                claims_count.insert(pid, record.locations);
 
                 // Meter the slow-growing global side tables.
                 meter.pin(pending_loc_hex.len() - loc_hex_metered);
@@ -578,16 +487,9 @@ impl StreamWorld {
             regenerated,
         )?;
 
-        // The later challenge wave: fixed global chunks over the concatenated
-        // first wave, one RNG stream per chunk — the materialised fan-out.
+        // The later challenge wave over the concatenated first wave.
         let s = Instant::now();
-        let chunks: Vec<&[Challenge]> = challenges.chunks(LATER_WAVE_CHUNK).collect();
-        let later_challenges: Vec<Challenge> = map_shards(workers, &chunks, |i, chunk| {
-            later_challenge_chunk(config, i, chunk)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let later_challenges = generate_later_challenges(config, &challenges, workers);
         meter.pin(later_challenges.len());
         end_stage(
             &mut stages,

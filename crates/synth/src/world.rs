@@ -1,10 +1,16 @@
 //! The assembled synthetic world and its sharded generation engine.
 //!
-//! [`SynthUs::generate_with`] runs the generation stages in canonical order,
-//! fanning each stage's shards (states, towns, providers, hexes) across
-//! scoped worker threads according to a [`GenMode`]. Every random
-//! quantity is drawn from a per-`(seed, stage, shard)` stream, so the world
-//! is a pure function of the [`SynthConfig`] alone: sequential, parallel and
+//! [`SynthUs::generate_with`] runs the generation stages in canonical order
+//! (towns, fabric, providers, the regulatory pass, the later challenge wave,
+//! registrations, Ookla, MLab), fanning each stage's shards (states, towns,
+//! providers, hexes) across scoped worker threads according to a
+//! [`GenMode`]. The regulatory pass scans each provider's claims over the
+//! resident fabric and folds them into the provider's record with the fold
+//! the streaming world runs too (see [`crate::activity_gen`]), so the
+//! filings, challenges, corrections, initial release, served hexes and
+//! ground truth come from one per-provider derivation. Every random quantity
+//! is drawn from a per-`(seed, stage, shard)` stream, so the world is a pure
+//! function of the [`SynthConfig`] alone: sequential, parallel and
 //! forced-thread-count schedules produce bit-identical worlds, a contract
 //! made testable by [`SynthUs::canonical_fingerprint`].
 
@@ -13,6 +19,7 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use asnmap::{FrnRegistration, SiblingGroups, WhoisDb};
+use bdc::stream::ResidencyMeter;
 use bdc::{
     Asn, Challenge, DayStamp, Fabric, Filing, LocationId, NbmRelease, Provider, ProviderId,
     ProviderRegistry, ReleaseVersion, StreamReport, StreamStage, Technology,
@@ -21,16 +28,18 @@ use hexgrid::HexCell;
 use speedtest::{MlabDataset, OoklaDataset};
 
 use crate::activity_gen::{
-    build_filings, generate_challenges, generate_corrections, generate_later_challenges,
-    later_wave_shard_count,
+    generate_later_challenges, later_wave_shard_count, provider_filing, regulatory_record,
+    ProviderRecord,
 };
 use crate::config::SynthConfig;
-use crate::fabric_gen::{generate_fabric, generate_towns, Town};
-use crate::providers_gen::{compute_all_claims, generate_providers, ClaimTruth, ProviderProfile};
+use crate::fabric_gen::{generate_fabric, generate_towns, town_offsets, Town};
+use crate::providers_gen::{
+    generate_providers, scan_claims, ClaimScanner, FabricTownBsls, ProviderProfile, TOWN_WINDOW,
+};
 use crate::registration_gen::generate_registrations;
 use crate::release_stream::{ReleaseEmitter, RemovalSchedule};
-use crate::shard::{GenMode, SynthStage};
-use crate::speedtest_gen::{generate_mlab, generate_ookla, hex_observation_truth, served_hex_sets};
+use crate::shard::{map_shards, GenMode};
+use crate::speedtest_gen::{generate_mlab, generate_ookla};
 use crate::states::{state_by_code, STATES};
 
 /// The Jefferson-County-Cable-style ground-truth scenario (§6.3): which
@@ -90,19 +99,125 @@ pub struct SynthUs {
 /// shard count. Generation is not metered, so the row reports 0 entries.
 fn timed<T>(
     stages: &mut Vec<StreamStage>,
-    stage: SynthStage,
+    name: &'static str,
     shards: usize,
     f: impl FnOnce() -> T,
 ) -> T {
     let start = Instant::now();
     let out = f();
     stages.push(StreamStage {
-        name: stage.name(),
+        name,
         wall: start.elapsed(),
         shards: shards.max(1),
         peak_resident_entries: 0,
     });
     out
+}
+
+/// The world's regulatory record, assembled from its providers' records.
+struct RegulatoryPass {
+    filings: Vec<Filing>,
+    challenges: Vec<Challenge>,
+    corrections: Vec<(ProviderId, LocationId, Technology, usize)>,
+    initial_release: NbmRelease,
+    /// Hexes some provider truly serves, and each provider's.
+    served: BTreeSet<HexCell>,
+    served_by_provider: BTreeMap<ProviderId, BTreeSet<HexCell>>,
+    ground_truth: BTreeMap<(ProviderId, HexCell, Technology), bool>,
+    /// Distinct locations each provider claims.
+    locations: BTreeMap<ProviderId, usize>,
+    jcc: Option<JccScenario>,
+}
+
+/// Scan every provider's claims over the resident fabric and fold each into
+/// its record and its filing, one provider per shard, in profile order (which
+/// is provider-id order); then assemble the world's record from the
+/// providers' records alone, so no claim is looked up in the fabric.
+fn regulatory_pass(
+    config: &SynthConfig,
+    towns: &[Town],
+    fabric: &Fabric,
+    profiles: &[ProviderProfile],
+    workers: usize,
+) -> RegulatoryPass {
+    let offsets = town_offsets(towns);
+    let scanner = ClaimScanner::new(towns, &offsets);
+    // The materialised world keeps no residency budget.
+    let unmetered = ResidencyMeter::new();
+    let (filings, records): (Vec<Filing>, Vec<ProviderRecord>) =
+        map_shards(workers, profiles, |_, profile| {
+            let mut blocks = FabricTownBsls {
+                fabric,
+                scanner: &scanner,
+            };
+            let (claims, geo) = scan_claims(
+                profile,
+                &scanner,
+                &mut blocks,
+                config,
+                1,
+                TOWN_WINDOW,
+                &unmetered,
+            );
+            let record =
+                regulatory_record(config, profile.provider.id, &claims, &geo, towns, fabric);
+            (provider_filing(profile, claims), record)
+        })
+        .into_iter()
+        .unzip();
+
+    let (mut challenges, mut corrections, mut hex_claims) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut served, mut served_by_provider) = (BTreeSet::new(), BTreeMap::new());
+    let (mut ground_truth, mut locations, mut jcc) = (BTreeMap::new(), BTreeMap::new(), None);
+    for (profile, record) in profiles.iter().zip(records) {
+        let provider = profile.provider.id;
+        if profile.jcc_like {
+            let home_state = profile.provider.home_state.clone();
+            jcc = Some(JccScenario {
+                provider,
+                excluded_states: neighboring_states(&home_state),
+                home_state,
+                overclaimed_hexes: record
+                    .hex_claims
+                    .iter()
+                    .filter(|(_, truly)| !truly)
+                    .map(|(c, _)| c.hex)
+                    .collect(),
+                served_hexes: record.served.clone(),
+            });
+        }
+        for (claim, truly) in record.hex_claims {
+            ground_truth.insert(claim.observation_key(), truly);
+            hex_claims.push(claim);
+        }
+        challenges.extend(record.challenges);
+        corrections.extend(
+            record
+                .corrections
+                .into_iter()
+                .map(|(p, l, t, k, _)| (p, l, t, k)),
+        );
+        served.extend(&record.served);
+        if !record.served.is_empty() {
+            served_by_provider.insert(provider, record.served);
+        }
+        locations.insert(provider, record.locations);
+    }
+    RegulatoryPass {
+        filings,
+        challenges,
+        corrections,
+        initial_release: NbmRelease::from_parts(
+            ReleaseVersion::initial(),
+            DayStamp::initial_nbm_release(),
+            hex_claims,
+        ),
+        served,
+        served_by_provider,
+        ground_truth,
+        locations,
+        jcc,
+    }
 }
 
 impl SynthUs {
@@ -123,10 +238,12 @@ impl SynthUs {
     }
 
     /// Generate the full world under an explicit schedule, returning the
-    /// world together with its [`StreamReport`]: one row per [`SynthStage`]
-    /// with wall-clock and shard count (generation is not metered, so every
-    /// row reports 0 entries). Returns `Err` with the validation message when
-    /// the configuration is invalid.
+    /// world together with its [`StreamReport`]: one row per generation
+    /// stage (`towns`, `fabric`, `providers`, `regulatory_pass`,
+    /// `later_challenges`, `registrations`, `ookla`, `mlab`) with wall-clock
+    /// and shard count (generation is not metered, so every row reports 0
+    /// entries). Returns `Err` with the validation message when the
+    /// configuration is invalid.
     ///
     /// The generated world depends only on `config`: every [`GenMode`]
     /// produces a bit-identical world (see
@@ -139,136 +256,72 @@ impl SynthUs {
         config.validate()?;
         let start = Instant::now();
         let workers = mode.worker_count();
-        let mut stages: Vec<StreamStage> = Vec::with_capacity(SynthStage::ALL.len());
+        let mut stages: Vec<StreamStage> = Vec::new();
 
-        let towns = timed(&mut stages, SynthStage::Towns, STATES.len(), || {
+        let towns = timed(&mut stages, "towns", STATES.len(), || {
             generate_towns(config, workers)
         });
-        let fabric = timed(&mut stages, SynthStage::Fabric, towns.len(), || {
+        let fabric = timed(&mut stages, "fabric", towns.len(), || {
             generate_fabric(config, &towns, workers)
         });
-        let profiles = timed(
-            &mut stages,
-            SynthStage::Providers,
-            config.n_providers,
-            || generate_providers(config, &towns, workers),
-        );
-        let claims: BTreeMap<ProviderId, Vec<ClaimTruth>> =
-            timed(&mut stages, SynthStage::Claims, profiles.len(), || {
-                compute_all_claims(&profiles, &towns, &fabric, config, workers)
-            });
-        let filings = timed(&mut stages, SynthStage::Filings, 1, || {
-            build_filings(&profiles, &claims)
+        let profiles = timed(&mut stages, "providers", config.n_providers, || {
+            generate_providers(config, &towns, workers)
         });
-        let challenges = timed(&mut stages, SynthStage::Challenges, claims.len(), || {
-            generate_challenges(config, &fabric, &claims, workers)
+        let pass = timed(&mut stages, "regulatory_pass", profiles.len(), || {
+            regulatory_pass(config, &towns, &fabric, &profiles, workers)
         });
         let later_challenges = timed(
             &mut stages,
-            SynthStage::LaterChallenges,
-            later_wave_shard_count(challenges.len()),
-            || generate_later_challenges(config, &challenges, workers),
+            "later_challenges",
+            later_wave_shard_count(pass.challenges.len()),
+            || generate_later_challenges(config, &pass.challenges, workers),
         );
-
-        let challenged_keys: BTreeSet<_> = challenges
-            .iter()
-            .map(|c| (c.provider, c.location, c.technology))
-            .collect();
-        let corrections = timed(&mut stages, SynthStage::Corrections, claims.len(), || {
-            generate_corrections(config, &claims, &challenged_keys, workers)
+        let registration_data = timed(&mut stages, "registrations", profiles.len(), || {
+            generate_registrations(config, &profiles, &pass.locations, workers)
         });
-        let initial_release = timed(&mut stages, SynthStage::Releases, 1, || {
-            NbmRelease::from_records(
-                ReleaseVersion::initial(),
-                DayStamp::initial_nbm_release(),
-                filings.iter().flat_map(|f| &f.records),
-                &fabric,
-            )
-        });
-
-        let claims_count: BTreeMap<ProviderId, usize> = filings
-            .iter()
-            .map(|f| (f.provider, f.claimed_location_count()))
-            .collect();
-        let registration_data = timed(
-            &mut stages,
-            SynthStage::Registrations,
-            profiles.len(),
-            || generate_registrations(config, &profiles, &claims_count, workers),
-        );
-
-        let (served_hexes, served_by_provider) = served_hex_sets(&fabric, &claims);
-        let occupied_hexes = fabric.hexes().count();
-        let ookla = timed(&mut stages, SynthStage::Ookla, occupied_hexes, || {
-            generate_ookla(config, &fabric, &served_hexes, workers)
+        let ookla = timed(&mut stages, "ookla", fabric.hexes().count(), || {
+            generate_ookla(config, &fabric, &pass.served, workers)
         });
         let mlab = timed(
             &mut stages,
-            SynthStage::Mlab,
+            "mlab",
             registration_data.true_provider_asns.len(),
             || {
                 generate_mlab(
                     config,
                     &registration_data.true_provider_asns,
-                    &served_by_provider,
+                    &pass.served_by_provider,
                     workers,
                 )
             },
         );
 
-        let world = timed(&mut stages, SynthStage::GroundTruth, 1, || {
-            let ground_truth = hex_observation_truth(&fabric, &claims);
-            let jcc = profiles.iter().find(|p| p.jcc_like).map(|p| {
-                let provider = p.provider.id;
-                let mut overclaimed = BTreeSet::new();
-                let mut served = BTreeSet::new();
-                for ((pid, hex, _tech), truly) in &ground_truth {
-                    if *pid == provider {
-                        if *truly {
-                            served.insert(*hex);
-                        } else {
-                            overclaimed.insert(*hex);
-                        }
-                    }
-                }
-                let home_state = p.provider.home_state.clone();
-                JccScenario {
-                    provider,
-                    excluded_states: neighboring_states(&home_state),
-                    home_state,
-                    overclaimed_hexes: overclaimed,
-                    served_hexes: served,
-                }
-            });
-
-            let providers = ProviderRegistry::new(
-                profiles
-                    .iter()
-                    .map(|p| p.provider.clone())
-                    .collect::<Vec<Provider>>(),
-            );
-
-            Self {
-                config: *config,
-                towns,
-                fabric,
-                providers,
-                profiles,
-                filings,
-                initial_release,
-                challenges,
-                later_challenges,
-                corrections,
-                ookla,
-                mlab,
-                registrations: registration_data.registrations,
-                whois: registration_data.whois,
-                true_provider_asns: registration_data.true_provider_asns,
-                reference_groups: registration_data.reference_groups,
-                ground_truth,
-                jcc,
-            }
-        });
+        let providers = ProviderRegistry::new(
+            profiles
+                .iter()
+                .map(|p| p.provider.clone())
+                .collect::<Vec<Provider>>(),
+        );
+        let world = Self {
+            config: *config,
+            towns,
+            fabric,
+            providers,
+            profiles,
+            filings: pass.filings,
+            initial_release: pass.initial_release,
+            challenges: pass.challenges,
+            later_challenges,
+            corrections: pass.corrections,
+            ookla,
+            mlab,
+            registrations: registration_data.registrations,
+            whois: registration_data.whois,
+            true_provider_asns: registration_data.true_provider_asns,
+            reference_groups: registration_data.reference_groups,
+            ground_truth: pass.ground_truth,
+            jcc: pass.jcc,
+        };
         let report = StreamReport {
             stages,
             total_wall: start.elapsed(),
@@ -515,7 +568,7 @@ pub fn neighboring_states(home: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdc::challenge::success_rate;
+    use crate::providers_gen::{visit_major_claims, ClaimTruth};
     use bdc::{ClaimChange, MapDiff};
 
     // Seed re-pinned when generation moved to sharded per-stage RNG streams
@@ -563,12 +616,101 @@ mod tests {
         );
     }
 
+    /// Every provider's claims, in profile order, from the visit-major
+    /// reference scan of the world's fabric.
+    fn reference_claims(w: &SynthUs) -> Vec<Vec<ClaimTruth>> {
+        let offsets = town_offsets(&w.towns);
+        let scanner = ClaimScanner::new(&w.towns, &offsets);
+        w.profiles
+            .iter()
+            .map(|p| visit_major_claims(p, &scanner, &w.fabric, &w.config, 1, TOWN_WINDOW).0)
+            .collect()
+    }
+
     #[test]
-    fn challenge_mix_matches_paper_shape() {
+    fn filings_match_the_visit_major_scan() {
+        // The pass fans providers across three workers; each filing holds its
+        // provider's claims in claim order.
+        let (w, _) = SynthUs::generate_with(&SynthConfig::tiny(21), GenMode::Threads(3)).unwrap();
+        for ((profile, filing), claims) in
+            w.profiles.iter().zip(&w.filings).zip(reference_claims(&w))
+        {
+            assert_eq!(filing.provider, profile.provider.id);
+            let filed: Vec<_> = filing
+                .records
+                .iter()
+                .map(|r| {
+                    (
+                        r.location,
+                        r.technology,
+                        r.max_down_mbps.to_bits(),
+                        r.max_up_mbps.to_bits(),
+                        r.low_latency,
+                    )
+                })
+                .collect();
+            let scanned: Vec<_> = claims
+                .iter()
+                .map(|c| {
+                    (
+                        c.location,
+                        c.technology,
+                        c.max_down_mbps.to_bits(),
+                        c.max_up_mbps.to_bits(),
+                        c.low_latency,
+                    )
+                })
+                .collect();
+            assert_eq!(filed, scanned, "provider {}", profile.provider.id.value());
+        }
+    }
+
+    #[test]
+    fn initial_release_is_the_aggregation_of_the_filings() {
+        // The fold's per-hex claims against `from_records`, which resolves
+        // every filed record's hex through the fabric.
+        for config in [SynthConfig::tiny(21), SynthConfig::tiny(77)] {
+            let w = SynthUs::generate(&config);
+            let oracle = NbmRelease::from_records(
+                ReleaseVersion::initial(),
+                DayStamp::initial_nbm_release(),
+                w.filings.iter().flat_map(|f| &f.records),
+                &w.fabric,
+            );
+            assert_eq!(w.initial_release().hex_claims(), oracle.hex_claims());
+            assert_eq!(w.initial_release().version, oracle.version);
+            assert_eq!(w.initial_release().published, oracle.published);
+        }
+    }
+
+    #[test]
+    fn hex_truth_is_or_over_locations() {
+        // A `(provider, hex, technology)` observation is truly served when any
+        // claimed BSL in the hex is; the JCC scenario splits its provider's
+        // hexes the same way.
         let w = tiny_world();
-        let rate = success_rate(&w.challenges);
-        assert!((0.55..0.85).contains(&rate), "success rate {rate}");
-        assert!(w.later_challenges.len() < w.challenges.len() / 10);
+        let mut truth: BTreeMap<(ProviderId, HexCell, Technology), bool> = BTreeMap::new();
+        for (profile, claims) in w.profiles.iter().zip(reference_claims(&w)) {
+            for c in claims {
+                let hex = w.fabric.get(c.location).unwrap().hex;
+                *truth
+                    .entry((profile.provider.id, hex, c.technology))
+                    .or_insert(false) |= c.truly_served;
+            }
+        }
+        assert_eq!(w.ground_truth, truth);
+        let served = truth.values().filter(|&&v| v).count();
+        assert!(served > 0 && served < truth.len());
+        let jcc = w.jcc.as_ref().unwrap();
+        let hexes = |truly: bool| -> BTreeSet<HexCell> {
+            truth
+                .iter()
+                .filter(|(&(p, _, _), &t)| p == jcc.provider && t == truly)
+                .map(|(&(_, hex, _), _)| hex)
+                .collect()
+        };
+        assert_eq!(jcc.served_hexes, hexes(true));
+        assert_eq!(jcc.overclaimed_hexes, hexes(false));
     }
 
     #[test]
@@ -632,17 +774,29 @@ mod tests {
         let (w, report) =
             SynthUs::generate_with(&SynthConfig::tiny(55), GenMode::Sequential).unwrap();
         let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
-        let expected: Vec<&str> = SynthStage::ALL.iter().map(|s| s.name()).collect();
+        let expected = [
+            "towns",
+            "fabric",
+            "providers",
+            "regulatory_pass",
+            "later_challenges",
+            "registrations",
+            "ookla",
+            "mlab",
+        ];
         assert_eq!(names, expected, "stages not in canonical order");
         for stage in &report.stages {
             assert!(stage.shards >= 1);
             assert_eq!(stage.peak_resident_entries, 0, "generation is not metered");
         }
+        let shards = |name| report.stage(name).map(|s| s.shards);
+        assert_eq!(shards("providers"), Some(w.config.n_providers));
+        // One shard per provider scanned and folded.
+        assert_eq!(shards("regulatory_pass"), Some(w.config.n_providers));
         assert_eq!(
-            report.stage("providers").map(|s| s.shards),
-            Some(w.config.n_providers)
+            shards("later_challenges"),
+            Some(later_wave_shard_count(w.challenges.len()))
         );
-        assert_eq!(report.stage("releases").map(|s| s.shards), Some(1));
         assert!(report.stage_sum() <= report.total_wall);
     }
 

@@ -1,6 +1,8 @@
 //! Print the sharded world generator's per-stage wall-clock and shard-count
 //! report, the process's peak resident set size after generation (`VmHWM`,
 //! where `/proc/self/status` exists), and the world's canonical fingerprint.
+//! The seed defaults to the benchmark's world seed, 20221118, so
+//! `synth_timings experiment` generates the paper workload's world.
 //!
 //! ```sh
 //! cargo run --release --example synth_timings [tiny|experiment|large] [seed]
@@ -20,7 +22,7 @@ fn main() {
     let seed = std::env::args()
         .nth(2)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+        .unwrap_or(20221118);
     let config = match preset.as_str() {
         "experiment" => SynthConfig::experiment(seed),
         "large" => SynthConfig::large(seed),

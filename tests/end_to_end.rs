@@ -11,7 +11,7 @@ use red_is_sus::obs::Telemetry;
 use red_is_sus::serve::{
     encode_model, score_rows, ScoreMode, ScoreOutput, ScoreServer, ServeConfig, ServedModel,
 };
-use red_is_sus::synth::{GenMode, SynthConfig, SynthStage, SynthUs};
+use red_is_sus::synth::{GenMode, SynthConfig, SynthUs};
 
 fn small_config() -> SynthConfig {
     SynthConfig {
@@ -51,6 +51,10 @@ const GOLDEN_SERVED_SCORES_FINGERPRINT: u64 = 0xf7fc_79e1_6796_57a9;
 /// way `GOLDEN_WORLD_FINGERPRINT` pins the generator.
 const GOLDEN_LABELS_FINGERPRINT: u64 = 0x50f0_1514_03de_cdfe;
 const GOLDEN_DATASET_FINGERPRINT: u64 = 0x594d_5bf1_4861_7ef5;
+/// Golden fingerprint of the benchmark's paper workload world,
+/// `SynthConfig::experiment(20221118)`: pins the regulatory pass at the
+/// benchmark's scale and seed.
+const GOLDEN_PAPER_WORLD_FINGERPRINT: u64 = 0x6eca_769b_8473_c538;
 
 /// All eight stages over `world` with the default options: the engine run
 /// every dataset test starts from.
@@ -67,7 +71,11 @@ fn dataset(world: &SynthUs) -> DatasetRun {
 fn sharded_world_and_pipeline_match_golden_fingerprints() {
     let (world, report) =
         SynthUs::generate_with(&small_config(), GenMode::Parallel).expect("valid config");
-    assert_eq!(report.stages.len(), SynthStage::ALL.len());
+    // One regulatory-pass shard per provider scanned and folded.
+    assert_eq!(
+        report.stage("regulatory_pass").map(|s| s.shards),
+        Some(small_config().n_providers)
+    );
     assert_eq!(
         world.canonical_fingerprint(),
         GOLDEN_WORLD_FINGERPRINT,
@@ -81,6 +89,17 @@ fn sharded_world_and_pipeline_match_golden_fingerprints() {
         GOLDEN_CONTEXT_FINGERPRINT,
         "pipeline drift: context fingerprint is {:#018x}",
         ctx.canonical_fingerprint()
+    );
+}
+
+#[test]
+fn paper_world_matches_golden_fingerprint() {
+    let world = SynthUs::generate(&SynthConfig::experiment(20221118));
+    assert_eq!(
+        world.canonical_fingerprint(),
+        GOLDEN_PAPER_WORLD_FINGERPRINT,
+        "generator drift: paper world fingerprint is {:#018x}",
+        world.canonical_fingerprint()
     );
 }
 
